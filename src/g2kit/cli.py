@@ -74,13 +74,12 @@ def _emit(reports, fmt):
 
 
 def _finish(reports):
-    failing = [(rep.scenario, r.check) for rep in reports
+    failing = [(rep.scenario, r) for rep in reports
                for r in rep.rows if r.passed is False]
-    if failing:
-        for scenario, check in failing:
-            click.echo(f"FAIL {scenario}: {check}", err=True)
-        sys.exit(1)
-    sys.exit(0)
+    for scenario, r in failing:
+        click.echo(f"FAIL {scenario}: {r.check} computed {_cell(r.computed)} "
+                   f"expected {_cell(r.expected)}", err=True)
+    sys.exit(1 if failing else 0)
 
 
 def _parse_scales(values):

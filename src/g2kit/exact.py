@@ -7,6 +7,7 @@ Matrices are tuples of tuples (rows); vectors are tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import SingularMap
@@ -334,12 +335,8 @@ def lattice_contains(generators: Sequence[Sequence], target: Sequence) -> bool:
     """Does target lie in the set of integer combinations of the generator vectors?"""
     if not generators:
         return all(frac(x) == 0 for x in target)
-    denom = 1
-    for g in generators:
-        for x in g:
-            denom = denom * frac(x).denominator // _gcd(denom, frac(x).denominator)
-    for x in target:
-        denom = denom * frac(x).denominator // _gcd(denom, frac(x).denominator)
+    denom = lcm(*(frac(x).denominator for g in generators for x in g),
+                *(frac(x).denominator for x in target))
     n = len(target)
     # matrix whose columns are the generators, cleared of denominators
     a_int = tuple(tuple(int(frac(generators[j][i]) * denom)
@@ -347,12 +344,6 @@ def lattice_contains(generators: Sequence[Sequence], target: Sequence) -> bool:
                   for i in range(n))
     t_int = tuple(int(frac(x) * denom) for x in target)
     return solve_integer(a_int, t_int) is not None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a or 1
 
 
 def in_span_mod_lattice(directions: Sequence[Sequence],

@@ -15,6 +15,7 @@ Reports serialize deterministically: the same scenario and seed give
 byte-identical JSON.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -189,9 +190,12 @@ def _the_group():
     return generate_group([_alpha(), _beta(), _gamma()])
 
 
-def _resolved(group):
-    return resolve_betti(ResolutionRecipe(base=quotient_betti(group),
-                                          strata=singular_locus(group)))
+def _topology(group):
+    """Singular strata, quotient betti numbers and resolved betti numbers."""
+    strata = singular_locus(group)
+    base = quotient_betti(group)
+    return strata, base, resolve_betti(ResolutionRecipe(base=base,
+                                                        strata=strata))
 
 
 def _joyce(seed, precision):
@@ -208,13 +212,12 @@ def _joyce(seed, precision):
         row("fixed_alpha_beta_gamma",
             _summary(fixed_set(a.compose(b).compose(g))), "free"),
     ]
-    locus = singular_locus(G)
+    locus, base, res = _topology(G)
     rows.append(row("singular_locus", _summary(locus), "12xT3"))
     rows.append(row("singular_orbit_counts",
                     sorted(s.count for s in locus), [4] * 12))
-    rows.append(row("quotient_betti", list(quotient_betti(G)),
+    rows.append(row("quotient_betti", list(base),
                     [1, 0, 0, 7, 7, 0, 0, 1]))
-    res = _resolved(G)
     rows.append(row("resolved_b2", res[2], 12))
     rows.append(row("resolved_b3", res[3], 43))
     rows.append(row("phi_invariance",
@@ -227,17 +230,13 @@ def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
     G = generate_group(gens)
     P = pull(G, direction)
     rows = [row("group_order", P.order, 8)]
-    strata = singular_locus(P)
+    strata, base, res = _topology(P)
     rows.append(row("singular_locus", _summary(strata), strata_summary))
-    base = quotient_betti(P)
-    res = resolve_betti(ResolutionRecipe(base=base, strata=strata))
     rows.append(row("base_betti_2_5", [base.get(k) for k in range(2, 6)],
                     None))
     rows.append(row("resolved_betti_2_5", [res[k] for k in range(2, 6)],
                     list(resolved_2_5)))
-    CS = cross_section_group(P, direction)
-    cres = resolve_betti(ResolutionRecipe(base=quotient_betti(CS),
-                                          strata=singular_locus(CS)))
+    _, _, cres = _topology(cross_section_group(P, direction))
     rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
                     list(cross_b2b3)))
     rows.append(row("moduli_dimension",
@@ -425,6 +424,24 @@ class Scenario:
 
 _KNOWN_CHECKS = ("betti", "moduli", "coassoc", "form-invariance", "eh",
                  "flow")
+_KNOWN_KEYS = ("name", "circles", "generators", "involution", "pull",
+               "checks", "expected")
+# the row ids run_scenario_object compares with an expected value
+_EXPECTED_KEYS = ("group_order", "singular_locus", "quotient_betti",
+                  "resolved_betti", "census", "cross_section_b2_b3",
+                  "moduli_dimension")
+
+
+def _is_int(value):
+    """A JSON integer; true/false parse as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_unknown(keys, known, what):
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise InvalidScenario(f"unknown {what} key {unknown[0]!r}; "
+                              f"known: {', '.join(known)}")
 
 
 def _parse_map_spec(spec, circles, what):
@@ -432,7 +449,7 @@ def _parse_map_spec(spec, circles, what):
         raise InvalidScenario(f"{what} must be an object")
     signs = spec.get("signs")
     if not isinstance(signs, list) or len(signs) != circles or \
-            any(s not in (1, -1) for s in signs):
+            any(not _is_int(s) or s not in (1, -1) for s in signs):
         raise InvalidScenario(
             f"{what}.signs must be a list of {circles} entries +-1")
     raw_shift = spec.get("shift", ["0"] * circles)
@@ -463,11 +480,12 @@ def load_scenario(path):
         raise InvalidScenario(f"scenario is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InvalidScenario("scenario must be a JSON object")
+    _reject_unknown(data, _KNOWN_KEYS, "scenario")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise InvalidScenario("scenario needs a nonempty string name")
     circles = data.get("circles", 7)
-    if not isinstance(circles, int) or not 1 <= circles <= 8:
+    if not _is_int(circles) or not 1 <= circles <= 8:
         raise InvalidScenario("circles must be an integer in 1..8")
     gens_raw = data.get("generators", [])
     if not isinstance(gens_raw, list) or not gens_raw:
@@ -480,7 +498,7 @@ def load_scenario(path):
                                      "involution")
     pull_direction = data.get("pull")
     if pull_direction is not None and \
-            (not isinstance(pull_direction, int)
+            (not _is_int(pull_direction)
              or not 1 <= pull_direction <= circles):
         raise InvalidScenario(f"pull must be a coordinate in 1..{circles}")
     checks = data.get("checks", ["betti"])
@@ -495,6 +513,7 @@ def load_scenario(path):
     expected = data.get("expected", {})
     if not isinstance(expected, dict):
         raise InvalidScenario("expected must be an object")
+    _reject_unknown(expected, _EXPECTED_KEYS, "expected")
     return Scenario(name=name, circles=circles, generators=gens,
                     involution=involution, pull_direction=pull_direction,
                     checks=tuple(checks), expected=dict(expected))
@@ -514,19 +533,18 @@ def run_scenario_object(sc, seed=0, precision="double"):
     except G2KitError as e:
         raise InvalidScenario(f"scenario construction failed: {e}") from None
     active = pulled if pulled is not None else group
+    topology = functools.cache(lambda: _topology(active))
 
     rows = []
     for check in sc.checks:
         if check == "betti":
+            strata, base, res = topology()
             rows.append(row("group_order", active.order,
                             exp.get("group_order")))
-            rows.append(row("singular_locus", _summary(singular_locus(active)),
+            rows.append(row("singular_locus", _summary(strata),
                             exp.get("singular_locus")))
-            q = quotient_betti(active)
-            rows.append(row("quotient_betti", list(q),
+            rows.append(row("quotient_betti", list(base),
                             exp.get("quotient_betti")))
-            res = resolve_betti(ResolutionRecipe(
-                base=q, strata=singular_locus(active)))
             rows.append(row("resolved_betti", list(res),
                             exp.get("resolved_betti")))
         elif check == "form-invariance":
@@ -546,11 +564,9 @@ def run_scenario_object(sc, seed=0, precision="double"):
                             _summary(involution_fixed_census(sigma, group)),
                             exp.get("census")))
         elif check == "moduli":
-            res = resolve_betti(ResolutionRecipe(
-                base=quotient_betti(active), strata=singular_locus(active)))
-            CS = cross_section_group(active, sc.pull_direction)
-            cres = resolve_betti(ResolutionRecipe(
-                base=quotient_betti(CS), strata=singular_locus(CS)))
+            res = topology()[2]
+            _, _, cres = _topology(
+                cross_section_group(active, sc.pull_direction))
             rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
                             exp.get("cross_section_b2_b3")))
             rows.append(row("moduli_dimension",

@@ -2,8 +2,9 @@
 
 Coordinates are 1-based.  A subset of coordinates may be declared as "line"
 (noncompact R-factor) coordinates; the rest are circle coordinates of a torus.
-All arithmetic is exact: integer matrices for the linear parts, rationals for
-shifts, Smith normal form for the fixed-point congruences.
+All arithmetic is exact: integer matrices for the linear parts, integer
+numerators over one common denominator for shifts and component offsets,
+Smith normal form for the fixed-point congruences.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .betti import BettiVector
@@ -28,30 +30,31 @@ from .exact import (
     frac,
     in_span_mod_lattice,
     inverse,
+    mat_mul,
     mat_vec,
     null_space,
     rref,
     smith_normal_form,
-    solve_integer,
 )
 from .forms import ExteriorForm, LinearMapR, pullback
 
 GROUP_SIZE_BOUND = 1024
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def _linear_image(linear, vec) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, vec)) for row in linear)
 
 
 class AffineTorusMap:
     """Affine map x -> Ax + v of T^c x R^l, with A in GL(n, Z).
 
     A must not mix circle and line coordinates, and must act on each line
-    coordinate as +-1.  Shifts are canonicalized mod 1 on circle coordinates.
+    coordinate as +-1.  The shift is kept as integer numerators over the
+    least common denominator, canonical mod 1 on circle coordinates.
     The optional name is bookkeeping only and does not enter equality.
     """
 
-    __slots__ = ("n", "lines", "linear", "shift", "name", "_key")
+    __slots__ = ("n", "lines", "linear", "num", "den", "name", "_key")
 
     def __init__(self, linear: Sequence[Sequence[int]], shift: Sequence = None,
                  lines: Iterable[int] = (), name: str = ""):
@@ -79,13 +82,25 @@ class AffineTorusMap:
         vals = [frac(x) for x in shift]
         if len(vals) != n:
             raise InvalidOperand("shift length mismatch")
-        canon = tuple(v if (i + 1) in lines else _mod1(v) for i, v in enumerate(vals))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "linear", rows)
-        object.__setattr__(self, "shift", canon)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_key", (n, lines, rows, canon))
+        den = lcm(*(v.denominator for v in vals))
+        self._fill(n, lines, rows,
+                   [v.numerator * (den // v.denominator) for v in vals], den, name)
+
+    def _fill(self, n, lines, rows, num, den, name):
+        num = [x if i + 1 in lines else x % den for i, x in enumerate(num)]
+        g = gcd(den, *num)
+        num, den = tuple(x // g for x in num), den // g
+        for attr, value in (("n", n), ("lines", lines), ("linear", rows),
+                            ("num", num), ("den", den), ("name", name),
+                            ("_key", (n, lines, rows, num, den))):
+            object.__setattr__(self, attr, value)
+
+    @staticmethod
+    def _from_parts(rows, num, den, lines, name) -> "AffineTorusMap":
+        """A map whose linear part is already known to be valid."""
+        f = object.__new__(AffineTorusMap)
+        f._fill(len(rows), lines, rows, num, den, name)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineTorusMap is immutable")
@@ -110,43 +125,49 @@ class AffineTorusMap:
         return len(self.lines)
 
     @property
+    def shift(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
     def shift_denominator(self) -> int:
-        return lcm(*(s.denominator for s in self.shift)) if self.shift else 1
+        return self.den
 
     def is_identity(self) -> bool:
         ident = all(self.linear[i][j] == (i == j) for i in range(self.n)
                     for j in range(self.n))
-        return ident and all(s == 0 for s in self.shift)
+        return ident and not any(self.num)
+
+    def _act(self, num, den) -> tuple[tuple[int, ...], int]:
+        """Image of the point num/den, as numerators over lcm(den, self.den)."""
+        d = lcm(den, self.den)
+        k, s = d // den, d // self.den
+        img = [sum(map(mul, row, num)) * k + t * s
+               for row, t in zip(self.linear, self.num)]
+        return tuple(v if i + 1 in self.lines else v % d
+                     for i, v in enumerate(img)), d
 
     def apply(self, point: Sequence) -> tuple[Fraction, ...]:
         p = [frac(x) for x in point]
         if len(p) != self.n:
             raise InvalidOperand("point dimension mismatch")
-        img = [sum(self.linear[i][j] * p[j] for j in range(self.n)) + self.shift[i]
-               for i in range(self.n)]
-        return tuple(v if (i + 1) in self.lines else _mod1(v)
-                     for i, v in enumerate(img))
+        den = lcm(*(x.denominator for x in p))
+        img, d = self._act([x.numerator * (den // x.denominator) for x in p], den)
+        return tuple(Fraction(v, d) for v in img)
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other."""
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
-        n = self.n
-        lin = tuple(tuple(sum(self.linear[i][k] * other.linear[k][j]
-                              for k in range(n)) for j in range(n))
-                    for i in range(n))
-        shf = [sum(self.linear[i][j] * other.shift[j] for j in range(n))
-               + self.shift[i] for i in range(n)]
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return AffineTorusMap(lin, shf, self.lines, name)
+        return AffineTorusMap._from_parts(mat_mul(self.linear, other.linear),
+                                          *self._act(other.num, other.den),
+                                          self.lines, name)
 
     def inverse(self) -> "AffineTorusMap":
-        inv_rows = inverse(self.linear)
-        lin = tuple(tuple(int(x) for x in row) for row in inv_rows)
-        shf = [-sum(lin[i][j] * self.shift[j] for j in range(self.n))
-               for i in range(self.n)]
+        lin = tuple(tuple(int(x) for x in row) for row in inverse(self.linear))
         name = f"{self.name}^-1" if self.name else ""
-        return AffineTorusMap(lin, shf, self.lines, name)
+        return AffineTorusMap._from_parts(
+            lin, [-x for x in _linear_image(lin, self.num)], self.den, self.lines, name)
 
     def order(self, cap: int = 512) -> int:
         cur = self
@@ -256,7 +277,8 @@ def generate_group(gens: Sequence[AffineTorusMap],
                     else:
                         word = (f"{cur.name}*{g.name}"
                                 if cur.name and g.name else "")
-                    named = AffineTorusMap(prod.linear, prod.shift, lines, word)
+                    named = AffineTorusMap._from_parts(prod.linear, prod.num,
+                                                       prod.den, lines, word)
                     seen[prod] = named
                     nxt.append(named)
                     if len(seen) > bound:
@@ -285,15 +307,16 @@ def check_preserves_form(f: AffineTorusMap, phi: ExteriorForm, sign: int) -> boo
 
 class _Component:
     """One connected component of a fixed-point set: an affine subtorus
-    (possibly times a line factor), stored with exact offset and integer
-    direction vectors."""
+    (possibly times a line factor) through the point num/den, with integer
+    direction vectors.  Circle entries of num are reduced mod den."""
 
-    __slots__ = ("n", "lines", "offset", "directions", "free_lines", "_ckey")
+    __slots__ = ("n", "lines", "num", "den", "directions", "free_lines", "_ckey")
 
-    def __init__(self, n, lines, offset, directions, free_lines):
+    def __init__(self, n, lines, num, den, directions, free_lines):
         self.n = n
         self.lines = lines
-        self.offset = tuple(offset)
+        self.num = tuple(num)
+        self.den = den
         self.directions = tuple(tuple(d) for d in directions)
         self.free_lines = frozenset(free_lines)
         self._ckey = None
@@ -306,29 +329,24 @@ class _Component:
     def line_dim(self) -> int:
         return len(self.free_lines)
 
-    def _circle_indices(self):
-        return [i for i in range(self.n) if (i + 1) not in self.lines]
-
     def display_offset(self) -> tuple[Fraction, ...]:
-        return tuple(self.offset[i] if (i + 1) in self.lines else _mod1(self.offset[i])
-                     for i in range(self.n))
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def key(self):
-        """Canonical hashable key; two components are equal iff keys agree."""
-        if self._ckey is not None:
-            return self._ckey
-        circ = self._circle_indices()
-        d_rows = tuple(tuple(d[i] for i in circ) for d in self.directions)
-        span = rref(d_rows) if d_rows else ()
-        line_vals = tuple(
-            (i + 1, self.offset[i]) for i in range(self.n)
-            if (i + 1) in self.lines and (i + 1) not in self.free_lines)
-        off_c = [_mod1(self.offset[i]) for i in circ]
-        if not d_rows:
-            reduced = tuple(off_c)
-        else:
-            reduced = _reduce_offset(d_rows, off_c)
-        self._ckey = (self.n, self.lines, self.free_lines, span, line_vals, reduced)
+        """Canonical hashable key; two components are equal iff keys agree.
+
+        It starts with the span of the directions, then holds the offset's
+        class mod span + Z^c (and its pinned line values) at the lowest
+        denominator, so components over different denominators compare."""
+        if self._ckey is None:
+            span, rows, mods = _offset_lattice(self.n, self.lines, self.free_lines,
+                                               self.directions)
+            den = self.den
+            vals = [v % (den * m) if m else v
+                    for v, m in zip(_linear_image(rows, self.num), mods)]
+            g = gcd(den, *vals)
+            self._ckey = (span, den // g, tuple(v // g for v in vals),
+                          self.n, self.lines, self.free_lines)
         return self._ckey
 
     def __eq__(self, other):
@@ -338,133 +356,107 @@ class _Component:
         return hash(self.key())
 
 
-@lru_cache(maxsize=256)
-def _quotient_lattice_data(ann):
-    """For an annihilator matrix (rows), integer SNF data of its image lattice."""
-    denom = 1
-    for row in ann:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    a_int = tuple(tuple(int(x * denom) for x in row) for row in ann)
-    u, d, v = smith_normal_form(a_int)
-    diag = tuple(d[i][i] for i in range(len(a_int)))
-    uinv = tuple(tuple(int(x) for x in row) for row in inverse(u))
-    return denom, u, diag, uinv
+@lru_cache(maxsize=1024)
+def _offset_lattice(n, lines, free_lines, directions):
+    """Canonical span of the directions, integer rows R and moduli m such that
+    offsets x, y over a common denominator D lie on the same component iff
+    R x = R y, row i taken mod D * m_i (exactly where m_i = 0).
 
-
-def _reduce_offset(d_rows, off_c):
-    """Canonical representative of a circle offset modulo span(dirs) + Z^c."""
-    ann = null_space(d_rows)
-    if not ann:
-        return ()
-    denom, u, diag, uinv = _quotient_lattice_data(ann)
-    uvec = mat_vec(ann, tuple(off_c))
-    w = mat_vec(u, tuple(x * denom for x in uvec))
-    w_red = []
-    for i, x in enumerate(w):
-        di = diag[i] if i < len(diag) else 0
-        if di:
-            q = (x / di).numerator // (x / di).denominator
-            w_red.append(x - q * di)
-        else:
-            w_red.append(x)
-    back = mat_vec(uinv, tuple(w_red))
-    return tuple(x / denom for x in back)
+    The circle rows are U N for an integer basis N of the annihilator of the
+    span and the Smith form U N V = diag(m); each pinned line coordinate adds
+    a unit row with m = 0."""
+    circ = [i for i in range(n) if (i + 1) not in lines]
+    d_rows = tuple(tuple(d[i] for i in circ) for d in directions)
+    if d_rows:
+        span, ann = rref(d_rows), null_space(d_rows)
+    else:
+        span, ann = (), [[int(i == j) for j in range(len(circ))] for i in range(len(circ))]
+    rows, mods = [], []
+    if ann:
+        ann_int = []
+        for row in ann:
+            scale = lcm(*(x.denominator for x in row))
+            ann_int.append([int(x * scale) for x in row])
+        u, d, _ = smith_normal_form(ann_int)
+        for i, row in enumerate(mat_mul(u, ann_int)):
+            full = [0] * n
+            for idx, c in enumerate(circ):
+                full[c] = row[idx]
+            rows.append(tuple(full))
+            mods.append(d[i][i])
+    for i1 in sorted(lines - free_lines):
+        rows.append(tuple(int(j == i1 - 1) for j in range(n)))
+        mods.append(0)
+    return span, tuple(rows), tuple(mods)
 
 
 def _fixed_components(f: AffineTorusMap) -> list[_Component]:
     n, lines = f.n, f.lines
     circ = [i for i in range(n) if (i + 1) not in lines]
     free_lines = set()
-    line_vals = {}
     for i1 in lines:
-        a = f.linear[i1 - 1][i1 - 1]
-        v = f.shift[i1 - 1]
-        if a == 1:
-            if v != 0:
+        if f.linear[i1 - 1][i1 - 1] == 1:
+            if f.num[i1 - 1]:
                 return []
             free_lines.add(i1)
-        else:
-            line_vals[i1] = v / 2
     c = len(circ)
-    if c == 0:
-        offset = [Fraction(0)] * n
-        for i1, val in line_vals.items():
-            offset[i1 - 1] = val
-        return [_Component(n, lines, offset, (), free_lines)]
-    m = [[f.linear[circ[i]][circ[j]] - int(i == j) for j in range(c)]
-         for i in range(c)]
-    u, d, v = smith_normal_form(m)
-    w = mat_vec(u, tuple(-f.shift[i] for i in circ))
-    choice_sets = []
-    free_pos = []
+    # x is fixed iff (A - 1) x = -v mod Z^c; with U (A - 1) V = diag(d) and
+    # x = V z that reads d_k z_k = w_k mod 1 for w = -U v (numerators over f.den)
+    m = [[f.linear[i][j] - int(i == j) for j in circ] for i in circ]
+    u, d, v = smith_normal_form(m) if c else ((), (), ())
+    w = mat_vec(u, tuple(-f.num[i] for i in circ))
+    diag = [d[k][k] for k in range(c)]
+    if any(dk == 0 and wk % f.den for dk, wk in zip(diag, w)):
+        return []
+    # one denominator for every component: reflected lines pin x_i = v_i / 2
+    den = f.den * lcm(1 if len(free_lines) == len(lines) else 2,
+                      *(abs(dk) for dk in diag if dk))
+    choice_sets = [[(wk + j * f.den) * (den // (f.den * dk)) for j in range(abs(dk))]
+                   if dk else [0] for dk, wk in zip(diag, w)]
+    base = [0] * n
+    for i1 in lines - free_lines:
+        base[i1 - 1] = f.num[i1 - 1] * (den // (2 * f.den))
+    dirs = []
     for k in range(c):
-        dk = d[k][k]
-        if dk == 0:
-            if w[k].denominator != 1:
-                return []
-            free_pos.append(k)
-            choice_sets.append([Fraction(0)])
-        else:
-            choice_sets.append([(w[k] + j) / dk for j in range(abs(dk))])
-    out = []
-    for combo in product(*choice_sets):
-        x = mat_vec(v, combo)
-        offset = [Fraction(0)] * n
-        for idx, i in enumerate(circ):
-            offset[i] = _mod1(x[idx])
-        for i1, val in line_vals.items():
-            offset[i1 - 1] = val
-        dirs = []
-        for k in free_pos:
+        if diag[k] == 0:
             vec = [0] * n
             for idx, i in enumerate(circ):
                 vec[i] = v[idx][k]
-            dirs.append(tuple(vec))
-        out.append(_Component(n, lines, offset, dirs, free_lines))
-    out.sort(key=lambda comp: comp.display_offset())
+            dirs.append(vec)
+    out = []
+    for combo in product(*choice_sets):
+        num = list(base)
+        for i, x in zip(circ, mat_vec(v, combo)):
+            num[i] = x % den
+        out.append(_Component(n, lines, num, den, dirs, free_lines))
+    out.sort(key=lambda comp: comp.num)
     return out
 
 
 def _transport(g: AffineTorusMap, comp: _Component) -> _Component:
-    offset = list(g.apply(comp.offset))
-    for i1 in comp.free_lines:
-        offset[i1 - 1] = Fraction(0)
-    dirs = [tuple(sum(g.linear[i][j] * d[j] for j in range(g.n))
-                  for i in range(g.n)) for d in comp.directions]
-    return _Component(comp.n, comp.lines, offset, dirs, comp.free_lines)
+    num, den = g._act(comp.num, comp.den)
+    if comp.free_lines:
+        num = [0 if i + 1 in comp.free_lines else x for i, x in enumerate(num)]
+    dirs = [_linear_image(g.linear, d) for d in comp.directions]
+    return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
 
 
 def _fixes_pointwise(g: AffineTorusMap, comp: _Component) -> bool:
-    for d in comp.directions:
-        if any(sum(g.linear[i][j] * d[j] for j in range(g.n)) != d[i]
-               for i in range(g.n)):
-            return False
+    if any(_linear_image(g.linear, d) != d for d in comp.directions):
+        return False
     for i1 in comp.free_lines:
-        if g.linear[i1 - 1][i1 - 1] != 1 or g.shift[i1 - 1] != 0:
+        if g.linear[i1 - 1][i1 - 1] != 1 or g.num[i1 - 1] != 0:
             return False
-    img = g.apply(comp.offset)
-    for i in range(g.n):
-        if (i + 1) in comp.free_lines:
-            continue
-        a, b = img[i], comp.offset[i]
-        if (i + 1) in g.lines:
-            if a != b:
-                return False
-        elif _mod1(a - b) != 0:
-            return False
-    return True
-
-
-def _stabilizes_setwise(g: AffineTorusMap, comp: _Component) -> bool:
-    return _transport(g, comp) == comp
+    img, den = g._act(comp.num, comp.den)
+    k = den // comp.den
+    return all(a == b * k for i, (a, b) in enumerate(zip(img, comp.num))
+               if i + 1 not in comp.free_lines)
 
 
 def _acts_as_minus_one(g: AffineTorusMap, comp: _Component) -> bool:
-    for d in comp.directions:
-        if any(sum(g.linear[i][j] * d[j] for j in range(g.n)) != -d[i]
-               for i in range(g.n)):
-            return False
+    if any(_linear_image(g.linear, d) != tuple(-x for x in d)
+           for d in comp.directions):
+        return False
     return all(g.linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
 
 
@@ -474,13 +466,14 @@ def components_intersect(c1: _Component, c2: _Component) -> bool:
         return False
     for i1 in c1.lines:
         free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
-        if not free and c1.offset[i1 - 1] != c2.offset[i1 - 1]:
+        if not free and c1.num[i1 - 1] * c2.den != c2.num[i1 - 1] * c1.den:
             return False
     circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
     if not circ:
         return True
     joint = [tuple(d[i] for i in circ) for d in c1.directions + c2.directions]
-    delta = [c2.offset[i] - c1.offset[i] for i in circ]
+    off1, off2 = c1.display_offset(), c2.display_offset()
+    delta = [off2[i] - off1[i] for i in circ]
     return in_span_mod_lattice(joint, delta)
 
 
@@ -533,55 +526,67 @@ def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
 
 
 def _group_into_orbits(group: FiniteActionGroup, registry: dict):
-    """registry maps component key -> (component, info); returns orbits as
-    lists of keys, deterministically ordered."""
-    unvisited = dict(registry)
+    """registry maps component key -> (component, fixing maps); returns the
+    orbits as lists of registry components, each sorted by offset.
+
+    The search moves components by the generators only: G is finite, so
+    every element is a positive word in them, and the cost is
+    O(components * generators) rather than O(components * |G|).  The key
+    (span first) orders components through the same point, so the order
+    does not depend on the order of the search."""
+    unvisited = set(registry)
     orbits = []
-    for key in registry:
+    for key, (comp, _) in registry.items():
         if key not in unvisited:
             continue
-        comp = registry[key][0]
-        orbit_keys = []
-        stack = [key]
-        del unvisited[key]
+        unvisited.discard(key)
+        orbit, stack = [], [comp]
         while stack:
-            k = stack.pop()
-            orbit_keys.append(k)
-            base = registry[k][0]
-            for g in group.elements:
-                moved = _transport(g, base)
-                mk = moved.key()
+            base = stack.pop()
+            orbit.append(base)
+            for g in group.generators:
+                mk = _transport(g, base).key()
                 if mk in unvisited:
-                    del unvisited[mk]
-                    stack.append(mk)
-        orbit_keys.sort(key=lambda k: registry[k][0].display_offset())
-        orbits.append(orbit_keys)
+                    unvisited.discard(mk)
+                    stack.append(registry[mk][0])
+        orbit.sort(key=lambda c: (c.display_offset(), c.key()))
+        orbits.append(orbit)
     return orbits
 
 
-def _classify_residual(group: FiniteActionGroup, comp: _Component) -> str:
-    pointwise = [g for g in group.elements if _fixes_pointwise(g, comp)]
-    setwise = [g for g in group.elements if _stabilizes_setwise(g, comp)]
-    if len(setwise) == len(pointwise):
+def _classify_residual(group: FiniteActionGroup, comp: _Component,
+                       orbit_size: int) -> str:
+    """How the setwise stabilizer, of order |G| / |orbit|, acts beyond its
+    pointwise part.  An element acting as -1 on a component of positive
+    dimension never fixes it pointwise, so only those need the setwise test."""
+    setwise = group.order // orbit_size
+    pointwise = sum(_fixes_pointwise(g, comp) for g in group.elements)
+    if setwise == pointwise:
         return "trivial"
-    if len(setwise) == 2 * len(pointwise) and any(
-            _acts_as_minus_one(g, comp) for g in setwise if g not in pointwise):
+    if setwise == 2 * pointwise and any(
+            _acts_as_minus_one(g, comp) and _transport(g, comp) == comp
+            for g in group.elements):
         return "pm1"
     return "other"
 
 
-def _strata_from_orbits(group: FiniteActionGroup, registry: dict,
-                        stabilizer_label) -> list[FlatStratum]:
+def _strata(group: FiniteActionGroup, maps) -> list[FlatStratum]:
+    """Quotient strata of the fixed components of maps, which the group permutes."""
+    registry: dict = {}
+    for f in maps:
+        for comp in _fixed_components(f):
+            registry.setdefault(comp.key(), (comp, set()))[1].add(f)
     strata = []
     for orbit in _group_into_orbits(group, registry):
-        rep = registry[orbit[0]][0]
+        rep = orbit[0]
+        fixers = {h.name or "?" for c in orbit for h in registry[c.key()][1]}
         strata.append(FlatStratum(
             torus_dim=rep.torus_dim,
             line_dim=rep.line_dim,
             count=len(orbit),
-            offsets=tuple(registry[k][0].display_offset() for k in orbit),
-            stabilizer=stabilizer_label(orbit),
-            residual=_classify_residual(group, rep),
+            offsets=tuple(c.display_offset() for c in orbit),
+            stabilizer=",".join(sorted(fixers)),
+            residual=_classify_residual(group, rep, len(orbit)),
         ))
     strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.stabilizer,
                                s.offsets))
@@ -590,24 +595,7 @@ def _strata_from_orbits(group: FiniteActionGroup, registry: dict,
 
 def singular_locus(group: FiniteActionGroup) -> list[FlatStratum]:
     """Orbits of fixed components of non-identity elements, as quotient strata."""
-    registry: dict = {}
-    for g in group.elements:
-        if g.is_identity():
-            continue
-        for comp in _fixed_components(g):
-            k = comp.key()
-            if k in registry:
-                registry[k][1].add(g)
-            else:
-                registry[k] = (comp, {g})
-
-    def label(orbit):
-        fixers = set()
-        for k in orbit:
-            fixers.update(h.name or "?" for h in registry[k][1])
-        return ",".join(sorted(fixers))
-
-    return _strata_from_orbits(group, registry, label)
+    return _strata(group, [g for g in group.elements if not g.is_identity()])
 
 
 def involution_fixed_census(sigma: AffineTorusMap,
@@ -623,23 +611,7 @@ def involution_fixed_census(sigma: AffineTorusMap,
     for g in group.elements:
         if sigma.compose(g).compose(sigma_inv) not in group:
             raise NotEquivariant("involution does not normalize the group")
-    registry: dict = {}
-    for g in group.elements:
-        f = g.compose(sigma)
-        for comp in _fixed_components(f):
-            k = comp.key()
-            if k in registry:
-                registry[k][1].add(f)
-            else:
-                registry[k] = (comp, {f})
-
-    def label(orbit):
-        fixers = set()
-        for k in orbit:
-            fixers.update(h.name or "?" for h in registry[k][1])
-        return ",".join(sorted(fixers))
-
-    return _strata_from_orbits(group, registry, label)
+    return _strata(group, [g.compose(sigma) for g in group.elements])
 
 
 def quotient_betti(group: FiniteActionGroup) -> BettiVector:
@@ -692,7 +664,7 @@ def pull(group: FiniteActionGroup, i: int,
                 any(col[j] for j in range(g.n) if j != i - 1):
             raise PullObstruction(
                 f"element {g.name or g} mixes coordinate {i} with others")
-        if g.linear[i - 1][i - 1] == 1 and g.shift[i - 1] != 0:
+        if g.linear[i - 1][i - 1] == 1 and g.num[i - 1] != 0:
             raise PullObstruction(
                 f"element {g.name or g} translates along coordinate {i}")
         moved.append(AffineTorusMap(g.linear, g.shift, new_lines, g.name))

@@ -167,6 +167,46 @@ class TestUserScenarios:
         assert res.exit_code == 1
         assert "FAIL user-joyce: group_order" in res.stderr
 
+    def test_failing_row_reports_values(self, runner, tmp_path):
+        spec = good_scenario()
+        spec["expected"]["group_order"] = 99
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == [
+            "FAIL user-joyce: group_order computed 8 expected 99"]
+        assert json.loads(res.stdout)["rows"][0] == {
+            "check": "group_order", "computed": 8, "expected": 99,
+            "provenance": "golden", "pass": False}
+
+    @pytest.mark.parametrize("field", ["signs", "circles", "pull"])
+    def test_json_boolean_exits_2(self, runner, tmp_path, field):
+        spec = good_scenario()
+        if field == "signs":
+            spec["generators"][0]["signs"][0] = True
+        elif field == "circles":
+            # a one-circle file, so that true would pass for circles = 1
+            spec = {"name": "c1", "circles": True,
+                    "generators": [{"name": "flip", "signs": [-1]}]}
+        else:
+            spec[field] = True
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_unknown_expected_key_exits_2(self, runner, tmp_path):
+        spec = good_scenario()
+        spec["expected"]["group_ordr"] = 8
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert "'group_ordr'" in res.stderr
+
+    def test_unknown_top_level_key_exits_2(self, runner, tmp_path):
+        spec = good_scenario()
+        spec["chekcs"] = spec.pop("checks")
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert "'chekcs'" in res.stderr
+
     def test_malformed_json_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -5,10 +5,12 @@ compares against the Smith-normal-form component enumeration.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from g2kit.betti import BettiVector, ResolutionRecipe, resolve_betti
 from g2kit.errors import (
@@ -643,3 +645,171 @@ class TestStratumSerialization:
         assert FlatStratum(4, 0, 1, ((),), residual="pm1").type_label == "T4/pm1"
         assert FlatStratum(3, 1, 1, ((),)).type_label == "T3xR"
         assert FlatStratum(0, 1, 1, ((),)).type_label == "R"
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference for orbits and stabilizers: plain Fraction arithmetic,
+# every element of G moves every component, stabilizers by full scans.
+
+
+def _ref_rref(rows):
+    """Reduced row echelon form over Fraction, zero rows dropped."""
+    rest = [[Fraction(x) for x in row] for row in rows]
+    done = []
+    for col in range(len(rest[0]) if rest else 0):
+        piv = next((r for r in rest if r[col] != 0), None)
+        if piv is None:
+            continue
+        rest.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        rest = [[x - r[col] * y for x, y in zip(r, piv)] for r in rest]
+        done = [[x - r[col] * y for x, y in zip(r, piv)] for r in done]
+        done.append(piv)
+    return tuple(tuple(r) for r in done)
+
+
+def _ref_key(comp):
+    """The span, plus the component's points whose pivot coordinates are
+    integers: a finite set that fixes the component given its span."""
+    offset, dirs, free, lines = comp
+    circ = [i for i in range(len(offset)) if i + 1 not in lines]
+    span = _ref_rref([[d[i] for i in circ] for d in dirs])
+    pivots = [next(j for j, x in enumerate(r) if x) for r in span]
+    period = lcm(*(x.denominator for r in span for x in r))
+    o = [offset[i] for i in circ]
+    points = frozenset(
+        tuple((x + sum((m - o[p]) * r[j] for m, p, r in zip(ms, pivots, span))) % 1
+              for j, x in enumerate(o))
+        for ms in product(range(period), repeat=len(span)))
+    pinned = tuple(offset[i - 1] for i in sorted(lines - free))
+    return span, points, pinned, free
+
+
+def _ref_move(g, comp):
+    offset, dirs, free, lines = comp
+    img = tuple(
+        Fraction(0) if i + 1 in free else v if i + 1 in lines else v % 1
+        for i, v in enumerate(sum(a * x for a, x in zip(row, offset)) + s
+                              for row, s in zip(g.linear, g.shift)))
+    moved = tuple(tuple(sum(a * x for a, x in zip(row, d)) for row in g.linear)
+                  for d in dirs)
+    return img, moved, free, lines
+
+
+def _ref_fixes_pointwise(g, comp):
+    offset, dirs, free, _ = comp
+    img, moved, _, _ = _ref_move(g, comp)
+    return (moved == dirs
+            and all(g.linear[i - 1][i - 1] == 1 and g.shift[i - 1] == 0
+                    for i in free)
+            and all(a == b for i, (a, b) in enumerate(zip(img, offset))
+                    if i + 1 not in free))
+
+
+def _ref_minus_one(g, comp):
+    _, dirs, free, _ = comp
+    return (_ref_move(g, comp)[1] == tuple(tuple(-x for x in d) for d in dirs)
+            and all(g.linear[i - 1][i - 1] == -1 for i in free))
+
+
+def reference_strata(group, maps):
+    registry = {}
+    for f in maps:
+        for c in _fixed_components(f):
+            comp = (c.display_offset(), c.directions, c.free_lines, f.lines)
+            registry.setdefault(_ref_key(comp), (comp, set()))[1].add(f.name or "?")
+    strata, seen = [], set()
+    for key, (comp, _) in registry.items():
+        if key in seen:
+            continue
+        orbit = {_ref_key(_ref_move(g, comp)) for g in group.elements}
+        seen |= orbit
+        members = sorted((registry[k][0] for k in orbit),
+                         key=lambda c: (c[0], _ref_key(c)[0]))
+        setwise = [g for g in group.elements
+                   if _ref_key(_ref_move(g, comp)) == key]
+        pointwise = [g for g in group.elements if _ref_fixes_pointwise(g, comp)]
+        if len(setwise) == len(pointwise):
+            residual = "trivial"
+        elif len(setwise) == 2 * len(pointwise) and any(
+                _ref_minus_one(g, comp) for g in setwise if g not in pointwise):
+            residual = "pm1"
+        else:
+            residual = "other"
+        strata.append(FlatStratum(
+            torus_dim=len(comp[1]), line_dim=len(comp[2]), count=len(orbit),
+            offsets=tuple(c[0] for c in members),
+            stabilizer=",".join(sorted(set().union(*(registry[k][1] for k in orbit)))),
+            residual=residual))
+    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.stabilizer,
+                               s.offsets))
+    return strata
+
+
+def _locus_case(group):
+    return singular_locus(group), group, [g for g in group if not g.is_identity()]
+
+
+def _census_case(sigma, group):
+    return (involution_fixed_census(sigma, group), group,
+            [g.compose(sigma) for g in group])
+
+
+def _dihedral_t3():
+    r = AffineTorusMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]], name="r")
+    s = AffineTorusMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]], name="s")
+    c = D([1, 1, -1], [H, H, 0], name="c")
+    return generate_group([r, s, c])
+
+
+def _rotation_t5():
+    rot = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+           [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
+    return generate_group([D([-1, -1, -1, 1, 1], name="g"),
+                           AffineTorusMap(rot, None, name="h")])
+
+
+ORACLE_CASES = {
+    "joyce": lambda: _locus_case(the_group()),
+    "pull-x1": lambda: _locus_case(pull(the_group(), 1)),
+    "pull-x3": lambda: _locus_case(pull(the_group(), 3)),
+    "gamma1-pull-x7": lambda: _locus_case(
+        pull(generate_group([alpha(), beta(), gamma1()]), 7)),
+    "coassoc-5.2": lambda: _census_case(sigma_52(), the_group()),
+    "coassoc-5.3": lambda: _census_case(sigma_53(), the_group()),
+    "negid-quarter-T4": lambda: _locus_case(generate_group(
+        [D([-1] * 4, name="m"), D([1] * 4, [Fraction(1, 4), 0, 0, 0], name="t")])),
+    "dihedral-T3": lambda: _locus_case(_dihedral_t3()),
+    "rotation-T5": lambda: _locus_case(_rotation_t5()),
+}
+
+
+@st.composite
+def signed_diagonal_groups(draw):
+    n = draw(st.sampled_from([3, 4]))
+    shift = st.sampled_from([Fraction(k, d) for d in range(1, 5) for k in range(d)])
+    gens = [D(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
+              draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}")
+            for i in range(draw(st.integers(1, 3)))]
+    try:
+        return generate_group(gens, bound=64)
+    except GroupTooLarge:
+        assume(False)
+
+
+class TestOrbitOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_brute_force(self, case):
+        fast, group, maps = ORACLE_CASES[case]()
+        assert fast == reference_strata(group, maps)
+
+    def test_cases_cover_every_residual(self):
+        residuals = {s.residual for case in ORACLE_CASES.values()
+                     for s in case()[0]}
+        assert residuals == {"trivial", "pm1", "other"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_diagonal_groups())
+    def test_random_signed_diagonal_groups(self, group):
+        fast, _, maps = _locus_case(group)
+        assert fast == reference_strata(group, maps)
