@@ -13,6 +13,12 @@ unit vector is a partial isometry, so the eigenvalues of L_m are
 +-2*pi*|m|, each with multiplicity equal to the wedge rank, and the
 spectral gap mu of the assembled operator is 2*pi at every cutoff.
 
+Storage follows the block structure.  The operator is one stack of
+2r x 2r blocks, and the splitting into growing (B+) and decaying (B-)
+eigenspaces is two stacks of per-block orthonormal bases, each of shape
+(blocks, 2r, r).  Projections, random states and matvec all act block
+by block with einsum, so no dim x dim/2 matrix is ever formed.
+
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
 bidegree collapses, and lowering the degree there keeps every spectral
@@ -22,14 +28,15 @@ statement intact.
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CutoffTooLarge, IntegratorError, InvalidOperand
 
 MAX_DIMENSION = 100_000
+# float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
+MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
 
 INTEGRATOR_RTOL = 1e-9
 INTEGRATOR_ATOL = 1e-12
@@ -162,32 +169,38 @@ class ModeSystem:
             out[o + a:o + bdim, o:o + a] = 2 * math.pi * norm * W.T
         return out
 
+    def _project(self, basis, x):
+        """Blockwise projection of x, or of each row of a 2-D x."""
+        x = np.asarray(x, dtype=float)
+        xb = x.reshape(*x.shape[:-1], -1, self.block_size)
+        c = np.einsum("kir,...ki->...kr", basis, xb)
+        return np.einsum("kir,...kr->...ki", basis, c).reshape(x.shape)
+
     def project_plus(self, x):
-        return self._plus @ (self._plus.T @ np.asarray(x, dtype=float))
+        return self._project(self._plus, x)
 
     def project_minus(self, x):
-        return self._minus @ (self._minus.T @ np.asarray(x, dtype=float))
+        return self._project(self._minus, x)
+
+    @staticmethod
+    def _random_state(basis, seed, norm):
+        blocks, _, r = basis.shape
+        c = np.random.default_rng(seed).standard_normal(blocks * r)
+        x = np.einsum("kir,kr->ki", basis, c.reshape(blocks, r)).reshape(-1)
+        return FlowState(norm * x / np.linalg.norm(x))
 
     def random_minus_state(self, seed, norm=1.0):
         """A state in the decaying subspace B- with the requested norm."""
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(self._minus.shape[1])
-        x = self._minus @ c
-        return FlowState(norm * x / np.linalg.norm(x))
+        return self._random_state(self._minus, seed, norm)
 
     def random_plus_state(self, seed, norm=1.0):
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(self._plus.shape[1])
-        x = self._plus @ c
-        return FlowState(norm * x / np.linalg.norm(x))
+        return self._random_state(self._plus, seed, norm)
 
     def minus_eigenstate(self, block_index, which=0, norm=1.0):
         """An exact eigenvector of L in B- supported on one mode block."""
-        x = np.zeros(self.dim)
-        o = sum(b.size for b in self.blocks[:block_index])
-        col = self.blocks[block_index].minus_basis[:, which]
-        x[o:o + col.size] = col
-        return FlowState(norm * x)
+        x = np.zeros((len(self.blocks), self.block_size))
+        x[block_index] = self._minus[block_index, :, which]
+        return FlowState(norm * x.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -252,21 +265,11 @@ def build_mode_system(d, N):
 
     dim = sum(b.size for b in blocks)
     mu = 2 * math.pi * math.sqrt(min(b.norm_sq for b in blocks))
-    stacked = np.stack([b.matrix() for b in blocks])
-    plus_cols = []
-    minus_cols = []
-    o = 0
-    for b in blocks:
-        for basis, cols in ((b.plus_basis, plus_cols),
-                            (b.minus_basis, minus_cols)):
-            block_cols = np.zeros((dim, basis.shape[1]))
-            block_cols[o:o + b.size] = basis
-            cols.append(block_cols)
-        o += b.size
     return ModeSystem(
         d=d, N=N, p=p, modes=tuple(modes), blocks=tuple(blocks), dim=dim,
-        mu=mu, _stacked=stacked, _plus=np.hstack(plus_cols),
-        _minus=np.hstack(minus_cols))
+        mu=mu, _stacked=np.stack([b.matrix() for b in blocks]),
+        _plus=np.stack([b.plus_basis for b in blocks]),
+        _minus=np.stack([b.minus_basis for b in blocks]))
 
 
 @dataclass(frozen=True)
@@ -324,6 +327,10 @@ def random_quadratic(system, k, ball_radius=1.0, seed=0):
     if not k > 0 or not ball_radius > 0:
         raise InvalidOperand("Lipschitz bound and radius must be positive")
     n = system.dim
+    if n ** 3 > MAX_QUADRATIC_COEFFICIENTS:
+        raise CutoffTooLarge(
+            f"quadratic tensor would have {n}^3 coefficients, above the "
+            f"{MAX_QUADRATIC_COEFFICIENTS}-coefficient budget")
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((n, n, n))
     t = 0.5 * (t + t.transpose(0, 2, 1))
@@ -373,6 +380,9 @@ def integrate_flow(system, Q, x0, T, samples=201):
         fun = lambda t, x: system.matvec(x)
     else:
         fun = lambda t, x: system.matvec(x) + Q(x)
+    # scipy.integrate dominates the import time of the package
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(fun, (0.0, float(T)), x0.x, method="RK45",
                     t_eval=np.linspace(0.0, float(T), samples),
                     rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
@@ -380,8 +390,8 @@ def integrate_flow(system, Q, x0, T, samples=201):
         raise IntegratorError(sol.message)
     states = sol.y.T
     norms = np.linalg.norm(states, axis=1)
-    plus = np.array([np.linalg.norm(system.project_plus(s)) for s in states])
-    minus = np.array([np.linalg.norm(system.project_minus(s)) for s in states])
+    plus = np.linalg.norm(system.project_plus(states), axis=1)
+    minus = np.linalg.norm(system.project_minus(states), axis=1)
     radius = Q.ball_radius if Q is not None else math.inf
     escaped = bool(np.any(norms > radius))
     # a trajectory that has turned around (norm rising off its minimum)

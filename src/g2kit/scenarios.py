@@ -430,6 +430,7 @@ _KNOWN_KEYS = ("name", "circles", "generators", "involution", "pull",
 _EXPECTED_KEYS = ("group_order", "singular_locus", "quotient_betti",
                   "resolved_betti", "census", "cross_section_b2_b3",
                   "moduli_dimension")
+_MAP_KEYS = ("name", "signs", "shift")
 
 
 def _is_int(value):
@@ -447,6 +448,7 @@ def _reject_unknown(keys, known, what):
 def _parse_map_spec(spec, circles, what):
     if not isinstance(spec, dict):
         raise InvalidScenario(f"{what} must be an object")
+    _reject_unknown(spec, _MAP_KEYS, what)
     signs = spec.get("signs")
     if not isinstance(signs, list) or len(signs) != circles or \
             any(not _is_int(s) or s not in (1, -1) for s in signs):

@@ -1,6 +1,10 @@
 """End-to-end checks of the g2kit command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -150,6 +154,16 @@ class TestFormats:
         assert all(r["pass"] for r in reports)
 
 
+def test_import_does_not_load_scipy():
+    code = "import sys, g2kit.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestUserScenarios:
     def test_valid_scenario_passes(self, runner, tmp_path):
         path = write_scenario(tmp_path, good_scenario())
@@ -206,6 +220,17 @@ class TestUserScenarios:
         res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
         assert res.exit_code == 2
         assert "'chekcs'" in res.stderr
+
+    @pytest.mark.parametrize("where", ["generator", "involution"])
+    def test_unknown_map_key_exits_2(self, runner, tmp_path, where):
+        spec = good_scenario()
+        spec_map = spec["generators"][1] if where == "generator" \
+            else spec["involution"]
+        spec_map["shfit"] = spec_map.pop("shift")
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert "'shfit'" in res.stderr
+        assert res.stdout == ""
 
     def test_malformed_json_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.json"
@@ -311,6 +336,17 @@ class TestToolFlags:
     def test_flow_demo_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--k-frac", "0.9"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_flow_demo_over_budget_exits_2(self, runner, d):
+        res = runner.invoke(main, ["--flow-demo", "--d", str(d), "--N", "1",
+                                   "--trials", "1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "budget" in res.stderr
+        assert "Traceback" not in res.output
+        assert res.stdout == ""
 
     def test_flag_plus_subcommand_conflict(self, runner):
         res = runner.invoke(main, ["--eh-check", "list"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -139,8 +140,10 @@ class TestSplitting:
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_equal_dimensions(self):
-        assert self.sys._plus.shape[1] == self.sys.dim // 2
-        assert self.sys._minus.shape[1] == self.sys.dim // 2
+        eye = np.eye(self.sys.dim)
+        for project in (self.sys.project_plus, self.sys.project_minus):
+            image = np.column_stack([project(e) for e in eye])
+            assert np.linalg.matrix_rank(image) == self.sys.dim // 2
 
     def test_state_split(self):
         x = np.random.default_rng(2).standard_normal(self.sys.dim)
@@ -156,6 +159,63 @@ class TestSplitting:
     def test_state_validation(self):
         with pytest.raises(InvalidOperand):
             FlowState(np.array([1.0, np.nan]))
+
+
+class TestBlockwiseStorage:
+    """The per-block bases against dense references built in the test."""
+
+    @pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_projections_match_spectral_projector(self, d, N):
+        sys_ = build_mode_system(d, N)
+        w, V = np.linalg.eigh(sys_.dense_operator())
+        pos = V[:, w > 0]
+        plus = pos @ pos.T
+        eye = np.eye(sys_.dim)
+        got_plus = np.column_stack([sys_.project_plus(e) for e in eye])
+        got_minus = np.column_stack([sys_.project_minus(e) for e in eye])
+        assert np.max(np.abs(got_plus - plus)) < 1e-10
+        assert np.max(np.abs(got_minus - (eye - plus))) < 1e-10
+
+    def test_batched_projection_matches_rows(self):
+        sys_ = build_mode_system(3, 1)
+        xs = np.random.default_rng(7).standard_normal((5, sys_.dim))
+        batch = sys_.project_minus(xs)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(sys_.project_minus(x), row)
+
+    @staticmethod
+    def _dense_basis(sys_, attr):
+        """dim x dim/2 columns, each block's basis placed at its offset."""
+        cols = []
+        o = 0
+        for b in sys_.blocks:
+            basis = getattr(b, attr)
+            block_cols = np.zeros((sys_.dim, basis.shape[1]))
+            block_cols[o:o + b.size] = basis
+            cols.append(block_cols)
+            o += b.size
+        return np.hstack(cols)
+
+    @pytest.mark.parametrize("d,N", [(2, 1), (3, 1)])
+    @pytest.mark.parametrize("which", ["minus", "plus"])
+    def test_random_states_match_dense_bytes(self, d, N, which):
+        sys_ = build_mode_system(d, N)
+        dense = self._dense_basis(sys_, f"{which}_basis")
+        draw = getattr(sys_, f"random_{which}_state")
+        for seed in (0, 1, 10_000, 10_019):
+            c = np.random.default_rng(seed).standard_normal(dense.shape[1])
+            x = dense @ c
+            expected = 0.01 * x / np.linalg.norm(x)
+            assert np.array_equal(draw(seed=seed, norm=0.01).x, expected)
+
+    def test_large_build_memory(self):
+        tracemalloc.start()
+        try:
+            build_mode_system(6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestLinearFlow:
@@ -218,6 +278,11 @@ class TestQuadraticMap:
             e[j] = h
             fd = (Q(x + e) - Q(x - e)) / (2 * h)
             assert np.allclose(fd, J[:, j], atol=1e-7)
+
+    @pytest.mark.parametrize("d,N", [(4, 1), (5, 1), (6, 1), (2, 6)])
+    def test_size_budget(self, d, N):
+        with pytest.raises(CutoffTooLarge):
+            random_quadratic(build_mode_system(d, N), k=1.0)
 
     def test_validation(self):
         with pytest.raises(InvalidOperand):
