@@ -8,9 +8,9 @@ scenario and seed produce byte-identical JSON.
 import csv
 import io
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -26,12 +26,16 @@ from .scenarios import (
 )
 
 
+def _error_exit(message):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _precision_from_env():
     value = os.environ.get("G2KIT_PRECISION", "double")
     if value not in ("double", "extended"):
-        click.echo(f"error: G2KIT_PRECISION must be 'double' or 'extended', "
-                   f"got {value!r}", err=True)
-        sys.exit(2)
+        _error_exit(f"G2KIT_PRECISION must be 'double' or 'extended', "
+                    f"got {value!r}")
     return value
 
 
@@ -82,23 +86,42 @@ def _finish(reports):
     sys.exit(1 if failing else 0)
 
 
+def _finite_positive(value):
+    """float(value) when it is a finite number > 0, else None."""
+    try:
+        value = float(value)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and value > 0 else None
+
+
 def _parse_scales(values):
     scales = []
     for chunk in values:
         for tok in str(chunk).split(","):
             if tok:
-                scales.append(float(tok))
+                scale = _finite_positive(tok)
+                if scale is None:
+                    _error_exit(f"--s must be finite and > 0, got {tok!r}")
+                if scale in scales:
+                    # a repeated scale leaves the curvature slope undefined
+                    _error_exit(f"--s repeats the scale {tok!r}")
+                scales.append(scale)
     return scales or [0.5, 1.0, 2.0]
 
 
 def _run_eh_check(s, tol, samples, seed):
     precision = _precision_from_env()
+    scales = tuple(_parse_scales(s))
+    if samples < 1:
+        _error_exit(f"--samples must be >= 1, got {samples}")
+    if tol is not None and _finite_positive(tol) is None:
+        _error_exit(f"--tol must be finite and > 0, got {tol}")
     try:
-        report = _eh_suite(seed, precision, scales=tuple(_parse_scales(s)),
+        report = _eh_suite(seed, precision, scales=scales,
                            samples=samples, ricci_tol=tol)
     except G2KitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _error_exit(e)
     _emit([report], "json")
     _finish([report])
 
@@ -108,8 +131,7 @@ def _run_flow_demo(d, n, k_frac, trials, seed):
         system, runs = decay_trials(d=d, N=n, k_frac=k_frac, trials=trials,
                                     seed=seed)
     except G2KitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _error_exit(e)
     k = k_frac * system.mu
     bound = system.mu - 2 * k - 0.05 * system.mu
     rates = [None if t.fitted_rate is None else float(t.fitted_rate)
@@ -177,25 +199,16 @@ def main(ctx, eh_check, flow_demo, s, tol, samples, d, n, k_frac, trials,
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "md"]),
               default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--parallel", is_flag=True,
-              help="Run independent scenarios concurrently.")
-def run_cmd(scenario, run_all, fmt, seed, parallel):
+def run_cmd(scenario, run_all, fmt, seed):
     """Run one scenario (builtin name or JSON file), or --all builtins."""
     precision = _precision_from_env()
     if run_all == (scenario is not None):
         raise click.UsageError("give exactly one scenario name, or --all")
     names = list(BUILTINS) if run_all else [scenario]
     try:
-        if parallel and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(run_scenario, nm, seed, precision)
-                           for nm in names]
-                reports = [f.result() for f in futures]
-        else:
-            reports = [run_scenario(nm, seed, precision) for nm in names]
+        reports = [run_scenario(nm, seed, precision) for nm in names]
     except G2KitError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+        _error_exit(e)
     _emit(reports, fmt)
     _finish(reports)
 

@@ -391,12 +391,6 @@ def _eh_derivs(s: float):
     return lambda u: potential_derivatives(s, u, order=4)
 
 
-def curvature_tensor(s: float, z1, z2) -> np.ndarray:
-    """Curvature R_{i jbar k lbar} of the scale-s metric; see the radial form."""
-    _check_scale(s)
-    return radial_curvature_tensor(_eh_derivs(s), z1, z2)
-
-
 def curvature_norm(s: float, z1, z2) -> float:
     """Orthonormal-frame curvature norm of the scale-s metric at (z1, z2)."""
     _check_scale(s)

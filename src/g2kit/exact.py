@@ -63,23 +63,6 @@ def nth_root_fraction(q: Fraction, k: int, digits: int = 50) -> tuple[Fraction, 
     return Fraction(approx, den * scale), False
 
 
-def mat_from(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(frac(x) for x in row) for row in rows)
-
-
-def int_mat_from(rows: Sequence[Sequence]) -> IntMatrix:
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            f = frac(x)
-            if f.denominator != 1:
-                raise ValueError(f"expected integer entry, got {x!r}")
-            r.append(f.numerator)
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -121,48 +104,6 @@ def det(rows) -> Fraction:
     return sign * out
 
 
-def inverse(rows) -> Matrix:
-    """Exact inverse of a square matrix with rational entries."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMap("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def rref(rows) -> Matrix:
     """Reduced row echelon form with zero rows dropped (canonical span basis)."""
     if not rows:
@@ -185,6 +126,20 @@ def rref(rows) -> Matrix:
         if r == nrows:
             break
     return tuple(tuple(row) for row in m[:r])
+
+
+def rank(rows) -> int:
+    return len(rref(rows))
+
+
+def inverse(rows) -> Matrix:
+    """Exact inverse of a square matrix: the right half of rref([A | I])."""
+    n = len(rows)
+    ident = identity_matrix(n)
+    red = rref([tuple(row) + e for row, e in zip(rows, ident)])
+    if any(row[:n] != e for row, e in zip(red, ident)):
+        raise SingularMap("matrix is singular")
+    return tuple(row[n:] for row in red)
 
 
 def null_space(rows) -> Matrix:

@@ -28,6 +28,7 @@ from .errors import (
 from .exact import (
     det,
     frac,
+    identity_matrix,
     in_span_mod_lattice,
     inverse,
     mat_mul,
@@ -115,14 +116,6 @@ class AffineTorusMap:
         label = self.name or "map"
         return f"<AffineTorusMap {label} on T^{self.n - len(self.lines)}" + (
             f" x R^{len(self.lines)}>" if self.lines else ">")
-
-    @property
-    def circle_dims(self) -> int:
-        return self.n - len(self.lines)
-
-    @property
-    def line_dims(self) -> int:
-        return len(self.lines)
 
     @property
     def shift(self) -> tuple[Fraction, ...]:
@@ -614,21 +607,36 @@ def involution_fixed_census(sigma: AffineTorusMap,
     return _strata(group, [g.compose(sigma) for g in group.elements])
 
 
+def _exterior_traces(a) -> list[int]:
+    """tr Λ^k A for k = 0..n of an integer n×n matrix A.
+
+    Newton's identities turn the power traces p_j = tr A^j into the
+    elementary symmetric functions of the eigenvalues:
+    k e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j, and e_k = tr Λ^k A.
+    """
+    n = len(a)
+    p, power = [], identity_matrix(n)
+    for _ in range(n):
+        power = mat_mul(power, a)
+        p.append(sum(power[i][i] for i in range(n)))
+    e = [1]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (j - 1) * e[k - j] * p[j - 1]
+                     for j in range(1, k + 1)) // k)
+    return e
+
+
 def quotient_betti(group: FiniteActionGroup) -> BettiVector:
     """Betti numbers of the quotient: averaged exterior-power traces of the
     circle block (line factors are contractible and contribute nothing)."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    c = len(circ)
-    order = group.order
+    totals = [0] * (len(circ) + 1)
+    for g in group.elements:
+        block = [[g.linear[i][j] for j in circ] for i in circ]
+        totals = [t + e for t, e in zip(totals, _exterior_traces(block))]
     out = []
-    for k in range(c + 1):
-        total = Fraction(0)
-        for g in group.elements:
-            block = [[g.linear[i][j] for j in circ] for i in circ]
-            tr = sum(det([[block[p][q] for q in sub] for p in sub])
-                     for sub in combinations(range(c), k)) if k else 1
-            total += tr
-        avg = total / order
+    for k, total in enumerate(totals):
+        avg = Fraction(total, group.order)
         if avg.denominator != 1 or avg < 0:
             raise InvalidOperand(
                 f"invariant trace average b^{k} = {avg} is not a nonnegative integer")

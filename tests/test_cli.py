@@ -123,12 +123,6 @@ class TestDeterminism:
         b = runner.invoke(main, ["run", "eh-suite", "--seed", "3"])
         assert a.output == b.output
 
-    def test_parallel_matches_sequential(self, runner):
-        seq = runner.invoke(main, ["run", "--all"])
-        par = runner.invoke(main, ["run", "--all", "--parallel"])
-        assert seq.exit_code == par.exit_code == 0
-        assert seq.output == par.output
-
 
 class TestFormats:
     def test_csv(self, runner):
@@ -320,6 +314,20 @@ class TestToolFlags:
         assert res.exit_code == 0
         report = json.loads(res.output)
         assert report["environment"]["tolerances"]["ricci"] == 1e-5
+
+    @pytest.mark.parametrize("args", [
+        ["--s", "abc"], ["--s", "1,abc"], ["--s", "1,1"], ["--samples", "0"],
+        ["--samples", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--tol", "0"], ["--tol", "-1"],
+    ], ids=lambda args: " ".join(args))
+    def test_eh_check_bad_input_exits_2(self, runner, args):
+        res = runner.invoke(main, ["--eh-check", "--s", "1.0",
+                                   "--samples", "2"] + args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert args[0] in res.stderr
+        assert res.stdout == ""
 
     def test_flow_demo(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--trials", "3",

@@ -5,7 +5,7 @@ compares against the Smith-normal-form component enumeration.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import numpy as np
@@ -20,6 +20,7 @@ from g2kit.errors import (
     NotEquivariant,
     PullObstruction,
 )
+from g2kit.exact import det
 from g2kit.forms import PHI0, dx, wedge
 from g2kit.torus import (
     AffineTorusMap,
@@ -813,3 +814,58 @@ class TestOrbitOracle:
     def test_random_signed_diagonal_groups(self, group):
         fast, _, maps = _locus_case(group)
         assert fast == reference_strata(group, maps)
+
+
+# ---------------------------------------------------------------------------
+# Reference for quotient Betti numbers: tr Λ^k A as the sum of the k x k
+# principal minors of the circle block, averaged over the group.
+
+
+def reference_quotient_betti(group):
+    circ = [i for i in range(group.n) if i + 1 not in group.lines]
+    return tuple(
+        sum(det([[g.linear[p][q] for q in sub] for p in sub])
+            for g in group.elements for sub in combinations(circ, k)) / group.order
+        for k in range(len(circ) + 1))
+
+
+BETTI_CASES = {
+    "joyce": the_group,
+    "pull-x1": lambda: pull(the_group(), 1),
+    "pull-x3": lambda: pull(the_group(), 3),
+    "cross-section-x1": lambda: cross_section_group(pull(the_group(), 1), 1),
+    "cross-section-x3": lambda: cross_section_group(pull(the_group(), 3), 3),
+    "rotation-T2": lambda: generate_group([rotation_t2()]),
+    "rotation-T5": _rotation_t5,
+    "dihedral-T3": _dihedral_t3,
+}
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    n = draw(st.sampled_from([3, 4]))
+    shift = st.sampled_from([Fraction(0), H])
+    gens = []
+    for i in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        linear = [[signs[r] if c == perm[r] else 0 for c in range(n)]
+                  for r in range(n)]
+        gens.append(AffineTorusMap(
+            linear, draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}"))
+    try:
+        return generate_group(gens, bound=256)
+    except GroupTooLarge:
+        assume(False)
+
+
+class TestQuotientBettiOracle:
+    @pytest.mark.parametrize("case", list(BETTI_CASES))
+    def test_matches_minor_sums(self, case):
+        group = BETTI_CASES[case]()
+        assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_permutation_groups())
+    def test_random_signed_permutation_groups(self, group):
+        assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
