@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .errors import G2KitError, InvalidScenario
+from .errors import G2KitError
 from .flow import decay_trials
 from .scenarios import (
     BUILTINS,

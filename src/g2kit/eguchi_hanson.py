@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartSingular, InvalidScale, NumericFailure
+from .errors import ChartSingular, InvalidOperand, InvalidScale, NumericFailure
 
 # declared tolerances for the numeric verdicts, in one place
 TOLERANCES = {
@@ -415,6 +415,9 @@ def curvature_injectivity_scaling_probe(s_list, radii=None,
     s_values = tuple(float(s) for s in s_list)
     for s in s_values:
         _check_scale(s)
+    if len(set(s_values)) != len(s_values):
+        # a repeated scale leaves the log-log slope undefined
+        raise InvalidOperand(f"repeated scale in {s_values}")
     if radii is None:
         radii = np.exp(np.linspace(np.log(0.2), np.log(2.5), 8))
     rng = np.random.default_rng(seed)

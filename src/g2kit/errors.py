@@ -69,7 +69,7 @@ class RankTooLarge(G2KitError):
     """Restriction-map rank exceeding the available second Betti number."""
 
 
-class InvalidScale(G2KitError):
+class InvalidScale(InvalidOperand):
     """Non-positive resolution scale parameter."""
 
 

@@ -13,12 +13,21 @@ the dt-component in t, then invert the Laplacian mode by mode on the
 closed remainder (delta of the mode over |m|^2).  Because |m|^2 is an
 integer, d(primitive) == input holds bit for bit, and harmonic
 (zero-mode) components are detected exactly.
+
+A polynomial c(t) is stored as integer pairs over one common
+denominator, (den, ((re0, im0), (re1, im1), ...)) for
+c(t) = sum_k (re_k + i im_k) t^k / den, with den > 0, the whole tuple
+in lowest terms and no trailing zero pair; the zero polynomial is ().
+That form is canonical, so equal polynomials are equal tuples.
+ComplexFrac is the coefficient type at the boundary only:
+CylinderForm.build takes it and CylinderForm.mapping returns it.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InvalidOperand, NotExact, NumericFailure
 
@@ -61,52 +70,94 @@ class ComplexFrac:
         return bool(self.re) or bool(self.im)
 
 
-_ZERO = ComplexFrac()
+def _pcanon(den, pairs):
+    """The canonical polynomial of pairs over den > 0, or () if it is 0."""
+    n = len(pairs)
+    while n and pairs[n - 1] == (0, 0):
+        n -= 1
+    if not n:
+        return ()
+    g = math.gcd(den, *chain.from_iterable(pairs))
+    return (den // g, tuple((x // g, y // g) for x, y in pairs[:n]))
 
 
-def _ptrim(p):
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return tuple(p)
+def _from_quotients(coeffs):
+    """Polynomial from integer (re_num, re_den, im_num, im_den) coefficients.
+
+    Coefficients come lowest degree first, denominators positive.
+    """
+    den = math.lcm(*chain.from_iterable((q, s) for _, q, _, s in coeffs))
+    return _pcanon(den, [(a * (den // q), b * (den // s))
+                         for a, q, b, s in coeffs])
+
+
+def _to_complex(p):
+    """The coefficients of a nonzero p as a tuple of ComplexFrac."""
+    den, pairs = p
+    return tuple(ComplexFrac(Fraction(x, den), Fraction(y, den))
+                 for x, y in pairs)
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    a = a + (_ZERO,) * (n - len(a))
-    b = b + (_ZERO,) * (n - len(b))
-    return _ptrim(x + y for x, y in zip(a, b))
+    """a + b, where either may be (); the helpers below take nonzero p."""
+    if not a:
+        return b
+    if not b:
+        return a
+    (da, pa), (db, pb) = a, b
+    if len(pa) < len(pb):
+        (da, pa), (db, pb) = b, a
+    den = math.lcm(da, db)
+    ka, kb = den // da, den // db
+    out = [(x * ka + u * kb, y * ka + v * kb)
+           for (x, y), (u, v) in zip(pa, pb)]
+    out.extend((x * ka, y * ka) for x, y in pa[len(pb):])
+    return _pcanon(den, out)
 
 
 def _pscale(c, p):
-    return _ptrim(c * x for x in p)
+    """c * p for a Gaussian rational c given as integers (re, im, den)."""
+    re, im, cden = c
+    den, pairs = p
+    return _pcanon(den * cden, [(x * re - y * im, x * im + y * re)
+                                for x, y in pairs])
 
 
 def _pderiv(p):
-    return _ptrim(p[k] * k for k in range(1, len(p)))
+    den, pairs = p
+    return _pcanon(den, [(k * x, k * y)
+                         for k, (x, y) in enumerate(pairs) if k])
 
 
 def _pintegral(p):
     """The primitive of p vanishing at t = 0."""
-    return _ptrim((_ZERO,) + tuple(p[k] * Fraction(1, k + 1)
-                                   for k in range(len(p))))
+    den, pairs = p
+    scale = math.lcm(*range(1, len(pairs) + 1))
+    return _pcanon(den * scale, [(0, 0)] + [
+        (x * (scale // (k + 1)), y * (scale // (k + 1)))
+        for k, (x, y) in enumerate(pairs)])
 
 
 def _pnorm_sq(p):
-    """Exact integral over [0, 1] of |p(t)|^2, a nonnegative Fraction."""
-    total = Fraction(0)
-    for a, ca in enumerate(p):
-        for b, cb in enumerate(p):
-            total += (ca * cb.conjugate()).re * Fraction(1, a + b + 1)
-    return total
+    """Exact integral over [0, 1] of |p(t)|^2, a positive Fraction."""
+    den, pairs = p
+    scale = math.lcm(*range(1, 2 * len(pairs)))
+    total = 0
+    for a, (xa, ya) in enumerate(pairs):
+        for b, (xb, yb) in enumerate(pairs):
+            # Re(c_a * conj(c_b)) over the common denominator
+            total += (xa * xb + ya * yb) * (scale // (a + b + 1))
+    return Fraction(total, scale * den * den)
 
 
 @dataclass(frozen=True)
 class CylinderForm:
     """Finite Fourier-polynomial form on T^d x [0, 1].
 
-    terms is a sorted tuple of ((mode, spatial, has_dt), poly) entries;
-    use build() to construct one from a mapping.
+    terms is a sorted tuple of ((mode, spatial, has_dt), poly) entries,
+    each poly a nonzero canonical (den, integer pairs) polynomial as in
+    the module docstring.  Use build() to construct one from a mapping
+    to ComplexFrac coefficient tuples, and mapping() to read it back.
     """
 
     d: int
@@ -129,16 +180,21 @@ class CylinderForm:
             if len(spatial) + bool(has_dt) != degree:
                 raise InvalidOperand(
                     f"term {spatial} dt={bool(has_dt)} has wrong degree")
-            p = _ptrim(poly)
-            if not p:
-                continue
             key = (mode, spatial, bool(has_dt))
+            p = _from_quotients([(c.re.numerator, c.re.denominator,
+                                  c.im.numerator, c.im.denominator)
+                                 for c in poly])
             canon[key] = _padd(canon.get(key, ()), p)
-        canon = {k: v for k, v in canon.items() if v}
-        return cls(d=d, degree=degree, terms=tuple(sorted(canon.items())))
+        return cls._of(d, degree, canon)
+
+    @classmethod
+    def _of(cls, d, degree, polys):
+        """Form from a key -> canonical polynomial dict; drops zeros."""
+        return cls(d=d, degree=degree,
+                   terms=tuple(sorted((k, p) for k, p in polys.items() if p)))
 
     def mapping(self):
-        return dict(self.terms)
+        return {k: _to_complex(p) for k, p in self.terms}
 
     @property
     def is_zero(self):
@@ -148,14 +204,14 @@ class CylinderForm:
         if not isinstance(other, CylinderForm) or other.d != self.d \
                 or other.degree != self.degree:
             raise InvalidOperand("can only add forms of equal shape")
-        merged = self.mapping()
+        merged = dict(self.terms)
         for k, p in other.terms:
             merged[k] = _padd(merged.get(k, ()), p)
-        return CylinderForm.build(self.d, self.degree, merged)
+        return CylinderForm._of(self.d, self.degree, merged)
 
     def __neg__(self):
         return CylinderForm(self.d, self.degree,
-                            tuple((k, _pscale(ComplexFrac(-1), p))
+                            tuple((k, _pscale((-1, 0, 1), p))
                                   for k, p in self.terms))
 
     def __sub__(self, other):
@@ -190,15 +246,14 @@ def exterior_derivative(form):
             if sign is None:
                 continue
             merged = tuple(sorted(spatial + (j,)))
-            put((mode, merged, has_dt),
-                _pscale(ComplexFrac(0, sign * mode[j]), poly))
+            put((mode, merged, has_dt), _pscale((0, sign * mode[j], 1), poly))
         if not has_dt:
             dp = _pderiv(poly)
             if dp:
                 put((mode, spatial, True),
-                    _pscale(ComplexFrac((-1) ** len(spatial)), dp))
+                    _pscale(((-1) ** len(spatial), 0, 1), dp))
     # the derivative of a top-degree form is the zero top form
-    return CylinderForm.build(form.d, min(form.degree + 1, form.d + 1), out)
+    return CylinderForm._of(form.d, min(form.degree + 1, form.d + 1), out)
 
 
 def _codifferential_over_laplacian(mode, spatial, poly):
@@ -207,7 +262,7 @@ def _codifferential_over_laplacian(mode, spatial, poly):
     for pos, j in enumerate(spatial):
         if mode[j] == 0:
             continue
-        c = ComplexFrac(0, Fraction(-mode[j], msq)) * ((-1) ** pos)
+        c = (0, -mode[j] * (-1) ** pos, msq)
         yield (mode, spatial[:pos] + spatial[pos + 1:], False), \
             _pscale(c, poly)
 
@@ -238,9 +293,9 @@ def poincare_primitive(form):
     chi1 = {}
     for (mode, spatial, has_dt), poly in form.terms:
         if has_dt:
-            sign = ComplexFrac((-1) ** len(spatial))
+            sign = ((-1) ** len(spatial), 0, 1)
             chi1[(mode, spatial, False)] = _pscale(sign, _pintegral(poly))
-    chi1 = CylinderForm.build(form.d, form.degree - 1, chi1)
+    chi1 = CylinderForm._of(form.d, form.degree - 1, chi1)
 
     remainder = form - exterior_derivative(chi1)
     chi2 = {}
@@ -252,7 +307,7 @@ def poincare_primitive(form):
                 "harmonic component: zero-mode term on " + repr(spatial))
         for key, p in _codifferential_over_laplacian(mode, spatial, poly):
             chi2[key] = _padd(chi2.get(key, ()), p)
-    chi = chi1 + CylinderForm.build(form.d, form.degree - 1, chi2)
+    chi = chi1 + CylinderForm._of(form.d, form.degree - 1, chi2)
 
     if exterior_derivative(chi) != form:
         raise NumericFailure("constructed primitive does not differentiate "
@@ -289,9 +344,11 @@ def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
     rng = random.Random(seed)
     terms = {}
 
-    def rand_coeff():
-        return ComplexFrac(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                           Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    def rand_poly():
+        n = rng.randint(1, max_poly_degree + 1)
+        return _from_quotients([(rng.randint(-3, 3), rng.randint(1, 3),
+                                 rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(n)])
 
     for _ in range(n_terms):
         mode = tuple(_geometric_component(rng, cutoff) for _ in range(d))
@@ -302,10 +359,9 @@ def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
         else:
             has_dt = rng.random() < 0.5
         spatial = tuple(sorted(rng.sample(range(d), degree - has_dt)))
-        poly = tuple(rand_coeff() for _ in range(rng.randint(1, max_poly_degree + 1)))
         key = (mode, spatial, has_dt)
-        terms[key] = _padd(terms.get(key, ()), poly)
-    return CylinderForm.build(d, degree, terms)
+        terms[key] = _padd(terms.get(key, ()), rand_poly())
+    return CylinderForm._of(d, degree, terms)
 
 
 def random_exact_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):

@@ -108,14 +108,39 @@ class CheckRow:
     passed: Optional[bool] = None
 
     def to_dict(self):
-        return {"check": self.check, "computed": self.computed,
-                "expected": self.expected, "provenance": self.provenance,
-                "pass": self.passed}
+        return {"check": self.check, "computed": _json_number(self.computed),
+                "expected": _json_number(self.expected),
+                "provenance": self.provenance, "pass": self.passed}
+
+
+def _json_number(value):
+    """value with each NaN or infinite float spelled as a JSON string."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else \
+            ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, (list, tuple)):
+        return [_json_number(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_number(v) for k, v in value.items()}
+    return value
+
+
+def _all_finite(value):
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    return True
 
 
 def row(check, computed, expected=None, provenance="golden"):
     passed = None
-    if expected is not None:
+    if not _all_finite(computed):
+        # a NaN or infinite result fails its row, informational or not
+        passed = False
+    elif expected is not None:
         if provenance == "tolerance":
             passed = bool(computed <= expected)
         elif provenance == "floor":
@@ -172,7 +197,7 @@ def report_to_json(reports):
         payload = reports.to_dict()
     else:
         payload = [r.to_dict() for r in reports]
-    return json.dumps(payload, sort_keys=True, indent=2,
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                       default=_json_default) + "\n"
 
 

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from g2kit.cli import main
-from g2kit.scenarios import BUILTINS
+from g2kit.scenarios import BUILTINS, Report, report_to_json, row
 
 TOPOLOGY_SCENARIOS = [
     "joyce-T7-Gamma",
@@ -122,6 +122,29 @@ class TestDeterminism:
         a = runner.invoke(main, ["run", "eh-suite", "--seed", "3"])
         b = runner.invoke(main, ["run", "eh-suite", "--seed", "3"])
         assert a.output == b.output
+
+
+class TestNonFiniteRows:
+    def test_nonfinite_row_fails(self):
+        assert row("info", float("nan")).passed is False
+        assert row("info", [1.0, float("-inf")]).passed is False
+        assert row("bound", float("inf"), 1.0, provenance="floor").passed \
+            is False
+        assert row("info", 1.5).passed is None
+
+    def test_report_spells_constants_as_strings(self):
+        rep = Report("r", (row("a", float("inf")),
+                           row("b", {"k": [float("nan"), -float("inf")]})),
+                     seed=0, precision="double")
+
+        def reject(constant):
+            raise ValueError(f"bare JSON constant {constant}")
+
+        payload = json.loads(report_to_json(rep), parse_constant=reject)
+        assert [r["computed"] for r in payload["rows"]] == [
+            "Infinity", {"k": ["NaN", "-Infinity"]}]
+        assert [r["pass"] for r in payload["rows"]] == [False, False]
+        assert payload["pass"] is False
 
 
 class TestFormats:
@@ -328,6 +351,23 @@ class TestToolFlags:
         assert res.stderr.startswith("error: ")
         assert args[0] in res.stderr
         assert res.stdout == ""
+
+    def test_eh_check_nonfinite_is_valid_json(self, runner):
+        # s = 1e300 passes the input check, but the curvature peaks
+        # underflow and the slope fit comes out NaN
+        res = runner.invoke(main, ["--eh-check", "--s", "1,1e300",
+                                   "--samples", "2"])
+        assert res.exit_code == 1
+
+        def reject(constant):
+            raise ValueError(f"bare JSON constant {constant}")
+
+        report = json.loads(res.stdout, parse_constant=reject)
+        slope = next(r for r in report["rows"]
+                     if r["check"] == "curvature_slope")
+        assert slope["computed"] == "NaN"
+        assert slope["pass"] is False
+        assert report["pass"] is False
 
     def test_flow_demo(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--trials", "3",

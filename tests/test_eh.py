@@ -37,7 +37,13 @@ from g2kit.eguchi_hanson import (
     sample_points,
     scaling_identity_probe,
 )
-from g2kit.errors import ChartSingular, InvalidScale, NumericFailure
+from g2kit import eguchi_hanson
+from g2kit.errors import (
+    ChartSingular,
+    InvalidOperand,
+    InvalidScale,
+    NumericFailure,
+)
 
 SCALES = (0.5, 1.0, 2.0)
 
@@ -253,6 +259,18 @@ class TestCurvature:
     def test_probe_single_scale(self):
         rep = curvature_injectivity_scaling_probe([1.0])
         assert rep.slope is None and len(rep.max_norms) == 1
+
+    @pytest.mark.parametrize("scales", [
+        [1.0, 1.0], [0.5, 2.0, 0.5], [1.0, float("nan")],
+        [1.0, float("inf")], [1.0, 0.0], [-1.0, 1.0],
+    ], ids=repr)
+    def test_probe_rejects_bad_scales(self, scales, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the scales were checked")
+
+        monkeypatch.setattr(eguchi_hanson, "curvature_norm", no_sampling)
+        with pytest.raises(InvalidOperand):
+            curvature_injectivity_scaling_probe(scales)
 
 
 class TestScalingProbe:

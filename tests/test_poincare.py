@@ -19,6 +19,7 @@ from g2kit.poincare import (
 
 F = Fraction
 I_HALF = ComplexFrac(0, F(1, 2))
+ZERO = ComplexFrac()
 
 
 def sine_dx2():
@@ -184,3 +185,147 @@ class TestRefinementStability:
     def test_ratios_bounded(self):
         m8, r8 = primitive_ratio_study(2, 2, cutoff=8, n=50, seed=11)
         assert all(0 <= r < 10 for r in r8)
+
+
+# -- test-local reference: per-coefficient ComplexFrac/Fraction arithmetic --
+#
+# Forms are plain dicts {(mode, spatial, has_dt): tuple of ComplexFrac}
+# without zero entries.  Nothing here uses the library's polynomial
+# helpers, so it is an independent oracle for the integer-pair fast path.
+
+
+def ref_trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a = tuple(a) + (ZERO,) * (n - len(a))
+    b = tuple(b) + (ZERO,) * (n - len(b))
+    return ref_trim(x + y for x, y in zip(a, b))
+
+
+def ref_scale(c, p):
+    return ref_trim(c * x for x in p)
+
+
+def ref_deriv(p):
+    return ref_trim(p[k] * k for k in range(1, len(p)))
+
+
+def ref_integral(p):
+    return ref_trim((ZERO,) + tuple(p[k] * F(1, k + 1) for k in range(len(p))))
+
+
+def ref_norm_sq(p):
+    total = F(0)
+    for a, ca in enumerate(p):
+        for b, cb in enumerate(p):
+            total += (ca * cb.conjugate()).re * F(1, a + b + 1)
+    return total
+
+
+def ref_put(terms, key, poly):
+    total = ref_add(terms.get(key, ()), poly)
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
+def ref_d(d, terms):
+    out = {}
+    for (mode, spatial, has_dt), poly in terms.items():
+        for j in range(d):
+            if mode[j] == 0 or j in spatial:
+                continue
+            sign = (-1) ** sum(1 for i in spatial if i < j)
+            ref_put(out, (mode, tuple(sorted(spatial + (j,))), has_dt),
+                    ref_scale(ComplexFrac(0, sign * mode[j]), poly))
+        if not has_dt:
+            ref_put(out, (mode, spatial, True),
+                    ref_scale(ComplexFrac((-1) ** len(spatial)),
+                              ref_deriv(poly)))
+    return out
+
+
+def ref_primitive(d, terms):
+    """(primitive, input norm^2, primitive norm^2) of an exact form."""
+    chi = {}
+    for (mode, spatial, has_dt), poly in terms.items():
+        if has_dt:
+            ref_put(chi, (mode, spatial, False),
+                    ref_scale(ComplexFrac((-1) ** len(spatial)),
+                              ref_integral(poly)))
+    remainder = dict(terms)
+    for key, poly in ref_d(d, chi).items():
+        ref_put(remainder, key, ref_scale(ComplexFrac(-1), poly))
+    for (mode, spatial, has_dt), poly in list(remainder.items()):
+        assert not has_dt and any(mode)
+        msq = sum(c * c for c in mode)
+        for pos, j in enumerate(spatial):
+            if mode[j]:
+                c = ComplexFrac(0, F(-mode[j], msq)) * ((-1) ** pos)
+                ref_put(chi, (mode, spatial[:pos] + spatial[pos + 1:], False),
+                        ref_scale(c, poly))
+    assert ref_d(d, chi) == terms
+    wsq = sum((ref_norm_sq(p) for p in terms.values()), F(0))
+    csq = sum((ref_norm_sq(p) for p in chi.values()), F(0))
+    return chi, wsq, csq
+
+
+def assert_matches_reference(w):
+    res = poincare_primitive(w)
+    chi, wsq, csq = ref_primitive(w.d, w.mapping())
+    assert res.primitive.mapping() == chi
+    # the library form is canonical: rebuilding it from the reference
+    # coefficients gives the same terms
+    assert res.primitive == CylinderForm.build(w.d, w.degree - 1, chi)
+    assert res.input_norm_sq == wsq
+    assert res.primitive_norm_sq == csq
+    assert res.ratio_sq == csq / wsq
+
+
+def mixed_denominator_form():
+    """d of a 1-form on T^2 x I with cubic, mixed-denominator coefficients."""
+    eta = {
+        ((1, -2), (0,), False): (ComplexFrac(F(7, 6), F(-5, 4)), ZERO,
+                                 ComplexFrac(F(1, 10), F(3, 7)),
+                                 ComplexFrac(F(-9, 14), F(2, 15))),
+        ((0, 3), (1,), False): (ComplexFrac(F(1, 3)), ComplexFrac(0, F(4, 9))),
+        ((2, 1), (), True): (ComplexFrac(F(-11, 12), F(5, 8)), ZERO,
+                             ComplexFrac(F(1, 5), F(-1, 6))),
+    }
+    return CylinderForm.build(2, 2, ref_d(2, eta))
+
+
+class TestReferenceOracle:
+    def test_fixed_forms(self):
+        assert_matches_reference(exterior_derivative(sine_dx2()))
+        assert_matches_reference(mixed_denominator_form())
+        assert_matches_reference(CylinderForm.build(2, 1, {
+            ((0, 0), (), True): (ComplexFrac(F(2, 3)), ZERO,
+                                 ComplexFrac(F(-1, 4), F(5, 6)))}))
+
+    @pytest.mark.parametrize("d,degree", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                          (3, 2), (3, 3), (3, 4)])
+    def test_fixed_random_forms(self, d, degree):
+        for seed in range(5):
+            assert_matches_reference(
+                random_exact_form(d, degree, cutoff=3, seed=seed))
+
+    def test_derivative_matches_reference(self):
+        for seed in range(20):
+            w = random_form(3, seed % 5, cutoff=3, seed=seed)
+            assert exterior_derivative(w).mapping() == ref_d(3, w.mapping())
+
+    @given(st.integers(2, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_exact_forms(self, d, data):
+        degree = data.draw(st.integers(1, d + 1))
+        cutoff = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        assert_matches_reference(random_exact_form(d, degree, cutoff, seed))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2kit.betti import BettiVector, ResolutionRecipe, resolve_betti
+from g2kit.betti import ResolutionRecipe, resolve_betti
 from g2kit.errors import (
     GroupTooLarge,
     InvalidOperand,
@@ -21,10 +21,9 @@ from g2kit.errors import (
     PullObstruction,
 )
 from g2kit.exact import det
-from g2kit.forms import PHI0, dx, wedge
+from g2kit.forms import PHI0
 from g2kit.torus import (
     AffineTorusMap,
-    FiniteActionGroup,
     FlatStratum,
     _fixed_components,
     check_preserves_form,
