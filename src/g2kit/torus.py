@@ -5,15 +5,27 @@ Coordinates are 1-based.  A subset of coordinates may be declared as "line"
 All arithmetic is exact: integer matrices for the linear parts, integer
 numerators over one common denominator for shifts and component offsets,
 Smith normal form for the fixed-point congruences.
+
+Singular strata are found modulo the translation lattice, as crystallography
+lists Wyckoff positions by point-group orbits modulo the lattice.  The
+translation subgroup T = {g : linear(g) = Id} is normal in G, with lattice
+Λ_T = Z^c + shifts(T).  The maps with one linear part A form a coset f T (of G,
+or of G∘sigma in a census), and the union of their fixed sets, modulo Λ_T, is
+{x : (A - 1) x + v_f ∈ Λ_T}: one Smith-form solve per point-group element.
+Components are keyed by their class modulo span + Λ_T, the orbit search moves
+these classes by the generators, and an orbit of k classes holds
+k |T| / |T ∩ (span + Z^c)| components upstairs.  Pointwise fixers are looked
+up per point-group element by their shift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -44,6 +56,12 @@ GROUP_SIZE_BOUND = 1024
 
 def _linear_image(linear, vec) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, vec)) for row in linear)
+
+
+@lru_cache(maxsize=4096)
+def _linear_product(a, b):
+    """Product of two linear parts; a group has few distinct ones."""
+    return mat_mul(a, b)
 
 
 class AffineTorusMap:
@@ -152,7 +170,7 @@ class AffineTorusMap:
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return AffineTorusMap._from_parts(mat_mul(self.linear, other.linear),
+        return AffineTorusMap._from_parts(_linear_product(self.linear, other.linear),
                                           *self._act(other.num, other.den),
                                           self.lines, name)
 
@@ -303,7 +321,7 @@ class _Component:
     (possibly times a line factor) through the point num/den, with integer
     direction vectors.  Circle entries of num are reduced mod den."""
 
-    __slots__ = ("n", "lines", "num", "den", "directions", "free_lines", "_ckey")
+    __slots__ = ("n", "lines", "num", "den", "directions", "free_lines")
 
     def __init__(self, n, lines, num, den, directions, free_lines):
         self.n = n
@@ -312,7 +330,6 @@ class _Component:
         self.den = den
         self.directions = tuple(tuple(d) for d in directions)
         self.free_lines = frozenset(free_lines)
-        self._ckey = None
 
     @property
     def torus_dim(self) -> int:
@@ -325,22 +342,23 @@ class _Component:
     def display_offset(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    def key(self):
-        """Canonical hashable key; two components are equal iff keys agree.
+    def key(self, lattice=None):
+        """Canonical hashable key of the component's class modulo span + Λ.
 
-        It starts with the span of the directions, then holds the offset's
-        class mod span + Z^c (and its pinned line values) at the lowest
-        denominator, so components over different denominators compare."""
-        if self._ckey is None:
-            span, rows, mods = _offset_lattice(self.n, self.lines, self.free_lines,
-                                               self.directions)
-            den = self.den
-            vals = [v % (den * m) if m else v
-                    for v, m in zip(_linear_image(rows, self.num), mods)]
-            g = gcd(den, *vals)
-            self._ckey = (span, den // g, tuple(v // g for v in vals),
-                          self.n, self.lines, self.free_lines)
-        return self._ckey
+        Λ is Z^c when lattice is None, and two components are then equal iff
+        their keys agree; lattice = (B, D) gives Λ = B Z^c / D.  The key
+        starts with the span of the directions as primitive integer rows,
+        then holds the offset's class (and its pinned line values) at the
+        lowest denominator, so components over different denominators
+        compare."""
+        span, rows, mods = _offset_lattice(self.n, self.lines, self.free_lines,
+                                           self.directions, lattice)
+        den = self.den
+        vals = [v % (den * m) if m else v
+                for v, m in zip(_linear_image(rows, self.num), mods)]
+        g = gcd(den, *vals)
+        return (span, den // g, tuple(v // g for v in vals),
+                self.n, self.lines, self.free_lines)
 
     def __eq__(self, other):
         return isinstance(other, _Component) and self.key() == other.key()
@@ -349,32 +367,39 @@ class _Component:
         return hash(self.key())
 
 
-@lru_cache(maxsize=1024)
-def _offset_lattice(n, lines, free_lines, directions):
-    """Canonical span of the directions, integer rows R and moduli m such that
-    offsets x, y over a common denominator D lie on the same component iff
-    R x = R y, row i taken mod D * m_i (exactly where m_i = 0).
+def _primitive(row) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
-    The circle rows are U N for an integer basis N of the annihilator of the
-    span and the Smith form U N V = diag(m); each pinned line coordinate adds
-    a unit row with m = 0."""
+
+@lru_cache(maxsize=1024)
+def _offset_lattice(n, lines, free_lines, directions, lattice=None):
+    """Canonical span of the directions (primitive integer rows), integer rows
+    R and moduli m such that offsets x, y over a common denominator D differ
+    by an element of span + Λ iff R x = R y, row i taken mod D * m_i (exactly
+    where m_i = 0).  Λ is Z^c, or B Z^c / s for lattice = (B, s).
+
+    For an integer basis N of the annihilator of the span and the Smith form
+    U N B V = diag(m), the circle rows are s U N; each pinned line coordinate
+    adds a unit row with m = 0."""
     circ = [i for i in range(n) if (i + 1) not in lines]
+    basis, scale = lattice or (identity_matrix(len(circ)), 1)
     d_rows = tuple(tuple(d[i] for i in circ) for d in directions)
     if d_rows:
-        span, ann = rref(d_rows), null_space(d_rows)
+        span = tuple(_primitive(row) for row in rref(d_rows))
+        ann = [_primitive(row) for row in null_space(d_rows)]
     else:
-        span, ann = (), [[int(i == j) for j in range(len(circ))] for i in range(len(circ))]
+        span, ann = (), identity_matrix(len(circ))
     rows, mods = [], []
     if ann:
-        ann_int = []
-        for row in ann:
-            scale = lcm(*(x.denominator for x in row))
-            ann_int.append([int(x * scale) for x in row])
-        u, d, _ = smith_normal_form(ann_int)
-        for i, row in enumerate(mat_mul(u, ann_int)):
+        u, d, _ = smith_normal_form(mat_mul(ann, basis))
+        for i, row in enumerate(mat_mul(u, ann)):
             full = [0] * n
             for idx, c in enumerate(circ):
-                full[c] = row[idx]
+                full[c] = scale * row[idx]
             rows.append(tuple(full))
             mods.append(d[i][i])
     for i1 in sorted(lines - free_lines):
@@ -383,7 +408,50 @@ def _offset_lattice(n, lines, free_lines, directions):
     return span, tuple(rows), tuple(mods)
 
 
-def _fixed_components(f: AffineTorusMap) -> list[_Component]:
+@lru_cache(maxsize=64)
+def _lattice_inverse(basis):
+    """B^-1 as integer numerators over one positive denominator."""
+    inv = inverse(basis)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
+
+
+def _translation_lattice(group: FiniteActionGroup):
+    """Λ_T = Z^c + shifts(T) on the circle coordinates, for the translation
+    subgroup T = {g : linear(g) = Id}, as (B, D) with Λ_T = B Z^c / D.
+
+    The columns of B are the rows of the Hermite normal form of D Λ_T, built
+    by inserting each translation's shift numerators with Euclid's algorithm
+    on the pivots.  T is normal in G, so every linear part preserves Λ_T."""
+    circ = [i for i in range(group.n) if (i + 1) not in group.lines]
+    ident = group.identity.linear
+    trans = [g for g in group.elements if g.linear == ident]
+    den = lcm(*(t.den for t in trans))
+    c = len(circ)
+    rows = [[den * (i == j) for j in range(c)] for i in range(c)]
+    for t in trans:
+        vec = [t.num[i] * (den // t.den) for i in circ]
+        for j in range(c):
+            while vec[j]:
+                q = rows[j][j] // vec[j]
+                rows[j], vec = vec, [a - q * b for a, b in zip(rows[j], vec)]
+            if rows[j][j] < 0:
+                rows[j] = [-a for a in rows[j]]
+    for j in range(c):
+        for i in range(j):
+            q = rows[i][j] // rows[j][j]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+    return tuple(zip(*rows)), den
+
+
+def _fixed_components(f: AffineTorusMap, lattice=None) -> list[_Component]:
+    """Components of Fix(f).  With lattice = (B, D), the components modulo
+    Λ = B Z^c / D of the union of Fix(f∘t) over the translations t by Λ.
+
+    x = B y / D turns R^c/Λ into R^c/Z^c and (A - 1) x + v ∈ Λ into
+    (A' - 1) y + w ∈ Z^c, with A' = B^-1 A B (integral, since A preserves Λ)
+    and w = D B^-1 v.  With U (A' - 1) V = diag(d) and y = V z that reads
+    d_k z_k = -(U w)_k mod 1: one Smith form for the whole coset."""
     n, lines = f.n, f.lines
     circ = [i for i in range(n) if (i + 1) not in lines]
     free_lines = set()
@@ -393,36 +461,42 @@ def _fixed_components(f: AffineTorusMap) -> list[_Component]:
                 return []
             free_lines.add(i1)
     c = len(circ)
-    # x is fixed iff (A - 1) x = -v mod Z^c; with U (A - 1) V = diag(d) and
-    # x = V z that reads d_k z_k = w_k mod 1 for w = -U v (numerators over f.den)
-    m = [[f.linear[i][j] - int(i == j) for j in circ] for i in circ]
+    basis, scale = lattice or (identity_matrix(c), 1)
+    inv, inv_den = _lattice_inverse(basis)
+    a = tuple(tuple(f.linear[i][j] for j in circ) for i in circ)
+    m = [[x // inv_den - (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(mat_mul(inv, mat_mul(a, basis)))]
+    # w = D B^-1 v has numerators inv (D num) over w_den
+    w_den = inv_den * f.den
     u, d, v = smith_normal_form(m) if c else ((), (), ())
-    w = mat_vec(u, tuple(-f.num[i] for i in circ))
+    w = mat_vec(u, mat_vec(inv, tuple(-scale * f.num[i] for i in circ)))
     diag = [d[k][k] for k in range(c)]
-    if any(dk == 0 and wk % f.den for dk, wk in zip(diag, w)):
+    if any(dk == 0 and wk % w_den for dk, wk in zip(diag, w)):
         return []
-    # one denominator for every component: reflected lines pin x_i = v_i / 2
-    den = f.den * lcm(1 if len(free_lines) == len(lines) else 2,
-                      *(abs(dk) for dk in diag if dk))
-    choice_sets = [[(wk + j * f.den) * (den // (f.den * dk)) for j in range(abs(dk))]
+    den_y = w_den * lcm(*(abs(dk) for dk in diag if dk))
+    choice_sets = [[(wk + j * w_den) * (den_y // (w_den * dk)) for j in range(abs(dk))]
                    if dk else [0] for dk, wk in zip(diag, w)]
+    # one denominator for every component: reflected lines pin x_i = v_i / 2
+    pinned = lines - free_lines
+    den = lcm(den_y * scale, 2 * f.den if pinned else 1)
+    up = den // (den_y * scale)
     base = [0] * n
-    for i1 in lines - free_lines:
+    for i1 in pinned:
         base[i1 - 1] = f.num[i1 - 1] * (den // (2 * f.den))
+    bv = mat_mul(basis, v)  # x = B V z / D
     dirs = []
     for k in range(c):
         if diag[k] == 0:
             vec = [0] * n
-            for idx, i in enumerate(circ):
-                vec[i] = v[idx][k]
+            for i, row in zip(circ, bv):
+                vec[i] = row[k]
             dirs.append(vec)
     out = []
     for combo in product(*choice_sets):
         num = list(base)
-        for i, x in zip(circ, mat_vec(v, combo)):
-            num[i] = x % den
+        for i, x in zip(circ, mat_vec(bv, combo)):
+            num[i] = x * up % den
         out.append(_Component(n, lines, num, den, dirs, free_lines))
-    out.sort(key=lambda comp: comp.num)
     return out
 
 
@@ -434,23 +508,24 @@ def _transport(g: AffineTorusMap, comp: _Component) -> _Component:
     return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
 
 
-def _fixes_pointwise(g: AffineTorusMap, comp: _Component) -> bool:
-    if any(_linear_image(g.linear, d) != d for d in comp.directions):
+def _fixed_pointwise_in(group: FiniteActionGroup, linear, comp: _Component) -> bool:
+    """Does an element of the group with this linear part A fix comp pointwise?
+
+    Its shift can only be x0 - A x0 at the offset x0, so one lookup decides;
+    the coset holds no second such element, as translations act freely."""
+    if any(_linear_image(linear, d) != d for d in comp.directions):
         return False
-    for i1 in comp.free_lines:
-        if g.linear[i1 - 1][i1 - 1] != 1 or g.num[i1 - 1] != 0:
-            return False
-    img, den = g._act(comp.num, comp.den)
-    k = den // comp.den
-    return all(a == b * k for i, (a, b) in enumerate(zip(img, comp.num))
-               if i + 1 not in comp.free_lines)
+    if any(linear[i1 - 1][i1 - 1] != 1 for i1 in comp.free_lines):
+        return False
+    shift = [x - y for x, y in zip(comp.num, _linear_image(linear, comp.num))]
+    return AffineTorusMap._from_parts(linear, shift, comp.den, comp.lines, "") in group
 
 
-def _acts_as_minus_one(g: AffineTorusMap, comp: _Component) -> bool:
-    if any(_linear_image(g.linear, d) != tuple(-x for x in d)
+def _acts_as_minus_one(linear, comp: _Component) -> bool:
+    if any(_linear_image(linear, d) != tuple(-x for x in d)
            for d in comp.directions):
         return False
-    return all(g.linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
+    return all(linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
 
 
 def components_intersect(c1: _Component, c2: _Component) -> bool:
@@ -474,16 +549,21 @@ def components_intersect(c1: _Component, c2: _Component) -> bool:
 class FlatStratum:
     """A flat piece of a fixed locus or singular set.
 
-    count components upstairs (their representative offsets listed) that form
-    one object downstairs; residual records how the setwise stabilizer acts on
-    the component beyond its pointwise part.
+    count components upstairs form one object downstairs; offset is a point
+    of one of them, stabilizer_order the order |G| / count of the setwise
+    stabilizer of each, and residual records how that stabilizer acts on the
+    component beyond its pointwise part ("trivial", "pm1" or "other").
+
+    In a quotient, the components are counted modulo the translation lattice
+    Λ_T: an orbit of k classes mod span + Λ_T holds k |T| / |T ∩ (span + Z^c)|
+    components, where span is the span of the component's directions.
     """
 
     torus_dim: int
     line_dim: int
     count: int
-    offsets: tuple
-    stabilizer: str = ""
+    offset: tuple
+    stabilizer_order: int = 1
     residual: str = "trivial"
 
     @property
@@ -497,98 +577,112 @@ class FlatStratum:
             base += "/pm1"
         return base
 
-    def to_json_dict(self) -> dict:
-        return {
-            "torus_dim": self.torus_dim,
-            "line_dim": self.line_dim,
-            "count": self.count,
-            "type": self.type_label,
-            "stabilizer": self.stabilizer,
-            "residual": self.residual,
-            "offsets": [[str(x) for x in off] for off in self.offsets],
-        }
-
 
 def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
-    """Connected components of the fixed-point set, one stratum each."""
-    comps = _fixed_components(f)
-    return [FlatStratum(torus_dim=c.torus_dim, line_dim=c.line_dim, count=1,
-                        offsets=(c.display_offset(),), stabilizer=f.name or "",
-                        residual="trivial")
-            for c in comps]
+    """Connected components of the fixed-point set, one stratum each, ordered
+    by offset.  No group acts, so count and stabilizer order are 1."""
+    return sorted((FlatStratum(c.torus_dim, c.line_dim, 1, c.display_offset())
+                   for c in _fixed_components(f)), key=lambda s: s.offset)
 
 
-def _group_into_orbits(group: FiniteActionGroup, registry: dict):
-    """registry maps component key -> (component, fixing maps); returns the
-    orbits as lists of registry components, each sorted by offset.
+def _group_into_orbits(group: FiniteActionGroup, registry: dict, lattice):
+    """registry maps the key of a class mod span + Λ_T to a component in it;
+    returns each orbit as its first registered component and its number of
+    classes.
 
-    The search moves components by the generators only: G is finite, so
-    every element is a positive word in them, and the cost is
-    O(components * generators) rather than O(components * |G|).  The key
-    (span first) orders components through the same point, so the order
-    does not depend on the order of the search."""
+    The search moves classes by the generators only: G is finite, so every
+    element is a positive word in them, and T is normal, so every element
+    maps classes to classes; a translation fixes each class and is skipped.
+    The cost is O(classes * generators)."""
+    ident = group.identity.linear
+    movers = [g for g in group.generators if g.linear != ident]
     unvisited = set(registry)
     orbits = []
-    for key, (comp, _) in registry.items():
+    for key, comp in registry.items():
         if key not in unvisited:
             continue
         unvisited.discard(key)
-        orbit, stack = [], [comp]
+        size, stack = 0, [comp]
         while stack:
             base = stack.pop()
-            orbit.append(base)
-            for g in group.generators:
-                mk = _transport(g, base).key()
+            size += 1
+            for g in movers:
+                mk = _transport(g, base).key(lattice)
                 if mk in unvisited:
                     unvisited.discard(mk)
-                    stack.append(registry[mk][0])
-        orbit.sort(key=lambda c: (c.display_offset(), c.key()))
-        orbits.append(orbit)
+                    stack.append(registry[mk])
+        orbits.append((comp, size))
     return orbits
 
 
-def _classify_residual(group: FiniteActionGroup, comp: _Component,
-                       orbit_size: int) -> str:
+def _t_orbit_size(comp: _Component, lattice) -> int:
+    """|T| / |T ∩ (span + Z^c)|, the number of components in comp's class
+    mod span + Λ_T: the index [span + Λ_T : span + Z^c], a ratio of the
+    Smith moduli of the two offset lattices, found without enumerating T."""
+    args = (comp.n, comp.lines, comp.free_lines, comp.directions)
+    plain = [m for m in _offset_lattice(*args)[2] if m]
+    wide = [m for m in _offset_lattice(*args, lattice)[2] if m]
+    return lattice[1] ** len(plain) * prod(plain) // prod(wide)
+
+
+def _classify_residual(group: FiniteActionGroup, cosets: dict,
+                       comp: _Component, setwise: int, lattice) -> str:
     """How the setwise stabilizer, of order |G| / |orbit|, acts beyond its
-    pointwise part.  An element acting as -1 on a component of positive
-    dimension never fixes it pointwise, so only those need the setwise test."""
-    setwise = group.order // orbit_size
-    pointwise = sum(_fixes_pointwise(g, comp) for g in group.elements)
+    pointwise part, decided per linear part (cosets maps each linear part of
+    G to one element with it).  An element acting as -1 on a component of
+    positive dimension never fixes it pointwise, and a coset f T holds an
+    element that maps comp to itself iff f comp lies in comp's class."""
+    pointwise = sum(_fixed_pointwise_in(group, a, comp) for a in cosets)
     if setwise == pointwise:
         return "trivial"
-    if setwise == 2 * pointwise and any(
-            _acts_as_minus_one(g, comp) and _transport(g, comp) == comp
-            for g in group.elements):
-        return "pm1"
+    if setwise == 2 * pointwise:
+        key = comp.key(lattice)
+        if any(_acts_as_minus_one(a, comp) and _transport(f, comp).key(lattice) == key
+               for a, f in cosets.items()):
+            return "pm1"
     return "other"
 
 
-def _strata(group: FiniteActionGroup, maps) -> list[FlatStratum]:
-    """Quotient strata of the fixed components of maps, which the group permutes."""
+def _cosets(group: FiniteActionGroup) -> dict:
+    """One element of each coset of the translation subgroup T, keyed by its
+    linear part: the point group G/T."""
+    reps = {}
+    for g in group.elements:
+        reps.setdefault(g.linear, g)
+    return reps
+
+
+def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
+    """Quotient strata of the fixed components of the cosets f T (f in maps),
+    which the group permutes."""
+    lattice = _translation_lattice(group)
     registry: dict = {}
     for f in maps:
-        for comp in _fixed_components(f):
-            registry.setdefault(comp.key(), (comp, set()))[1].add(f)
+        for comp in _fixed_components(f, lattice):
+            registry.setdefault(comp.key(lattice), comp)
     strata = []
-    for orbit in _group_into_orbits(group, registry):
-        rep = orbit[0]
-        fixers = {h.name or "?" for c in orbit for h in registry[c.key()][1]}
+    for rep, classes in _group_into_orbits(group, registry, lattice):
+        count = classes * _t_orbit_size(rep, lattice)
+        setwise = group.order // count
         strata.append(FlatStratum(
             torus_dim=rep.torus_dim,
             line_dim=rep.line_dim,
-            count=len(orbit),
-            offsets=tuple(c.display_offset() for c in orbit),
-            stabilizer=",".join(sorted(fixers)),
-            residual=_classify_residual(group, rep, len(orbit)),
+            count=count,
+            offset=rep.display_offset(),
+            stabilizer_order=setwise,
+            residual=_classify_residual(group, cosets, rep, setwise, lattice),
         ))
-    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.stabilizer,
-                               s.offsets))
+    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.offset))
     return strata
 
 
 def singular_locus(group: FiniteActionGroup) -> list[FlatStratum]:
-    """Orbits of fixed components of non-identity elements, as quotient strata."""
-    return _strata(group, [g for g in group.elements if not g.is_identity()])
+    """Orbits of fixed components of non-identity elements, as quotient strata.
+
+    Translations act freely, so the identity coset T contributes nothing."""
+    cosets = _cosets(group)
+    ident = group.identity.linear
+    return _strata(group, cosets, [f for a, f in cosets.items() if a != ident])
 
 
 def involution_fixed_census(sigma: AffineTorusMap,
@@ -601,10 +695,12 @@ def involution_fixed_census(sigma: AffineTorusMap,
     if sigma in group:
         raise NotAntiInvolution("involution lies in the group itself")
     sigma_inv = sigma.inverse()
-    for g in group.elements:
+    for g in group.generators:
         if sigma.compose(g).compose(sigma_inv) not in group:
             raise NotEquivariant("involution does not normalize the group")
-    return _strata(group, [g.compose(sigma) for g in group.elements])
+    # sigma normalizes T, so the maps with one linear part form a coset f sigma T
+    cosets = _cosets(group)
+    return _strata(group, cosets, [f.compose(sigma) for f in cosets.values()])
 
 
 def _exterior_traces(a) -> list[int]:
@@ -628,12 +724,14 @@ def _exterior_traces(a) -> list[int]:
 
 def quotient_betti(group: FiniteActionGroup) -> BettiVector:
     """Betti numbers of the quotient: averaged exterior-power traces of the
-    circle block (line factors are contractible and contribute nothing)."""
+    circle block (line factors are contractible and contribute nothing),
+    taken once per distinct block and weighted by its multiplicity."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
+    blocks = Counter(tuple(tuple(g.linear[i][j] for j in circ) for i in circ)
+                     for g in group.elements)
     totals = [0] * (len(circ) + 1)
-    for g in group.elements:
-        block = [[g.linear[i][j] for j in circ] for i in circ]
-        totals = [t + e for t, e in zip(totals, _exterior_traces(block))]
+    for block, mult in blocks.items():
+        totals = [t + mult * e for t, e in zip(totals, _exterior_traces(block))]
     out = []
     for k, total in enumerate(totals):
         avg = Fraction(total, group.order)
@@ -651,13 +749,13 @@ def count_ends(group: FiniteActionGroup, i: int) -> int:
     return 1 if any(g.linear[i - 1][i - 1] == -1 for g in group.elements) else 2
 
 
-def pull(group: FiniteActionGroup, i: int,
-         bound: int = GROUP_SIZE_BOUND) -> FiniteActionGroup:
+def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
     """Convert circle coordinate i to a line coordinate.
 
     Every element must act on x_i as a reflection or as the identity; a
     translation along a coordinate that becomes a line has infinite order and
-    is rejected.
+    is rejected.  The pulled generators must close, within |G| elements, into
+    exactly the element-wise pulled maps.
     """
     if i in group.lines:
         raise InvalidOperand(f"coordinate {i} is already a line")
@@ -675,16 +773,17 @@ def pull(group: FiniteActionGroup, i: int,
         if g.linear[i - 1][i - 1] == 1 and g.num[i - 1] != 0:
             raise PullObstruction(
                 f"element {g.name or g} translates along coordinate {i}")
-        moved.append(AffineTorusMap(g.linear, g.shift, new_lines, g.name))
-    member_set = set(moved)
-    for a in moved:
-        for b in moved:
-            if a.compose(b) not in member_set:
-                raise PullObstruction(
-                    "pulled maps do not close into a finite group")
-    gens = [AffineTorusMap(g.linear, g.shift, new_lines, g.name)
+        moved.append(AffineTorusMap._from_parts(g.linear, g.num, g.den,
+                                                new_lines, g.name))
+    gens = [AffineTorusMap._from_parts(g.linear, g.num, g.den, new_lines, g.name)
             for g in group.generators]
-    return generate_group(gens, bound)
+    try:
+        pulled = generate_group(gens, group.order)
+    except GroupTooLarge:
+        pulled = None
+    if pulled is None or set(pulled.elements) != set(moved):
+        raise PullObstruction("pulled maps do not close into a finite group")
+    return pulled
 
 
 def end_preserving_subgroup(group: FiniteActionGroup, i: int) -> FiniteActionGroup:

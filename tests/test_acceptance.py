@@ -59,6 +59,7 @@ from g2kit.poincare import (
     primitive_ratio_study,
     random_exact_form,
 )
+from g2kit.scenarios import Scenario, run_scenario_object
 from g2kit.torus import (
     AffineTorusMap,
     check_preserves_form,
@@ -120,6 +121,7 @@ BUDGETS = {
     "TestCriterion3EguchiHanson": (30.0, "criterion 3"),
     "TestCriterion4DecayFlow": (60.0, "criterion 4"),
     "TestCriterion5PoincarePrimitive": (10.0, "criterion 5"),
+    "TestLargeUserGroup": (5.0, "T^8 group of order 1024"),
 }
 
 
@@ -177,7 +179,10 @@ class TestCriterion1ExactTopology:
 
     def test_singular_locus_is_12_t3_in_three_orbit_families(self, the_group):
         locus = singular_locus(the_group)
-        families = Counter(s.stabilizer for s in locus)
+        # the family of a stratum: the generator fixing its representative
+        families = Counter(
+            next(g.name for g in (alpha(), beta(), gamma())
+                 if g.apply(s.offset) == s.offset) for s in locus)
         note("singular locus is 12 x T3 with orbit counts 4+4+4",
              len(locus) == 12
              and all(s.type_label == "T3" and s.count == 4 for s in locus)
@@ -465,6 +470,33 @@ class TestCriterion5PoincarePrimitive:
         drift = abs(m4 - m2) / m2
         note(f"norm-ratio drift under refinement doubling is "
              f"{drift:.1%} < 10%", drift < 0.10)
+
+
+class TestLargeUserGroup:
+    """A user scenario at the group-size bound: <-Id, 1/2 e1..1/2 e8, 1/4 e1>
+    on T^8, |G| = 1024 (512 translations), through run_scenario_object."""
+
+    def test_negid_translations_t8(self):
+        n = 8
+        zero = (Fraction(0),) * n
+
+        def step(i, size):
+            return tuple(Fraction(size) if j == i else Fraction(0)
+                         for j in range(n))
+
+        gens = [("minus", (-1,) * n, zero)]
+        gens += [(f"half{i + 1}", (1,) * n, step(i, H)) for i in range(n)]
+        gens.append(("quarter1", (1,) * n, step(0, Fraction(1, 4))))
+        scenario = Scenario(
+            name="negid-translations-T8", circles=n, generators=tuple(gens),
+            involution=None, pull_direction=None, checks=("betti",),
+            expected={"group_order": 1024, "singular_locus": "256xpoint",
+                      "quotient_betti": [1, 0, 28, 0, 70, 0, 28, 0, 1],
+                      "resolved_betti": [1, 0, 284, 0, 70, 0, 28, 0, 1]})
+        rows = run_scenario_object(scenario).rows
+        note("T^8 / <-Id, 1/2 e1..e8, 1/4 e1>: order 1024, 256 points, b2 = 284",
+             [r.check for r in rows] == list(scenario.expected)
+             and all(r.passed for r in rows))
 
 
 class TestHolonomyVerdicts:

@@ -230,10 +230,9 @@ class TestFixedSet:
             strata = fixed_set(gen)
             assert len(strata) == 16
             assert all(s.torus_dim == 3 and s.line_dim == 0 for s in strata)
-            assert all(s.count == 1 and len(s.offsets) == 1 for s in strata)
+            assert all(s.count == 1 and s.stabilizer_order == 1 for s in strata)
             for s in strata:
-                off = s.offsets[0]
-                assert gen.apply(off) == off
+                assert gen.apply(s.offset) == s.offset
 
     def test_products_act_freely(self):
         a, b, g = alpha(), beta(), gamma()
@@ -261,7 +260,7 @@ class TestFixedSet:
         strata = fixed_set(g)
         assert len(strata) == 8
         assert all(s.torus_dim == 3 and s.line_dim == 0 for s in strata)
-        assert all(s.offsets[0][0] == 0 for s in strata)  # pinned at x1 = 0
+        assert all(s.offset[0] == 0 for s in strata)  # pinned at x1 = 0
 
     def test_free_line_reported(self):
         a = AffineTorusMap(alpha().linear, None, lines=[1], name="alpha")
@@ -278,12 +277,12 @@ class TestFixedSet:
         f = AffineTorusMap([[-1, 0], [0, 1]], [Fraction(3, 1), 0], lines=[1])
         strata = fixed_set(f)
         assert len(strata) == 1
-        assert strata[0].offsets[0][0] == Fraction(3, 2)
+        assert strata[0].offset[0] == Fraction(3, 2)
 
     def test_quarter_rotation_two_points(self):
         strata = fixed_set(rotation_t2())
         assert len(strata) == 2
-        offs = sorted(s.offsets[0] for s in strata)
+        offs = sorted(s.offset for s in strata)
         assert offs == [(0, 0), (H, H)]
 
     def test_shifted_rotation(self):
@@ -293,14 +292,14 @@ class TestFixedSet:
         count, pts = grid_fixed_count(f)
         assert count == 2
         for s in strata:
-            assert f.apply(s.offsets[0]) == s.offsets[0]
+            assert f.apply(s.offset) == s.offset
 
     def test_shear_component(self):
         f = AffineTorusMap([[1, 1], [0, 1]], [Fraction(1, 4), 0])
         strata = fixed_set(f)
         assert len(strata) == 1
         assert strata[0].torus_dim == 1
-        assert strata[0].offsets[0][1] == Fraction(3, 4)
+        assert strata[0].offset[1] == Fraction(3, 4)
         count, _ = grid_fixed_count(f)
         assert count == 8
 
@@ -320,11 +319,11 @@ class TestGridOracle:
         count, pts = grid_fixed_count(f)
         assert count == expected
         for s in strata:
-            scaled = tuple(int(x * 8) for x in s.offsets[0])
-            assert all(Fraction(v, 8) == x for v, x in zip(scaled, s.offsets[0]))
+            scaled = tuple(int(x * 8) for x in s.offset)
+            assert all(Fraction(v, 8) == x for v, x in zip(scaled, s.offset))
             if strata:
-                img = f.apply(s.offsets[0])
-                assert img == s.offsets[0]
+                img = f.apply(s.offset)
+                assert img == s.offset
 
     def test_full_dimension_spot_checks(self):
         # 7-dimensional brute force for a few structurally distinct maps
@@ -343,10 +342,11 @@ class TestSingularLocus:
         assert len(strata) == 12
         assert all(s.torus_dim == 3 and s.count == 4 for s in strata)
         assert all(s.residual == "trivial" for s in strata)
-        assert sorted(s.stabilizer for s in strata) == (
+        # each generator fixes four of the strata pointwise, and nothing else
+        # fixes a stratum: the setwise stabilizer has order 8 / 4
+        assert sorted(fixer_names(strata, (alpha(), beta(), gamma()))) == (
             ["alpha"] * 4 + ["beta"] * 4 + ["gamma"] * 4)
-        # every stratum lists one representative offset per upstairs component
-        assert all(len(s.offsets) == 4 for s in strata)
+        assert all(s.stabilizer_order == 2 for s in strata)
 
     def test_joyce_components_pairwise_disjoint(self):
         G = the_group()
@@ -366,8 +366,8 @@ class TestSingularLocus:
         strata = singular_locus(G)
         assert len(strata) == 16
         assert all(s.torus_dim == 2 and s.count == 2 for s in strata)
-        by_label = sorted(s.stabilizer for s in strata)
-        assert by_label == ["alpha"] * 8 + ["beta"] * 8
+        assert sorted(fixer_names(strata, (a, b))) == ["alpha"] * 8 + ["beta"] * 8
+        assert all(s.stabilizer_order == 2 for s in strata)
 
     def test_t2_mod_z4_cone_points(self):
         G = generate_group([rotation_t2()])
@@ -376,9 +376,10 @@ class TestSingularLocus:
         assert len(strata) == 3
         counts = sorted(s.count for s in strata)
         assert counts == [1, 1, 2]
-        # the two order-4 points are fixed by everything, label is composite
-        composite = [s for s in strata if s.count == 1]
-        assert all("," in s.stabilizer for s in composite)
+        # the two order-4 points are fixed by everything, the pair swapped
+        # by the rotation by its square only
+        assert sorted((s.count, s.stabilizer_order) for s in strata) == [
+            (1, 4), (1, 4), (2, 2)]
         assert quotient_betti(G) == (1, 0, 1)
 
     def test_pillowcase(self):
@@ -600,14 +601,14 @@ class TestInvolutionCensus:
     def test_census_invariant_under_coset_shift(self):
         G = the_group()
         base = involution_fixed_census(sigma_52(), G)
+        maps = [g.compose(sigma_52()) for g in G]
         for g in (alpha(), beta().compose(gamma())):
             moved = g.compose(sigma_52())
             moved = AffineTorusMap(moved.linear, moved.shift, moved.lines, "s")
             cen = involution_fixed_census(moved, G)
-            assert [(s.type_label, s.count, s.residual, s.offsets)
-                    for s in cen] == \
-                   [(s.type_label, s.count, s.residual, s.offsets)
-                    for s in base]
+            assert sorted(map(signature, cen)) == sorted(map(signature, base))
+            # same coset G sigma, so the same oracle orbits hold both censuses
+            assert_matches_reference(cen, G, maps)
 
     def test_rejects_group_member(self):
         with pytest.raises(NotAntiInvolution):
@@ -631,20 +632,12 @@ class TestInvolutionCensus:
             involution_fixed_census(rotation_t2(), the_group())
 
 
-class TestStratumSerialization:
-    def test_json_dict(self):
-        strata = singular_locus(the_group())
-        d = strata[0].to_json_dict()
-        assert d["torus_dim"] == 3 and d["count"] == 4
-        assert d["type"] == "T3"
-        assert len(d["offsets"]) == 4
-        assert all(isinstance(x, str) for off in d["offsets"] for x in off)
-
+class TestStratumLabels:
     def test_type_labels(self):
-        assert FlatStratum(0, 0, 1, ((),)).type_label == "point"
-        assert FlatStratum(4, 0, 1, ((),), residual="pm1").type_label == "T4/pm1"
-        assert FlatStratum(3, 1, 1, ((),)).type_label == "T3xR"
-        assert FlatStratum(0, 1, 1, ((),)).type_label == "R"
+        assert FlatStratum(0, 0, 1, ()).type_label == "point"
+        assert FlatStratum(4, 0, 1, (), residual="pm1").type_label == "T4/pm1"
+        assert FlatStratum(3, 1, 1, ()).type_label == "T3xR"
+        assert FlatStratum(0, 1, 1, ()).type_label == "R"
 
 
 # ---------------------------------------------------------------------------
@@ -712,20 +705,20 @@ def _ref_minus_one(g, comp):
             and all(g.linear[i - 1][i - 1] == -1 for i in free))
 
 
-def reference_strata(group, maps):
+def reference_orbits(group, maps):
+    """One (signature, members) pair per orbit of the components of maps:
+    signature = (torus_dim, line_dim, count, residual, stabilizer order)."""
     registry = {}
     for f in maps:
         for c in _fixed_components(f):
             comp = (c.display_offset(), c.directions, c.free_lines, f.lines)
-            registry.setdefault(_ref_key(comp), (comp, set()))[1].add(f.name or "?")
-    strata, seen = [], set()
-    for key, (comp, _) in registry.items():
+            registry.setdefault(_ref_key(comp), comp)
+    orbits, seen = [], set()
+    for key, comp in registry.items():
         if key in seen:
             continue
         orbit = {_ref_key(_ref_move(g, comp)) for g in group.elements}
         seen |= orbit
-        members = sorted((registry[k][0] for k in orbit),
-                         key=lambda c: (c[0], _ref_key(c)[0]))
         setwise = [g for g in group.elements
                    if _ref_key(_ref_move(g, comp)) == key]
         pointwise = [g for g in group.elements if _ref_fixes_pointwise(g, comp)]
@@ -736,14 +729,69 @@ def reference_strata(group, maps):
             residual = "pm1"
         else:
             residual = "other"
-        strata.append(FlatStratum(
-            torus_dim=len(comp[1]), line_dim=len(comp[2]), count=len(orbit),
-            offsets=tuple(c[0] for c in members),
-            stabilizer=",".join(sorted(set().union(*(registry[k][1] for k in orbit)))),
-            residual=residual))
-    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.stabilizer,
-                               s.offsets))
-    return strata
+        orbits.append(((len(comp[1]), len(comp[2]), len(orbit), residual,
+                        len(setwise)), [registry[k] for k in orbit]))
+    return orbits
+
+
+def _ref_contains(comp, point):
+    """Does the point lie on the component?  Moving it along the span until
+    its pivot coordinates vanish lands in the point set of _ref_key."""
+    span, points, pinned, free = _ref_key(comp)
+    lines = comp[3]
+    circ = [i for i in range(len(point)) if i + 1 not in lines]
+    p = [point[i] for i in circ]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in span]
+    q = tuple((x - sum(p[piv] * r[j] for piv, r in zip(pivots, span))) % 1
+              for j, x in enumerate(p))
+    return q in points and pinned == tuple(point[i - 1]
+                                           for i in sorted(lines - free))
+
+
+def signature(stratum):
+    return (stratum.torus_dim, stratum.line_dim, stratum.count,
+            stratum.residual, stratum.stabilizer_order)
+
+
+def _perfect_matching(candidates):
+    """Can each i be given its own j from candidates[i]?  (Kuhn's algorithm.)"""
+    owner = {}
+
+    def augment(i, seen):
+        for j in candidates[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(candidates)))
+
+
+def assert_matches_reference(fast, group, maps):
+    """The multisets of signatures agree, and the strata can be matched one
+    to one with oracle orbits of their signature that hold their
+    representative on one of their members."""
+    ref = reference_orbits(group, maps)
+    assert sorted(map(signature, fast)) == sorted(sig for sig, _ in ref)
+    assert all(s.stabilizer_order * s.count == group.order for s in fast)
+    candidates = [[j for j, (sig, members) in enumerate(ref)
+                   if sig == signature(s)
+                   and any(_ref_contains(m, s.offset) for m in members)]
+                  for s in fast]
+    assert all(candidates)
+    assert _perfect_matching(candidates)
+
+
+def fixer_names(strata, maps):
+    """For each stratum, the name of the one map in maps fixing its offset."""
+    out = []
+    for s in strata:
+        names = [f.name for f in maps if f.apply(s.offset) == s.offset]
+        assert len(names) == 1
+        out.append(names[0])
+    return out
 
 
 def _locus_case(group):
@@ -769,6 +817,12 @@ def _rotation_t5():
                            AffineTorusMap(rot, None, name="h")])
 
 
+def _translations_t4():
+    # |T| = 4, and t^2 moves each T2 of the reflection along itself
+    return generate_group([D([-1, -1, 1, 1], name="g"),
+                           D([1, 1, 1, 1], [H, 0, Fraction(1, 4), 0], name="t")])
+
+
 ORACLE_CASES = {
     "joyce": lambda: _locus_case(the_group()),
     "pull-x1": lambda: _locus_case(pull(the_group(), 1)),
@@ -781,27 +835,53 @@ ORACLE_CASES = {
         [D([-1] * 4, name="m"), D([1] * 4, [Fraction(1, 4), 0, 0, 0], name="t")])),
     "dihedral-T3": lambda: _locus_case(_dihedral_t3()),
     "rotation-T5": lambda: _locus_case(_rotation_t5()),
+    "translations-T4": lambda: _locus_case(_translations_t4()),
+    "translations-T2-census": lambda: _census_case(
+        D([1, 1], [H, H], name="s"),
+        generate_group([D([1, 1], [H, 0], name="t"),
+                        D([-1, -1], [0, Fraction(3, 4)], name="m")])),
+    "translations-T4-pull-x2": lambda: _locus_case(pull(generate_group(
+        [D([-1, -1, 1, 1], name="g"),
+         D([1, 1, 1, 1], [H, 0, Fraction(1, 4), 0], name="t")]), 2)),
 }
+
+
+def _blocks_pull(g, i):
+    """Does g mix coordinate i with others, or translate along it?"""
+    others = [j for j in range(g.n) if j != i - 1]
+    return (any(g.linear[i - 1][j] or g.linear[j][i - 1] for j in others)
+            or (g.linear[i - 1][i - 1] == 1 and g.shift[i - 1] != 0))
 
 
 @st.composite
 def signed_diagonal_groups(draw):
+    """Signed diagonal maps with shifts, plus up to two pure translations
+    (so that the translation subgroup is often nontrivial), optionally
+    pulled along one coordinate."""
     n = draw(st.sampled_from([3, 4]))
     shift = st.sampled_from([Fraction(k, d) for d in range(1, 5) for k in range(d)])
+    step = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 4)])
     gens = [D(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
               draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}")
             for i in range(draw(st.integers(1, 3)))]
+    gens += [D([1] * n, draw(st.lists(step, min_size=n, max_size=n)), name=f"t{i}")
+             for i in range(draw(st.integers(0, 2)))]
     try:
-        return generate_group(gens, bound=64)
+        group = generate_group(gens, bound=64)
     except GroupTooLarge:
         assume(False)
+    pullable = [i for i in range(1, n + 1)
+                if not any(_blocks_pull(g, i) for g in group)]
+    if pullable and draw(st.booleans()):
+        group = pull(group, draw(st.sampled_from(pullable)))
+    return group
 
 
 class TestOrbitOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_brute_force(self, case):
         fast, group, maps = ORACLE_CASES[case]()
-        assert fast == reference_strata(group, maps)
+        assert_matches_reference(fast, group, maps)
 
     def test_cases_cover_every_residual(self):
         residuals = {s.residual for case in ORACLE_CASES.values()
@@ -812,7 +892,7 @@ class TestOrbitOracle:
     @given(group=signed_diagonal_groups())
     def test_random_signed_diagonal_groups(self, group):
         fast, _, maps = _locus_case(group)
-        assert fast == reference_strata(group, maps)
+        assert_matches_reference(fast, group, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +936,22 @@ def signed_permutation_groups(draw):
         return generate_group(gens, bound=256)
     except GroupTooLarge:
         assume(False)
+
+
+class TestPullProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_permutation_groups(), data=st.data())
+    def test_pull_is_elementwise(self, group, data):
+        i = data.draw(st.integers(1, group.n))
+        if any(_blocks_pull(g, i) for g in group):
+            with pytest.raises(PullObstruction):
+                pull(group, i)
+            return
+        lines = group.lines | {i}
+        pulled = pull(group, i)
+        assert set(pulled.elements) == {
+            AffineTorusMap(g.linear, g.shift, lines) for g in group}
+        assert pulled.order == group.order
 
 
 class TestQuotientBettiOracle:
