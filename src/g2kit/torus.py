@@ -762,7 +762,7 @@ def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
     if not (1 <= i <= group.n):
         raise InvalidOperand("coordinate out of range")
     new_lines = group.lines | {i}
-    moved = []
+    moved = set()
     for g in group.elements:
         row = g.linear[i - 1]
         col = [g.linear[j][i - 1] for j in range(g.n)]
@@ -773,15 +773,15 @@ def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
         if g.linear[i - 1][i - 1] == 1 and g.num[i - 1] != 0:
             raise PullObstruction(
                 f"element {g.name or g} translates along coordinate {i}")
-        moved.append(AffineTorusMap._from_parts(g.linear, g.num, g.den,
-                                                new_lines, g.name))
+        moved.add(AffineTorusMap._from_parts(g.linear, g.num, g.den,
+                                             new_lines, g.name))
     gens = [AffineTorusMap._from_parts(g.linear, g.num, g.den, new_lines, g.name)
             for g in group.generators]
     try:
         pulled = generate_group(gens, group.order)
     except GroupTooLarge:
         pulled = None
-    if pulled is None or set(pulled.elements) != set(moved):
+    if pulled is None or set(pulled.elements) != moved:
         raise PullObstruction("pulled maps do not close into a finite group")
     return pulled
 

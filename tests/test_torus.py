@@ -342,8 +342,8 @@ class TestSingularLocus:
         assert len(strata) == 12
         assert all(s.torus_dim == 3 and s.count == 4 for s in strata)
         assert all(s.residual == "trivial" for s in strata)
-        # each generator fixes four of the strata pointwise, and nothing else
-        # fixes a stratum: the setwise stabilizer has order 8 / 4
+        # exactly one generator fixes each representative, four strata each;
+        # the setwise stabilizer has order 8 / 4
         assert sorted(fixer_names(strata, (alpha(), beta(), gamma()))) == (
             ["alpha"] * 4 + ["beta"] * 4 + ["gamma"] * 4)
         assert all(s.stabilizer_order == 2 for s in strata)
@@ -705,9 +705,10 @@ def _ref_minus_one(g, comp):
             and all(g.linear[i - 1][i - 1] == -1 for i in free))
 
 
-def reference_orbits(group, maps):
-    """One (signature, members) pair per orbit of the components of maps:
-    signature = (torus_dim, line_dim, count, residual, stabilizer order)."""
+def reference_strata(group, maps):
+    """One (signature, members) pair per stratum, that is per orbit of the
+    components of maps: signature = (torus_dim, line_dim, count, residual,
+    stabilizer order), members = the orbit's components."""
     registry = {}
     for f in maps:
         for c in _fixed_components(f):
@@ -773,7 +774,7 @@ def assert_matches_reference(fast, group, maps):
     """The multisets of signatures agree, and the strata can be matched one
     to one with oracle orbits of their signature that hold their
     representative on one of their members."""
-    ref = reference_orbits(group, maps)
+    ref = reference_strata(group, maps)
     assert sorted(map(signature, fast)) == sorted(sig for sig, _ in ref)
     assert all(s.stabilizer_order * s.count == group.order for s in fast)
     candidates = [[j for j, (sig, members) in enumerate(ref)
