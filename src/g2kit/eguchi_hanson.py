@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .errors import ChartSingular, InvalidOperand, InvalidScale, NumericFailure
+
+np = lazy_module("numpy")
 
 # declared tolerances for the numeric verdicts, in one place
 TOLERANCES = {
@@ -75,9 +76,6 @@ class HermitianMetric2:
 
     matrix: np.ndarray
     point: tuple = field(default=(complex("nan"), complex("nan")))
-
-    def hermitian_defect(self) -> float:
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T))
 
     def is_positive_definite(self) -> bool:
         sym = 0.5 * (self.matrix + self.matrix.conj().T)
@@ -157,21 +155,6 @@ def _complex_hessian(real_hessian) -> np.ndarray:
                 + 1j * (float(real_hessian[xi, yj])
                         - float(real_hessian[yi, xj])))
     return out
-
-
-def metric_fd_at(s: float, z1, z2, step: float | None = None) -> HermitianMetric2:
-    """Cross-check metric: complex Hessian of the potential by differences."""
-    _check_scale(s)
-    z = _base_point(z1, z2)
-    x0 = _real_coords(z)
-    r = float(np.linalg.norm(x0))
-    h = step if step is not None else 1e-3 * max(r, s)
-
-    def fun(x):
-        return potential(s, float(np.linalg.norm(x)))
-
-    hess = _hessian_richardson(fun, x0, h)
-    return HermitianMetric2(_complex_hessian(hess), (complex(z1), complex(z2)))
 
 
 def ricci_from_potential(potential_fn, z1, z2, inner: float | None = None,

@@ -68,13 +68,25 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    """Matrix product; works for int or Fraction entries."""
-    m, k, n = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == k for row in a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n))
-        for i in range(m)
-    )
+    """Matrix product for int or Fraction entries.
+
+    Row i of the product is the combination sum_t a[i][t] * b[t] of the rows
+    of b, skipping zero coefficients, so a monomial a costs one row scaling
+    per row.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b, strict=True):
+            if not x:
+                continue
+            if acc is None:
+                acc = [x * y for y in brow]
+            else:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append((0,) * width if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a, v):
@@ -82,26 +94,38 @@ def mat_vec(a, v):
 
 
 def det(rows) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    """Exact determinant of a square matrix of int or Fraction entries.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    integer matrix is reduced by Bareiss's fraction-free elimination: after
+    step k every entry is a (k+1)x(k+1) minor, so each division by the
+    previous pivot is exact and the last pivot is the determinant.
+    """
+    m, scale = [], 1
+    for row in rows:
+        vals = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                for x in row]
+        d = lcm(*(x.denominator for x in vals))
+        m.append([x.numerator * (d // x.denominator) for x in vals])
+        scale *= d
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        p = m[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / p
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return sign * out
+        top, p = m[k], m[k][k]
+        for r in m[k + 1:]:
+            f = r[k]
+            for j in range(k + 1, n):
+                r[j] = (r[j] * p - f * top[j]) // prev
+        prev = p
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def rref(rows) -> Matrix:

