@@ -19,6 +19,13 @@ eigenspaces is two stacks of per-block orthonormal bases, each of shape
 (blocks, 2r, r).  Projections, random states and matvec all act block
 by block with einsum, so no dim x dim/2 matrix is ever formed.
 
+The flow dx/dt = Lx + Q(x) is integrated by an explicit Dormand-Prince
+5(4) pair (Dormand & Prince 1980) with step-size control and Shampine's
+quartic dense output (Shampine 1986), written out in numpy in
+_dormand_prince.  It runs the same numpy operations in the same order as
+scipy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
+bit-for-bit oracle; scipy is not needed at run time.
+
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
 bidegree collapses, and lowering the degree there keeps every spectral
@@ -320,7 +327,11 @@ def random_quadratic(system, k, ball_radius=1.0, seed=0):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of dx/dt = Lx + Q(x) with norm bookkeeping."""
+    """Sampled solution of dx/dt = Lx + Q(x) with norm bookkeeping.
+
+    nfev counts right-hand-side evaluations; hand-built trajectories
+    leave it at 0.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -331,6 +342,7 @@ class Trajectory:
     escaped: bool
     fitted_rate: Optional[float]
     ball_radius: float
+    nfev: int = 0
 
 
 def _fit_rate(times, norms):
@@ -341,31 +353,153 @@ def _fit_rate(times, norms):
     return float(-slope)
 
 
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) and the quartic
+# dense-output matrix for Shampine's optimal c_6 (Shampine 1986).  The
+# flow is autonomous, so the stage times c_i are not needed.
+_DP_A = (
+    (0, 0, 0, 0, 0),
+    (1/5, 0, 0, 0, 0),
+    (3/40, 9/40, 0, 0, 0),
+    (44/45, -56/15, 32/9, 0, 0),
+    (19372/6561, -25360/2187, 64448/6561, -212/729, 0),
+    (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656),
+)
+_DP_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
+_DP_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+_DP_P = (
+    (1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799),
+    (0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072),
+    (0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632),
+    (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+    (0, 40617522/29380423, -110615467/29380423, 69997945/29380423),
+)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dormand_prince(fun, y0, t_eval):
+    """Integrate dy/dt = fun(y) from y0 at t = 0 and sample at t_eval.
+
+    t_eval rises from 0 to its last entry, the end of the interval.
+    Explicit Dormand-Prince 5(4) at INTEGRATOR_RTOL and INTEGRATOR_ATOL
+    with local extrapolation, the Hairer-Norsett-Wanner initial step and
+    step-size controller, and the quartic dense output on each accepted
+    step.  Every numpy operation runs in the order of scipy's RK45 under
+    solve_ivp(t_eval=...), so the samples match it bit for bit (the tests
+    hold it to that).  Returns (states, nfev) with states of shape
+    (len(t_eval), len(y0)); raises IntegratorError when the step size
+    falls below the spacing of floats at t.
+    """
+    A, B, E, P = (np.array(m) for m in (_DP_A, _DP_B, _DP_E, _DP_P))
+    rtol, atol = INTEGRATOR_RTOL, INTEGRATOR_ATOL
+    t_bound = float(t_eval[-1])
+    y = y0
+    f = fun(y)
+    nfev = 1
+
+    # initial step
+    scale = atol + np.abs(y) * rtol
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    f1 = fun(y + h0 * f)
+    nfev += 1
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound)
+
+    K = np.empty((len(A) + 1, y.size))
+    t = 0.0
+    i = 0
+    samples = []
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegratorError(
+                    "Required step size is less than spacing between "
+                    "numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, len(A)):
+                dy = np.dot(K[:s].T, A[s, :s]) * h
+                K[s] = fun(y + dy)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = fun(y_new)
+            K[-1] = f_new
+            nfev += len(A)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        i_new = np.searchsorted(t_eval, t, side="right")
+        step_ts = t_eval[i:i_new]
+        if step_ts.size > 0:
+            dense = K.T.dot(P)
+            h = t - t_old
+            x = (step_ts - t_old) / h
+            p = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
+            samples.append(h * np.dot(dense, p) + y_old[:, None])
+            i = i_new
+    return np.hstack(samples).T, nfev
+
+
 def integrate_flow(system, Q, x0, T, samples=201):
     """Integrate dx/dt = Lx + Q(x) from a FlowState over [0, T].
 
     Q may be None for the linear flow.  Trajectories that leave the
     quadratic map's calibration ball are reported as non-decaying and
-    get no fitted rate.
+    get no fitted rate.  The state is sampled at `samples` equally
+    spaced times.
     """
     if Q is not None and Q.lipschitz_bound >= system.mu / 2:
         raise InvalidOperand(
             "quadratic Lipschitz bound must stay below mu/2")
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidOperand(f"horizon T must be finite and > 0, got {T}")
+    if samples < 2:
+        raise InvalidOperand(f"need at least 2 samples, got {samples}")
     if not isinstance(x0, FlowState):
         x0 = FlowState(np.asarray(x0, dtype=float))
     if Q is None:
-        fun = lambda t, x: system.matvec(x)
+        fun = system.matvec
     else:
-        fun = lambda t, x: system.matvec(x) + Q(x)
-    # scipy.integrate dominates the import time of the package
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(fun, (0.0, float(T)), x0.x, method="RK45",
-                    t_eval=np.linspace(0.0, float(T), samples),
-                    rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
-    if not sol.success:
-        raise IntegratorError(sol.message)
-    states = sol.y.T
+        fun = lambda x: system.matvec(x) + Q(x)
+    times = np.linspace(0.0, float(T), samples)
+    states, nfev = _dormand_prince(fun, x0.x, times)
     norms = np.linalg.norm(states, axis=1)
     plus = np.linalg.norm(system.project_plus(states), axis=1)
     minus = np.linalg.norm(system.project_minus(states), axis=1)
@@ -375,10 +509,11 @@ def integrate_flow(system, Q, x0, T, samples=201):
     # is on its way out of the ball and counts as non-decaying
     turned = norms[-1] > 1.05 * float(np.min(norms))
     decaying = (not escaped) and (not turned) and norms[-1] < norms[0]
-    rate = _fit_rate(sol.t, norms) if decaying else None
-    return Trajectory(times=sol.t, states=states, norms=norms,
+    rate = _fit_rate(times, norms) if decaying else None
+    return Trajectory(times=times, states=states, norms=norms,
                       plus_norms=plus, minus_norms=minus, decaying=decaying,
-                      escaped=escaped, fitted_rate=rate, ball_radius=radius)
+                      escaped=escaped, fitted_rate=rate, ball_radius=radius,
+                      nfev=nfev)
 
 
 @dataclass(frozen=True)
@@ -425,6 +560,8 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
     regime, so the ensemble exercises the rate bound rather than the
     escape branch.
     """
+    if trials < 1:
+        raise InvalidOperand(f"need at least 1 trial, got {trials}")
     system = build_mode_system(d, N)
     k = k_frac * system.mu
     T = 2.0 / system.mu if horizon is None else horizon

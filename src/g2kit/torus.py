@@ -180,14 +180,6 @@ class AffineTorusMap:
         return AffineTorusMap._from_parts(
             lin, [-x for x in _linear_image(lin, self.num)], self.den, self.lines, name)
 
-    def order(self, cap: int = 512) -> int:
-        cur = self
-        for k in range(1, cap + 1):
-            if cur.is_identity():
-                return k
-            cur = cur.compose(self)
-        raise GroupTooLarge(f"order exceeds {cap}")
-
     @staticmethod
     def identity(n: int, lines: Iterable[int] = ()) -> "AffineTorusMap":
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -281,10 +273,6 @@ def generate_group(gens: Sequence[AffineTorusMap],
                             f"group did not close within {bound} elements")
         frontier = nxt
     return FiniteActionGroup(gens, tuple(seen.values()))
-
-
-def commutes(f: AffineTorusMap, g: AffineTorusMap) -> bool:
-    return f.compose(g) == g.compose(f)
 
 
 def check_preserves_form(f: AffineTorusMap, phi: ExteriorForm, sign: int) -> bool:

@@ -171,14 +171,19 @@ class TestFormats:
         assert all(r["pass"] for r in reports)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, g2kit.cli; print('scipy' in sys.modules)"
+def test_flow_suite_does_not_load_scipy():
+    code = ("import sys, g2kit.cli\n"
+            "try:\n"
+            "    g2kit.cli.main(['run', 'flow-suite'])\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout)["pass"] is True
+    assert out.stderr.strip() == "0 False"
 
 
 def test_exact_scenario_does_not_load_numpy(tmp_path):
@@ -416,6 +421,14 @@ class TestToolFlags:
     def test_flow_demo_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--k-frac", "0.9"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_flow_demo_without_trials_exits_2(self, runner, trials):
+        res = runner.invoke(main, ["--flow-demo", "--trials", trials])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert "trial" in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_flow_demo_over_budget_exits_2(self, runner, d):

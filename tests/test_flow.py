@@ -10,6 +10,8 @@ import pytest
 
 from g2kit.errors import CutoffTooLarge, IntegratorError, InvalidOperand
 from g2kit.flow import (
+    INTEGRATOR_ATOL,
+    INTEGRATOR_RTOL,
     _wedge_matrix,
     FlowState,
     QuadraticMap,
@@ -312,6 +314,14 @@ class TestQuadraticMap:
             integrate_flow(self.sys, Q, self.sys.random_minus_state(0, 0.01),
                            T=1.0)
 
+    @pytest.mark.parametrize("T,samples", [
+        (0.0, 201), (-1.0, 201), (math.inf, 201), (math.nan, 201),
+        (1.0, 1), (1.0, 0)])
+    def test_horizon_and_samples_validated(self, T, samples):
+        with pytest.raises(InvalidOperand):
+            integrate_flow(self.sys, None, self.sys.minus_eigenstate(0), T,
+                           samples=samples)
+
 
 class TestDecayTrials:
     def test_rate_bound_and_gap(self):
@@ -331,6 +341,12 @@ class TestDecayTrials:
         _, b = decay_trials(d=2, N=1, trials=3, seed=0)
         for (t1, _), (t2, _) in zip(a, b):
             assert np.array_equal(t1.states, t2.states)
+            assert t1.nfev == t2.nfev > 0
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(InvalidOperand):
+            decay_trials(d=2, N=1, trials=trials)
 
 
 class TestGapCheck:
@@ -387,3 +403,63 @@ class TestFailurePaths:
                          ball_radius=10.0)
         with pytest.raises(IntegratorError):
             integrate_flow(self.sys, Q, FlowState(np.ones(n)), T=5.0)
+
+
+class TestIntegratorOracle:
+    """The Dormand-Prince integrator against scipy's RK45, bit for bit."""
+
+    @staticmethod
+    def _solve_ivp(system, Q, x0, T, samples=201):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        if Q is None:
+            fun = lambda t, x: system.matvec(x)
+        else:
+            fun = lambda t, x: system.matvec(x) + Q(x)
+        return solve_ivp(fun, (0.0, T), x0.x, method="RK45",
+                         t_eval=np.linspace(0.0, T, samples),
+                         rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
+
+    def _assert_same(self, system, Q, x0, T, samples=201):
+        sol = self._solve_ivp(system, Q, x0, T, samples)
+        traj = integrate_flow(system, Q, x0, T, samples=samples)
+        assert sol.success
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        assert traj.nfev == sol.nfev
+
+    @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (2, 5), (3, 0),
+                                        (3, 2)])
+    def test_decay_trial_runs(self, d, seed):
+        system = build_mode_system(d, 1)
+        Q = random_quadratic(system, 0.1 * system.mu, seed=seed)
+        x0 = system.random_minus_state(seed=10_000 + seed, norm=0.01)
+        self._assert_same(system, Q, x0, 2.0 / system.mu)
+
+    def test_rejected_steps(self):
+        # a large growing start makes the controller reject steps and
+        # then cap the next growth factor at 1
+        system = build_mode_system(2, 1)
+        Q = random_quadratic(system, 0.4 * system.mu, seed=1)
+        x0 = system.random_plus_state(seed=2, norm=1.0)
+        self._assert_same(system, Q, x0, 0.3, samples=17)
+
+    def test_linear_d4(self):
+        system = build_mode_system(4, 1)
+        self._assert_same(system, None,
+                          system.random_minus_state(seed=3), 5.0 / system.mu)
+
+    def test_blowup_fails_alike(self):
+        system = build_mode_system(2, 1)
+        n = system.dim
+        t = np.zeros((n, n, n))
+        for i in range(n):
+            t[i, i, i] = 50.0
+        Q = QuadraticMap(tensor=t, lipschitz_bound=system.mu / 100,
+                         ball_radius=10.0)
+        x0 = FlowState(np.ones(n))
+        with np.errstate(all="ignore"):
+            sol = self._solve_ivp(system, Q, x0, 5.0)
+            with pytest.raises(IntegratorError) as err:
+                integrate_flow(system, Q, x0, T=5.0)
+        assert not sol.success
+        assert str(err.value) == sol.message
