@@ -23,8 +23,8 @@ The flow dx/dt = Lx + Q(x) is integrated by an explicit Dormand-Prince
 5(4) pair (Dormand & Prince 1980) with step-size control and Shampine's
 quartic dense output (Shampine 1986), written out in numpy in
 _dormand_prince.  It runs the same numpy operations in the same order as
-scipy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
-bit-for-bit oracle; scipy is not needed at run time.
+SciPy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
+bit-for-bit oracle; SciPy is not needed at run time.
 
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
@@ -396,7 +396,7 @@ def _dormand_prince(fun, y0, t_eval):
     Explicit Dormand-Prince 5(4) at INTEGRATOR_RTOL and INTEGRATOR_ATOL
     with local extrapolation, the Hairer-Norsett-Wanner initial step and
     step-size controller, and the quartic dense output on each accepted
-    step.  Every numpy operation runs in the order of scipy's RK45 under
+    step.  Every numpy operation runs in the order of SciPy's RK45 under
     solve_ivp(t_eval=...), so the samples match it bit for bit (the tests
     hold it to that).  Returns (states, nfev) with states of shape
     (len(t_eval), len(y0)); raises IntegratorError when the step size
