@@ -8,8 +8,9 @@ Everything here is a function of the scale parameter s and a base point
 whose complex Hessian has unit determinant identically; the middle term
 must grow logarithmically in r for that to hold, a constant in r there
 produces a metric that is not Ricci-flat.  Radial derivatives are
-implemented in closed form; finite differences appear only as
-cross-checks and in the generic Ricci evaluator.
+implemented in closed form.  Finite differences appear only in
+ricci_at, which differentiates log det h of the closed-form metric on a
+stencil of 66 points evaluated as one stack.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def potential_derivatives(s: float, u, order: int = 2):
 
     Returns (f', f'', ..., f^(order)) as a tuple; entries follow from
     repeated differentiation of f'(u) = q/u with q = sqrt(u^2 + s^4).
+    u may be an array, and then each entry is one too.
     """
     _check_scale(s)
-    if not u > 0:
+    if not np.all(u > 0):
         raise ChartSingular("derivatives require u = r^2 > 0")
     if not 1 <= order <= 4:
         raise ValueError("order must be between 1 and 4")
@@ -113,34 +115,6 @@ def _to_complex(x) -> tuple:
     return complex(x[0], x[1]), complex(x[2], x[3])
 
 
-def _hessian_once(fun, x, h):
-    n = len(x)
-    out = np.empty((n, n), dtype=np.asarray(x).dtype)
-    f0 = fun(x)
-    for i in range(n):
-        e = np.zeros(n, dtype=x.dtype)
-        e[i] = h
-        out[i, i] = (fun(x + e) - 2 * f0 + fun(x - e)) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n, dtype=x.dtype)
-            ej = np.zeros(n, dtype=x.dtype)
-            ei[i] = h
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fun(x + ei + ej) - fun(x + ei - ej)
-                - fun(x - ei + ej) + fun(x - ei - ej)) / (4 * h * h)
-    return out
-
-
-def _hessian_richardson(fun, x, h):
-    if not np.all(x + h != x) or not np.all(x + h / 2 != x):
-        raise NumericFailure("finite-difference step underflows at this point")
-    coarse = _hessian_once(fun, x, h)
-    fine = _hessian_once(fun, x, h / 2)
-    return (4 * fine - coarse) / 3
-
-
 def _complex_hessian(real_hessian) -> np.ndarray:
     """Assemble d^2/dz_i dzbar_j from the real 4x4 Hessian.
 
@@ -157,30 +131,27 @@ def _complex_hessian(real_hessian) -> np.ndarray:
     return out
 
 
-def ricci_from_potential(potential_fn, z1, z2, inner: float | None = None,
-                         outer: float | None = None, dtype=float) -> np.ndarray:
-    """Ricci coefficients -d^2 log det h / dz dzbar for a radial potential.
+def _stencil(x, h):
+    """Rows x, x +- h e_i and x +- h e_i +- h e_j (i < j): 33 points for n = 4.
 
-    The metric itself is obtained from `potential_fn(r)` by nested central
-    differences with Richardson extrapolation, so this works for any
-    potential, not only the closed-form family.
+    The entries are formed as x + ei + ej with ei = h e_i, in the order
+    _hessian_from_stencil reads them.
     """
-    z = _base_point(z1, z2)
-    x0 = _real_coords(z).astype(dtype)
-    r = float(np.linalg.norm(x0))
-    h_in = dtype(inner if inner is not None else 0.01 * r)
-    h_out = dtype(outer if outer is not None else 0.08 * r)
+    e = np.diag(np.full(len(x), h, dtype=x.dtype))
+    i, j = np.triu_indices(len(x), 1)
+    return np.concatenate([x[None], x + e, x - e,
+                           x + e[i] + e[j], x + e[i] - e[j],
+                           x - e[i] + e[j], x - e[i] - e[j]])
 
-    def logdet(x):
-        def fun(y):
-            return potential_fn(np.sqrt(np.dot(y, y)))
-        m = _complex_hessian(_hessian_richardson(fun, x, h_in))
-        d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-        if not d > 0:
-            raise NumericFailure("finite-difference metric lost positivity")
-        return dtype(np.log(d))
 
-    return -_complex_hessian(_hessian_richardson(logdet, x0, h_out))
+def _hessian_from_stencil(f, h):
+    """Central-difference Hessian from the values f on _stencil(x, h)."""
+    n = math.isqrt((len(f) - 1) // 2)
+    out = np.diag((f[1:n + 1] - 2 * f[0] + f[n + 1:2 * n + 1]) / (h * h))
+    pp, pm, mp, mm = f[2 * n + 1:].reshape(4, -1)
+    i, j = np.triu_indices(n, 1)
+    out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4 * h * h)
+    return out
 
 
 def ricci_at(s: float, z1, z2, outer: float | None = None,
@@ -188,10 +159,12 @@ def ricci_at(s: float, z1, z2, outer: float | None = None,
     """Ricci coefficients of the closed-form metric at (z1, z2).
 
     log det h is evaluated from the closed-form Hessian and differentiated
-    by central differences with Richardson extrapolation.  The result is
-    numerically zero for the Ricci-flat family; the size of the residual
-    measures the quality of the derivative code.  precision = "extended"
-    switches the evaluation to long double arithmetic.
+    by central differences with Richardson extrapolation (steps h and
+    h/2).  The result is numerically zero for the Ricci-flat family; the
+    size of the residual measures the quality of the derivative code.
+    precision = "extended" switches the evaluation to long double
+    arithmetic.  All 66 stencil points go through log det h as one stack;
+    each row takes the arithmetic of a lone point.
     """
     if precision not in ("double", "extended"):
         raise InvalidScale(f"unknown precision {precision!r}")
@@ -200,17 +173,26 @@ def ricci_at(s: float, z1, z2, outer: float | None = None,
     z = _base_point(z1, z2)
     x0 = _real_coords(z).astype(dtype)
     r = float(np.linalg.norm(x0))
-    h_out = dtype(outer if outer is not None else 0.05 * r)
+    h = dtype(outer if outer is not None else 0.05 * r)
+    if not np.all(x0 + h != x0) or not np.all(x0 + h / 2 != x0):
+        raise NumericFailure("finite-difference step underflows at this point")
+    x = np.concatenate([_stencil(x0, h), _stencil(x0, h / 2)])
 
-    def logdet(x):
-        u = np.dot(x, x)
-        fp, fpp = potential_derivatives(s, u, order=2)
-        zz = np.array([complex(x[0], x[1]), complex(x[2], x[3])])
-        m = fp * np.eye(2, dtype=complex) + fpp * np.outer(zz.conj(), zz)
-        d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-        return dtype(np.log(d))
-
-    hess = _hessian_richardson(logdet, x0, h_out)
+    # f' Id + f'' zbar_i z_j row by row, as kahler_metric_at forms it;
+    # the points enter the complex matrix in double precision
+    u = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+    fp, fpp = potential_derivatives(s, u, order=2)
+    zz = x.astype(np.float64).view(complex)
+    m = (fp[:, None, None] * np.eye(2, dtype=complex)
+         + fpp[:, None, None] * (zz.conj()[:, :, None] * zz[:, None, :]))
+    # the real part of the determinant, written out: numpy's vectorised
+    # complex multiply rounds differently from its scalar one
+    a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
+    det = ((a.real * b.real - a.imag * b.imag)
+           - (c.real * e.real - c.imag * e.imag))
+    coarse, fine = np.split(np.log(det), 2)
+    hess = (4 * _hessian_from_stencil(fine, h / 2)
+            - _hessian_from_stencil(coarse, h)) / 3
     return HermitianMetric2(-_complex_hessian(hess),
                             (complex(z1), complex(z2)))
 

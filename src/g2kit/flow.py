@@ -26,6 +26,12 @@ _dormand_prince.  It runs the same numpy operations in the same order as
 SciPy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
 bit-for-bit oracle; SciPy is not needed at run time.
 
+random_quadratic draws a dense Gaussian tensor and calibrates its
+Lipschitz bound by an alternating power iteration whose six restarts
+step together, one einsum over a (restarts, dim) stack per update.
+A draw costs order dim^3, so decay_trials bounds dim^3 x trials by
+MAX_TRIAL_WORK before it builds or draws anything.
+
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
 bidegree collapses, and lowering the degree there keeps every spectral
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +54,12 @@ np = lazy_module("numpy")
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
 MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
+# dim^3 x trials for decay_trials.  A trial costs about 1.0-1.6 us per
+# dim^3 for the draw (the batched power iteration of
+# _tensor_operator_norm, dims 48-160) and up to as much again for the
+# integration, on a 2-core x86-64 VM with one BLAS thread, so a run
+# inside this budget ends within about 30 s.
+MAX_TRIAL_WORK = 2 ** 23
 
 INTEGRATOR_RTOL = 1e-9
 INTEGRATOR_ATOL = 1e-12
@@ -212,8 +225,24 @@ class FlowState:
         return FlowState(plus, self.t), FlowState(self.x - plus, self.t)
 
 
-def build_mode_system(d, N):
-    """Assemble the truncated operator over modes 0 < |m|_inf <= N."""
+def _whole_number(value, name, least):
+    """value as an int when it is an integer >= least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise InvalidOperand(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return n
+
+
+def _system_size(d, N):
+    """Check (d, N) against the domain and the dimension budget.
+
+    Returns (p, rank, dim): the form degree, the wedge rank per mode and
+    the dimension of the mode system that build_mode_system assembles.
+    """
     if not isinstance(d, int) or not 2 <= d <= 6:
         raise InvalidOperand(f"cross-section dimension must be 2..6, got {d}")
     if not isinstance(N, int) or N < 1:
@@ -225,7 +254,12 @@ def build_mode_system(d, N):
         raise CutoffTooLarge(
             f"{n_modes} modes x block size {2 * rank} exceeds "
             f"the {MAX_DIMENSION}-coefficient budget")
+    return p, rank, n_modes * 2 * rank
 
+
+def build_mode_system(d, N):
+    """Assemble the truncated operator over modes 0 < |m|_inf <= N."""
+    p, rank, _ = _system_size(d, N)
     blocks = []
     modes = []
     for m in itertools.product(range(-N, N + 1), repeat=d):
@@ -275,31 +309,34 @@ class QuadraticMap:
         return np.einsum("ijk,j,k->i", self.tensor, x, x)
 
 
+def _unit_rows(x):
+    """Rows of x scaled to unit length.
+
+    The squared lengths come from matmul's vector-vector dot, the same
+    dot product np.linalg.norm takes on one vector, so each row is
+    scaled exactly as its own norm would scale it.
+    """
+    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]
+    return x / np.maximum(norms, 1e-300)
+
+
 def _tensor_operator_norm(tensor, rng, restarts=6, iters=40):
     """max over unit u of the spectral norm of tensor[:, :, u].
 
     Alternating power iteration with random restarts; the maximizer is a
-    critical point of the trilinear form w^T T(u) v.
+    critical point of the trilinear form w^T T(u) v.  The restarts step
+    together as rows of (restarts, n) stacks, one einsum per update; each
+    row takes the arithmetic of a lone restart, so the result does not
+    depend on the batching.
     """
-    n = tensor.shape[0]
-    best = 0.0
-    for _ in range(restarts):
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        w = rng.standard_normal(n)
-        w /= np.linalg.norm(w)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            w = np.einsum("ijk,j,k->i", tensor, v, u)
-            w /= max(np.linalg.norm(w), 1e-300)
-            v = np.einsum("ijk,i,k->j", tensor, w, u)
-            v /= max(np.linalg.norm(v), 1e-300)
-            u = np.einsum("ijk,i,j->k", tensor, w, v)
-            nu = np.linalg.norm(u)
-            u /= max(nu, 1e-300)
-        best = max(best, float(np.einsum("ijk,i,j,k", tensor, w, v, u)))
-    return best
+    start = rng.standard_normal((restarts, 3, tensor.shape[0]))
+    u, w, v = (_unit_rows(start[:, i]) for i in range(3))
+    for _ in range(iters):
+        w = _unit_rows(np.einsum("ijk,rj,rk->ri", tensor, v, u))
+        v = _unit_rows(np.einsum("ijk,ri,rk->rj", tensor, w, u))
+        u = _unit_rows(np.einsum("ijk,ri,rj->rk", tensor, w, v))
+    values = np.einsum("ijk,ri,rj,rk->r", tensor, w, v, u)
+    return max(0.0, *map(float, values))
 
 
 def random_quadratic(system, k, ball_radius=1.0, seed=0):
@@ -490,10 +527,12 @@ def integrate_flow(system, Q, x0, T, samples=201):
             "quadratic Lipschitz bound must stay below mu/2")
     if not (math.isfinite(T) and T > 0):
         raise InvalidOperand(f"horizon T must be finite and > 0, got {T}")
-    if samples < 2:
-        raise InvalidOperand(f"need at least 2 samples, got {samples}")
+    samples = _whole_number(samples, "samples", 2)
     if not isinstance(x0, FlowState):
         x0 = FlowState(np.asarray(x0, dtype=float))
+    if x0.x.size != system.dim:
+        raise InvalidOperand(f"start state has {x0.x.size} coordinates, "
+                             f"the system has dim {system.dim}")
     if Q is None:
         fun = system.matvec
     else:
@@ -559,9 +598,16 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
     and start norm keep the whole window well inside the decaying
     regime, so the ensemble exercises the rate bound rather than the
     escape branch.
+
+    Sizes with dim^3 x trials above MAX_TRIAL_WORK raise CutoffTooLarge
+    before anything is built or drawn.
     """
-    if trials < 1:
-        raise InvalidOperand(f"need at least 1 trial, got {trials}")
+    trials = _whole_number(trials, "trials", 1)
+    dim = _system_size(d, N)[2]
+    if dim ** 3 * trials > MAX_TRIAL_WORK:
+        raise CutoffTooLarge(
+            f"{trials} trials at dim {dim} need dim^3 x trials = "
+            f"{dim ** 3 * trials}, above the {MAX_TRIAL_WORK} work budget")
     system = build_mode_system(d, N)
     k = k_frac * system.mu
     T = 2.0 / system.mu if horizon is None else horizon

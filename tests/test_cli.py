@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -439,6 +440,18 @@ class TestToolFlags:
         assert res.stderr.startswith("error: ")
         assert "budget" in res.stderr
         assert "Traceback" not in res.output
+        assert res.stdout == ""
+
+    def test_flow_demo_over_time_budget_exits_2(self, runner):
+        # dim 248 fits the coefficient budget, but 20 draws would take
+        # minutes; the work budget refuses it before anything is built
+        start = time.perf_counter()
+        res = runner.invoke(main, ["--flow-demo", "--d", "3", "--N", "2"])
+        assert time.perf_counter() - start < 2.0
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "budget" in res.stderr
         assert res.stdout == ""
 
     def test_flag_plus_subcommand_conflict(self, runner):

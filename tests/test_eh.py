@@ -31,7 +31,6 @@ from g2kit.eguchi_hanson import (
     radial_metric,
     ricci_at,
     ricci_from_curvature,
-    ricci_from_potential,
     ricci_ratio,
     sample_points,
     scaling_identity_probe,
@@ -47,6 +46,36 @@ from g2kit.errors import (
 SCALES = (0.5, 1.0, 2.0)
 
 
+def hessian_once(fun, x, h):
+    """Central-difference Hessian of fun at x, one call per stencil point."""
+    n = len(x)
+    out = np.empty((n, n), dtype=np.asarray(x).dtype)
+    f0 = fun(x)
+    for i in range(n):
+        e = np.zeros(n, dtype=x.dtype)
+        e[i] = h
+        out[i, i] = (fun(x + e) - 2 * f0 + fun(x - e)) / (h * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ei = np.zeros(n, dtype=x.dtype)
+            ej = np.zeros(n, dtype=x.dtype)
+            ei[i] = h
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                fun(x + ei + ej) - fun(x + ei - ej)
+                - fun(x - ei + ej) + fun(x - ei - ej)) / (4 * h * h)
+    return out
+
+
+def hessian_richardson(fun, x, h):
+    """Richardson extrapolation of hessian_once over the steps h and h/2."""
+    if not np.all(x + h != x) or not np.all(x + h / 2 != x):
+        raise NumericFailure("finite-difference step underflows at this point")
+    coarse = hessian_once(fun, x, h)
+    fine = hessian_once(fun, x, h / 2)
+    return (4 * fine - coarse) / 3
+
+
 def metric_fd_at(s, z1, z2):
     """Cross-check metric: complex Hessian of the potential by differences."""
     z = eguchi_hanson._base_point(z1, z2)
@@ -56,9 +85,56 @@ def metric_fd_at(s, z1, z2):
     def fun(x):
         return potential(s, float(np.linalg.norm(x)))
 
-    hess = eguchi_hanson._hessian_richardson(fun, x0, h)
+    hess = hessian_richardson(fun, x0, h)
     return HermitianMetric2(eguchi_hanson._complex_hessian(hess),
                             (complex(z1), complex(z2)))
+
+
+def scalar_ricci_at(s, z1, z2, outer=None, precision="double"):
+    """ricci_at with log det h evaluated one stencil point at a time."""
+    dtype = np.longdouble if precision == "extended" else np.float64
+    z = eguchi_hanson._base_point(z1, z2)
+    x0 = eguchi_hanson._real_coords(z).astype(dtype)
+    r = float(np.linalg.norm(x0))
+    h_out = dtype(outer if outer is not None else 0.05 * r)
+
+    def logdet(x):
+        u = np.dot(x, x)
+        fp, fpp = potential_derivatives(s, u, order=2)
+        zz = np.array([complex(x[0], x[1]), complex(x[2], x[3])])
+        m = fp * np.eye(2, dtype=complex) + fpp * np.outer(zz.conj(), zz)
+        d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+        return dtype(np.log(d))
+
+    hess = hessian_richardson(logdet, x0, h_out)
+    return -eguchi_hanson._complex_hessian(hess)
+
+
+def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
+                         dtype=float):
+    """Ricci coefficients -d^2 log det h / dz dzbar for a radial potential.
+
+    The metric itself is obtained from `potential_fn(r)` by nested central
+    differences with Richardson extrapolation, so this works for any
+    potential, not only the closed-form family.
+    """
+    z = eguchi_hanson._base_point(z1, z2)
+    x0 = eguchi_hanson._real_coords(z).astype(dtype)
+    r = float(np.linalg.norm(x0))
+    h_in = dtype(inner if inner is not None else 0.01 * r)
+    h_out = dtype(outer if outer is not None else 0.08 * r)
+
+    def logdet(x):
+        def fun(y):
+            return potential_fn(np.sqrt(np.dot(y, y)))
+        m = eguchi_hanson._complex_hessian(hessian_richardson(fun, x, h_in))
+        d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+        if not d > 0:
+            raise NumericFailure("finite-difference metric lost positivity")
+        return dtype(np.log(d))
+
+    return -eguchi_hanson._complex_hessian(
+        hessian_richardson(logdet, x0, h_out))
 
 
 def eh_derivs(s):
@@ -233,6 +309,40 @@ class TestRicci:
     def test_step_underflow(self):
         with pytest.raises(NumericFailure):
             ricci_at(1.0, 1.0 + 0j, 0j, outer=1e-300)
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("s", SCALES)
+    def test_stacked_stencil_matches_scalar_path(self, s, precision):
+        # bit for bit: the same Ricci bytes as 66 single-point evaluations
+        for seed in (0, 4, 11):
+            for z1, z2 in sample_points(8, s, seed=seed, rmin=0.1, rmax=10):
+                got = ricci_at(s, z1, z2, precision=precision).matrix
+                want = scalar_ricci_at(s, z1, z2, precision=precision)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_stacked_stencil_with_given_step(self, precision):
+        for outer in (0.01, 0.3):
+            for z1, z2 in sample_points(4, 1.0, seed=5):
+                got = ricci_at(1.0, z1, z2, outer=outer,
+                               precision=precision).matrix
+                want = scalar_ricci_at(1.0, z1, z2, outer=outer,
+                                       precision=precision)
+                assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_step_gives_nan_like_scalar_path(self):
+        # at s = 1e300 the radius and the step overflow to inf; the stencil
+        # must still hold zeros off its axes, so both paths end in NaN
+        z1, z2 = sample_points(1, 1e300, seed=0)[0]
+        with np.errstate(all="ignore"):
+            got = ricci_at(1e300, z1, z2).matrix
+            want = scalar_ricci_at(1e300, z1, z2)
+        assert np.isnan(got).all() and np.isnan(want).all()
+
+    def test_stencil_through_the_center(self):
+        # the step reaches the excluded origin from (1, 0)
+        with pytest.raises(ChartSingular):
+            ricci_at(1.0, 1.0 + 0j, 0j, outer=1.0)
 
 
 class TestCurvature:

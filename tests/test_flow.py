@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from g2kit.errors import CutoffTooLarge, IntegratorError, InvalidOperand
+from g2kit import flow
 from g2kit.flow import (
     INTEGRATOR_ATOL,
     INTEGRATOR_RTOL,
+    MAX_TRIAL_WORK,
     _wedge_matrix,
     FlowState,
     QuadraticMap,
@@ -24,6 +26,37 @@ from g2kit.flow import (
 )
 
 TWO_PI = 2 * math.pi
+
+
+def per_restart_operator_norm(tensor, rng, restarts=6, iters=40):
+    """The power-iteration calibration with one restart at a time."""
+    n = tensor.shape[0]
+    best = 0.0
+    for _ in range(restarts):
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        w = rng.standard_normal(n)
+        w /= np.linalg.norm(w)
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        for _ in range(iters):
+            w = np.einsum("ijk,j,k->i", tensor, v, u)
+            w /= max(np.linalg.norm(w), 1e-300)
+            v = np.einsum("ijk,i,k->j", tensor, w, u)
+            v /= max(np.linalg.norm(v), 1e-300)
+            u = np.einsum("ijk,i,j->k", tensor, w, v)
+            u /= max(np.linalg.norm(u), 1e-300)
+        best = max(best, float(np.einsum("ijk,i,j,k", tensor, w, v, u)))
+    return best
+
+
+def per_restart_quadratic_tensor(system, k, seed, ball_radius=1.0):
+    """random_quadratic's tensor, calibrated by per_restart_operator_norm."""
+    rng = np.random.default_rng(seed)
+    n = system.dim
+    t = rng.standard_normal((n, n, n))
+    t = 0.5 * (t + t.transpose(0, 2, 1))
+    return (k / (2.0 * ball_radius * per_restart_operator_norm(t, rng))) * t
 
 
 def ambient_operator(system):
@@ -316,11 +349,54 @@ class TestQuadraticMap:
 
     @pytest.mark.parametrize("T,samples", [
         (0.0, 201), (-1.0, 201), (math.inf, 201), (math.nan, 201),
-        (1.0, 1), (1.0, 0)])
+        (1.0, 1), (1.0, 0), (1.0, 2.5), (1.0, 201.0), (1.0, "201")])
     def test_horizon_and_samples_validated(self, T, samples):
         with pytest.raises(InvalidOperand):
             integrate_flow(self.sys, None, self.sys.minus_eigenstate(0), T,
                            samples=samples)
+
+    def test_integer_samples_of_any_type(self):
+        x0 = self.sys.minus_eigenstate(0)
+        a = integrate_flow(self.sys, None, x0, 1.0, samples=np.int64(11))
+        b = integrate_flow(self.sys, None, x0, 1.0, samples=11)
+        assert np.array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("length", [5, 8, 32, 0])
+    def test_start_state_length_validated(self, length):
+        x0 = FlowState(np.ones(length))
+        with pytest.raises(InvalidOperand, match="dim 16"):
+            integrate_flow(self.sys, None, x0, 1.0)
+        Q = random_quadratic(self.sys, 0.1 * self.sys.mu, seed=0)
+        with pytest.raises(InvalidOperand):
+            integrate_flow(self.sys, Q, np.ones(length), 1.0)
+
+
+class TestCalibrationOracle:
+    """The batched power iteration against one restart at a time."""
+
+    @pytest.mark.parametrize("d,N,seeds", [
+        (2, 1, range(12)), (2, 2, (0, 7)), (3, 1, (0, 3))])
+    def test_tensor_bits(self, d, N, seeds):
+        system = build_mode_system(d, N)
+        for seed in seeds:
+            k = 0.1 * system.mu
+            got = random_quadratic(system, k, seed=seed).tensor
+            want = per_restart_quadratic_tensor(system, k, seed)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("restarts,iters", [(1, 1), (3, 5), (6, 40)])
+    def test_norm_bits(self, restarts, iters):
+        gen = np.random.default_rng(5)
+        t = gen.standard_normal((16, 16, 16))
+        a = flow._tensor_operator_norm(t, np.random.default_rng(1),
+                                       restarts, iters)
+        b = per_restart_operator_norm(t, np.random.default_rng(1),
+                                      restarts, iters)
+        assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+    def test_zero_tensor(self):
+        t = np.zeros((4, 4, 4))
+        assert flow._tensor_operator_norm(t, np.random.default_rng(0)) == 0.0
 
 
 class TestDecayTrials:
@@ -343,10 +419,33 @@ class TestDecayTrials:
             assert np.array_equal(t1.states, t2.states)
             assert t1.nfev == t2.nfev > 0
 
-    @pytest.mark.parametrize("trials", [0, -2])
+    @pytest.mark.parametrize("trials", [0, -2, 1.5, 2.0, "3", None])
     def test_needs_a_trial(self, trials):
         with pytest.raises(InvalidOperand):
             decay_trials(d=2, N=1, trials=trials)
+
+    @pytest.mark.parametrize("d,N,trials", [
+        (3, 2, 20), (3, 2, 1), (2, 5, 1), (2, 4, 3), (2, 3, 10),
+        (6, 1, 1)])
+    def test_work_budget_checked_before_building(self, d, N, trials,
+                                                 monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built or drawn before the budget check")
+
+        monkeypatch.setattr(flow, "build_mode_system", unreachable)
+        monkeypatch.setattr(flow, "random_quadratic", unreachable)
+        with pytest.raises(CutoffTooLarge, match="budget"):
+            decay_trials(d=d, N=N, trials=trials)
+
+    @pytest.mark.parametrize("d,N,trials", [
+        (2, 1, 20), (3, 1, 10), (2, 2, 20), (3, 1, 20), (2, 3, 9),
+        (2, 4, 2)])
+    def test_work_budget_admits(self, d, N, trials):
+        # flow-suite (2, 1) x 20, the benchmark's decay trials (2, 1) x 20
+        # and (3, 1) x 10, every builtin size at the CLI's 20 trials, and
+        # the most trials the README admits at dims 96 and 160
+        dim = build_mode_system(d, N).dim
+        assert dim ** 3 * trials <= MAX_TRIAL_WORK
 
 
 class TestGapCheck:
