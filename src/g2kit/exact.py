@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import SingularMap
@@ -90,7 +91,15 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    """Matrix-vector product; a row whose length differs from v's raises
+    ValueError, as mat_mul does on a shape mismatch."""
+    out = []
+    for row in a:
+        if len(row) != len(v):
+            raise ValueError(f"row of length {len(row)} against a vector "
+                             f"of length {len(v)}")
+        out.append(sum(map(mul, row, v)))
+    return tuple(out)
 
 
 def det(rows) -> Fraction:

@@ -594,10 +594,13 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
 
     A generic start is not on the stable manifold: the quadratic
     coupling feeds the growing subspace at order k*|x0|^2, which takes
-    over after roughly log(1/(k*|x0|))/(2*mu).  The default horizon
-    and start norm keep the whole window well inside the decaying
-    regime, so the ensemble exercises the rate bound rather than the
-    escape branch.
+    over after roughly log(1/(k*|x0|))/(2*mu).  Where this was checked,
+    d = 2 with N <= 3 and d = 3 with N = 1, the default horizon and start
+    norm keep the whole window inside the decaying regime, so the
+    ensemble exercises the rate bound rather than the escape branch.
+    Larger cutoffs bring growing modes with rates far above mu, and the
+    window need not stay decaying: d = 2, N = 4 gave no decaying trial
+    in two.
 
     Sizes with dim^3 x trials above MAX_TRIAL_WORK raise CutoffTooLarge
     before anything is built or drawn.

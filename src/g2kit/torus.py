@@ -2,9 +2,10 @@
 
 Coordinates are 1-based.  A subset of coordinates may be declared as "line"
 (noncompact R-factor) coordinates; the rest are circle coordinates of a torus.
-All arithmetic is exact: integer matrices for the linear parts, integer
-numerators over one common denominator for shifts and component offsets,
-Smith normal form for the fixed-point congruences.
+All arithmetic is exact: integer matrices for the linear parts (acting
+through their nonzero entries, one per row for a signed permutation),
+integer numerators over one common denominator for shifts and component
+offsets, Smith normal form for the fixed-point congruences.
 
 Singular strata are found modulo the translation lattice, as crystallography
 lists Wyckoff positions by point-group orbits modulo the lattice.  The
@@ -14,8 +15,10 @@ or of G∘sigma in a census), and the union of their fixed sets, modulo Λ_T, is
 {x : (A - 1) x + v_f ∈ Λ_T}: one Smith-form solve per point-group element.
 Components are keyed by their class modulo span + Λ_T, the orbit search moves
 these classes by the generators, and an orbit of k classes holds
-k |T| / |T ∩ (span + Z^c)| components upstairs.  Pointwise fixers are looked
-up per point-group element by their shift.
+k |T| / |T ∩ (span + Z^c)| components upstairs.  A coset holds a pointwise
+fixer of a component iff its linear part fixes the component's directions
+and x0 - A x0 lies in v_f + Λ_T; only the cosets that pass the first test,
+found once per span, take the second.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 from .betti import BettiVector
@@ -45,8 +47,6 @@ from .exact import (
     inverse,
     mat_mul,
     mat_vec,
-    null_space,
-    rref,
     smith_normal_form,
 )
 from .forms import ExteriorForm, LinearMapR, pullback
@@ -54,8 +54,21 @@ from .forms import ExteriorForm, LinearMapR, pullback
 GROUP_SIZE_BOUND = 1024
 
 
-def _linear_image(linear, vec) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, vec)) for row in linear)
+def _sparse(rows) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero entries of an integer matrix as (row, column, value)
+    triples, row by row."""
+    return tuple((i, j, a) for i, row in enumerate(rows)
+                 for j, a in enumerate(row) if a)
+
+
+def _linear_image(terms, vec, size: int) -> tuple[int, ...]:
+    """M vec for the size-row matrix M with nonzero entries terms (see
+    _sparse): one multiply per entry, so one per row for a signed
+    permutation."""
+    out = [0] * size
+    for i, j, a in terms:
+        out[i] += a * vec[j]
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -73,7 +86,7 @@ class AffineTorusMap:
     The optional name is bookkeeping only and does not enter equality.
     """
 
-    __slots__ = ("n", "lines", "linear", "num", "den", "name", "_key")
+    __slots__ = ("n", "lines", "linear", "num", "den", "name", "_key", "_terms")
 
     def __init__(self, linear: Sequence[Sequence[int]], shift: Sequence = None,
                  lines: Iterable[int] = (), name: str = ""):
@@ -136,6 +149,17 @@ class AffineTorusMap:
             f" x R^{len(self.lines)}>" if self.lines else ">")
 
     @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The linear part's nonzero entries (see _sparse), filled on first
+        use: the group closure builds many maps that never act on a point."""
+        try:
+            return self._terms
+        except AttributeError:
+            terms = _sparse(self.linear)
+            object.__setattr__(self, "_terms", terms)
+            return terms
+
+    @property
     def shift(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
@@ -152,10 +176,10 @@ class AffineTorusMap:
         """Image of the point num/den, as numerators over lcm(den, self.den)."""
         d = lcm(den, self.den)
         k, s = d // den, d // self.den
-        img = [sum(map(mul, row, num)) * k + t * s
-               for row, t in zip(self.linear, self.num)]
-        return tuple(v if i + 1 in self.lines else v % d
-                     for i, v in enumerate(img)), d
+        lines = self.lines
+        img = _linear_image(self.terms, num, self.n)
+        return tuple([v * k + t * s if i + 1 in lines else (v * k + t * s) % d
+                      for i, (v, t) in enumerate(zip(img, self.num))]), d
 
     def apply(self, point: Sequence) -> tuple[Fraction, ...]:
         p = [frac(x) for x in point]
@@ -178,7 +202,7 @@ class AffineTorusMap:
         lin = tuple(tuple(int(x) for x in row) for row in inverse(self.linear))
         name = f"{self.name}^-1" if self.name else ""
         return AffineTorusMap._from_parts(
-            lin, [-x for x in _linear_image(lin, self.num)], self.den, self.lines, name)
+            lin, [-x for x in mat_vec(lin, self.num)], self.den, self.lines, name)
 
     @staticmethod
     def identity(n: int, lines: Iterable[int] = ()) -> "AffineTorusMap":
@@ -327,9 +351,9 @@ class _Component:
                                            self.directions, lattice)
         den = self.den
         vals = [v % (den * m) if m else v
-                for v, m in zip(_linear_image(rows, self.num), mods)]
+                for v, m in zip(_linear_image(rows, self.num, len(mods)), mods)]
         g = gcd(den, *vals)
-        return (span, den // g, tuple(v // g for v in vals),
+        return (span, den // g, tuple([v // g for v in vals]),
                 self.n, self.lines, self.free_lines)
 
     def __eq__(self, other):
@@ -339,20 +363,59 @@ class _Component:
         return hash(self.key())
 
 
-def _primitive(row) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    scale = lcm(*(x.denominator for x in row))
-    ints = [int(x * scale) for x in row]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _primitive(row) -> list[int]:
+    """The primitive integer vector on the ray of a nonzero integer vector."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
+
+
+def _span_and_annihilator(rows):
+    """The rows of rref(rows) and the null-space basis of exact.null_space
+    (one vector per free column, in column order), each as the primitive
+    integer vector on its ray, for an integer matrix.
+
+    Gauss-Jordan elimination on integer rows: a pivot row is made positive
+    and every other row r becomes primitive(p r - r[col] pivot_row), which
+    stays on the ray of its rational counterpart, so no Fraction is made."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        if m[r][col] < 0:
+            m[r] = [-x for x in m[r]]
+        top, p = m[r], m[r][col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i != r and f:
+                m[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    span = [_primitive(row) for row in m[:len(pivots)]]
+    scale = lcm(*(row[c] for row, c in zip(span, pivots)))
+    ann = []
+    for j in range(ncols):
+        if j not in pivots:
+            vec = [0] * ncols
+            vec[j] = scale
+            for row, c in zip(span, pivots):
+                vec[c] = -row[j] * (scale // row[c])
+            ann.append(tuple(_primitive(vec)))
+    return tuple(tuple(row) for row in span), ann
 
 
 @lru_cache(maxsize=1024)
 def _offset_lattice(n, lines, free_lines, directions, lattice=None):
     """Canonical span of the directions (primitive integer rows), integer rows
-    R and moduli m such that offsets x, y over a common denominator D differ
-    by an element of span + Λ iff R x = R y, row i taken mod D * m_i (exactly
-    where m_i = 0).  Λ is Z^c, or B Z^c / s for lattice = (B, s).
+    R (as _sparse entries) and moduli m such that offsets x, y over a common
+    denominator D differ by an element of span + Λ iff R x = R y, row i taken
+    mod D * m_i (exactly where m_i = 0).  Λ is Z^c, or B Z^c / s for
+    lattice = (B, s).
 
     For an integer basis N of the annihilator of the span and the Smith form
     U N B V = diag(m), the circle rows are s U N; each pinned line coordinate
@@ -361,8 +424,7 @@ def _offset_lattice(n, lines, free_lines, directions, lattice=None):
     basis, scale = lattice or (identity_matrix(len(circ)), 1)
     d_rows = tuple(tuple(d[i] for i in circ) for d in directions)
     if d_rows:
-        span = tuple(_primitive(row) for row in rref(d_rows))
-        ann = [_primitive(row) for row in null_space(d_rows)]
+        span, ann = _span_and_annihilator(d_rows)
     else:
         span, ann = (), identity_matrix(len(circ))
     rows, mods = [], []
@@ -377,7 +439,7 @@ def _offset_lattice(n, lines, free_lines, directions, lattice=None):
     for i1 in sorted(lines - free_lines):
         rows.append(tuple(int(j == i1 - 1) for j in range(n)))
         mods.append(0)
-    return span, tuple(rows), tuple(mods)
+    return span, _sparse(rows), tuple(mods)
 
 
 @lru_cache(maxsize=64)
@@ -476,28 +538,46 @@ def _transport(g: AffineTorusMap, comp: _Component) -> _Component:
     num, den = g._act(comp.num, comp.den)
     if comp.free_lines:
         num = [0 if i + 1 in comp.free_lines else x for i, x in enumerate(num)]
-    dirs = [_linear_image(g.linear, d) for d in comp.directions]
+    dirs = [_linear_image(g.terms, d, g.n) for d in comp.directions]
     return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
 
 
-def _fixed_pointwise_in(group: FiniteActionGroup, linear, comp: _Component) -> bool:
-    """Does an element of the group with this linear part A fix comp pointwise?
+def _span_action(cosets: dict, directions, free_lines):
+    """The coset representatives whose linear part fixes every direction and
+    free line, and those whose linear part negates each of them."""
+    plus = list(directions)
+    minus = [tuple(-x for x in d) for d in directions]
+    fixing, negating = [], []
+    for a, f in cosets.items():
+        images = [_linear_image(f.terms, d, f.n) for d in directions]
+        signs = {a[i1 - 1][i1 - 1] for i1 in free_lines}
+        if images == plus and signs <= {1}:
+            fixing.append(f)
+        if images == minus and signs <= {-1}:
+            negating.append(f)
+    return fixing, negating
 
-    Its shift can only be x0 - A x0 at the offset x0, so one lookup decides;
-    the coset holds no second such element, as translations act freely."""
-    if any(_linear_image(linear, d) != d for d in comp.directions):
-        return False
-    if any(linear[i1 - 1][i1 - 1] != 1 for i1 in comp.free_lines):
-        return False
-    shift = [x - y for x, y in zip(comp.num, _linear_image(linear, comp.num))]
-    return AffineTorusMap._from_parts(linear, shift, comp.den, comp.lines, "") in group
 
+def _fixes_pointwise(f: AffineTorusMap, comp: _Component, lattice_inv) -> bool:
+    """Does an element of the coset f T fix comp pointwise, given that the
+    linear part A fixes comp's directions and free lines?
 
-def _acts_as_minus_one(linear, comp: _Component) -> bool:
-    if any(_linear_image(linear, d) != tuple(-x for x in d)
-           for d in comp.directions):
-        return False
-    return all(linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
+    Such an element's shift can only be x0 - A x0 at the offset x0, and the
+    shifts of f T are v_f + Λ_T on the circle coordinates, so the test is
+    whether D B^-1 (x0 - A x0 - v_f) is integral for Λ_T = B Z^c / D.
+    lattice_inv holds the _sparse entries of D B^-1 times the denominator of
+    B^-1 (columns indexed by coordinate), its row count c and that
+    denominator.  The line coordinates need no test: in a finite group a line
+    kept by A carries no shift, and all elements (and all census maps) that
+    reverse a line share their shift on it, so x0 - A x0 - v_f is 0 there.
+    The coset holds no second such element, as translations act freely."""
+    inv, c, inv_den = lattice_inv
+    den = lcm(comp.den, f.den)
+    k, s = den // comp.den, den // f.den
+    diff = [(x - y) * k - t * s for x, y, t in
+            zip(comp.num, _linear_image(f.terms, comp.num, f.n), f.num)]
+    den *= inv_den
+    return not any(y % den for y in _linear_image(inv, diff, c))
 
 
 def components_intersect(c1: _Component, c2: _Component) -> bool:
@@ -597,20 +677,25 @@ def _t_orbit_size(comp: _Component, lattice) -> int:
     return lattice[1] ** len(plain) * prod(plain) // prod(wide)
 
 
-def _classify_residual(group: FiniteActionGroup, cosets: dict,
-                       comp: _Component, setwise: int, lattice) -> str:
+def _classify_residual(comp: _Component, setwise: int, lattice, lattice_inv,
+                       span_action) -> str:
     """How the setwise stabilizer, of order |G| / |orbit|, acts beyond its
-    pointwise part, decided per linear part (cosets maps each linear part of
-    G to one element with it).  An element acting as -1 on a component of
-    positive dimension never fixes it pointwise, and a coset f T holds an
-    element that maps comp to itself iff f comp lies in comp's class."""
-    pointwise = sum(_fixed_pointwise_in(group, a, comp) for a in cosets)
+    pointwise part, decided per coset of T among the cosets span_action
+    gives for comp's directions and free lines (see _span_action).
+
+    A point fixed setwise is fixed pointwise.  An element acting as -1 on a
+    component of positive dimension never fixes it pointwise, and a coset
+    f T holds an element that maps comp to itself iff f comp lies in comp's
+    class."""
+    if not comp.directions and not comp.free_lines:
+        return "trivial"
+    fixing, negating = span_action
+    pointwise = sum(_fixes_pointwise(f, comp, lattice_inv) for f in fixing)
     if setwise == pointwise:
         return "trivial"
     if setwise == 2 * pointwise:
         key = comp.key(lattice)
-        if any(_acts_as_minus_one(a, comp) and _transport(f, comp).key(lattice) == key
-               for a, f in cosets.items()):
+        if any(_transport(f, comp).key(lattice) == key for f in negating):
             return "pm1"
     return "other"
 
@@ -628,24 +713,41 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
     """Quotient strata of the fixed components of the cosets f T (f in maps),
     which the group permutes."""
     lattice = _translation_lattice(group)
+    basis, scale = lattice
+    inv, inv_den = _lattice_inverse(basis)
+    circ = [i for i in range(group.n) if (i + 1) not in group.lines]
+    # D B^-1 over inv_den, reading the circle coordinates of a full vector
+    lattice_inv = (tuple((i, circ[j], scale * x) for i, j, x in _sparse(inv)),
+                   len(circ), inv_den)
     registry: dict = {}
     for f in maps:
         for comp in _fixed_components(f, lattice):
             registry.setdefault(comp.key(lattice), comp)
+    orbits = _group_into_orbits(group, registry, lattice)
+    # strata are ordered by dimension, then offset: over one common
+    # denominator the offsets compare as integer tuples
+    den = lcm(*(rep.den for rep, _ in orbits))
+    actions: dict = {}
     strata = []
-    for rep, classes in _group_into_orbits(group, registry, lattice):
+    for rep, classes in orbits:
         count = classes * _t_orbit_size(rep, lattice)
         setwise = group.order // count
-        strata.append(FlatStratum(
+        span = (rep.directions, rep.free_lines)
+        if span not in actions:
+            actions[span] = _span_action(cosets, *span)
+        order = (-(rep.torus_dim + rep.line_dim),
+                 tuple(x * (den // rep.den) for x in rep.num))
+        strata.append((order, FlatStratum(
             torus_dim=rep.torus_dim,
             line_dim=rep.line_dim,
             count=count,
             offset=rep.display_offset(),
             stabilizer_order=setwise,
-            residual=_classify_residual(group, cosets, rep, setwise, lattice),
-        ))
-    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.offset))
-    return strata
+            residual=_classify_residual(rep, setwise, lattice, lattice_inv,
+                                        actions[span]),
+        )))
+    strata.sort(key=lambda pair: pair[0])
+    return [s for _, s in strata]
 
 
 def singular_locus(group: FiniteActionGroup) -> list[FlatStratum]:

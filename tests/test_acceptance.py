@@ -7,6 +7,7 @@ are marked strict-xfail next to the passing row that records the
 computed value, so a silent change in either direction fails loudly.
 """
 
+import json
 import math
 import random
 import time
@@ -59,7 +60,7 @@ from g2kit.poincare import (
     primitive_ratio_study,
     random_exact_form,
 )
-from g2kit.scenarios import Scenario, run_scenario_object
+from g2kit.scenarios import Scenario, load_scenario, run_scenario_object
 from g2kit.torus import (
     AffineTorusMap,
     check_preserves_form,
@@ -122,6 +123,7 @@ BUDGETS = {
     "TestCriterion4DecayFlow": (60.0, "criterion 4"),
     "TestCriterion5PoincarePrimitive": (10.0, "criterion 5"),
     "TestLargeUserGroup": (5.0, "T^8 group of order 1024"),
+    "TestSignFlipUserGroup": (3.5, "all sign flips of T^7, 2186 strata"),
 }
 
 
@@ -496,6 +498,32 @@ class TestLargeUserGroup:
         rows = run_scenario_object(scenario).rows
         note("T^8 / <-Id, 1/2 e1..e8, 1/4 e1>: order 1024, 256 points, b2 = 284",
              [r.check for r in rows] == list(scenario.expected)
+             and all(r.passed for r in rows))
+
+
+class TestSignFlipUserGroup:
+    """A scenario file with all seven coordinate sign flips of T^7: the
+    point group has order 128 = 2^circles, the most a file of +-1 signs can
+    give, and 2186 = 3^7 - 1 strata, loaded and run as the CLI does."""
+
+    def test_all_sign_flips_t7(self, tmp_path):
+        n = 7
+        doc = {"name": "signflips-T7", "circles": n, "checks": ["betti"],
+               "generators": [{"name": f"s{i + 1}",
+                               "signs": [-1 if j == i else 1 for j in range(n)]}
+                              for i in range(n)],
+               "expected": {
+                   "group_order": 128,
+                   "singular_locus": "14xT6+84xT5+280xT4+560xT3+672xT2"
+                                     "+448xT1/pm1+128xpoint",
+                   "quotient_betti": [1, 0, 0, 0, 0, 0, 0, 0],
+                   "resolved_betti": [1, 0, 2186, 5096, 5082, 2800, 910, 168]}}
+        path = tmp_path / "signflips-T7.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
+        rows = run_scenario_object(scenario).rows
+        note("T^7 / all sign flips: order 128, 2186 strata",
+             [r.check for r in rows] == list(doc["expected"])
              and all(r.passed for r in rows))
 
 

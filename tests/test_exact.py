@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit.errors import SingularMap
-from g2kit.exact import det, identity_matrix, inverse, mat_mul, rank, rref
+from g2kit.exact import (
+    det, identity_matrix, inverse, mat_mul, mat_vec, rank, rref)
 
 
 def square_matrices(n, lo=-3, hi=3):
@@ -121,6 +122,31 @@ class TestMatMul:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             mat_mul(((1, 2),), ((1,),))
+
+
+class TestMatVec:
+    @settings(max_examples=60, deadline=None)
+    @given(a=integer_matrices(), data=st.data())
+    def test_matches_row_sums(self, a, data):
+        v = data.draw(st.lists(st.integers(-5, 5), min_size=len(a[0]),
+                               max_size=len(a[0])))
+        assert mat_vec(a, v) == tuple(sum(x * y for x, y in zip(row, v))
+                                      for row in a)
+
+    def test_fractions(self):
+        h = Fraction(1, 2)
+        assert mat_vec(((h, 1), (0, -h)), (2, h)) == (Fraction(3, 2), Fraction(-1, 4))
+
+    def test_empty(self):
+        assert mat_vec((), (1, 2)) == ()
+        assert mat_vec(((),), ()) == (0,)
+
+    @pytest.mark.parametrize("a, v", [(((1, 2, 3),), (1, 1)),
+                                      (((1, 2),), (1, 1, 1)),
+                                      (((1, 2), (3,)), (1, 1))])
+    def test_length_mismatch_raises(self, a, v):
+        with pytest.raises(ValueError):
+            mat_vec(a, v)
 
 
 class TestInverse:

@@ -25,7 +25,12 @@ from g2kit.forms import PHI0
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
+    _cosets,
     _fixed_components,
+    _group_into_orbits,
+    _t_orbit_size,
+    _translation_lattice,
+    _transport,
     check_preserves_form,
     components_intersect,
     count_ends,
@@ -808,6 +813,12 @@ def fixer_names(strata, maps):
     return out
 
 
+def signflips(n):
+    """All coordinate sign flips of T^n: order 2^n, 3^n - 1 strata."""
+    return generate_group([D([-1 if j == i else 1 for j in range(n)],
+                             name=f"s{i + 1}") for i in range(n)])
+
+
 def _locus_case(group):
     return singular_locus(group), group, [g for g in group if not g.is_identity()]
 
@@ -857,6 +868,22 @@ ORACLE_CASES = {
     "translations-T4-pull-x2": lambda: _locus_case(pull(generate_group(
         [D([-1, -1, 1, 1], name="g"),
          D([1, 1, 1, 1], [H, 0, Fraction(1, 4), 0], name="t")]), 2)),
+    # a reflection along the circle with the line kept, then reversed:
+    # residual "other", then "pm1"
+    "line-kept-T2xR": lambda: _locus_case(generate_group(
+        [D([-1, 1, 1], lines=[3], name="g"), D([1, -1, 1], lines=[3], name="h")])),
+    "line-reversed-T2xR": lambda: _locus_case(generate_group(
+        [D([-1, 1, 1], lines=[3], name="g"), D([1, -1, -1], lines=[3], name="h")])),
+    # R strata: a component with no direction but a free line
+    "line-reversed-T1xR": lambda: _locus_case(generate_group(
+        [D([-1, 1], lines=[2], name="g"), D([1, -1], lines=[2], name="h")])),
+    # an element that keeps the circle direction and reverses the line
+    "line-flip-T2xR": lambda: _locus_case(generate_group(
+        [D([-1, 1, 1], lines=[3], name="g"),
+         D([1, 1, -1], lines=[3], name="k")])),
+    "signflips-T4": lambda: _locus_case(signflips(4)),
+    "signflips-T4-half-e1": lambda: _locus_case(generate_group(
+        list(signflips(4).generators) + [D([1] * 4, [H, 0, 0, 0], name="t")])),
 }
 
 
@@ -978,3 +1005,169 @@ class TestQuotientBettiOracle:
     @given(group=signed_permutation_groups())
     def test_random_signed_permutation_groups(self, group):
         assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
+
+
+# ---------------------------------------------------------------------------
+# Reference for the residual: every coset of the translation subgroup is
+# visited, and an element is looked up in the group by its linear part and
+# the shift x0 - A x0, with dense linear images.  The rest of the pipeline is
+# the library's, so the strata must agree field by field and in order.
+
+
+def _dense_image(linear, vec):
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in linear)
+
+
+def _oracle_fixed_pointwise_in(group, linear, comp):
+    if any(_dense_image(linear, d) != d for d in comp.directions):
+        return False
+    if any(linear[i1 - 1][i1 - 1] != 1 for i1 in comp.free_lines):
+        return False
+    shift = [x - y for x, y in zip(comp.num, _dense_image(linear, comp.num))]
+    return AffineTorusMap._from_parts(linear, shift, comp.den, comp.lines, "") in group
+
+
+def _oracle_acts_as_minus_one(linear, comp):
+    if any(_dense_image(linear, d) != tuple(-x for x in d)
+           for d in comp.directions):
+        return False
+    return all(linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
+
+
+def _oracle_classify_residual(group, cosets, comp, setwise, lattice):
+    pointwise = sum(_oracle_fixed_pointwise_in(group, a, comp) for a in cosets)
+    if setwise == pointwise:
+        return "trivial"
+    if setwise == 2 * pointwise:
+        key = comp.key(lattice)
+        if any(_oracle_acts_as_minus_one(a, comp)
+               and _transport(f, comp).key(lattice) == key
+               for a, f in cosets.items()):
+            return "pm1"
+    return "other"
+
+
+def oracle_strata(group, maps):
+    """The library's strata of the cosets f T (f in maps), with the residual
+    classified over every coset and sorted by Fraction offsets."""
+    cosets = _cosets(group)
+    lattice = _translation_lattice(group)
+    registry = {}
+    for f in maps:
+        for comp in _fixed_components(f, lattice):
+            registry.setdefault(comp.key(lattice), comp)
+    strata = []
+    for rep, classes in _group_into_orbits(group, registry, lattice):
+        count = classes * _t_orbit_size(rep, lattice)
+        setwise = group.order // count
+        strata.append(FlatStratum(
+            rep.torus_dim, rep.line_dim, count, rep.display_offset(), setwise,
+            _oracle_classify_residual(group, cosets, rep, setwise, lattice)))
+    strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.offset))
+    return strata
+
+
+def oracle_singular_locus(group):
+    ident = group.identity.linear
+    return oracle_strata(group, [f for a, f in _cosets(group).items()
+                                 if a != ident])
+
+
+def oracle_census(sigma, group):
+    return oracle_strata(group, [f.compose(sigma) for f in _cosets(group).values()])
+
+
+def _permuted_file_group(signs_shifts, perm, pull_direction=None):
+    """A large-group benchmark file's group, built inline: generators as
+    (signs, shifts) with coordinate i moved to perm[i]."""
+    n = len(perm)
+    gens = []
+    for k, (signs, shifts) in enumerate(signs_shifts):
+        moved_signs, moved_shifts = [0] * n, [0] * n
+        for i in range(n):
+            moved_signs[perm[i]], moved_shifts[perm[i]] = signs[i], shifts[i]
+        gens.append(D(moved_signs, moved_shifts, name=f"g{k}"))
+    group = generate_group(gens)
+    if pull_direction is None:
+        return [group]
+    pulled = pull(group, perm[pull_direction - 1] + 1)
+    return [pulled, cross_section_group(pulled, perm[pull_direction - 1] + 1)]
+
+
+Q = Fraction(1, 4)
+ZERO7 = (0,) * 7
+NEGID_QUARTER = [((-1,) * 7, ZERO7), ((1,) * 7, (Q, 0, 0, 0, 0, 0, 0))]
+JOYCE_GAMMA_QUARTER = [
+    ((1, 1, 1, -1, -1, -1, -1), ZERO7),
+    ((1, -1, -1, 1, 1, -1, -1), (0, 0, 0, 0, 0, H, 0)),
+    ((-1, 1, -1, 1, -1, 1, -1), (0, 0, 0, 0, Q, 0, H))]
+JOYCE_HALF_E1 = [
+    ((1, 1, 1, -1, -1, -1, -1), ZERO7),
+    ((1, -1, -1, 1, 1, -1, -1), (0, 0, 0, 0, 0, H, 0)),
+    ((-1, 1, -1, 1, -1, 1, -1), (0, 0, 0, 0, H, 0, H)),
+    ((1,) * 7, (H, 0, 0, 0, 0, 0, 0))]
+IDENTITY7 = tuple(range(7))
+SHUFFLE7 = (3, 6, 0, 5, 1, 4, 2)
+
+LOCUS_GROUPS = {
+    "joyce": lambda: [the_group()],
+    **{f"pull-x{i}": (lambda i=i: [pull(the_group(), i),
+                                   cross_section_group(pull(the_group(), i), i)])
+       for i in (1, 3)},
+    "gamma1-pull-x7": lambda: [
+        pull(generate_group([alpha(), beta(), gamma1()]), 7),
+        cross_section_group(pull(generate_group([alpha(), beta(), gamma1()]), 7), 7)],
+    **{f"{name}-{label}": (lambda gens=gens, perm=perm, d=d:
+                           _permuted_file_group(gens, perm, d))
+       for name, gens, d in (("negid-quarter", NEGID_QUARTER, None),
+                             ("joyce-gamma-quarter", JOYCE_GAMMA_QUARTER, None),
+                             ("joyce-half-e1-pull-x3", JOYCE_HALF_E1, 3))
+       for label, perm in (("plain", IDENTITY7), ("shuffled", SHUFFLE7))},
+    **{f"signflips-T{n}": (lambda n=n: [signflips(n)]) for n in (4, 5, 6)},
+    "signflips-T4-half-e1": lambda: [ORACLE_CASES["signflips-T4-half-e1"]()[1]],
+    **{case: (lambda case=case: [ORACLE_CASES[case]()[1]])
+       for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
+                    "line-flip-T2xR")},
+    "dihedral-T3": lambda: [_dihedral_t3()],
+    "rotation-T5": lambda: [_rotation_t5()],
+    "translations-T4": lambda: [_translations_t4()],
+}
+
+CENSUS_CASES = {
+    "coassoc-5.2": lambda: (sigma_52(), the_group()),
+    "coassoc-5.3": lambda: (sigma_53(), the_group()),
+    "coassoc-5.2-half": lambda: (
+        AffineTorusMap(sigma_52().linear, sigma_52().shift, [4], "sigma"),
+        pull(the_group(), 4)),
+    "translations-T2": lambda: (
+        D([1, 1], [H, H], name="s"),
+        generate_group([D([1, 1], [H, 0], name="t"),
+                        D([-1, -1], [0, Fraction(3, 4)], name="m")])),
+}
+
+
+class TestResidualOracle:
+    @pytest.mark.parametrize("case", list(LOCUS_GROUPS))
+    def test_singular_locus_matches_per_coset_residual(self, case):
+        for group in LOCUS_GROUPS[case]():
+            assert singular_locus(group) == oracle_singular_locus(group)
+
+    @pytest.mark.parametrize("case", list(CENSUS_CASES))
+    def test_census_matches_per_coset_residual(self, case):
+        sigma, group = CENSUS_CASES[case]()
+        assert involution_fixed_census(sigma, group) == oracle_census(sigma, group)
+
+    def test_cases_cover_every_residual(self):
+        residuals = {s.residual for case in LOCUS_GROUPS.values()
+                     for group in case() for s in singular_locus(group)}
+        assert residuals == {"trivial", "pm1", "other"}
+
+    def test_signflip_stratum_counts(self):
+        # a stratum picks, per coordinate, free or one of the two fixed values
+        for n in (4, 5, 6):
+            assert len(singular_locus(signflips(n))) == 3 ** n - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_permutation_groups())
+    def test_random_signed_permutation_groups(self, group):
+        assert singular_locus(group) == oracle_singular_locus(group)
