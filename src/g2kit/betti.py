@@ -8,6 +8,7 @@ the cohomology is known.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -116,14 +117,13 @@ class ResolutionRecipe:
 
     def __init__(self, base: BettiVector, strata):
         normalized = []
+        cp1 = BettiVector.cp1()
         for entry in strata:
             if isinstance(entry, tuple) and len(entry) == 2:
                 stratum, fiber = entry
             else:
                 stratum, fiber = entry, None
-            if fiber is None:
-                fiber = BettiVector.cp1()
-            normalized.append((stratum, fiber))
+            normalized.append((stratum, cp1 if fiber is None else fiber))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "strata", tuple(normalized))
 
@@ -132,17 +132,17 @@ def resolve_betti(recipe: ResolutionRecipe) -> BettiVector:
     """Betti numbers after resolving each stratum of the recipe.
 
     Resolving a stratum with torus factor T^d and fibre retract F replaces a
-    cone factor by F, changing b^k by b^k(T^d x F) - b^k(T^d).
+    cone factor by F, changing b^k by b^k(T^d x F) - b^k(T^d).  The change
+    is found once per distinct (d, F) and added times its multiplicity.
     """
     out = list(recipe.base.b)
     n = recipe.base.n
-    for stratum, fiber in recipe.strata:
-        d = stratum.torus_dim
+    kinds = Counter((stratum.torus_dim, fiber) for stratum, fiber in recipe.strata)
+    for (d, fiber), mult in kinds.items():
         t = BettiVector.torus(d)
         for k in range(n + 1):
             delta = sum(t.get(j) * fiber.get(k - j) for j in range(min(k, d) + 1))
-            delta -= t.get(k)
-            out[k] += delta
+            out[k] += mult * (delta - t.get(k))
     if any(v < 0 for v in out):
         raise InvalidRecipe(f"resolution produced a negative Betti number: {out}")
     return BettiVector(out)

@@ -194,6 +194,10 @@ class AffineTorusMap:
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
+        return self._then(other, name)
+
+    def _then(self, other, name) -> "AffineTorusMap":
+        """self after other, for maps known to act on one space."""
         return AffineTorusMap._from_parts(_linear_product(self.linear, other.linear),
                                           *self._act(other.num, other.den),
                                           self.lines, name)
@@ -260,7 +264,7 @@ class FiniteActionGroup:
         for m in members:
             if m not in self._index:
                 raise InvalidOperand("subgroup member not in group")
-        return generate_group(members)
+        return _close_members(members)
 
 
 def generate_group(gens: Sequence[AffineTorusMap],
@@ -273,30 +277,60 @@ def generate_group(gens: Sequence[AffineTorusMap],
         if g.n != n or g.lines != lines:
             raise InvalidOperand("generators act on different spaces")
     ident = AffineTorusMap.identity(n, lines)
-    seen = {ident: ident}
-    frontier = [ident]
+    seen = {ident}
+    elements, frontier = [ident], [ident]
     while frontier:
         nxt = []
         for cur in frontier:
             for g in gens:
-                prod = cur.compose(g)
+                # a new product is never the identity, which is seen first
+                word = g.name if cur is ident else (
+                    f"{cur.name}*{g.name}" if cur.name and g.name else "")
+                prod = cur._then(g, word)
                 if prod not in seen:
-                    if cur.is_identity():
-                        word = g.name
-                    elif prod.is_identity():
-                        word = "id"
-                    else:
-                        word = (f"{cur.name}*{g.name}"
-                                if cur.name and g.name else "")
-                    named = AffineTorusMap._from_parts(prod.linear, prod.num,
-                                                       prod.den, lines, word)
-                    seen[prod] = named
-                    nxt.append(named)
+                    seen.add(prod)
+                    nxt.append(prod)
                     if len(seen) > bound:
                         raise GroupTooLarge(
                             f"group did not close within {bound} elements")
+        elements.extend(nxt)
         frontier = nxt
-    return FiniteActionGroup(gens, tuple(seen.values()))
+    return FiniteActionGroup(gens, elements)
+
+
+def _close_members(members: Sequence[AffineTorusMap]) -> FiniteActionGroup:
+    """The subgroup that members of a finite group generate, closed from
+    generators chosen greedily (Dimino's algorithm): a member joins the
+    generators only if the closure so far lacks it.  The closure H' so far
+    is a group, so the new one is a union of cosets H' r, found by moving
+    the coset representatives r by the generators.  Each join at least
+    doubles the closure, so there are at most log2 |H| generators; each
+    element is composed once, plus one product per representative and
+    generator.  Identity is element 0."""
+    if not members:
+        raise InvalidOperand("need at least one member")
+    ident = AffineTorusMap.identity(members[0].n, members[0].lines)
+    elements, seen, gens = [ident], {ident}, []
+
+    def add_coset(rep, prev):
+        for h in [rep] + [h.compose(rep) for h in prev]:
+            seen.add(h)
+            elements.append(h)
+
+    for m in members:
+        if m in seen:
+            continue
+        gens.append(m)
+        prev = elements[1:]
+        reps = [m]
+        add_coset(m, prev)
+        for r in reps:
+            for g in gens:
+                prod = r.compose(g)
+                if prod not in seen:
+                    reps.append(prod)
+                    add_coset(prod, prev)
+    return FiniteActionGroup(gens, elements)
 
 
 def check_preserves_form(f: AffineTorusMap, phi: ExteriorForm, sign: int) -> bool:
@@ -517,21 +551,21 @@ def _fixed_components(f: AffineTorusMap, lattice=None) -> list[_Component]:
     base = [0] * n
     for i1 in pinned:
         base[i1 - 1] = f.num[i1 - 1] * (den // (2 * f.den))
-    bv = mat_mul(basis, v)  # x = B V z / D
+    # x = B V z / D, placed through the nonzero entries of B V
+    bv = tuple((circ[i], k, x) for i, k, x in _sparse(mat_mul(basis, v)))
     dirs = []
     for k in range(c):
         if diag[k] == 0:
             vec = [0] * n
-            for i, row in zip(circ, bv):
-                vec[i] = row[k]
+            for i, col, x in bv:
+                if col == k:
+                    vec[i] = x
             dirs.append(vec)
-    out = []
-    for combo in product(*choice_sets):
-        num = list(base)
-        for i, x in zip(circ, mat_vec(bv, combo)):
-            num[i] = x * up % den
-        out.append(_Component(n, lines, num, den, dirs, free_lines))
-    return out
+    # base is 0 on circle coordinates and the image is 0 on line coordinates
+    return [_Component(n, lines, [b + x * up % den for b, x in
+                                  zip(base, _linear_image(bv, combo, n))],
+                       den, dirs, free_lines)
+            for combo in product(*choice_sets)]
 
 
 def _transport(g: AffineTorusMap, comp: _Component) -> _Component:
@@ -638,27 +672,32 @@ def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
 
 
 def _group_into_orbits(group: FiniteActionGroup, registry: dict, lattice):
-    """registry maps the key of a class mod span + Λ_T to a component in it;
-    returns each orbit as its first registered component and its number of
-    classes.
+    """registry maps the key of a class mod span + Λ_T to a component in it
+    and the linear part of the coset f T of G whose fixed set gave it, or
+    None when the coset lies outside G (a census map f∘sigma); returns each
+    orbit as its first registered component and its number of classes.
 
     The search moves classes by the generators only: G is finite, so every
     element is a positive word in them, and T is normal, so every element
     maps classes to classes; a translation fixes each class and is skipped.
+    So is a generator in the class's own coset f T: one element of f T fixes
+    the component pointwise, and the others differ from it by translations.
     The cost is O(classes * generators)."""
     ident = group.identity.linear
     movers = [g for g in group.generators if g.linear != ident]
     unvisited = set(registry)
     orbits = []
-    for key, comp in registry.items():
+    for key, (comp, fixer) in registry.items():
         if key not in unvisited:
             continue
         unvisited.discard(key)
-        size, stack = 0, [comp]
+        size, stack = 0, [(comp, fixer)]
         while stack:
-            base = stack.pop()
+            base, linear = stack.pop()
             size += 1
             for g in movers:
+                if g.linear == linear:
+                    continue
                 mk = _transport(g, base).key(lattice)
                 if mk in unvisited:
                     unvisited.discard(mk)
@@ -671,6 +710,9 @@ def _t_orbit_size(comp: _Component, lattice) -> int:
     """|T| / |T ∩ (span + Z^c)|, the number of components in comp's class
     mod span + Λ_T: the index [span + Λ_T : span + Z^c], a ratio of the
     Smith moduli of the two offset lattices, found without enumerating T."""
+    if lattice[1] == 1:
+        # Λ_T = Z^c: T is trivial, and one Smith solve serves the span
+        return 1
     args = (comp.n, comp.lines, comp.free_lines, comp.directions)
     plain = [m for m in _offset_lattice(*args)[2] if m]
     wide = [m for m in _offset_lattice(*args, lattice)[2] if m]
@@ -721,12 +763,16 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
                    len(circ), inv_den)
     registry: dict = {}
     for f in maps:
+        # only a coset of G maps the classes of its own fixed set to
+        # themselves; a census map f∘sigma lies outside G
+        fixer = f.linear if f in group else None
         for comp in _fixed_components(f, lattice):
-            registry.setdefault(comp.key(lattice), comp)
+            registry.setdefault(comp.key(lattice), (comp, fixer))
     orbits = _group_into_orbits(group, registry, lattice)
     # strata are ordered by dimension, then offset: over one common
     # denominator the offsets compare as integer tuples
     den = lcm(*(rep.den for rep, _ in orbits))
+    fracs: dict = {}
     actions: dict = {}
     strata = []
     for rep, classes in orbits:
@@ -735,13 +781,15 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
         span = (rep.directions, rep.free_lines)
         if span not in actions:
             actions[span] = _span_action(cosets, *span)
-        order = (-(rep.torus_dim + rep.line_dim),
-                 tuple(x * (den // rep.den) for x in rep.num))
-        strata.append((order, FlatStratum(
+        offset = tuple(x * (den // rep.den) for x in rep.num)
+        for x in offset:
+            if x not in fracs:
+                fracs[x] = Fraction(x, den)
+        strata.append(((-(rep.torus_dim + rep.line_dim), offset), FlatStratum(
             torus_dim=rep.torus_dim,
             line_dim=rep.line_dim,
             count=count,
-            offset=rep.display_offset(),
+            offset=tuple([fracs[x] for x in offset]),
             stabilizer_order=setwise,
             residual=_classify_residual(rep, setwise, lattice, lattice_inv,
                                         actions[span]),
@@ -780,15 +828,27 @@ def involution_fixed_census(sigma: AffineTorusMap,
 def _exterior_traces(a) -> list[int]:
     """tr Λ^k A for k = 0..n of an integer n×n matrix A.
 
-    Newton's identities turn the power traces p_j = tr A^j into the
-    elementary symmetric functions of the eigenvalues:
+    The powers are kept as sparse rows, and Newton's identities turn the
+    power traces p_j = tr A^j into the elementary symmetric functions of
+    the eigenvalues:
     k e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j, and e_k = tr Λ^k A.
     """
     n = len(a)
-    p, power = [], identity_matrix(n)
-    for _ in range(n):
-        power = mat_mul(power, a)
-        p.append(sum(power[i][i] for i in range(n)))
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    power = [dict(row) for row in rows]
+    p = [sum(row.get(i, 0) for i, row in enumerate(power))]
+    for _ in range(n - 1):
+        # row i of A^(j+1) sums A^j[i][k] times row k of A over the nonzero
+        # A^j[i][k]: one multiply per row for a monomial block
+        nxt = []
+        for prow in power:
+            acc: dict = {}
+            for k, x in prow.items():
+                for j, y in rows[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            nxt.append(acc)
+        power = nxt
+        p.append(sum(row.get(i, 0) for i, row in enumerate(power)))
     e = [1]
     for k in range(1, n + 1):
         e.append(sum((-1) ** (j - 1) * e[k - j] * p[j - 1]
@@ -801,8 +861,9 @@ def quotient_betti(group: FiniteActionGroup) -> BettiVector:
     circle block (line factors are contractible and contribute nothing),
     taken once per distinct block and weighted by its multiplicity."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    blocks = Counter(tuple(tuple(g.linear[i][j] for j in circ) for i in circ)
-                     for g in group.elements)
+    blocks: Counter = Counter()
+    for linear, mult in Counter(g.linear for g in group.elements).items():
+        blocks[tuple(tuple(linear[i][j] for j in circ) for i in circ)] += mult
     totals = [0] * (len(circ) + 1)
     for block, mult in blocks.items():
         totals = [t + mult * e for t, e in zip(totals, _exterior_traces(block))]
@@ -864,18 +925,25 @@ def end_preserving_subgroup(group: FiniteActionGroup, i: int) -> FiniteActionGro
     """Subgroup of elements that fix the ends of line coordinate i."""
     if i not in group.lines:
         raise InvalidOperand(f"coordinate {i} is not a line coordinate")
-    members = [g for g in group.elements if g.linear[i - 1][i - 1] == 1]
-    return generate_group(members)
+    return _close_members([g for g in group.elements if g.linear[i - 1][i - 1] == 1])
 
 
 def cross_section_group(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
-    """The end-preserving subgroup, restricted to the cross-section T^{n-1}."""
-    sub = end_preserving_subgroup(group, i)
+    """The end-preserving subgroup, restricted to the cross-section T^{n-1}.
+
+    The restrictions need no validation.  A line coordinate carries a plain
+    sign action and no map mixes lines with circles, so each element's
+    linear part is block diagonal with the 1x1 block at i: dropping row and
+    column i leaves a unimodular block with the same line/circle split.  An
+    element that keeps a line has no shift along it (a finite group holds
+    no translation along a line), so the kept shift numerators stay
+    canonical and restriction is injective on the end-preserving elements."""
+    if i not in group.lines:
+        raise InvalidOperand(f"coordinate {i} is not a line coordinate")
     keep = [j for j in range(group.n) if j != i - 1]
     new_lines = frozenset(j if j < i else j - 1 for j in group.lines if j != i)
-    members = []
-    for g in sub.elements:
-        lin = [[g.linear[p][q] for q in keep] for p in keep]
-        shf = [g.shift[p] for p in keep]
-        members.append(AffineTorusMap(lin, shf, new_lines, g.name))
-    return generate_group(members)
+    members = [AffineTorusMap._from_parts(
+        tuple(tuple(g.linear[p][q] for q in keep) for p in keep),
+        [g.num[p] for p in keep], g.den, new_lines, g.name)
+        for g in group.elements if g.linear[i - 1][i - 1] == 1]
+    return _close_members(members)

@@ -13,6 +13,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,7 @@ BUDGETS = {
     "TestCriterion5PoincarePrimitive": (10.0, "criterion 5"),
     "TestLargeUserGroup": (5.0, "T^8 group of order 1024"),
     "TestSignFlipUserGroup": (3.5, "all sign flips of T^7, 2186 strata"),
+    "TestPulledUserGroup": (2.0, "pulled T^7 group of order 1024"),
 }
 
 
@@ -524,6 +526,25 @@ class TestSignFlipUserGroup:
         rows = {r.check: r for r in run_scenario_object(load_scenario(path)).rows}
         note("T^7 / all sign flips: order 128, 2186 strata",
              all(rows[check].passed for check in doc["expected"]))
+
+
+class TestPulledUserGroup:
+    """The pulled half of Joyce's alpha, beta, gamma with the translations
+    1/2 e1, 1/4 e2, 1/4 e4, 1/2 e6 and 1/2 e7, |G| = 1024, pulled along x3
+    with the betti and moduli checks, loaded from its file as the CLI does.
+    The moduli row closes the cross-section group of order 512.  The
+    resolved rows are left unpinned: the strata have stabilizer orders
+    32..128, beyond the A1 model the resolution assumes."""
+
+    def test_pulled_order_1024(self):
+        path = Path(__file__).parent / "data" / "joyce-half-pull-x3-order-1024.json"
+        scenario = load_scenario(path)
+        rows = {r.check: r for r in run_scenario_object(scenario).rows}
+        note("T^6 x R / order 1024: 16 T3 + 16 T2xR strata, b3 = 4, b4 = 3",
+             list(scenario.expected) == ["group_order", "singular_locus",
+                                         "quotient_betti"]
+             and all(rows[check].passed for check in scenario.expected)
+             and isinstance(rows["moduli_dimension"].computed, int))
 
 
 class TestHolonomyVerdicts:

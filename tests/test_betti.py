@@ -101,7 +101,43 @@ class _Flat:
         self.torus_dim = torus_dim
 
 
+def reference_resolve_betti(recipe):
+    """The per-stratum loop: one correction added for every stratum."""
+    out = list(recipe.base.b)
+    for stratum, fiber in recipe.strata:
+        d = stratum.torus_dim
+        t = BettiVector.torus(d)
+        for k in range(recipe.base.n + 1):
+            out[k] += sum(t.get(j) * fiber.get(k - j)
+                          for j in range(min(k, d) + 1)) - t.get(k)
+    return out
+
+
+betti_vectors = st.lists(st.integers(0, 6), min_size=1, max_size=5).map(BettiVector)
+
+
+@st.composite
+def recipes(draw):
+    base = BettiVector(draw(st.lists(st.integers(0, 60), min_size=1, max_size=9)))
+    fibres = st.one_of(st.none(), st.just(BettiVector.point()), betti_vectors)
+    strata = draw(st.lists(st.tuples(st.integers(0, 4).map(_Flat), fibres),
+                           max_size=20))
+    # bare strata take the default fibre
+    return ResolutionRecipe(base=base, strata=[
+        entry[0] if entry[1] is None and draw(st.booleans()) else entry
+        for entry in strata])
+
+
 class TestResolveBetti:
+    @given(recipe=recipes())
+    def test_matches_per_stratum_loop(self, recipe):
+        expected = reference_resolve_betti(recipe)
+        if min(expected) < 0:
+            with pytest.raises(InvalidRecipe):
+                resolve_betti(recipe)
+        else:
+            assert resolve_betti(recipe) == expected
+
     def test_closed_seven_manifold(self):
         base = BettiVector([1, 0, 0, 7, 7, 0, 0, 1])
         out = resolve_betti(ResolutionRecipe(base=base, strata=[_Flat(3)] * 12))

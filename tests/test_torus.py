@@ -6,7 +6,7 @@ compares against the Smith-normal-form component enumeration.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, log2
 
 import numpy as np
 import pytest
@@ -21,11 +21,13 @@ from g2kit.errors import (
     PullObstruction,
 )
 from g2kit.exact import det
+from g2kit import torus
 from g2kit.forms import PHI0
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
     _cosets,
+    _exterior_traces,
     _fixed_components,
     _group_into_orbits,
     _t_orbit_size,
@@ -941,12 +943,19 @@ class TestOrbitOracle:
 # principal minors of the circle block, averaged over the group.
 
 
+def reference_exterior_traces(a):
+    return [sum(det([[a[p][q] for q in sub] for p in sub])
+                for sub in combinations(range(len(a)), k))
+            for k in range(len(a) + 1)]
+
+
 def reference_quotient_betti(group):
     circ = [i for i in range(group.n) if i + 1 not in group.lines]
-    return tuple(
-        sum(det([[g.linear[p][q] for q in sub] for p in sub])
-            for g in group.elements for sub in combinations(circ, k)) / group.order
-        for k in range(len(circ) + 1))
+    totals = [0] * (len(circ) + 1)
+    for g in group.elements:
+        block = [[g.linear[p][q] for q in circ] for p in circ]
+        totals = [t + e for t, e in zip(totals, reference_exterior_traces(block))]
+    return tuple(t / group.order for t in totals)
 
 
 BETTI_CASES = {
@@ -1006,6 +1015,13 @@ class TestQuotientBettiOracle:
     def test_random_signed_permutation_groups(self, group):
         assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
 
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_power_traces_on_dense_matrices(self, a):
+        assert _exterior_traces(a) == reference_exterior_traces(a)
+
 
 # ---------------------------------------------------------------------------
 # Reference for the residual: every coset of the translation subgroup is
@@ -1049,13 +1065,15 @@ def _oracle_classify_residual(group, cosets, comp, setwise, lattice):
 
 def oracle_strata(group, maps):
     """The library's strata of the cosets f T (f in maps), with the residual
-    classified over every coset and sorted by Fraction offsets."""
+    classified over every coset and sorted by Fraction offsets.  No class
+    names a fixing coset, so the orbit search moves each by every
+    generator."""
     cosets = _cosets(group)
     lattice = _translation_lattice(group)
     registry = {}
     for f in maps:
         for comp in _fixed_components(f, lattice):
-            registry.setdefault(comp.key(lattice), comp)
+            registry.setdefault(comp.key(lattice), (comp, None))
     strata = []
     for rep, classes in _group_into_orbits(group, registry, lattice):
         count = classes * _t_orbit_size(rep, lattice)
@@ -1171,3 +1189,80 @@ class TestResidualOracle:
     @given(group=signed_permutation_groups())
     def test_random_signed_permutation_groups(self, group):
         assert singular_locus(group) == oracle_singular_locus(group)
+
+    def test_negid_quarter_makes_no_self_moves(self, monkeypatch):
+        # every class lies in the fixed set of the coset of -Id, the only
+        # linear part a generator moves by
+        calls = []
+        transport = torus._transport
+        monkeypatch.setattr(torus, "_transport",
+                            lambda g, comp: calls.append(g) or transport(g, comp))
+        group, = _permuted_file_group(NEGID_QUARTER, IDENTITY7)
+        assert len(singular_locus(group)) == 128
+        assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Reference for the subgroups: each end-preserving element restricted through
+# the public constructor, which validates it again, and the closure of all
+# members taken as generators.
+
+
+def reference_end_preserving(group, i):
+    return generate_group([g for g in group.elements if g.linear[i - 1][i - 1] == 1])
+
+
+def reference_cross_section(group, i):
+    keep = [j for j in range(group.n) if j != i - 1]
+    new_lines = frozenset(j if j < i else j - 1 for j in group.lines if j != i)
+    return generate_group([
+        AffineTorusMap([[g.linear[p][q] for q in keep] for p in keep],
+                       [g.shift[p] for p in keep], new_lines, g.name)
+        for g in reference_end_preserving(group, i).elements])
+
+
+def assert_few_generators(sub):
+    assert sub.identity.is_identity()
+    assert len(sub.elements) == len(set(sub.elements))
+    assert len(sub.generators) <= log2(sub.order)
+
+
+def assert_sections_match_reference(group):
+    for i in group.lines:
+        for fast, slow in ((end_preserving_subgroup(group, i),
+                            reference_end_preserving(group, i)),
+                           (cross_section_group(group, i),
+                            reference_cross_section(group, i))):
+            assert set(fast.elements) == set(slow.elements)
+            assert_few_generators(fast)
+
+
+class TestSubgroupOracle:
+    @pytest.mark.parametrize("case", list(LOCUS_GROUPS))
+    def test_sections_match_full_closure(self, case):
+        for group in LOCUS_GROUPS[case]():
+            assert_sections_match_reference(group)
+
+    def test_order_1024_pull_has_few_generators(self):
+        group, = _permuted_file_group(
+            JOYCE_HALF_E1[:3] + [((1,) * 7, step) for step in (
+                (H, 0, 0, 0, 0, 0, 0), (0, Q, 0, 0, 0, 0, 0), (0, 0, 0, Q, 0, 0, 0),
+                (0, 0, 0, 0, 0, H, 0), (0, 0, 0, 0, 0, 0, H))], SHUFFLE7)
+        pulled = pull(group, SHUFFLE7[2] + 1)
+        cs = cross_section_group(pulled, SHUFFLE7[2] + 1)
+        assert pulled.order == 1024 and cs.order == 512
+        assert_few_generators(cs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_diagonal_groups())
+    def test_random_pulled_groups(self, group):
+        assert_sections_match_reference(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=signed_permutation_groups(), data=st.data())
+    def test_subgroup_of_random_members(self, group, data):
+        members = data.draw(st.lists(st.sampled_from(group.elements),
+                                     min_size=1, max_size=4))
+        sub = group.subgroup(members)
+        assert set(sub.elements) == set(generate_group(members).elements)
+        assert_few_generators(sub)
