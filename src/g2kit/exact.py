@@ -175,29 +175,6 @@ def inverse(rows) -> Matrix:
     return tuple(row[n:] for row in red)
 
 
-def null_space(rows) -> Matrix:
-    """Canonical rational basis (rows) of the null space of the given matrix."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    red = rref(rows)
-    pivots = []
-    for row in red:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for row, pj in zip(red, pivots):
-            vec[pj] = -row[j]
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form over the integers.
 
@@ -298,54 +275,3 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
     return (tuple(tuple(r) for r in u),
             tuple(tuple(r) for r in m),
             tuple(tuple(r) for r in v))
-
-
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution y of A y = b, or None when none exists."""
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u, d, v = smith_normal_form(a)
-    ub = mat_vec(u, tuple(b))
-    z = [0] * nc
-    for i in range(nr):
-        di = d[i][i] if i < nc else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            z[i] = ub[i] // di
-    return mat_vec(v, tuple(z))
-
-
-def lattice_contains(generators: Sequence[Sequence], target: Sequence) -> bool:
-    """Does target lie in the set of integer combinations of the generator vectors?"""
-    if not generators:
-        return all(frac(x) == 0 for x in target)
-    denom = lcm(*(frac(x).denominator for g in generators for x in g),
-                *(frac(x).denominator for x in target))
-    n = len(target)
-    # matrix whose columns are the generators, cleared of denominators
-    a_int = tuple(tuple(int(frac(generators[j][i]) * denom)
-                        for j in range(len(generators)))
-                  for i in range(n))
-    t_int = tuple(int(frac(x) * denom) for x in target)
-    return solve_integer(a_int, t_int) is not None
-
-
-def in_span_mod_lattice(directions: Sequence[Sequence],
-                        delta: Sequence) -> bool:
-    """Is delta in span_Q(directions) + Z^n?  directions given as row vectors."""
-    n = len(delta)
-    if directions:
-        rows = tuple(tuple(frac(x) for x in d) for d in directions)
-        ann = null_space(rows)  # basis of vectors orthogonal to every direction
-    else:
-        ann = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    if not ann:
-        return True
-    proj_delta = mat_vec(ann, tuple(frac(x) for x in delta))
-    # image of Z^n under the annihilator map: lattice spanned by its columns
-    cols = tuple(tuple(ann[i][j] for i in range(len(ann))) for j in range(n))
-    return lattice_contains(cols, proj_delta)

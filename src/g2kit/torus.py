@@ -43,7 +43,6 @@ from .exact import (
     det,
     frac,
     identity_matrix,
-    in_span_mod_lattice,
     inverse,
     mat_mul,
     mat_vec,
@@ -163,10 +162,6 @@ class AffineTorusMap:
     def shift(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    @property
-    def shift_denominator(self) -> int:
-        return self.den
-
     def is_identity(self) -> bool:
         ident = all(self.linear[i][j] == (i == j) for i in range(self.n)
                     for j in range(self.n))
@@ -194,10 +189,6 @@ class AffineTorusMap:
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return self._then(other, name)
-
-    def _then(self, other, name) -> "AffineTorusMap":
-        """self after other, for maps known to act on one space."""
         return AffineTorusMap._from_parts(_linear_product(self.linear, other.linear),
                                           *self._act(other.num, other.den),
                                           self.lines, name)
@@ -222,7 +213,8 @@ class AffineTorusMap:
 
 
 class FiniteActionGroup:
-    """Closure of a finite set of commensurable affine torus maps."""
+    """A finite group of affine torus maps: its elements, identity first, and
+    a subset of them that generates it."""
 
     __slots__ = ("generators", "elements", "_index")
 
@@ -260,16 +252,18 @@ class FiniteActionGroup:
     def lines(self) -> frozenset:
         return self.identity.lines
 
-    def subgroup(self, members: Sequence[AffineTorusMap]) -> "FiniteActionGroup":
-        for m in members:
-            if m not in self._index:
-                raise InvalidOperand("subgroup member not in group")
-        return _close_members(members)
-
 
 def generate_group(gens: Sequence[AffineTorusMap],
                    bound: int = GROUP_SIZE_BOUND) -> FiniteActionGroup:
-    """BFS closure of the generators; identity is always element 0."""
+    """The group the maps gens generate, closed from generators chosen
+    greedily (Dimino's algorithm): a map joins the generators only if the
+    closure so far lacks it.  The closure H so far is a group, so the new
+    one is a union of cosets H r, found by moving the coset representatives
+    r by the generators.  Each join at least doubles the closure, so the
+    group's generators are a subset of gens of at most log2 |G| maps that
+    still generates G.  Each element is composed once, plus one product per
+    representative and generator.  Identity is element 0, and a closure of
+    more than bound elements raises GroupTooLarge."""
     if not gens:
         raise InvalidOperand("need at least one generator (or an identity map)")
     n, lines = gens[0].n, gens[0].lines
@@ -277,60 +271,29 @@ def generate_group(gens: Sequence[AffineTorusMap],
         if g.n != n or g.lines != lines:
             raise InvalidOperand("generators act on different spaces")
     ident = AffineTorusMap.identity(n, lines)
-    seen = {ident}
-    elements, frontier = [ident], [ident]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                # a new product is never the identity, which is seen first
-                word = g.name if cur is ident else (
-                    f"{cur.name}*{g.name}" if cur.name and g.name else "")
-                prod = cur._then(g, word)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > bound:
-                        raise GroupTooLarge(
-                            f"group did not close within {bound} elements")
-        elements.extend(nxt)
-        frontier = nxt
-    return FiniteActionGroup(gens, elements)
-
-
-def _close_members(members: Sequence[AffineTorusMap]) -> FiniteActionGroup:
-    """The subgroup that members of a finite group generate, closed from
-    generators chosen greedily (Dimino's algorithm): a member joins the
-    generators only if the closure so far lacks it.  The closure H' so far
-    is a group, so the new one is a union of cosets H' r, found by moving
-    the coset representatives r by the generators.  Each join at least
-    doubles the closure, so there are at most log2 |H| generators; each
-    element is composed once, plus one product per representative and
-    generator.  Identity is element 0."""
-    if not members:
-        raise InvalidOperand("need at least one member")
-    ident = AffineTorusMap.identity(members[0].n, members[0].lines)
-    elements, seen, gens = [ident], {ident}, []
+    elements, seen, chosen = [ident], {ident}, []
 
     def add_coset(rep, prev):
         for h in [rep] + [h.compose(rep) for h in prev]:
             seen.add(h)
             elements.append(h)
+        if len(elements) > bound:
+            raise GroupTooLarge(f"group did not close within {bound} elements")
 
-    for m in members:
+    for m in gens:
         if m in seen:
             continue
-        gens.append(m)
+        chosen.append(m)
         prev = elements[1:]
         reps = [m]
         add_coset(m, prev)
         for r in reps:
-            for g in gens:
+            for g in chosen:
                 prod = r.compose(g)
                 if prod not in seen:
                     reps.append(prod)
                     add_coset(prod, prev)
-    return FiniteActionGroup(gens, elements)
+    return FiniteActionGroup(chosen, elements)
 
 
 def check_preserves_form(f: AffineTorusMap, phi: ExteriorForm, sign: int) -> bool:
@@ -404,9 +367,10 @@ def _primitive(row) -> list[int]:
 
 
 def _span_and_annihilator(rows):
-    """The rows of rref(rows) and the null-space basis of exact.null_space
-    (one vector per free column, in column order), each as the primitive
-    integer vector on its ray, for an integer matrix.
+    """The rows of rref(rows) and a basis of its null space, each as the
+    primitive integer vector on its ray, for an integer matrix.  The basis
+    has one vector per free column j, in column order: e_j minus, at each
+    pivot column, the entry in column j of that pivot's rref row.
 
     Gauss-Jordan elimination on integer rows: a pivot row is made positive
     and every other row r becomes primitive(p r - r[col] pivot_row), which
@@ -615,20 +579,24 @@ def _fixes_pointwise(f: AffineTorusMap, comp: _Component, lattice_inv) -> bool:
 
 
 def components_intersect(c1: _Component, c2: _Component) -> bool:
-    """Do two fixed-set components share a point?"""
+    """Do two fixed-set components share a point?
+
+    They do iff their pinned line values agree and x2 - x1 lies in the span
+    of both direction sets plus Z^c, which the offset lattice of the joint
+    span decides over one denominator, as in _Component.key."""
     if c1.n != c2.n or c1.lines != c2.lines:
         return False
     for i1 in c1.lines:
         free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
         if not free and c1.num[i1 - 1] * c2.den != c2.num[i1 - 1] * c1.den:
             return False
-    circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
-    if not circ:
-        return True
-    joint = [tuple(d[i] for i in circ) for d in c1.directions + c2.directions]
-    off1, off2 = c1.display_offset(), c2.display_offset()
-    delta = [off2[i] - off1[i] for i in circ]
-    return in_span_mod_lattice(joint, delta)
+    _, rows, mods = _offset_lattice(c1.n, c1.lines, c1.lines,
+                                    c1.directions + c2.directions)
+    den = lcm(c1.den, c2.den)
+    k1, k2 = den // c1.den, den // c2.den
+    delta = [y * k2 - x * k1 for x, y in zip(c1.num, c2.num)]
+    return not any(v % (den * m) if m else v
+                   for v, m in zip(_linear_image(rows, delta, len(mods)), mods))
 
 
 @dataclass(frozen=True)
@@ -887,17 +855,20 @@ def count_ends(group: FiniteActionGroup, i: int) -> int:
 def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
     """Convert circle coordinate i to a line coordinate.
 
-    Every element must act on x_i as a reflection or as the identity; a
-    translation along a coordinate that becomes a line has infinite order and
-    is rejected.  The pulled generators must close, within |G| elements, into
-    exactly the element-wise pulled maps.
+    Every element must act on x_i as a reflection or as the identity, without
+    mixing it with other coordinates, and must not translate along it: such
+    a translation would have infinite order on a line.  The pulled maps then
+    form a group with the pulled generators.  An element that keeps x_i has
+    no shift on it, and two elements that reverse x_i have the same
+    canonical shift v on it, since their composite keeps x_i and so has
+    shift 0 there.  In a pulled composite, where x_i is no longer read mod 1,
+    the shift on x_i is therefore 0, v or v - v = 0, as on the torus: pulling
+    commutes with composition and is injective, so no closure is needed.
     """
     if i in group.lines:
         raise InvalidOperand(f"coordinate {i} is already a line")
     if not (1 <= i <= group.n):
         raise InvalidOperand("coordinate out of range")
-    new_lines = group.lines | {i}
-    moved = set()
     for g in group.elements:
         row = g.linear[i - 1]
         col = [g.linear[j][i - 1] for j in range(g.n)]
@@ -908,24 +879,13 @@ def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
         if g.linear[i - 1][i - 1] == 1 and g.num[i - 1] != 0:
             raise PullObstruction(
                 f"element {g.name or g} translates along coordinate {i}")
-        moved.add(AffineTorusMap._from_parts(g.linear, g.num, g.den,
-                                             new_lines, g.name))
-    gens = [AffineTorusMap._from_parts(g.linear, g.num, g.den, new_lines, g.name)
-            for g in group.generators]
-    try:
-        pulled = generate_group(gens, group.order)
-    except GroupTooLarge:
-        pulled = None
-    if pulled is None or set(pulled.elements) != moved:
-        raise PullObstruction("pulled maps do not close into a finite group")
-    return pulled
+    new_lines = group.lines | {i}
 
+    def pulled(g):
+        return AffineTorusMap._from_parts(g.linear, g.num, g.den, new_lines, g.name)
 
-def end_preserving_subgroup(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
-    """Subgroup of elements that fix the ends of line coordinate i."""
-    if i not in group.lines:
-        raise InvalidOperand(f"coordinate {i} is not a line coordinate")
-    return _close_members([g for g in group.elements if g.linear[i - 1][i - 1] == 1])
+    return FiniteActionGroup([pulled(g) for g in group.generators],
+                             [pulled(g) for g in group.elements])
 
 
 def cross_section_group(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
@@ -946,4 +906,4 @@ def cross_section_group(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
         tuple(tuple(g.linear[p][q] for q in keep) for p in keep),
         [g.num[p] for p in keep], g.den, new_lines, g.name)
         for g in group.elements if g.linear[i - 1][i - 1] == 1]
-    return _close_members(members)
+    return generate_group(members)

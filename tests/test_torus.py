@@ -5,7 +5,7 @@ compares against the Smith-normal-form component enumeration.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm, log2
 
 import numpy as np
@@ -20,12 +20,13 @@ from g2kit.errors import (
     NotEquivariant,
     PullObstruction,
 )
-from g2kit.exact import det
+from g2kit.exact import det, mat_vec, smith_normal_form
 from g2kit import torus
 from g2kit.forms import PHI0
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
+    _Component,
     _cosets,
     _exterior_traces,
     _fixed_components,
@@ -37,7 +38,6 @@ from g2kit.torus import (
     components_intersect,
     count_ends,
     cross_section_group,
-    end_preserving_subgroup,
     fixed_set,
     generate_group,
     involution_fixed_census,
@@ -166,10 +166,10 @@ class TestAffineTorusMap:
             alpha().name = "x"
 
     def test_shift_denominator(self):
-        assert beta().shift_denominator == 2
-        assert alpha().shift_denominator == 1
+        assert beta().den == 2
+        assert alpha().den == 1
         f = D([1, 1], [Fraction(1, 4), Fraction(1, 8)])
-        assert f.shift_denominator == 8
+        assert f.den == 8
 
     def test_dimension_mismatch_in_compose(self):
         with pytest.raises(InvalidOperand):
@@ -221,6 +221,13 @@ class TestGenerateGroup:
     def test_closure_bound(self):
         with pytest.raises(GroupTooLarge):
             generate_group([rotation_t2()], bound=3)
+        assert generate_group([rotation_t2()], bound=4).order == 4
+        # a shear has infinite order: the closure must stop at the bound
+        shear = AffineTorusMap([[1, 1], [0, 1]], name="shear")
+        with pytest.raises(GroupTooLarge):
+            generate_group([rotation_t2(), shear], bound=64)
+        with pytest.raises(GroupTooLarge):
+            generate_group([shear])
 
     def test_multiplication_table(self):
         G = generate_group([alpha(), beta()])
@@ -231,13 +238,6 @@ class TestGenerateGroup:
             assert table[(ident, i)] == i
             assert table[(i, ident)] == i
         assert set(table.values()) <= set(range(G.order))
-
-    def test_subgroup_membership_check(self):
-        G = the_group()
-        sub = G.subgroup([alpha()])
-        assert sub.order == 2
-        with pytest.raises(InvalidOperand):
-            G.subgroup([rotation_t2()])
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(InvalidOperand):
@@ -468,6 +468,15 @@ class TestPullAndSections:
         with pytest.raises(InvalidOperand):
             pull(the_group(), 9)
 
+    def test_pull_keeps_reflection_shift(self):
+        # x1 -> 1/2 - x1 keeps its shift on the new line, so every stratum
+        # that does not run along the line is pinned at x1 = 1/4
+        P = pull(generate_group([D([-1, 1], [H, 0], name="r"),
+                                 D([1, -1], name="s")]), 1)
+        assert AffineTorusMap([[-1, 0], [0, 1]], [H, 0], [1]) in P
+        assert {s.offset[0] for s in singular_locus(P)
+                if not s.line_dim} == {Fraction(1, 4)}
+
     def test_two_ends_when_nothing_reverses(self):
         P = pull(generate_group([alpha(), beta()]), 1)
         assert count_ends(P, 1) == 2
@@ -475,10 +484,15 @@ class TestPullAndSections:
             count_ends(P, 2)
 
     def test_end_preserving_subgroup(self):
+        # the four elements that keep the ends restrict one to one onto the
+        # cross-section group
         P = pull(the_group(), 1)
-        sub = end_preserving_subgroup(P, 1)
-        assert sub.order == 4
-        assert all(g.linear[0][0] == 1 for g in sub)
+        kept = [g for g in P if g.linear[0][0] == 1]
+        assert len(kept) == 4
+        cs = cross_section_group(P, 1)
+        assert set(cs.elements) == {
+            AffineTorusMap([row[1:] for row in g.linear[1:]], g.shift[1:])
+            for g in kept}
 
     def test_cross_section_x1(self):
         cs = cross_section_group(pull(the_group(), 1), 1)
@@ -971,7 +985,7 @@ BETTI_CASES = {
 
 
 @st.composite
-def signed_permutation_groups(draw):
+def signed_permutation_maps(draw):
     n = draw(st.sampled_from([3, 4]))
     shift = st.sampled_from([Fraction(0), H])
     gens = []
@@ -982,10 +996,167 @@ def signed_permutation_groups(draw):
                   for r in range(n)]
         gens.append(AffineTorusMap(
             linear, draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}"))
+    return gens
+
+
+@st.composite
+def signed_permutation_groups(draw):
     try:
-        return generate_group(gens, bound=256)
+        return generate_group(draw(signed_permutation_maps()), bound=256)
     except GroupTooLarge:
         assume(False)
+
+
+# ---------------------------------------------------------------------------
+# Reference for components_intersect: the offsets' difference is projected by
+# a rational basis of the annihilator of the joint span, and one integer
+# solve asks whether the projection of Z^c holds it (Fraction arithmetic
+# throughout, no offset lattice).
+
+
+def _ref_null_space(rows):
+    red = _ref_rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    basis = []
+    for j in range(len(rows[0])):
+        if j not in pivots:
+            vec = [Fraction(int(k == j)) for k in range(len(rows[0]))]
+            for row, p in zip(red, pivots):
+                vec[p] = -row[j]
+            basis.append(vec)
+    return basis
+
+
+def _ref_solve_integer(a, b):
+    """Does A y = b have an integer solution y?"""
+    u, d, _ = smith_normal_form(a)
+    diag = [row[i] if i < len(row) else 0 for i, row in enumerate(d)]
+    return all(x % di == 0 if di else x == 0
+               for x, di in zip(mat_vec(u, b), diag))
+
+
+def _ref_lattice_contains(generators, target):
+    """Is target an integer combination of the generator vectors?"""
+    if not generators:
+        return all(x == 0 for x in target)
+    den = lcm(*(x.denominator for g in generators for x in g),
+              *(x.denominator for x in target))
+    a = [[int(g[i] * den) for g in generators] for i in range(len(target))]
+    return _ref_solve_integer(a, [int(x * den) for x in target])
+
+
+def _ref_in_span_mod_lattice(directions, delta):
+    """Is delta in span_Q(directions) + Z^n?"""
+    n = len(delta)
+    ann = (_ref_null_space(directions) if directions else
+           [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    if not ann:
+        return True
+    proj = [sum(a * x for a, x in zip(row, delta)) for row in ann]
+    return _ref_lattice_contains([[row[j] for row in ann] for j in range(n)], proj)
+
+
+def reference_components_intersect(c1, c2):
+    if c1.n != c2.n or c1.lines != c2.lines:
+        return False
+    for i1 in c1.lines:
+        free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
+        if not free and c1.display_offset()[i1 - 1] != c2.display_offset()[i1 - 1]:
+            return False
+    circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
+    if not circ:
+        return True
+    joint = [[d[i] for i in circ] for d in c1.directions + c2.directions]
+    off1, off2 = c1.display_offset(), c2.display_offset()
+    return _ref_in_span_mod_lattice(joint, [off2[i] - off1[i] for i in circ])
+
+
+def _group_components(group, sigma=None):
+    """Fixed components of the non-identity elements, or of the maps g∘sigma."""
+    maps = ([g.compose(sigma) for g in group] if sigma is not None
+            else [g for g in group if not g.is_identity()])
+    return [c for f in maps for c in _fixed_components(f)]
+
+
+COMPONENT_CASES = {
+    "joyce": lambda: _group_components(the_group()),
+    **{f"pull-x{i}": (lambda i=i: _group_components(pull(the_group(), i)))
+       for i in (1, 3)},
+    **{f"cross-section-x{i}": (lambda i=i: _group_components(
+        cross_section_group(pull(the_group(), i), i))) for i in (1, 3)},
+    "gamma1-pull-x7": lambda: _group_components(
+        pull(generate_group([alpha(), beta(), gamma1()]), 7)),
+    "coassoc-5.2-half": lambda: _group_components(
+        pull(the_group(), 4), AffineTorusMap(sigma_52().linear, sigma_52().shift,
+                                             [4], "sigma")),
+    "dihedral-T3": lambda: _group_components(_dihedral_t3()),
+    "translations-T4": lambda: _group_components(_translations_t4()),
+    "line-flip-T2xR": lambda: _group_components(
+        ORACLE_CASES["line-flip-T2xR"]()[1]),
+    # the span of (2, 1, 1) has Smith moduli 1 and 2: (0, 0, 1/2) lies off
+    # the line through 0, although both of its offset-lattice rows are
+    # integral
+    "direction-2-1-1": lambda: [
+        _Component(3, frozenset(), num, 2, dirs, ())
+        for num in product(range(2), repeat=3) for dirs in ([], [(2, 1, 1)])],
+}
+
+
+def assert_intersections_match_reference(pairs):
+    for c1, c2 in pairs:
+        assert components_intersect(c1, c2) == reference_components_intersect(c1, c2)
+
+
+@st.composite
+def component_pairs(draw):
+    """Two components of T^c x R^l with random integer directions, whose
+    offset lattices can have Smith moduli above 1 (the span of (2, 1, 1)
+    has moduli 1 and 2), and offsets over denominators up to 4."""
+    c, l = draw(st.integers(1, 4)), draw(st.integers(0, 1))
+    n, lines = c + l, frozenset(range(c + 1, c + l + 1))
+    direction = st.lists(st.integers(-2, 2), min_size=c, max_size=c).filter(any)
+
+    def component():
+        dirs = [d + [0] * l for d in draw(st.lists(direction, max_size=c))]
+        den = draw(st.integers(1, 4))
+        free = frozenset(i for i in lines if draw(st.booleans()))
+        num = draw(st.lists(st.integers(0, den - 1), min_size=c, max_size=c))
+        num += [0 if i in free else draw(st.integers(-den, den)) for i in sorted(lines)]
+        return _Component(n, lines, num, den, dirs, free)
+
+    return component(), component()
+
+
+class TestIntersectOracle:
+    @pytest.mark.parametrize("case", list(COMPONENT_CASES))
+    def test_all_pairs_match_fraction_lattice(self, case):
+        assert_intersections_match_reference(
+            combinations_with_replacement(COMPONENT_CASES[case](), 2))
+
+    @pytest.mark.parametrize("sigma", [sigma_52, sigma_53])
+    def test_census_points_against_t4(self, sigma):
+        # two distinct points never meet, so only the pairs with a T4 are
+        # taken: in 5.2 no point meets a T4, in 5.3 each point meets one
+        comps = _group_components(the_group(), sigma())
+        points = [c for c in comps if not c.directions]
+        fours = [c for c in comps if c.directions]
+        assert_intersections_match_reference(
+            [(p, c) for p in points for c in fours]
+            + list(combinations_with_replacement(fours, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(group=signed_diagonal_groups())
+    def test_random_groups(self, group):
+        # at most 48 components, spread over the elements, keep the pair
+        # count near that of the builtin cases
+        comps = _group_components(group)
+        assert_intersections_match_reference(combinations_with_replacement(
+            comps[::len(comps) // 48 + 1], 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=component_pairs())
+    def test_random_components(self, pair):
+        assert_intersections_match_reference([pair])
 
 
 class TestPullProperty:
@@ -1002,6 +1173,14 @@ class TestPullProperty:
         assert set(pulled.elements) == {
             AffineTorusMap(g.linear, g.shift, lines) for g in group}
         assert pulled.order == group.order
+        assert pulled.identity.is_identity()
+        # pull builds no closure: the pulled maps must be closed, and the
+        # pulled generators must generate exactly them
+        assert all(g.compose(h) in pulled
+                   for g in pulled for h in pulled.generators)
+        # (a trivial group has no generators, so the identity is passed too)
+        assert set(reference_generate_group(
+            [pulled.identity, *pulled.generators])) == set(pulled)
 
 
 class TestQuotientBettiOracle:
@@ -1095,8 +1274,8 @@ def oracle_census(sigma, group):
     return oracle_strata(group, [f.compose(sigma) for f in _cosets(group).values()])
 
 
-def _permuted_file_group(signs_shifts, perm, pull_direction=None):
-    """A large-group benchmark file's group, built inline: generators as
+def _permuted_file_maps(signs_shifts, perm):
+    """A large-group benchmark file's generators, built inline from
     (signs, shifts) with coordinate i moved to perm[i]."""
     n = len(perm)
     gens = []
@@ -1105,7 +1284,13 @@ def _permuted_file_group(signs_shifts, perm, pull_direction=None):
         for i in range(n):
             moved_signs[perm[i]], moved_shifts[perm[i]] = signs[i], shifts[i]
         gens.append(D(moved_signs, moved_shifts, name=f"g{k}"))
-    group = generate_group(gens)
+    return gens
+
+
+def _permuted_file_group(signs_shifts, perm, pull_direction=None):
+    """A large-group benchmark file's group, optionally pulled, with the
+    pull's cross-section group."""
+    group = generate_group(_permuted_file_maps(signs_shifts, perm))
     if pull_direction is None:
         return [group]
     pulled = pull(group, perm[pull_direction - 1] + 1)
@@ -1203,22 +1388,38 @@ class TestResidualOracle:
 
 
 # ---------------------------------------------------------------------------
-# Reference for the subgroups: each end-preserving element restricted through
-# the public constructor, which validates it again, and the closure of all
-# members taken as generators.
+# Reference for the closure: breadth-first search that moves every element
+# found by every generator, and the cross-section groups closed from all of
+# their members, each restriction validated again by the public constructor.
 
 
-def reference_end_preserving(group, i):
-    return generate_group([g for g in group.elements if g.linear[i - 1][i - 1] == 1])
+def reference_generate_group(gens, bound=torus.GROUP_SIZE_BOUND):
+    """The elements that gens generate, identity first, by breadth-first
+    search; GroupTooLarge past bound elements."""
+    ident = AffineTorusMap.identity(gens[0].n, gens[0].lines)
+    elements, frontier, seen = [ident], [ident], {ident}
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for g in gens:
+                prod = cur.compose(g)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    if len(seen) > bound:
+                        raise GroupTooLarge(f"more than {bound} elements")
+        elements.extend(nxt)
+        frontier = nxt
+    return elements
 
 
 def reference_cross_section(group, i):
     keep = [j for j in range(group.n) if j != i - 1]
     new_lines = frozenset(j if j < i else j - 1 for j in group.lines if j != i)
-    return generate_group([
+    return reference_generate_group([
         AffineTorusMap([[g.linear[p][q] for q in keep] for p in keep],
                        [g.shift[p] for p in keep], new_lines, g.name)
-        for g in reference_end_preserving(group, i).elements])
+        for g in group.elements if g.linear[i - 1][i - 1] == 1])
 
 
 def assert_few_generators(sub):
@@ -1227,14 +1428,74 @@ def assert_few_generators(sub):
     assert len(sub.generators) <= log2(sub.order)
 
 
+def assert_closure_matches_reference(gens, bound=torus.GROUP_SIZE_BOUND):
+    group = generate_group(gens, bound)
+    assert set(group.elements) == set(reference_generate_group(gens, bound))
+    assert set(group.generators) <= set(gens)
+    assert_few_generators(group)
+
+
 def assert_sections_match_reference(group):
     for i in group.lines:
-        for fast, slow in ((end_preserving_subgroup(group, i),
-                            reference_end_preserving(group, i)),
-                           (cross_section_group(group, i),
-                            reference_cross_section(group, i))):
-            assert set(fast.elements) == set(slow.elements)
-            assert_few_generators(fast)
+        cs = cross_section_group(group, i)
+        assert set(cs.elements) == set(reference_cross_section(group, i))
+        assert_few_generators(cs)
+
+
+ORDER_1024_MAPS = JOYCE_HALF_E1[:3] + [((1,) * 7, step) for step in (
+    (H, 0, 0, 0, 0, 0, 0), (0, Q, 0, 0, 0, 0, 0), (0, 0, 0, Q, 0, 0, 0),
+    (0, 0, 0, 0, 0, H, 0), (0, 0, 0, 0, 0, 0, H))]
+
+CLOSURE_CASES = {
+    "joyce": lambda: [alpha(), beta(), gamma()],
+    "joyce-gamma1": lambda: [alpha(), beta(), gamma1()],
+    "alpha-beta": lambda: [alpha(), beta()],
+    "identity": lambda: [AffineTorusMap.identity(7)],
+    "rotation-T2": lambda: [rotation_t2()],
+    **{f"{name}-{label}": (lambda gens=gens, perm=perm:
+                           _permuted_file_maps(gens, perm))
+       for name, gens in (("negid-quarter", NEGID_QUARTER),
+                          ("joyce-gamma-quarter", JOYCE_GAMMA_QUARTER),
+                          ("joyce-half-e1", JOYCE_HALF_E1),
+                          ("order-1024", ORDER_1024_MAPS))
+       for label, perm in (("plain", IDENTITY7), ("shuffled", SHUFFLE7))},
+    "negid-T8-order-1024": lambda: [D([-1] * 8, name="m")] + [
+        D([1] * 8, [Q if j == 0 else H if j == i else 0 for j in range(8)],
+          name=f"t{i}") for i in range(8)],
+    **{f"signflips-T{n}": (lambda n=n: list(signflips(n).elements[1:]))
+       for n in (4, 5)},
+    "dihedral-T3": lambda: list(_dihedral_t3().elements),
+    "rotation-T5": lambda: list(_rotation_t5().elements),
+    "translations-T4": lambda: list(_translations_t4().elements),
+    **{case: (lambda case=case: list(ORACLE_CASES[case]()[1].elements))
+       for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
+                    "line-flip-T2xR", "signflips-T4-half-e1")},
+}
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("case", list(CLOSURE_CASES))
+    def test_matches_breadth_first_search(self, case):
+        assert_closure_matches_reference(CLOSURE_CASES[case]())
+
+    @pytest.mark.parametrize("case", list(LOCUS_GROUPS))
+    def test_generators_generate_each_group(self, case):
+        # also for the pulled groups, which pull builds without a closure
+        for group in LOCUS_GROUPS[case]():
+            assert set(reference_generate_group(
+                [group.identity, *group.generators])) == set(group)
+            assert_few_generators(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gens=signed_permutation_maps())
+    def test_random_signed_permutation_maps(self, gens):
+        try:
+            reference_generate_group(gens, bound=256)
+        except GroupTooLarge:
+            with pytest.raises(GroupTooLarge):
+                generate_group(gens, bound=256)
+            return
+        assert_closure_matches_reference(gens, bound=256)
 
 
 class TestSubgroupOracle:
@@ -1244,13 +1505,11 @@ class TestSubgroupOracle:
             assert_sections_match_reference(group)
 
     def test_order_1024_pull_has_few_generators(self):
-        group, = _permuted_file_group(
-            JOYCE_HALF_E1[:3] + [((1,) * 7, step) for step in (
-                (H, 0, 0, 0, 0, 0, 0), (0, Q, 0, 0, 0, 0, 0), (0, 0, 0, Q, 0, 0, 0),
-                (0, 0, 0, 0, 0, H, 0), (0, 0, 0, 0, 0, 0, H))], SHUFFLE7)
+        group, = _permuted_file_group(ORDER_1024_MAPS, SHUFFLE7)
         pulled = pull(group, SHUFFLE7[2] + 1)
         cs = cross_section_group(pulled, SHUFFLE7[2] + 1)
         assert pulled.order == 1024 and cs.order == 512
+        assert_few_generators(pulled)
         assert_few_generators(cs)
 
     @settings(max_examples=40, deadline=None)
@@ -1263,6 +1522,7 @@ class TestSubgroupOracle:
     def test_subgroup_of_random_members(self, group, data):
         members = data.draw(st.lists(st.sampled_from(group.elements),
                                      min_size=1, max_size=4))
-        sub = group.subgroup(members)
-        assert set(sub.elements) == set(generate_group(members).elements)
+        sub = generate_group(members)
+        assert set(sub.elements) == set(reference_generate_group(members))
+        assert set(sub.elements) <= set(group.elements)
         assert_few_generators(sub)
