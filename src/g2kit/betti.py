@@ -17,7 +17,6 @@ from .errors import (
     InvalidEnds,
     InvalidInvariants,
     InvalidOperand,
-    InvalidRecipe,
     OddCrossSectionB3,
     RankTooLarge,
 )
@@ -78,10 +77,6 @@ class BettiVector:
     def point() -> "BettiVector":
         return BettiVector([1])
 
-    @staticmethod
-    def cp1() -> "BettiVector":
-        return BettiVector([1, 0, 1])
-
 
 def dual_completion(prefix: Sequence[int], n: int) -> BettiVector:
     """Complete a truncated Betti table of a closed oriented n-manifold.
@@ -101,50 +96,19 @@ def dual_completion(prefix: Sequence[int], n: int) -> BettiVector:
     return BettiVector(full)
 
 
-@dataclass(frozen=True)
-class ResolutionRecipe:
-    """Base orbifold Betti numbers plus the strata to be resolved.
+def resolve_betti(base: BettiVector, strata) -> BettiVector:
+    """Betti numbers of the orbifold with Betti numbers base after resolving
+    each stratum, given by its torus_dim (its compact torus factor; any line
+    factor is contractible and drops out).
 
-    Each stratum entry is (stratum, fiber_retract) where the stratum exposes
-    torus_dim (its compact torus factor; any line factor is contractible and
-    drops out) and fiber_retract is the Betti vector of the space the resolved
-    neighbourhood fibre retracts to.  None means the two-sphere retract of the
-    standard 4-dimensional resolution model.
+    The resolution model's fibre retracts to CP^1, so resolving a stratum
+    T^d replaces a cone factor by CP^1 and adds b^k(T^d x CP^1) - b^k(T^d)
+    = b^(k-2)(T^d) = C(d, k - 2) to b^k, once per stratum with that d.
     """
-
-    base: BettiVector
-    strata: tuple
-
-    def __init__(self, base: BettiVector, strata):
-        normalized = []
-        cp1 = BettiVector.cp1()
-        for entry in strata:
-            if isinstance(entry, tuple) and len(entry) == 2:
-                stratum, fiber = entry
-            else:
-                stratum, fiber = entry, None
-            normalized.append((stratum, cp1 if fiber is None else fiber))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "strata", tuple(normalized))
-
-
-def resolve_betti(recipe: ResolutionRecipe) -> BettiVector:
-    """Betti numbers after resolving each stratum of the recipe.
-
-    Resolving a stratum with torus factor T^d and fibre retract F replaces a
-    cone factor by F, changing b^k by b^k(T^d x F) - b^k(T^d).  The change
-    is found once per distinct (d, F) and added times its multiplicity.
-    """
-    out = list(recipe.base.b)
-    n = recipe.base.n
-    kinds = Counter((stratum.torus_dim, fiber) for stratum, fiber in recipe.strata)
-    for (d, fiber), mult in kinds.items():
-        t = BettiVector.torus(d)
-        for k in range(n + 1):
-            delta = sum(t.get(j) * fiber.get(k - j) for j in range(min(k, d) + 1))
-            out[k] += mult * (delta - t.get(k))
-    if any(v < 0 for v in out):
-        raise InvalidRecipe(f"resolution produced a negative Betti number: {out}")
+    out = list(base.b)
+    for d, mult in Counter(stratum.torus_dim for stratum in strata).items():
+        for k in range(2, base.n + 1):
+            out[k] += mult * comb(d, k - 2)
     return BettiVector(out)
 
 

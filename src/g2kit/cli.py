@@ -26,6 +26,14 @@ from .scenarios import (
 )
 
 
+# chart points --eh-check evaluates: per scale, --samples Ricci ratios and
+# the curvature probe's 8 radii x 3 directions.  2^16 points took 23.7-24.6 s
+# (about 0.37 ms a point) on a 2-core x86-64 VM with one BLAS thread, as one
+# scale in double or extended precision and as 2621 scales of one sample,
+# so a run inside this budget ends within about 30 s.
+MAX_EH_POINTS = 2 ** 16
+
+
 def _error_exit(message):
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
@@ -115,6 +123,11 @@ def _run_eh_check(s, tol, samples, seed):
     scales = tuple(_parse_scales(s))
     if samples < 1:
         _error_exit(f"--samples must be >= 1, got {samples}")
+    points = len(scales) * (samples + 24)
+    if points > MAX_EH_POINTS:
+        _error_exit(f"--eh-check needs {points} chart points "
+                    f"({len(scales)} scales x ({samples} samples + 24)), "
+                    f"above the {MAX_EH_POINTS}-point budget")
     if tol is not None and _finite_positive(tol) is None:
         _error_exit(f"--tol must be finite and > 0, got {tol}")
     try:
@@ -170,7 +183,8 @@ def _run_flow_demo(d, n, k_frac, trials, seed):
               help="Quadratic bound as a fraction of mu for --flow-demo.")
 @click.option("--trials", type=int, default=20, show_default=True,
               help="Number of seeded trials for --flow-demo.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="Base seed for --eh-check / --flow-demo.")
 @click.pass_context
 def main(ctx, eh_check, flow_demo, s, tol, samples, d, n, k_frac, trials,
@@ -198,7 +212,8 @@ def main(ctx, eh_check, flow_demo, s, tol, samples, d, n, k_frac, trials,
               help="Run every builtin scenario.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "md"]),
               default="json", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 def run_cmd(scenario, run_all, fmt, seed):
     """Run one scenario (builtin name or JSON file), or --all builtins."""
     precision = _precision_from_env()

@@ -79,10 +79,6 @@ class HermitianMetric2:
     matrix: np.ndarray
     point: tuple = field(default=(complex("nan"), complex("nan")))
 
-    def is_positive_definite(self) -> bool:
-        sym = 0.5 * (self.matrix + self.matrix.conj().T)
-        return bool(np.all(np.linalg.eigvalsh(sym) > 0))
-
     def det(self) -> complex:
         m = self.matrix
         return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -326,13 +322,6 @@ def radial_curvature_tensor(derivs, z1, z2) -> np.ndarray:
                                      * np.conj(dh[ell, j, p]))
                     out[i, j, k, ell] = -second + corr
     return out
-
-
-def ricci_from_curvature(derivs, z1, z2) -> np.ndarray:
-    """Trace h^{qbar p} R_{p qbar k lbar} of the curvature tensor."""
-    h = radial_metric(derivs, z1, z2)
-    r = radial_curvature_tensor(derivs, z1, z2)
-    return np.einsum("ji,ijkl->kl", np.linalg.inv(h), r)
 
 
 def radial_curvature_norm(derivs, z1, z2) -> float:

@@ -49,10 +49,6 @@ class PullObstruction(G2KitError):
     """A circle coordinate that cannot be converted to a line coordinate."""
 
 
-class InvalidRecipe(G2KitError):
-    """Resolution recipe with malformed strata or negative intermediate values."""
-
-
 class OddCrossSectionB3(G2KitError):
     """Cross-section b^3 must be even for the moduli dimension formula."""
 

@@ -13,11 +13,13 @@ unit vector is a partial isometry, so the eigenvalues of L_m are
 +-2*pi*|m|, each with multiplicity equal to the wedge rank, and the
 spectral gap mu of the assembled operator is 2*pi at every cutoff.
 
-Storage follows the block structure.  The operator is one stack of
-2r x 2r blocks, and the splitting into growing (B+) and decaying (B-)
-eigenspaces is two stacks of per-block orthonormal bases, each of shape
-(blocks, 2r, r).  Projections, random states and matvec all act block
-by block with einsum, so no dim x dim/2 matrix is ever formed.
+Storage follows the block structure, one stack per object: the weights
+2*pi*|m|, the couplings M (blocks, r, r), the operator's 2r x 2r blocks,
+and the splitting into growing (B+) and decaying (B-) eigenspaces as two
+stacks of per-block orthonormal bases, each of shape (blocks, 2r, r).
+The spectrum is one batched SVD of the couplings, and projections,
+random states and matvec act block by block with einsum, so no
+dim x dim/2 matrix is ever formed.
 
 The flow dx/dt = Lx + Q(x) is integrated by an explicit Dormand-Prince
 5(4) pair (Dormand & Prince 1980) with step-size control and Shampine's
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,55 +88,32 @@ def _wedge_matrix(vector, d, p):
 
 
 @dataclass(frozen=True)
-class ModeBlock:
-    """One lattice mode's contribution to the operator.
-
-    coupling is the compressed wedge map M (r x r, numerically the
-    identity); plus_basis and minus_basis are orthonormal columns
-    spanning the growing and decaying eigenspaces of the 2r x 2r block.
-    """
-
-    mode: tuple
-    norm_sq: int
-    weight: float
-    coupling: np.ndarray
-    plus_basis: np.ndarray
-    minus_basis: np.ndarray
-
-    @property
-    def size(self):
-        return 2 * self.coupling.shape[0]
-
-    def matrix(self):
-        r = self.coupling.shape[0]
-        out = np.zeros((2 * r, 2 * r))
-        out[:r, r:] = self.coupling
-        out[r:, :r] = self.coupling.T
-        return self.weight * out
-
-    def eigenvalues(self):
-        s = np.linalg.svd(self.coupling, compute_uv=False)
-        return np.concatenate([self.weight * s, -self.weight * s])
-
-
-@dataclass(frozen=True)
 class ModeSystem:
-    """Truncated mode model of the linear operator with its splitting."""
+    """Truncated mode model of the linear operator with its splitting.
+
+    Entry k of each stack belongs to modes[k], with squared length
+    norm_sq[k] and weight 2*pi*|m|: _coupling holds the compressed wedge
+    map M (r x r, numerically the identity), _stacked the block
+    weight * [[0, M], [M^T, 0]], and _plus and _minus orthonormal columns
+    spanning its growing and decaying eigenspaces.
+    """
 
     d: int
     N: int
     p: int
     modes: tuple
-    blocks: tuple
+    norm_sq: tuple
     dim: int
     mu: float
+    _weights: np.ndarray = field(repr=False)
+    _coupling: np.ndarray = field(repr=False)
     _stacked: np.ndarray = field(repr=False)
     _plus: np.ndarray = field(repr=False)
     _minus: np.ndarray = field(repr=False)
 
     @property
     def block_size(self):
-        return self.blocks[0].size
+        return self._stacked.shape[1]
 
     def matvec(self, x):
         b = self.block_size
@@ -142,8 +122,11 @@ class ModeSystem:
         return y.reshape(-1)
 
     def spectrum(self):
-        """All eigenvalues, computed blockwise, sorted ascending."""
-        return np.sort(np.concatenate([b.eigenvalues() for b in self.blocks]))
+        """All eigenvalues, sorted ascending: +-weight times the singular
+        values of each coupling."""
+        s = self._weights[:, None] * np.linalg.svd(self._coupling,
+                                                   compute_uv=False)
+        return np.sort(np.concatenate([s.ravel(), -s.ravel()]))
 
     def spectrum_table(self):
         """Exact eigenvalue bookkeeping: {|m|^2: multiplicity of +2pi*sqrt(k)}.
@@ -151,11 +134,9 @@ class ModeSystem:
         Negative eigenvalues carry the same multiplicities by the pairing
         symmetry of the blocks.
         """
-        table = {}
-        for b in self.blocks:
-            r = b.coupling.shape[0]
-            table[b.norm_sq] = table.get(b.norm_sq, 0) + r
-        return dict(sorted(table.items()))
+        r = self._coupling.shape[1]
+        table = Counter(self.norm_sq)
+        return {k: r * table[k] for k in sorted(table)}
 
     def dense_operator(self):
         """The full operator as one dense symmetric matrix."""
@@ -163,10 +144,9 @@ class ModeSystem:
             raise CutoffTooLarge(
                 f"dense operator would be {self.dim} x {self.dim}")
         out = np.zeros((self.dim, self.dim))
-        o = 0
-        for b in self.blocks:
-            out[o:o + b.size, o:o + b.size] = b.matrix()
-            o += b.size
+        b = self.block_size
+        for k, block in enumerate(self._stacked):
+            out[k * b:(k + 1) * b, k * b:(k + 1) * b] = block
         return out
 
     def _project(self, basis, x):
@@ -182,25 +162,13 @@ class ModeSystem:
     def project_minus(self, x):
         return self._project(self._minus, x)
 
-    @staticmethod
-    def _random_state(basis, seed, norm):
-        blocks, _, r = basis.shape
-        c = np.random.default_rng(seed).standard_normal(blocks * r)
-        x = np.einsum("kir,kr->ki", basis, c.reshape(blocks, r)).reshape(-1)
-        return FlowState(norm * x / np.linalg.norm(x))
-
     def random_minus_state(self, seed, norm=1.0):
         """A state in the decaying subspace B- with the requested norm."""
-        return self._random_state(self._minus, seed, norm)
-
-    def random_plus_state(self, seed, norm=1.0):
-        return self._random_state(self._plus, seed, norm)
-
-    def minus_eigenstate(self, block_index, which=0, norm=1.0):
-        """An exact eigenvector of L in B- supported on one mode block."""
-        x = np.zeros((len(self.blocks), self.block_size))
-        x[block_index] = self._minus[block_index, :, which]
-        return FlowState(norm * x.reshape(-1))
+        blocks, _, r = self._minus.shape
+        c = np.random.default_rng(seed).standard_normal(blocks * r)
+        x = np.einsum("kir,kr->ki", self._minus,
+                      c.reshape(blocks, r)).reshape(-1)
+        return FlowState(norm * x / np.linalg.norm(x))
 
 
 @dataclass(frozen=True)
@@ -259,38 +227,38 @@ def _system_size(d, N):
 
 def build_mode_system(d, N):
     """Assemble the truncated operator over modes 0 < |m|_inf <= N."""
-    p, rank, _ = _system_size(d, N)
-    blocks = []
-    modes = []
-    for m in itertools.product(range(-N, N + 1), repeat=d):
-        if all(c == 0 for c in m):
-            continue
-        modes.append(m)
-        norm_sq = sum(c * c for c in m)
-        norm = math.sqrt(norm_sq)
+    p, r, dim = _system_size(d, N)
+    modes = [m for m in itertools.product(range(-N, N + 1), repeat=d) if any(m)]
+    norm_sq = tuple(sum(c * c for c in m) for m in modes)
+    blocks = len(modes)
+    weights = np.empty(blocks)
+    coupling = np.empty((blocks, r, r))
+    stacked = np.zeros((blocks, 2 * r, 2 * r))
+    plus = np.empty((blocks, 2 * r, r))
+    minus = np.empty((blocks, 2 * r, r))
+    for k, m in enumerate(modes):
+        norm = math.sqrt(norm_sq[k])
         W = _wedge_matrix(np.array(m) / norm, d, p)
         U, s, Vt = np.linalg.svd(W)
-        r = int(np.sum(s > 0.5))
-        if r != rank or s[r - 1] < 1e-12:
+        if int(np.sum(s > 0.5)) != r or s[r - 1] < 1e-12:
             raise InvalidOperand(
                 "wedge map rank mismatch; operator not injective on the "
                 "retained subspace")
         M = U[:, :r].T @ W @ Vt[:r].T
+        weight = weights[k] = 2 * math.pi * norm
+        coupling[k] = M
+        stacked[k, :r, r:] = weight * M
+        stacked[k, r:, :r] = weight * M.T
         # eigenvectors of [[0, M], [M^T, 0]] from the SVD of M
-        P, sig, Qt = np.linalg.svd(M)
-        plus = np.vstack([P, Qt.T]) / math.sqrt(2)
-        minus = np.vstack([P, -Qt.T]) / math.sqrt(2)
-        blocks.append(ModeBlock(
-            mode=m, norm_sq=norm_sq, weight=2 * math.pi * norm,
-            coupling=M, plus_basis=plus, minus_basis=minus))
-
-    dim = sum(b.size for b in blocks)
-    mu = 2 * math.pi * math.sqrt(min(b.norm_sq for b in blocks))
+        P, _, Qt = np.linalg.svd(M)
+        plus[k, :r] = P / math.sqrt(2)
+        plus[k, r:] = Qt.T / math.sqrt(2)
+        minus[k, :r] = P / math.sqrt(2)
+        minus[k, r:] = -Qt.T / math.sqrt(2)
     return ModeSystem(
-        d=d, N=N, p=p, modes=tuple(modes), blocks=tuple(blocks), dim=dim,
-        mu=mu, _stacked=np.stack([b.matrix() for b in blocks]),
-        _plus=np.stack([b.plus_basis for b in blocks]),
-        _minus=np.stack([b.minus_basis for b in blocks]))
+        d=d, N=N, p=p, modes=tuple(modes), norm_sq=norm_sq, dim=dim,
+        mu=2 * math.pi * math.sqrt(min(norm_sq)), _weights=weights,
+        _coupling=coupling, _stacked=stacked, _plus=plus, _minus=minus)
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,6 @@ def dx(*indices: int, dim: int) -> ExteriorForm:
     return ExteriorForm(dim, len(indices), {tuple(indices): 1})
 
 
-def zero_form(dim: int, degree: int) -> ExteriorForm:
-    return ExteriorForm(dim, degree, {})
-
-
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     if a.dim != b.dim:
         raise InvalidOperand(f"ambient dimensions differ: {a.dim} vs {b.dim}")
@@ -293,34 +289,11 @@ class MetricTensor:
     def __hash__(self):
         return hash(self.matrix)
 
-    @staticmethod
-    def euclidean(dim: int) -> "MetricTensor":
-        return MetricTensor([[int(i == j) for j in range(dim)] for i in range(dim)])
-
 
 def _perm_sign_concat(first: Index, second: Index) -> int:
     """Sign of the permutation sorting the concatenation of two disjoint tuples."""
     _, sign = _sort_index(first + second)
     return sign
-
-
-def inner_product(g: MetricTensor, a: ExteriorForm, b: ExteriorForm) -> Fraction:
-    """Pointwise inner product of k-forms induced by g."""
-    a._check_same_shape(b)
-    if g.dim != a.dim:
-        raise InvalidOperand("metric dimension mismatch")
-    if det(g.matrix) == 0:
-        raise DegenerateMetric("metric is singular")
-    ginv = inverse(g.matrix)
-    total = Fraction(0)
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            if not ia:
-                total += ca * cb
-                continue
-            gram = [[ginv[p - 1][q - 1] for q in ib] for p in ia]
-            total += ca * cb * det(gram)
-    return total
 
 
 def hodge_star(g: MetricTensor, vol: ExteriorForm, a: ExteriorForm) -> ExteriorForm:

@@ -60,9 +60,6 @@ class ComplexFrac:
     def __neg__(self):
         return ComplexFrac(-self.re, -self.im)
 
-    def conjugate(self):
-        return ComplexFrac(self.re, -self.im)
-
     def norm_sq(self):
         return self.re * self.re + self.im * self.im
 

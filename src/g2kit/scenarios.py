@@ -28,7 +28,6 @@ from ._lazy import lazy_module
 from .betti import (
     BettiVector,
     NonSymplecticInvariants,
-    ResolutionRecipe,
     borcea_voisin_betti,
     connected_sum_b2,
     holonomy_classification,
@@ -227,8 +226,7 @@ def _topology(group):
     """Singular strata, quotient betti numbers and resolved betti numbers."""
     strata = singular_locus(group)
     base = quotient_betti(group)
-    return strata, base, resolve_betti(ResolutionRecipe(base=base,
-                                                        strata=strata))
+    return strata, base, resolve_betti(base, strata)
 
 
 def _joyce(seed, precision):
@@ -496,6 +494,11 @@ def _parse_map_spec(spec, circles, what):
             f"{what}.shift must be a list of {circles} fraction strings")
     shifts = []
     for s in raw_shift:
+        if "e" in str(s).lower():
+            # Fraction would expand the power of ten: "1e100000000" runs
+            # for minutes
+            raise InvalidScenario(
+                f"{what}.shift entry {s!r}: exponent notation is not accepted")
         try:
             frac = Fraction(str(s))
         except (ValueError, ZeroDivisionError) as e:
@@ -514,7 +517,9 @@ def load_scenario(path):
         data = json.loads(Path(path).read_text())
     except OSError as e:
         raise InvalidScenario(f"cannot read scenario: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer literal above Python's digit limit,
+        # or nesting deeper than the recursion limit
         raise InvalidScenario(f"scenario is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InvalidScenario("scenario must be a JSON object")

@@ -43,7 +43,6 @@ from .exact import (
     det,
     frac,
     identity_matrix,
-    inverse,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -176,14 +175,6 @@ class AffineTorusMap:
         return tuple([v * k + t * s if i + 1 in lines else (v * k + t * s) % d
                       for i, (v, t) in enumerate(zip(img, self.num))]), d
 
-    def apply(self, point: Sequence) -> tuple[Fraction, ...]:
-        p = [frac(x) for x in point]
-        if len(p) != self.n:
-            raise InvalidOperand("point dimension mismatch")
-        den = lcm(*(x.denominator for x in p))
-        img, d = self._act([x.numerator * (den // x.denominator) for x in p], den)
-        return tuple(Fraction(v, d) for v in img)
-
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other."""
         if self.n != other.n or self.lines != other.lines:
@@ -192,12 +183,6 @@ class AffineTorusMap:
         return AffineTorusMap._from_parts(_linear_product(self.linear, other.linear),
                                           *self._act(other.num, other.den),
                                           self.lines, name)
-
-    def inverse(self) -> "AffineTorusMap":
-        lin = tuple(tuple(int(x) for x in row) for row in inverse(self.linear))
-        name = f"{self.name}^-1" if self.name else ""
-        return AffineTorusMap._from_parts(
-            lin, [-x for x in mat_vec(lin, self.num)], self.den, self.lines, name)
 
     @staticmethod
     def identity(n: int, lines: Iterable[int] = ()) -> "AffineTorusMap":
@@ -440,21 +425,16 @@ def _offset_lattice(n, lines, free_lines, directions, lattice=None):
     return span, _sparse(rows), tuple(mods)
 
 
-@lru_cache(maxsize=64)
-def _lattice_inverse(basis):
-    """B^-1 as integer numerators over one positive denominator."""
-    inv = inverse(basis)
-    den = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in inv), den
-
-
 def _translation_lattice(group: FiniteActionGroup):
     """Λ_T = Z^c + shifts(T) on the circle coordinates, for the translation
-    subgroup T = {g : linear(g) = Id}, as (B, D) with Λ_T = B Z^c / D.
+    subgroup T = {g : linear(g) = Id}, as (B, D) with Λ_T = B Z^c / D, and
+    the integer matrix D B^-1.
 
     The columns of B are the rows of the Hermite normal form of D Λ_T, built
     by inserting each translation's shift numerators with Euclid's algorithm
-    on the pivots.  T is normal in G, so every linear part preserves Λ_T."""
+    on the pivots.  T is normal in G, so every linear part preserves Λ_T.
+    D B^-1 is integral because Z^c ⊂ Λ_T; B is lower triangular, so forward
+    substitution finds it with exact integer divisions."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
     ident = group.identity.linear
     trans = [g for g in group.elements if g.linear == ident]
@@ -473,17 +453,25 @@ def _translation_lattice(group: FiniteActionGroup):
         for i in range(j):
             q = rows[i][j] // rows[j][j]
             rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-    return tuple(zip(*rows)), den
+    basis = tuple(zip(*rows))
+    inv = [[0] * c for _ in range(c)]
+    for j in range(c):
+        for i in range(j, c):
+            acc = den * (i == j) - sum(basis[i][k] * inv[k][j] for k in range(j, i))
+            inv[i][j] = acc // basis[i][i]
+    return (basis, den), tuple(tuple(row) for row in inv)
 
 
-def _fixed_components(f: AffineTorusMap, lattice=None) -> list[_Component]:
-    """Components of Fix(f).  With lattice = (B, D), the components modulo
-    Λ = B Z^c / D of the union of Fix(f∘t) over the translations t by Λ.
+def _fixed_components(f: AffineTorusMap, lattice=None,
+                      lattice_inv=None) -> list[_Component]:
+    """Components of Fix(f).  With lattice = (B, D) and lattice_inv the
+    integer matrix D B^-1, the components modulo Λ = B Z^c / D of the union
+    of Fix(f∘t) over the translations t by Λ; both default to Λ = Z^c.
 
     x = B y / D turns R^c/Λ into R^c/Z^c and (A - 1) x + v ∈ Λ into
-    (A' - 1) y + w ∈ Z^c, with A' = B^-1 A B (integral, since A preserves Λ)
-    and w = D B^-1 v.  With U (A' - 1) V = diag(d) and y = V z that reads
-    d_k z_k = -(U w)_k mod 1: one Smith form for the whole coset."""
+    (A' - 1) y + w ∈ Z^c, with A' = (D B^-1) A B / D (integral, since A
+    preserves Λ) and w = D B^-1 v.  With U (A' - 1) V = diag(d) and y = V z
+    that reads d_k z_k = -(U w)_k mod 1: one Smith form for the whole coset."""
     n, lines = f.n, f.lines
     circ = [i for i in range(n) if (i + 1) not in lines]
     free_lines = set()
@@ -494,19 +482,18 @@ def _fixed_components(f: AffineTorusMap, lattice=None) -> list[_Component]:
             free_lines.add(i1)
     c = len(circ)
     basis, scale = lattice or (identity_matrix(c), 1)
-    inv, inv_den = _lattice_inverse(basis)
+    inv = lattice_inv or identity_matrix(c)
     a = tuple(tuple(f.linear[i][j] for j in circ) for i in circ)
-    m = [[x // inv_den - (i == j) for j, x in enumerate(row)]
+    m = [[x // scale - (i == j) for j, x in enumerate(row)]
          for i, row in enumerate(mat_mul(inv, mat_mul(a, basis)))]
-    # w = D B^-1 v has numerators inv (D num) over w_den
-    w_den = inv_den * f.den
+    # -U w has numerators U inv num over f.den
     u, d, v = smith_normal_form(m) if c else ((), (), ())
-    w = mat_vec(u, mat_vec(inv, tuple(-scale * f.num[i] for i in circ)))
+    w = mat_vec(u, mat_vec(inv, tuple(-f.num[i] for i in circ)))
     diag = [d[k][k] for k in range(c)]
-    if any(dk == 0 and wk % w_den for dk, wk in zip(diag, w)):
+    if any(dk == 0 and wk % f.den for dk, wk in zip(diag, w)):
         return []
-    den_y = w_den * lcm(*(abs(dk) for dk in diag if dk))
-    choice_sets = [[(wk + j * w_den) * (den_y // (w_den * dk)) for j in range(abs(dk))]
+    den_y = f.den * lcm(*(abs(dk) for dk in diag if dk))
+    choice_sets = [[(wk + j * f.den) * (den_y // (f.den * dk)) for j in range(abs(dk))]
                    if dk else [0] for dk, wk in zip(diag, w)]
     # one denominator for every component: reflected lines pin x_i = v_i / 2
     pinned = lines - free_lines
@@ -563,18 +550,16 @@ def _fixes_pointwise(f: AffineTorusMap, comp: _Component, lattice_inv) -> bool:
     Such an element's shift can only be x0 - A x0 at the offset x0, and the
     shifts of f T are v_f + Λ_T on the circle coordinates, so the test is
     whether D B^-1 (x0 - A x0 - v_f) is integral for Λ_T = B Z^c / D.
-    lattice_inv holds the _sparse entries of D B^-1 times the denominator of
-    B^-1 (columns indexed by coordinate), its row count c and that
-    denominator.  The line coordinates need no test: in a finite group a line
+    lattice_inv holds the _sparse entries of the integer matrix D B^-1
+    (columns indexed by coordinate) and its row count c.  The line coordinates need no test: in a finite group a line
     kept by A carries no shift, and all elements (and all census maps) that
     reverse a line share their shift on it, so x0 - A x0 - v_f is 0 there.
     The coset holds no second such element, as translations act freely."""
-    inv, c, inv_den = lattice_inv
+    inv, c = lattice_inv
     den = lcm(comp.den, f.den)
     k, s = den // comp.den, den // f.den
     diff = [(x - y) * k - t * s for x, y, t in
             zip(comp.num, _linear_image(f.terms, comp.num, f.n), f.num)]
-    den *= inv_den
     return not any(y % den for y in _linear_image(inv, diff, c))
 
 
@@ -722,19 +707,16 @@ def _cosets(group: FiniteActionGroup) -> dict:
 def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
     """Quotient strata of the fixed components of the cosets f T (f in maps),
     which the group permutes."""
-    lattice = _translation_lattice(group)
-    basis, scale = lattice
-    inv, inv_den = _lattice_inverse(basis)
+    lattice, inv = _translation_lattice(group)
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    # D B^-1 over inv_den, reading the circle coordinates of a full vector
-    lattice_inv = (tuple((i, circ[j], scale * x) for i, j, x in _sparse(inv)),
-                   len(circ), inv_den)
+    # D B^-1, reading the circle coordinates of a full vector
+    lattice_inv = (tuple((i, circ[j], x) for i, j, x in _sparse(inv)), len(circ))
     registry: dict = {}
     for f in maps:
         # only a coset of G maps the classes of its own fixed set to
         # themselves; a census map f∘sigma lies outside G
         fixer = f.linear if f in group else None
-        for comp in _fixed_components(f, lattice):
+        for comp in _fixed_components(f, lattice, inv):
             registry.setdefault(comp.key(lattice), (comp, fixer))
     orbits = _group_into_orbits(group, registry, lattice)
     # strata are ordered by dimension, then offset: over one common
@@ -784,9 +766,9 @@ def involution_fixed_census(sigma: AffineTorusMap,
         raise NotAntiInvolution("map is not an involution")
     if sigma in group:
         raise NotAntiInvolution("involution lies in the group itself")
-    sigma_inv = sigma.inverse()
+    # sigma is its own inverse
     for g in group.generators:
-        if sigma.compose(g).compose(sigma_inv) not in group:
+        if sigma.compose(g).compose(sigma) not in group:
             raise NotEquivariant("involution does not normalize the group")
     # sigma normalizes T, so the maps with one linear part form a coset f sigma T
     cosets = _cosets(group)

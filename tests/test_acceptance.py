@@ -21,7 +21,6 @@ import pytest
 from g2kit.betti import (
     BettiVector,
     NonSymplecticInvariants,
-    ResolutionRecipe,
     borcea_voisin_betti,
     connected_sum_b2,
     holonomy_classification,
@@ -74,12 +73,13 @@ from g2kit.torus import (
     quotient_betti,
     singular_locus,
 )
+from test_torus import apply
 
 H = Fraction(1, 2)
 D = AffineTorusMap.diagonal
 
 E7 = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
-EUCLID7 = MetricTensor.euclidean(7)
+EUCLID7 = MetricTensor([[int(i == j) for j in range(7)] for i in range(7)])
 VOL7 = dx(1, 2, 3, 4, 5, 6, 7, dim=7)
 
 
@@ -113,8 +113,7 @@ def note(label, ok):
 
 
 def resolved(group):
-    return resolve_betti(ResolutionRecipe(base=quotient_betti(group),
-                                          strata=singular_locus(group)))
+    return resolve_betti(quotient_betti(group), singular_locus(group))
 
 
 BUDGETS = {
@@ -186,7 +185,7 @@ class TestCriterion1ExactTopology:
         # the family of a stratum: the generator fixing its representative
         families = Counter(
             next(g.name for g in (alpha(), beta(), gamma())
-                 if g.apply(s.offset) == s.offset) for s in locus)
+                 if apply(g, s.offset) == s.offset) for s in locus)
         note("singular locus is 12 x T3 with orbit counts 4+4+4",
              len(locus) == 12
              and all(s.type_label == "T3" and s.count == 4 for s in locus)

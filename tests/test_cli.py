@@ -1,5 +1,6 @@
 """End-to-end checks of the g2kit command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from g2kit.cli import main
-from g2kit.scenarios import BUILTINS, Report, report_to_json, row
+from g2kit import cli
+from g2kit.cli import MAX_EH_POINTS, main
+from g2kit.scenarios import BUILTINS, Report, report_to_json, row, run_scenario
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
 TOPOLOGY_SCENARIOS = [
     "joyce-T7-Gamma",
@@ -62,6 +66,20 @@ def write_scenario(tmp_path, spec, name="scenario.json"):
     return str(path)
 
 
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def assert_one_error_line(stderr):
+    """Exactly one line of stderr names the error, and no traceback."""
+    assert "Traceback" not in stderr
+    errors = [ln for ln in stderr.splitlines() if ln.lower().startswith("error:")]
+    assert len(errors) == 1, stderr
+
+
 class TestList:
     def test_names(self, runner):
         res = runner.invoke(main, ["list"])
@@ -110,6 +128,16 @@ class TestRunBuiltins:
         assert env["seed"] == 11
         assert env["precision"] == "double"
         assert env["version"]
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_run_all_matches_benchmark_goldens(self, seed):
+        # the byte freeze of `g2kit run --all`, read from the benchmark's
+        # recorded sha256 values
+        golden = json.loads(GOLDENS.read_text())["reproduce-all"]["full"][str(seed)]
+        text = report_to_json([run_scenario(name, seed) for name in BUILTINS])
+        assert hashlib.sha256(text.encode()).hexdigest() == golden
 
 
 class TestDeterminism:
@@ -178,11 +206,8 @@ def test_flow_suite_does_not_load_scipy():
             "    g2kit.cli.main(['run', 'flow-suite'])\n"
             "except SystemExit as e:\n"
             "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         check=True, capture_output=True, text=True)
     assert json.loads(out.stdout)["pass"] is True
     assert out.stderr.strip() == "0 False"
 
@@ -197,11 +222,9 @@ def test_exact_scenario_does_not_load_numpy(tmp_path):
             "    print(e.code, file=sys.stderr)\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.')),"
             " file=sys.stderr)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, path], env=env,
-                         check=True, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code, path],
+                         env=subprocess_env(), check=True,
+                         capture_output=True, text=True)
     assert json.loads(out.stdout)["pass"] is True
     assert out.stderr.split("\n")[:2] == ["0", "[]"]
 
@@ -279,6 +302,42 @@ class TestUserScenarios:
         path.write_text("{not json")
         res = runner.invoke(main, ["run", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", [
+        # integers above Python's 4300-digit limit for int()
+        '{"name": "x", "circles": 1%s, "generators": [{"signs": [1]}]}'
+        % ("0" * 5000),
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1], '
+        '"shift": [1%s]}]}' % ("0" * 5000),
+        # nesting deeper than the recursion limit
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1]}], '
+        '"expected": {"group_order": %s%s}}' % ("[" * 100_000, "]" * 100_000),
+        # shifts in exponent notation: Fraction would expand the power
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1], '
+        '"shift": ["1e10000000"]}]}',
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1], '
+        '"shift": ["1E100000000"]}]}',
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1], '
+        '"shift": ["2.5e-1"]}]}',
+        # not UTF-8
+        b'\xff\xfe{"name": "x"}',
+    ], ids=["long-circles", "long-shift", "deep-expected", "exp-shift",
+            "upper-exp-shift", "small-exp-shift", "not-utf8"])
+    def test_unreadable_file_exits_2(self, tmp_path, text):
+        # one fresh interpreter per case, so the recursion limit and the
+        # digit limit are the defaults a user meets
+        path = tmp_path / "bad.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "g2kit.cli", "run", str(path)],
+                             env=subprocess_env(), capture_output=True,
+                             text=True, timeout=120)
+        assert time.perf_counter() - start < 30
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert_one_error_line(out.stderr)
+        assert len(out.stderr.splitlines()) == 1
 
     def test_unknown_check_exits_2(self, runner, tmp_path):
         spec = good_scenario()
@@ -452,6 +511,36 @@ class TestToolFlags:
         assert isinstance(res.exception, SystemExit)
         assert res.stderr.startswith("error: ")
         assert "budget" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--s", "1", "--samples", str(MAX_EH_POINTS - 24 + 1)],
+        ["--s", "1,2", "--samples", str(MAX_EH_POINTS // 2 - 24 + 1)],
+        ["--samples", "10000000000"],
+    ], ids=["one-scale", "two-scales", "1e10-samples"])
+    def test_eh_check_over_budget_exits_2(self, runner, monkeypatch, args):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drawn before the budget check")
+
+        monkeypatch.setattr(cli, "_eh_suite", unreachable)
+        res = runner.invoke(main, ["--eh-check", *args])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert "budget" in res.stderr
+        assert_one_error_line(res.stderr)
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "eh-suite"], ["run", "flow-suite"], ["run", "--all"],
+        ["run", "joyce-T7-Gamma"], ["--eh-check"], ["--flow-demo"],
+    ], ids=lambda args: " ".join(args))
+    def test_negative_seed_exits_2(self, runner, args):
+        res = runner.invoke(main, [*args, "--seed", "-1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "--seed" in res.stderr
+        assert_one_error_line(res.stderr)
         assert res.stdout == ""
 
     def test_flag_plus_subcommand_conflict(self, runner):

@@ -78,6 +78,32 @@ def ambient_operator(system):
     return out
 
 
+def random_plus_state(system, seed, norm=1.0):
+    """A state in the growing subspace B+ with the requested norm, drawn as
+    random_minus_state draws one in B-."""
+    blocks, _, r = system._plus.shape
+    c = np.random.default_rng(seed).standard_normal(blocks * r)
+    x = np.einsum("kir,kr->ki", system._plus, c.reshape(blocks, r)).reshape(-1)
+    return FlowState(norm * x / np.linalg.norm(x))
+
+
+def minus_eigenstate(system, block_index, which=0, norm=1.0):
+    """An exact eigenvector of L in B- supported on one mode block."""
+    x = np.zeros((len(system.modes), system.block_size))
+    x[block_index] = system._minus[block_index, :, which]
+    return FlowState(norm * x.reshape(-1))
+
+
+def per_block_spectrum(system):
+    """The eigenvalues block by block: the singular values of each coupling
+    times its weight, and their negatives, concatenated and sorted."""
+    parts = []
+    for weight, coupling in zip(system._weights, system._coupling):
+        s = np.linalg.svd(coupling, compute_uv=False)
+        parts.append(np.concatenate([weight * s, -weight * s]))
+    return np.sort(np.concatenate(parts))
+
+
 def lattice_counts(d, N):
     """Brute-force count of nonzero lattice vectors by squared norm."""
     c = Counter()
@@ -147,6 +173,25 @@ class TestSpectrum:
         assert len(nz) == sys_.dim
         assert np.allclose(np.sort(nz), np.sort(sys_.spectrum()), atol=1e-9)
         assert eig_multiset(amb) == eig_multiset(sys_.spectrum())
+
+    @pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (3, 1), (4, 1), (6, 1)])
+    def test_batched_svd_matches_per_block_loop(self, d, N):
+        sys_ = build_mode_system(d, N)
+        assert np.array_equal(sys_.spectrum(), per_block_spectrum(sys_))
+
+    @pytest.mark.parametrize("d,N", [(3, 1), (4, 1)])
+    def test_stacks_follow_the_modes(self, d, N):
+        # the couplings are symmetric at (3, 1) but not at (4, 1)
+        sys_ = build_mode_system(d, N)
+        r = sys_.block_size // 2
+        assert sys_.norm_sq == tuple(sum(c * c for c in m) for m in sys_.modes)
+        for k, m in enumerate(sys_.modes):
+            weight = TWO_PI * math.sqrt(sys_.norm_sq[k])
+            assert sys_._weights[k] == weight
+            block = sys_._stacked[k]
+            assert np.array_equal(block[:r, r:], weight * sys_._coupling[k])
+            assert np.array_equal(block[r:, :r], weight * sys_._coupling[k].T)
+            assert not block[:r, :r].any() and not block[r:, r:].any()
 
     def test_pairing_symmetry(self):
         spec = build_mode_system(2, 2).spectrum()
@@ -239,24 +284,22 @@ class TestBlockwiseStorage:
             assert np.array_equal(sys_.project_minus(x), row)
 
     @staticmethod
-    def _dense_basis(sys_, attr):
-        """dim x dim/2 columns, each block's basis placed at its offset."""
-        cols = []
-        o = 0
-        for b in sys_.blocks:
-            basis = getattr(b, attr)
-            block_cols = np.zeros((sys_.dim, basis.shape[1]))
-            block_cols[o:o + b.size] = basis
-            cols.append(block_cols)
-            o += b.size
-        return np.hstack(cols)
+    def _dense_basis(basis):
+        """dim x dim/2 columns, each block's basis of the stack placed at
+        its offset."""
+        blocks, size, r = basis.shape
+        out = np.zeros((blocks * size, blocks * r))
+        for k in range(blocks):
+            out[k * size:(k + 1) * size, k * r:(k + 1) * r] = basis[k]
+        return out
 
     @pytest.mark.parametrize("d,N", [(2, 1), (3, 1)])
     @pytest.mark.parametrize("which", ["minus", "plus"])
     def test_random_states_match_dense_bytes(self, d, N, which):
         sys_ = build_mode_system(d, N)
-        dense = self._dense_basis(sys_, f"{which}_basis")
-        draw = getattr(sys_, f"random_{which}_state")
+        dense = self._dense_basis(getattr(sys_, f"_{which}"))
+        draw = (sys_.random_minus_state if which == "minus" else
+                lambda seed, norm: random_plus_state(sys_, seed, norm))
         for seed in (0, 1, 10_000, 10_019):
             c = np.random.default_rng(seed).standard_normal(dense.shape[1])
             x = dense @ c
@@ -279,7 +322,7 @@ class TestLinearFlow:
         self.T = 5.0 / self.sys.mu
 
     def test_reproduces_exponential(self):
-        x0 = self.sys.minus_eigenstate(0)   # mode (-1,-1)
+        x0 = minus_eigenstate(self.sys, 0)   # mode (-1,-1)
         lam = -TWO_PI * math.sqrt(2)
         traj = integrate_flow(self.sys, None, x0, self.T)
         for i in (50, 120, 200):
@@ -288,15 +331,14 @@ class TestLinearFlow:
             assert err < 1e-6 * np.linalg.norm(exact)
 
     def test_eigenmode_rate(self):
-        idx = next(i for i, b in enumerate(self.sys.blocks)
-                   if b.norm_sq == 1)
+        idx = self.sys.norm_sq.index(1)
         traj = integrate_flow(self.sys, None,
-                              self.sys.minus_eigenstate(idx), self.T)
+                              minus_eigenstate(self.sys, idx), self.T)
         assert traj.decaying
         assert abs(traj.fitted_rate - self.sys.mu) < 1e-6
 
     def test_growth_flagged(self):
-        x0 = self.sys.random_plus_state(seed=1, norm=0.01)
+        x0 = random_plus_state(self.sys, seed=1, norm=0.01)
         traj = integrate_flow(self.sys, None, x0, self.T)
         assert not traj.decaying
         assert traj.fitted_rate is None
@@ -352,11 +394,11 @@ class TestQuadraticMap:
         (1.0, 1), (1.0, 0), (1.0, 2.5), (1.0, 201.0), (1.0, "201")])
     def test_horizon_and_samples_validated(self, T, samples):
         with pytest.raises(InvalidOperand):
-            integrate_flow(self.sys, None, self.sys.minus_eigenstate(0), T,
+            integrate_flow(self.sys, None, minus_eigenstate(self.sys, 0), T,
                            samples=samples)
 
     def test_integer_samples_of_any_type(self):
-        x0 = self.sys.minus_eigenstate(0)
+        x0 = minus_eigenstate(self.sys, 0)
         a = integrate_flow(self.sys, None, x0, 1.0, samples=np.int64(11))
         b = integrate_flow(self.sys, None, x0, 1.0, samples=11)
         assert np.array_equal(a.states, b.states)
@@ -475,7 +517,7 @@ class TestGapCheck:
 
     def test_linear_trajectory_passes(self):
         sys_ = build_mode_system(2, 1)
-        traj = integrate_flow(sys_, None, sys_.minus_eigenstate(0),
+        traj = integrate_flow(sys_, None, minus_eigenstate(sys_, 0),
                               5.0 / sys_.mu)
         chk = monotone_gap_check(traj)
         assert chk.monotone and chk.dominance and chk.ok
@@ -488,7 +530,7 @@ class TestFailurePaths:
     def test_escape_reported(self):
         Q = random_quadratic(self.sys, k=self.sys.mu / 10,
                              ball_radius=0.05, seed=9)
-        x0 = self.sys.random_plus_state(seed=2, norm=0.045)
+        x0 = random_plus_state(self.sys, seed=2, norm=0.045)
         traj = integrate_flow(self.sys, Q, x0, T=2.0 / self.sys.mu)
         assert traj.escaped and not traj.decaying
         assert traj.fitted_rate is None
@@ -539,7 +581,7 @@ class TestIntegratorOracle:
         # then cap the next growth factor at 1
         system = build_mode_system(2, 1)
         Q = random_quadratic(system, 0.4 * system.mu, seed=1)
-        x0 = system.random_plus_state(seed=2, norm=1.0)
+        x0 = random_plus_state(system, seed=2, norm=1.0)
         self._assert_same(system, Q, x0, 0.3, samples=17)
 
     def test_linear_d4(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2kit.betti import ResolutionRecipe, resolve_betti
+from g2kit.betti import resolve_betti
 from g2kit.errors import (
     GroupTooLarge,
     InvalidOperand,
@@ -20,7 +20,7 @@ from g2kit.errors import (
     NotEquivariant,
     PullObstruction,
 )
-from g2kit.exact import det, mat_vec, smith_normal_form
+from g2kit.exact import det, identity_matrix, inverse, mat_mul, mat_vec, smith_normal_form
 from g2kit import torus
 from g2kit.forms import PHI0
 from g2kit.torus import (
@@ -82,6 +82,16 @@ def rotation_t2(shift=(0, 0), name="r"):
     return AffineTorusMap([[0, -1], [1, 0]], shift, name=name)
 
 
+def apply(f, point):
+    """f(point) from the linear part and the shift, in Fraction arithmetic,
+    with the circle coordinates taken mod 1."""
+    x = [Fraction(v) for v in point]
+    assert len(x) == f.n
+    img = [sum(a * v for a, v in zip(row, x)) + t
+           for row, t in zip(f.linear, f.shift)]
+    return tuple(v if i + 1 in f.lines else v % 1 for i, v in enumerate(img))
+
+
 def commutes(f, g):
     return f.compose(g) == g.compose(f)
 
@@ -137,18 +147,19 @@ class TestAffineTorusMap:
 
     def test_apply(self):
         g = gamma()
-        p = g.apply([0, 0, 0, 0, 0, 0, 0])
+        p = apply(g, [0, 0, 0, 0, 0, 0, 0])
         assert p == (0, 0, 0, 0, H, 0, H)
-        q = g.apply(p)
+        q = apply(g, p)
         assert q == (0, 0, 0, 0, 0, 0, 0)
 
     def test_compose_and_inverse(self):
+        # beta and gamma are commuting involutions, so bg is its own inverse
         b, g = beta(), gamma()
         bg = b.compose(g)
         x = (Fraction(1, 8),) * 7
-        assert bg.apply(x) == b.apply(g.apply(x))
-        assert bg.compose(bg.inverse()).is_identity()
-        assert bg.inverse().compose(bg).is_identity()
+        assert apply(bg, x) == apply(b, apply(g, x))
+        assert bg.compose(bg).is_identity()
+        assert g.compose(b) == bg
 
     def test_order(self):
         assert map_order(alpha()) == 2
@@ -189,15 +200,7 @@ class TestMapProperties:
     @given(f=diagonal_maps(), g=diagonal_maps())
     def test_apply_respects_composition(self, f, g):
         x = tuple(Fraction(1, 8) * k for k in range(5))
-        assert f.compose(g).apply(x) == f.apply(g.apply(x))
-
-    @given(f=diagonal_maps())
-    def test_inverse_round_trip(self, f):
-        assert f.compose(f.inverse()).is_identity()
-
-    @given(f=diagonal_maps(), g=diagonal_maps())
-    def test_inverse_antihomomorphism(self, f, g):
-        assert f.compose(g).inverse() == g.inverse().compose(f.inverse())
+        assert apply(f.compose(g), x) == apply(f, apply(g, x))
 
 
 class TestGenerateGroup:
@@ -252,7 +255,7 @@ class TestFixedSet:
             assert all(s.torus_dim == 3 and s.line_dim == 0 for s in strata)
             assert all(s.count == 1 and s.stabilizer_order == 1 for s in strata)
             for s in strata:
-                assert gen.apply(s.offset) == s.offset
+                assert apply(gen, s.offset) == s.offset
 
     def test_products_act_freely(self):
         a, b, g = alpha(), beta(), gamma()
@@ -312,7 +315,7 @@ class TestFixedSet:
         count, pts = grid_fixed_count(f)
         assert count == 2
         for s in strata:
-            assert f.apply(s.offset) == s.offset
+            assert apply(f, s.offset) == s.offset
 
     def test_shear_component(self):
         f = AffineTorusMap([[1, 1], [0, 1]], [Fraction(1, 4), 0])
@@ -342,7 +345,7 @@ class TestGridOracle:
             scaled = tuple(int(x * 8) for x in s.offset)
             assert all(Fraction(v, 8) == x for v, x in zip(scaled, s.offset))
             if strata:
-                img = f.apply(s.offset)
+                img = apply(f, s.offset)
                 assert img == s.offset
 
     def test_full_dimension_spot_checks(self):
@@ -503,8 +506,7 @@ class TestPullAndSections:
     def test_cross_section_x3_resolves_to_x11(self):
         cs = cross_section_group(pull(the_group(), 3), 3)
         assert cs.order == 4
-        out = resolve_betti(ResolutionRecipe(base=quotient_betti(cs),
-                                             strata=singular_locus(cs)))
+        out = resolve_betti(quotient_betti(cs), singular_locus(cs))
         assert out[2] == 11 and out[3] == 24
 
     def test_gamma1_cross_section_is_free(self):
@@ -523,8 +525,7 @@ class TestPullAndSections:
 class TestResolutionPipelines:
     def test_closed_manifold(self):
         G = the_group()
-        out = resolve_betti(ResolutionRecipe(base=quotient_betti(G),
-                                             strata=singular_locus(G)))
+        out = resolve_betti(quotient_betti(G), singular_locus(G))
         assert out == (1, 0, 12, 43, 43, 12, 0, 1)
 
     def test_pull_x1_halves(self):
@@ -532,8 +533,7 @@ class TestResolutionPipelines:
         strata = singular_locus(P)
         kinds = sorted((s.torus_dim, s.line_dim) for s in strata)
         assert kinds == [(2, 1)] * 8 + [(3, 0)] * 2
-        out = resolve_betti(ResolutionRecipe(base=quotient_betti(P),
-                                             strata=strata))
+        out = resolve_betti(quotient_betti(P), strata)
         assert tuple(out)[2:6] == (10, 26, 17, 2)
 
     def test_pull_x3_halves(self):
@@ -541,8 +541,7 @@ class TestResolutionPipelines:
         strata = singular_locus(P)
         kinds = sorted((s.torus_dim, s.line_dim) for s in strata)
         assert kinds == [(2, 1)] * 4 + [(3, 0)] * 4
-        out = resolve_betti(ResolutionRecipe(base=quotient_betti(P),
-                                             strata=strata))
+        out = resolve_betti(quotient_betti(P), strata)
         assert tuple(out)[2:6] == (8, 24, 19, 4)
 
     def test_gamma1_pull_x7(self):
@@ -550,8 +549,7 @@ class TestResolutionPipelines:
         strata = singular_locus(P)
         assert len(strata) == 6
         assert all(s.torus_dim == 3 and s.count == 4 for s in strata)
-        out = resolve_betti(ResolutionRecipe(base=quotient_betti(P),
-                                             strata=strata))
+        out = resolve_betti(quotient_betti(P), strata)
         # the printed table's b4 = 20 is inconsistent with its own b3 = 22,
         # which forces six T^3 strata and hence b4 = 3 + 6*3 = 21
         assert tuple(out)[2:6] == (6, 22, 21, 6)
@@ -823,7 +821,7 @@ def fixer_names(strata, maps):
     """For each stratum, the name of the one map in maps fixing its offset."""
     out = []
     for s in strata:
-        names = [f.name for f in maps if f.apply(s.offset) == s.offset]
+        names = [f.name for f in maps if apply(f, s.offset) == s.offset]
         assert len(names) == 1
         out.append(names[0])
     return out
@@ -1248,10 +1246,10 @@ def oracle_strata(group, maps):
     names a fixing coset, so the orbit search moves each by every
     generator."""
     cosets = _cosets(group)
-    lattice = _translation_lattice(group)
+    lattice, lattice_inv = _translation_lattice(group)
     registry = {}
     for f in maps:
-        for comp in _fixed_components(f, lattice):
+        for comp in _fixed_components(f, lattice, lattice_inv):
             registry.setdefault(comp.key(lattice), (comp, None))
     strata = []
     for rep, classes in _group_into_orbits(group, registry, lattice):
@@ -1385,6 +1383,59 @@ class TestResidualOracle:
         group, = _permuted_file_group(NEGID_QUARTER, IDENTITY7)
         assert len(singular_locus(group)) == 128
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The integer matrix D B^-1 of the translation lattice, against the Fraction
+# inverse of B.
+
+
+def assert_lattice_inverse(group):
+    """_translation_lattice's D B^-1 solves B X = D I and equals D times
+    exact.inverse(B)."""
+    (basis, den), lattice_inv = _translation_lattice(group)
+    c = len(basis)
+    assert mat_mul(basis, lattice_inv) == tuple(
+        tuple(den * x for x in row) for row in identity_matrix(c))
+    if c:
+        assert lattice_inv == tuple(tuple(den * x for x in row)
+                                    for row in inverse(basis))
+    assert all(isinstance(x, int) for row in lattice_inv for x in row)
+
+
+@st.composite
+def translation_groups(draw):
+    """Pure translations of T^c (c = 1..5) with shifts k/d, d <= 8, optionally
+    with -Id, closed under the library's closure bound."""
+    c = draw(st.integers(1, 5))
+    shift = st.sampled_from([Fraction(k, d) for d in range(1, 9) for k in range(d)])
+    gens = [D([1] * c, draw(st.lists(shift, min_size=c, max_size=c)), name=f"t{i}")
+            for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens.append(D([-1] * c, name="neg"))
+    try:
+        return generate_group(gens)
+    except GroupTooLarge:
+        assume(False)
+
+
+class TestLatticeInverse:
+    @pytest.mark.parametrize("case", list(LOCUS_GROUPS))
+    def test_locus_groups(self, case):
+        # the builtin groups, their pulls and cross-sections, and the
+        # large-group benchmark files plain and shuffled, among others
+        for group in LOCUS_GROUPS[case]():
+            assert_lattice_inverse(group)
+
+    def test_nontrivial_lattices_are_covered(self):
+        dens = {_translation_lattice(group)[0][1] for case in LOCUS_GROUPS.values()
+                for group in case()}
+        assert {1, 2, 4} <= dens
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=translation_groups())
+    def test_random_translation_groups(self, group):
+        assert_lattice_inverse(group)
 
 
 # ---------------------------------------------------------------------------
