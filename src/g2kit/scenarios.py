@@ -18,6 +18,7 @@ byte-identical JSON.
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -511,15 +512,26 @@ def _parse_map_spec(spec, circles, what):
     return (str(spec.get("name", what)), tuple(signs), tuple(shifts))
 
 
+def _parse_int(text):
+    """A JSON integer literal.  One longer than Python's digit limit for
+    int() is refused here, since int()'s own error would advise a call that
+    a file's author cannot make."""
+    limit = sys.get_int_max_str_digits()
+    digits = len(text.lstrip("-"))
+    if limit and digits > limit:
+        raise InvalidScenario(f"scenario holds an integer of {digits} digits; "
+                              f"at most {limit} are accepted")
+    return int(text)
+
+
 def load_scenario(path):
     """Parse and validate a scenario JSON file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_int=_parse_int)
     except OSError as e:
         raise InvalidScenario(f"cannot read scenario: {e}") from None
     except (ValueError, RecursionError) as e:
-        # a JSONDecodeError, an integer literal above Python's digit limit,
-        # or nesting deeper than the recursion limit
+        # a JSONDecodeError, or nesting deeper than the recursion limit
         raise InvalidScenario(f"scenario is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InvalidScenario("scenario must be a JSON object")

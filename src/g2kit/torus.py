@@ -13,12 +13,19 @@ translation subgroup T = {g : linear(g) = Id} is normal in G, with lattice
 Λ_T = Z^c + shifts(T).  The maps with one linear part A form a coset f T (of G,
 or of G∘sigma in a census), and the union of their fixed sets, modulo Λ_T, is
 {x : (A - 1) x + v_f ∈ Λ_T}: one Smith-form solve per point-group element.
-Components are keyed by their class modulo span + Λ_T, the orbit search moves
-these classes by the generators, and an orbit of k classes holds
-k |T| / |T ∩ (span + Z^c)| components upstairs.  A coset holds a pointwise
-fixer of a component iff its linear part fixes the component's directions
-and x0 - A x0 lies in v_f + Λ_T; only the cosets that pass the first test,
-found once per span, take the second.
+Each call keeps one span table, keyed by the canonical span of the
+directions and the free lines.  An entry holds integer rows that read an
+offset's class modulo span + Λ_T, taken from the Smith solve of the first
+coset with that span, the index [span + Λ_T : span + Z^c] (one more Smith
+form, only when Λ_T ≠ Z^c), and the cosets that fix or negate the span.
+Components are keyed by the entry and the rows' values at their offset.
+The orbit search moves only offsets by the generators: a generator maps
+one span to another, found once per generator and span.  An orbit of k
+classes holds k [span + Λ_T : span + Z^c] components upstairs.  A coset
+holds a pointwise fixer of a component iff its linear part fixes the
+component's span and x0 - A x0 lies in v_f + Λ_T, one sparse image
+M_f x0 with M_f = D B^-1 (1 - A) formed once per coset.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -67,12 +73,6 @@ def _linear_image(terms, vec, size: int) -> tuple[int, ...]:
     for i, j, a in terms:
         out[i] += a * vec[j]
     return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def _linear_product(a, b):
-    """Product of two linear parts; a group has few distinct ones."""
-    return mat_mul(a, b)
 
 
 class AffineTorusMap:
@@ -179,15 +179,22 @@ class AffineTorusMap:
         """self after other."""
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
+        return self._then(other, mat_mul(self.linear, other.linear))
+
+    def _then(self, other, linear) -> "AffineTorusMap":
+        """self after other, given the product of their linear parts."""
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return AffineTorusMap._from_parts(_linear_product(self.linear, other.linear),
-                                          *self._act(other.num, other.den),
+        return AffineTorusMap._from_parts(linear, *self._act(other.num, other.den),
                                           self.lines, name)
 
     @staticmethod
     def identity(n: int, lines: Iterable[int] = ()) -> "AffineTorusMap":
-        eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        return AffineTorusMap(eye, None, lines, "id")
+        """The identity, valid by construction: it is unimodular, mixes no
+        coordinates and keeps every line."""
+        lines = frozenset(int(i) for i in lines)
+        if any(not (1 <= i <= n) for i in lines):
+            raise InvalidOperand("line coordinates out of range")
+        return AffineTorusMap._from_parts(identity_matrix(n), (0,) * n, 1, lines, "id")
 
     @staticmethod
     def diagonal(signs: Sequence[int], shift: Sequence = None,
@@ -257,9 +264,18 @@ def generate_group(gens: Sequence[AffineTorusMap],
             raise InvalidOperand("generators act on different spaces")
     ident = AffineTorusMap.identity(n, lines)
     elements, seen, chosen = [ident], {ident}, []
+    # a group has few distinct linear parts, so their products repeat
+    products: dict = {}
+
+    def compose(f, g):
+        pair = (f.linear, g.linear)
+        linear = products.get(pair)
+        if linear is None:
+            linear = products[pair] = mat_mul(*pair)
+        return f._then(g, linear)
 
     def add_coset(rep, prev):
-        for h in [rep] + [h.compose(rep) for h in prev]:
+        for h in [rep] + [compose(h, rep) for h in prev]:
             seen.add(h)
             elements.append(h)
         if len(elements) > bound:
@@ -274,7 +290,7 @@ def generate_group(gens: Sequence[AffineTorusMap],
         add_coset(m, prev)
         for r in reps:
             for g in chosen:
-                prod = r.compose(g)
+                prod = compose(r, g)
                 if prod not in seen:
                     reps.append(prod)
                     add_coset(prod, prev)
@@ -320,30 +336,6 @@ class _Component:
     def display_offset(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    def key(self, lattice=None):
-        """Canonical hashable key of the component's class modulo span + Λ.
-
-        Λ is Z^c when lattice is None, and two components are then equal iff
-        their keys agree; lattice = (B, D) gives Λ = B Z^c / D.  The key
-        starts with the span of the directions as primitive integer rows,
-        then holds the offset's class (and its pinned line values) at the
-        lowest denominator, so components over different denominators
-        compare."""
-        span, rows, mods = _offset_lattice(self.n, self.lines, self.free_lines,
-                                           self.directions, lattice)
-        den = self.den
-        vals = [v % (den * m) if m else v
-                for v, m in zip(_linear_image(rows, self.num, len(mods)), mods)]
-        g = gcd(den, *vals)
-        return (span, den // g, tuple([v // g for v in vals]),
-                self.n, self.lines, self.free_lines)
-
-    def __eq__(self, other):
-        return isinstance(other, _Component) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def _primitive(row) -> list[int]:
     """The primitive integer vector on the ray of a nonzero integer vector."""
@@ -351,78 +343,33 @@ def _primitive(row) -> list[int]:
     return [x // g for x in row] if g > 1 else list(row)
 
 
-def _span_and_annihilator(rows):
-    """The rows of rref(rows) and a basis of its null space, each as the
-    primitive integer vector on its ray, for an integer matrix.  The basis
-    has one vector per free column j, in column order: e_j minus, at each
-    pivot column, the entry in column j of that pivot's rref row.
+def _span(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows of rref(rows), each as the primitive integer vector on its
+    ray: one canonical form for the span of an integer matrix's rows.
 
     Gauss-Jordan elimination on integer rows: a pivot row is made positive
     and every other row r becomes primitive(p r - r[col] pivot_row), which
     stays on the ray of its rational counterpart, so no Fraction is made."""
+    if not rows:
+        return ()
     m = [list(row) for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+    pivots = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(pivots, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        if m[r][col] < 0:
-            m[r] = [-x for x in m[r]]
-        top, p = m[r], m[r][col]
+        m[pivots], m[piv] = m[piv], m[pivots]
+        if m[pivots][col] < 0:
+            m[pivots] = [-x for x in m[pivots]]
+        top, p = m[pivots], m[pivots][col]
         for i, row in enumerate(m):
             f = row[col]
-            if i != r and f:
+            if i != pivots and f:
                 m[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
-        pivots.append(col)
-        if len(pivots) == len(m):
+        pivots += 1
+        if pivots == len(m):
             break
-    span = [_primitive(row) for row in m[:len(pivots)]]
-    scale = lcm(*(row[c] for row, c in zip(span, pivots)))
-    ann = []
-    for j in range(ncols):
-        if j not in pivots:
-            vec = [0] * ncols
-            vec[j] = scale
-            for row, c in zip(span, pivots):
-                vec[c] = -row[j] * (scale // row[c])
-            ann.append(tuple(_primitive(vec)))
-    return tuple(tuple(row) for row in span), ann
-
-
-@lru_cache(maxsize=1024)
-def _offset_lattice(n, lines, free_lines, directions, lattice=None):
-    """Canonical span of the directions (primitive integer rows), integer rows
-    R (as _sparse entries) and moduli m such that offsets x, y over a common
-    denominator D differ by an element of span + Λ iff R x = R y, row i taken
-    mod D * m_i (exactly where m_i = 0).  Λ is Z^c, or B Z^c / s for
-    lattice = (B, s).
-
-    For an integer basis N of the annihilator of the span and the Smith form
-    U N B V = diag(m), the circle rows are s U N; each pinned line coordinate
-    adds a unit row with m = 0."""
-    circ = [i for i in range(n) if (i + 1) not in lines]
-    basis, scale = lattice or (identity_matrix(len(circ)), 1)
-    d_rows = tuple(tuple(d[i] for i in circ) for d in directions)
-    if d_rows:
-        span, ann = _span_and_annihilator(d_rows)
-    else:
-        span, ann = (), identity_matrix(len(circ))
-    rows, mods = [], []
-    if ann:
-        u, d, _ = smith_normal_form(mat_mul(ann, basis))
-        for i, row in enumerate(mat_mul(u, ann)):
-            full = [0] * n
-            for idx, c in enumerate(circ):
-                full[c] = scale * row[idx]
-            rows.append(tuple(full))
-            mods.append(d[i][i])
-    for i1 in sorted(lines - free_lines):
-        rows.append(tuple(int(j == i1 - 1) for j in range(n)))
-        mods.append(0)
-    return span, _sparse(rows), tuple(mods)
+    return tuple(tuple(_primitive(row)) for row in m[:pivots])
 
 
 def _translation_lattice(group: FiniteActionGroup):
@@ -462,11 +409,15 @@ def _translation_lattice(group: FiniteActionGroup):
     return (basis, den), tuple(tuple(row) for row in inv)
 
 
-def _fixed_components(f: AffineTorusMap, lattice=None,
-                      lattice_inv=None) -> list[_Component]:
-    """Components of Fix(f).  With lattice = (B, D) and lattice_inv the
-    integer matrix D B^-1, the components modulo Λ = B Z^c / D of the union
-    of Fix(f∘t) over the translations t by Λ; both default to Λ = Z^c.
+def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
+    """The fixed set of f; with lattice = (B, D) and lattice_inv the integer
+    matrix D B^-1, the union of the fixed sets of f∘t over the translations
+    t by Λ = B Z^c / D, modulo Λ.  Both default to Λ = Z^c.
+
+    None when it is empty, else (free lines, directions, den, offsets,
+    smith): one component per offset, the subtorus through offset / den
+    along the directions, times the free lines; smith = (U, A' - 1, d) is
+    the solve below, which _Span reads.
 
     x = B y / D turns R^c/Λ into R^c/Z^c and (A - 1) x + v ∈ Λ into
     (A' - 1) y + w ∈ Z^c, with A' = (D B^-1) A B / D (integral, since A
@@ -478,20 +429,23 @@ def _fixed_components(f: AffineTorusMap, lattice=None,
     for i1 in lines:
         if f.linear[i1 - 1][i1 - 1] == 1:
             if f.num[i1 - 1]:
-                return []
+                return None
             free_lines.add(i1)
     c = len(circ)
     basis, scale = lattice or (identity_matrix(c), 1)
     inv = lattice_inv or identity_matrix(c)
     a = tuple(tuple(f.linear[i][j] for j in circ) for i in circ)
+    if scale != 1:
+        # D = 1 only for Λ = Z^c, where the Hermite basis B is the identity
+        a = mat_mul(inv, mat_mul(a, basis))
     m = [[x // scale - (i == j) for j, x in enumerate(row)]
-         for i, row in enumerate(mat_mul(inv, mat_mul(a, basis)))]
+         for i, row in enumerate(a)]
     # -U w has numerators U inv num over f.den
     u, d, v = smith_normal_form(m) if c else ((), (), ())
     w = mat_vec(u, mat_vec(inv, tuple(-f.num[i] for i in circ)))
     diag = [d[k][k] for k in range(c)]
     if any(dk == 0 and wk % f.den for dk, wk in zip(diag, w)):
-        return []
+        return None
     den_y = f.den * lcm(*(abs(dk) for dk in diag if dk))
     choice_sets = [[(wk + j * f.den) * (den_y // (f.den * dk)) for j in range(abs(dk))]
                    if dk else [0] for dk, wk in zip(diag, w)]
@@ -503,7 +457,8 @@ def _fixed_components(f: AffineTorusMap, lattice=None,
     for i1 in pinned:
         base[i1 - 1] = f.num[i1 - 1] * (den // (2 * f.den))
     # x = B V z / D, placed through the nonzero entries of B V
-    bv = tuple((circ[i], k, x) for i, k, x in _sparse(mat_mul(basis, v)))
+    bv = mat_mul(basis, v) if scale != 1 else v
+    bv = tuple((circ[i], k, x) for i, k, x in _sparse(bv))
     dirs = []
     for k in range(c):
         if diag[k] == 0:
@@ -511,77 +466,49 @@ def _fixed_components(f: AffineTorusMap, lattice=None,
             for i, col, x in bv:
                 if col == k:
                     vec[i] = x
-            dirs.append(vec)
+            dirs.append(tuple(vec))
     # base is 0 on circle coordinates and the image is 0 on line coordinates
-    return [_Component(n, lines, [b + x * up % den for b, x in
-                                  zip(base, _linear_image(bv, combo, n))],
-                       den, dirs, free_lines)
-            for combo in product(*choice_sets)]
+    offsets = [tuple([b + x * up % den
+                      for b, x in zip(base, _linear_image(bv, combo, n))])
+               for combo in product(*choice_sets)]
+    return frozenset(free_lines), dirs, den, offsets, (u, m, diag)
 
 
-def _transport(g: AffineTorusMap, comp: _Component) -> _Component:
-    num, den = g._act(comp.num, comp.den)
-    if comp.free_lines:
-        num = [0 if i + 1 in comp.free_lines else x for i, x in enumerate(num)]
-    dirs = [_linear_image(g.terms, d, g.n) for d in comp.directions]
-    return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
-
-
-def _span_action(cosets: dict, directions, free_lines):
-    """The coset representatives whose linear part fixes every direction and
-    free line, and those whose linear part negates each of them."""
-    plus = list(directions)
-    minus = [tuple(-x for x in d) for d in directions]
-    fixing, negating = [], []
-    for a, f in cosets.items():
-        images = [_linear_image(f.terms, d, f.n) for d in directions]
-        signs = {a[i1 - 1][i1 - 1] for i1 in free_lines}
-        if images == plus and signs <= {1}:
-            fixing.append(f)
-        if images == minus and signs <= {-1}:
-            negating.append(f)
-    return fixing, negating
-
-
-def _fixes_pointwise(f: AffineTorusMap, comp: _Component, lattice_inv) -> bool:
-    """Does an element of the coset f T fix comp pointwise, given that the
-    linear part A fixes comp's directions and free lines?
-
-    Such an element's shift can only be x0 - A x0 at the offset x0, and the
-    shifts of f T are v_f + Λ_T on the circle coordinates, so the test is
-    whether D B^-1 (x0 - A x0 - v_f) is integral for Λ_T = B Z^c / D.
-    lattice_inv holds the _sparse entries of the integer matrix D B^-1
-    (columns indexed by coordinate) and its row count c.  The line coordinates need no test: in a finite group a line
-    kept by A carries no shift, and all elements (and all census maps) that
-    reverse a line share their shift on it, so x0 - A x0 - v_f is 0 there.
-    The coset holds no second such element, as translations act freely."""
-    inv, c = lattice_inv
-    den = lcm(comp.den, f.den)
-    k, s = den // comp.den, den // f.den
-    diff = [(x - y) * k - t * s for x, y, t in
-            zip(comp.num, _linear_image(f.terms, comp.num, f.n), f.num)]
-    return not any(y % den for y in _linear_image(inv, diff, c))
+def _fixed_components(f: AffineTorusMap, lattice=None,
+                      lattice_inv=None) -> list[_Component]:
+    """The components that _solve_coset finds, as _Component objects."""
+    fix = _solve_coset(f, lattice, lattice_inv)
+    if fix is None:
+        return []
+    free_lines, dirs, den, offsets, _ = fix
+    return [_Component(f.n, f.lines, num, den, dirs, free_lines) for num in offsets]
 
 
 def components_intersect(c1: _Component, c2: _Component) -> bool:
     """Do two fixed-set components share a point?
 
     They do iff their pinned line values agree and x2 - x1 lies in the span
-    of both direction sets plus Z^c, which the offset lattice of the joint
-    span decides over one denominator, as in _Component.key."""
+    of both direction sets plus Z^c.  With U W V = diag(d) for the matrix W
+    whose rows are the directions, the columns of V with d_k = 0 annihilate
+    the span and map R^c / (span + Z^c) onto a torus, so the test is whether
+    they take integer values on x2 - x1."""
     if c1.n != c2.n or c1.lines != c2.lines:
         return False
     for i1 in c1.lines:
         free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
         if not free and c1.num[i1 - 1] * c2.den != c2.num[i1 - 1] * c1.den:
             return False
-    _, rows, mods = _offset_lattice(c1.n, c1.lines, c1.lines,
-                                    c1.directions + c2.directions)
+    circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
     den = lcm(c1.den, c2.den)
     k1, k2 = den // c1.den, den // c2.den
-    delta = [y * k2 - x * k1 for x, y in zip(c1.num, c2.num)]
-    return not any(v % (den * m) if m else v
-                   for v, m in zip(_linear_image(rows, delta, len(mods)), mods))
+    delta = [c2.num[i] * k2 - c1.num[i] * k1 for i in circ]
+    rows = [[d[i] for i in circ] for d in c1.directions + c2.directions]
+    if not (rows and circ):
+        return not any(x % den for x in delta)
+    _, d, v = smith_normal_form(rows)
+    rank = sum(1 for k in range(min(len(rows), len(circ))) if d[k][k])
+    return not any(sum(row[k] * x for row, x in zip(v, delta)) % den
+                   for k in range(rank, len(circ)))
 
 
 @dataclass(frozen=True)
@@ -617,6 +544,116 @@ class FlatStratum:
         return base
 
 
+def _canonical_span(dirs, free_lines, circ):
+    """The span table's key for directions and free lines."""
+    return _span([[d[i] for i in circ] for d in dirs]), free_lines
+
+
+class _Span:
+    """One entry of a _strata call's span table: a span of directions with
+    its free lines, shared by every coset whose fixed components run along
+    it.
+
+    Its rows (_sparse entries over all n coordinates) read an offset's
+    class modulo span + Λ_T: the first `circle` of them mod 1, then one
+    exact row per pinned line.  index is [span + Λ_T : span + Z^c], the
+    number of components upstairs in one class.  action is filled when a
+    stratum along the span first needs it (see _span_action)."""
+
+    __slots__ = ("dirs", "free_lines", "rows", "size", "circle", "index", "action")
+
+    def __init__(self, fix, circ, lines, lattice, lattice_inv):
+        free_lines, dirs, _, _, (u, m, diag) = fix
+        # row k of U (A' - 1) is d_k times row k of V^-1, and the rows of
+        # V^-1 with d_k != 0 take integer values exactly on span + Z^c in
+        # y = D B^-1 x, that is on span + Λ_T in x
+        rows = [[x // dk for x in row] for row, dk in zip(mat_mul(u, m), diag) if dk]
+        self.index = 1
+        if rows and lattice[1] != 1:
+            rows = mat_mul(rows, lattice_inv)
+            # R x ∈ Z^(c-t) cuts out span + Λ_T, and R maps span + Z^c onto
+            # R Z^c, so the index is [Z^(c-t) : R Z^c], the product of the
+            # Smith moduli of R; Λ_T = Z^c needs no solve
+            _, d, _ = smith_normal_form(rows)
+            self.index = prod(d[k][k] for k in range(len(rows)))
+        terms = [(k, circ[j], x) for k, j, x in _sparse(rows)]
+        pinned = sorted(lines - free_lines)
+        terms += [(len(rows) + k, i1 - 1, 1) for k, i1 in enumerate(pinned)]
+        self.dirs = list(dirs)
+        self.free_lines = free_lines
+        self.rows = tuple(terms)
+        self.circle = len(rows)
+        self.size = len(rows) + len(pinned)
+        self.action = None
+
+    def key(self, num, den):
+        """Canonical hashable key of the class of the point num/den modulo
+        span + Λ_T, at the lowest denominator, so points over different
+        denominators compare."""
+        vals = _linear_image(self.rows, num, self.size)
+        circle = self.circle
+        vals = [v % den if i < circle else v for i, v in enumerate(vals)]
+        g = gcd(den, *vals)
+        if g > 1:
+            return self, den // g, tuple([v // g for v in vals])
+        return self, den, tuple(vals)
+
+
+def _shift_test(f: AffineTorusMap, circ, lattice_inv):
+    """M_f = D B^-1 (1 - A) and w_f = D B^-1 v_f (over f.den) for the coset
+    f T and Λ_T = B Z^c / D, kept only in the rows where one of them is
+    nonzero: the _sparse entries of those rows of M_f over all n
+    coordinates, the same rows of w_f, and f.den (see _fixes_pointwise)."""
+    one_minus = [[(i == j) - f.linear[p][q] for j, q in enumerate(circ)]
+                 for i, p in enumerate(circ)]
+    m = mat_mul(lattice_inv, one_minus)
+    w = mat_vec(lattice_inv, [f.num[p] for p in circ])
+    live = [i for i, (row, x) in enumerate(zip(m, w)) if x or any(row)]
+    terms = tuple((k, circ[j], x) for k, i in enumerate(live)
+                  for j, x in enumerate(m[i]) if x)
+    return terms, tuple(w[i] for i in live), f.den
+
+
+def _fixes_pointwise(test, num, den) -> bool:
+    """Does an element of the coset f T fix the component through num/den
+    pointwise, given that the linear part A fixes its directions and free
+    lines?  test = (M_f, w_f, f.den) from _shift_test.
+
+    Such an element's shift can only be x0 - A x0 at the offset x0, and the
+    shifts of f T are v_f + Λ_T on the circle coordinates, so the test is
+    whether D B^-1 (x0 - A x0 - v_f) = M_f x0 - w_f is integral, that is
+    whether f.den M_f num - den w_f vanishes mod den f.den.  The line
+    coordinates need no test: in a finite group a line kept by A carries no
+    shift, and all elements (and all census maps) that reverse a line share
+    their shift on it, so x0 - A x0 - v_f is 0 there.  The coset holds no
+    second such element, as translations act freely."""
+    terms, w, fden = test
+    d = den * fden
+    return not any((x * fden - y * den) % d
+                   for x, y in zip(_linear_image(terms, num, len(w)), w))
+
+
+def _span_action(span: _Span, cosets: dict, shift_test):
+    """The shift tests (shift_test(f)) of the coset representatives whose
+    linear part fixes every direction and free line of the span, and the
+    representatives whose linear part negates each of them.  A coset is
+    dropped at the first direction it neither fixes nor negates."""
+    minus = [tuple(-x for x in d) for d in span.dirs]
+    fixing, negating = [], []
+    for a, f in cosets.items():
+        signs = {a[i1 - 1][i1 - 1] for i1 in span.free_lines}
+        for d, neg in zip(span.dirs, minus):
+            image = _linear_image(f.terms, d, f.n)
+            signs.add(1 if image == d else -1 if image == neg else 0)
+            if len(signs) > 1 or 0 in signs:
+                break
+        if signs == {1}:
+            fixing.append(shift_test(f))
+        elif signs == {-1}:
+            negating.append(f)
+    return fixing, negating
+
+
 def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
     """Connected components of the fixed-point set, one stratum each, ordered
     by offset.  No group acts, so count and stabilizer order are 1."""
@@ -624,74 +661,66 @@ def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
                    for c in _fixed_components(f)), key=lambda s: s.offset)
 
 
-def _group_into_orbits(group: FiniteActionGroup, registry: dict, lattice):
-    """registry maps the key of a class mod span + Λ_T to a component in it
-    and the linear part of the coset f T of G whose fixed set gave it, or
-    None when the coset lies outside G (a census map f∘sigma); returns each
-    orbit as its first registered component and its number of classes.
+def _group_into_orbits(group: FiniteActionGroup, registry: dict, spans: dict,
+                       circ) -> list:
+    """registry maps the key of a class mod span + Λ_T to its offset num/den,
+    its span table entry and the linear part of the coset f T of G whose
+    fixed set gave it, or None when the coset lies outside G (a census map
+    f∘sigma); returns each orbit as the key of its first registered class
+    and its number of classes.
 
     The search moves classes by the generators only: G is finite, so every
     element is a positive word in them, and T is normal, so every element
     maps classes to classes; a translation fixes each class and is skipped.
     So is a generator in the class's own coset f T: one element of f T fixes
     the component pointwise, and the others differ from it by translations.
-    The cost is O(classes * generators)."""
+    A move images the offset only: g maps a span to the span of g's
+    image of its directions, found once per generator and span.  The cost
+    is O(classes * generators)."""
     ident = group.identity.linear
     movers = [g for g in group.generators if g.linear != ident]
+    targets: dict = {}
     unvisited = set(registry)
     orbits = []
-    for key, (comp, fixer) in registry.items():
+    for key in registry:
         if key not in unvisited:
             continue
         unvisited.discard(key)
-        size, stack = 0, [(comp, fixer)]
+        size, stack = 0, [registry[key]]
         while stack:
-            base, linear = stack.pop()
+            num, den, span, linear = stack.pop()
             size += 1
-            for g in movers:
+            for i, g in enumerate(movers):
                 if g.linear == linear:
                     continue
-                mk = _transport(g, base).key(lattice)
+                target = targets.get((i, span))
+                if target is None:
+                    moved = [_linear_image(g.terms, d, g.n) for d in span.dirs]
+                    target = targets[i, span] = spans[
+                        _canonical_span(moved, span.free_lines, circ)]
+                mk = target.key(*g._act(num, den))
                 if mk in unvisited:
                     unvisited.discard(mk)
                     stack.append(registry[mk])
-        orbits.append((comp, size))
+        orbits.append((key, size))
     return orbits
 
 
-def _t_orbit_size(comp: _Component, lattice) -> int:
-    """|T| / |T ∩ (span + Z^c)|, the number of components in comp's class
-    mod span + Λ_T: the index [span + Λ_T : span + Z^c], a ratio of the
-    Smith moduli of the two offset lattices, found without enumerating T."""
-    if lattice[1] == 1:
-        # Λ_T = Z^c: T is trivial, and one Smith solve serves the span
-        return 1
-    args = (comp.n, comp.lines, comp.free_lines, comp.directions)
-    plain = [m for m in _offset_lattice(*args)[2] if m]
-    wide = [m for m in _offset_lattice(*args, lattice)[2] if m]
-    return lattice[1] ** len(plain) * prod(plain) // prod(wide)
+def _classify_residual(span: _Span, num, den, key, setwise: int) -> str:
+    """How the setwise stabilizer, of order |G| / |orbit|, acts on the
+    component through num/den (of class key) beyond its pointwise part,
+    decided per coset of T among the cosets span.action gives.
 
-
-def _classify_residual(comp: _Component, setwise: int, lattice, lattice_inv,
-                       span_action) -> str:
-    """How the setwise stabilizer, of order |G| / |orbit|, acts beyond its
-    pointwise part, decided per coset of T among the cosets span_action
-    gives for comp's directions and free lines (see _span_action).
-
-    A point fixed setwise is fixed pointwise.  An element acting as -1 on a
-    component of positive dimension never fixes it pointwise, and a coset
-    f T holds an element that maps comp to itself iff f comp lies in comp's
-    class."""
-    if not comp.directions and not comp.free_lines:
-        return "trivial"
-    fixing, negating = span_action
-    pointwise = sum(_fixes_pointwise(f, comp, lattice_inv) for f in fixing)
+    A coset f T holds an element that maps the component to itself iff f
+    maps its offset into its class, and an element acting as -1 on a
+    component of positive dimension never fixes it pointwise."""
+    fixing, negating = span.action
+    pointwise = sum(_fixes_pointwise(test, num, den) for test in fixing)
     if setwise == pointwise:
         return "trivial"
-    if setwise == 2 * pointwise:
-        key = comp.key(lattice)
-        if any(_transport(f, comp).key(lattice) == key for f in negating):
-            return "pm1"
+    if setwise == 2 * pointwise and any(span.key(*f._act(num, den)) == key
+                                        for f in negating):
+        return "pm1"
     return "other"
 
 
@@ -706,43 +735,66 @@ def _cosets(group: FiniteActionGroup) -> dict:
 
 def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
     """Quotient strata of the fixed components of the cosets f T (f in maps),
-    which the group permutes."""
+    which the group permutes.
+
+    The span table, local to the call, keys each span of directions (with
+    its free lines) by its canonical form and holds what every class along
+    it needs (see _Span); the rows come from the Smith solve of the first
+    coset with that span."""
     lattice, inv = _translation_lattice(group)
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    # D B^-1, reading the circle coordinates of a full vector
-    lattice_inv = (tuple((i, circ[j], x) for i, j, x in _sparse(inv)), len(circ))
+    spans: dict = {}
     registry: dict = {}
     for f in maps:
+        fix = _solve_coset(f, lattice, inv)
+        if fix is None:
+            continue
+        free_lines, dirs, den, offsets, _ = fix
+        canon = _canonical_span(dirs, free_lines, circ)
+        span = spans.get(canon)
+        if span is None:
+            span = spans[canon] = _Span(fix, circ, group.lines, lattice, inv)
         # only a coset of G maps the classes of its own fixed set to
         # themselves; a census map f∘sigma lies outside G
         fixer = f.linear if f in group else None
-        for comp in _fixed_components(f, lattice, inv):
-            registry.setdefault(comp.key(lattice), (comp, fixer))
-    orbits = _group_into_orbits(group, registry, lattice)
+        for num in offsets:
+            registry.setdefault(span.key(num, den), (num, den, span, fixer))
+    orbits = _group_into_orbits(group, registry, spans, circ)
+    tests: dict = {}
+
+    def shift_test(f):
+        test = tests.get(f.linear)
+        if test is None:
+            test = tests[f.linear] = _shift_test(f, circ, inv)
+        return test
+
     # strata are ordered by dimension, then offset: over one common
     # denominator the offsets compare as integer tuples
-    den = lcm(*(rep.den for rep, _ in orbits))
+    den = lcm(*(registry[key][1] for key, _ in orbits))
     fracs: dict = {}
-    actions: dict = {}
     strata = []
-    for rep, classes in orbits:
-        count = classes * _t_orbit_size(rep, lattice)
+    for key, classes in orbits:
+        num, rden, span, _ = registry[key]
+        count = classes * span.index
         setwise = group.order // count
-        span = (rep.directions, rep.free_lines)
-        if span not in actions:
-            actions[span] = _span_action(cosets, *span)
-        offset = tuple(x * (den // rep.den) for x in rep.num)
+        # a point fixed setwise is fixed pointwise
+        residual = "trivial"
+        if span.dirs or span.free_lines:
+            if span.action is None:
+                span.action = _span_action(span, cosets, shift_test)
+            residual = _classify_residual(span, num, rden, key, setwise)
+        offset = tuple(x * (den // rden) for x in num)
         for x in offset:
             if x not in fracs:
                 fracs[x] = Fraction(x, den)
-        strata.append(((-(rep.torus_dim + rep.line_dim), offset), FlatStratum(
-            torus_dim=rep.torus_dim,
-            line_dim=rep.line_dim,
+        dim = len(span.dirs) + len(span.free_lines)
+        strata.append(((-dim, offset), FlatStratum(
+            torus_dim=len(span.dirs),
+            line_dim=len(span.free_lines),
             count=count,
             offset=tuple([fracs[x] for x in offset]),
             stabilizer_order=setwise,
-            residual=_classify_residual(rep, setwise, lattice, lattice_inv,
-                                        actions[span]),
+            residual=residual,
         )))
     strata.sort(key=lambda pair: pair[0])
     return [s for _, s in strata]

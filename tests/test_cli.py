@@ -339,6 +339,25 @@ class TestUserScenarios:
         assert_one_error_line(out.stderr)
         assert len(out.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"name": "x", "circles": 1%s, "generators": [{"signs": [1]}]}'
+        % ("0" * 5000),
+        '{"name": "x", "circles": 1, "generators": [{"signs": [-1], '
+        '"shift": [-1%s]}]}' % ("0" * 5000),
+    ], ids=["long-circles", "long-negative-shift"])
+    def test_long_integer_has_its_own_message(self, tmp_path, text):
+        # Python's own error advises sys.set_int_max_str_digits(), which a
+        # file's author cannot call; a fresh interpreter has the default limit
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        out = subprocess.run([sys.executable, "-m", "g2kit.cli", "run", str(path)],
+                             env=subprocess_env(), capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("error: scenario holds an integer of 5001 digits; "
+                              "at most 4300 are accepted\n")
+
     def test_unknown_check_exits_2(self, runner, tmp_path):
         spec = good_scenario()
         spec["checks"] = ["sorcery"]

@@ -6,7 +6,8 @@ compares against the Smith-normal-form component enumeration.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm, log2
+from functools import _lru_cache_wrapper
+from math import gcd, lcm, log2, prod
 
 import numpy as np
 import pytest
@@ -30,10 +31,7 @@ from g2kit.torus import (
     _cosets,
     _exterior_traces,
     _fixed_components,
-    _group_into_orbits,
-    _t_orbit_size,
     _translation_lattice,
-    _transport,
     check_preserves_form,
     components_intersect,
     count_ends,
@@ -1201,10 +1199,106 @@ class TestQuotientBettiOracle:
 
 
 # ---------------------------------------------------------------------------
-# Reference for the residual: every coset of the translation subgroup is
-# visited, and an element is looked up in the group by its linear part and
-# the shift x0 - A x0, with dense linear images.  The rest of the pipeline is
-# the library's, so the strata must agree field by field and in order.
+# Reference for the strata modulo the translation lattice: each component is
+# keyed by its class modulo span + Λ_T through an offset lattice built from
+# its own directions (a Fraction null space and one Smith form), classes are
+# moved with their directions, every coset is visited for the residual, and
+# an element is looked up in the group by its linear part and the shift
+# x0 - A x0, with dense linear images.  Only the coset solve, the
+# translation lattice and the cosets are the library's, so the strata must
+# agree field by field and in order.
+
+
+def _oracle_offset_lattice(n, lines, free_lines, directions, lattice):
+    """The span of the directions (as a Fraction rref), integer rows R and
+    moduli m such that offsets x, y over a common denominator D differ by
+    an element of span + Λ iff R x = R y, row i taken mod D * m_i (exactly
+    where m_i = 0), for Λ = B Z^c / s and lattice = (B, s).
+
+    For an integer basis N of the annihilator of the span and the Smith
+    form U N B V = diag(m), the circle rows are s U N; each pinned line
+    coordinate adds a unit row with m = 0."""
+    circ = [i for i in range(n) if (i + 1) not in lines]
+    basis, scale = lattice
+    d_rows = [[d[i] for i in circ] for d in directions]
+    ann = (_ref_null_space(d_rows) if d_rows else
+           [[Fraction(int(i == j)) for j in range(len(circ))] for i in range(len(circ))])
+    ann = [[int(x * lcm(*(y.denominator for y in vec))) for x in vec] for vec in ann]
+    rows, mods = [], []
+    if ann:
+        u, d, _ = smith_normal_form(mat_mul(ann, basis))
+        for i, row in enumerate(mat_mul(u, ann)):
+            full = [0] * n
+            for idx, c in enumerate(circ):
+                full[c] = scale * row[idx]
+            rows.append(tuple(full))
+            mods.append(d[i][i])
+    for i1 in sorted(lines - free_lines):
+        rows.append(tuple(int(j == i1 - 1) for j in range(n)))
+        mods.append(0)
+    return _ref_rref(d_rows) if d_rows else (), rows, mods
+
+
+def _oracle_lattice(comp, lattice, memo):
+    """The offset lattice of comp's directions and free lines, through memo,
+    which holds those of one oracle call."""
+    args = (comp.free_lines, comp.directions, lattice)
+    if args not in memo:
+        memo[args] = _oracle_offset_lattice(comp.n, comp.lines, *args)
+    return memo[args]
+
+
+def _oracle_key(comp, lattice, memo):
+    """The class of comp modulo span + Λ, at the lowest denominator."""
+    span, rows, mods = _oracle_lattice(comp, lattice, memo)
+    den = comp.den
+    vals = [v % (den * m) if m else v for v, m in zip(mat_vec(rows, comp.num), mods)]
+    g = gcd(den, *vals)
+    return span, den // g, tuple(v // g for v in vals), comp.free_lines
+
+
+def _oracle_transport(g, comp):
+    """g's image of comp, offset and directions, by dense linear images."""
+    den = lcm(comp.den, g.den)
+    img = _dense_image(g.linear, [x * (den // comp.den) for x in comp.num])
+    num = [0 if i + 1 in comp.free_lines
+           else v + t * (den // g.den) if i + 1 in comp.lines
+           else (v + t * (den // g.den)) % den
+           for i, (v, t) in enumerate(zip(img, g.num))]
+    dirs = [_dense_image(g.linear, d) for d in comp.directions]
+    return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
+
+
+def _oracle_orbits(group, registry, key):
+    """Each orbit of the registered components (key -> component) as its
+    first registered component and its number of classes, moving every
+    class by every generator."""
+    unvisited = set(registry)
+    orbits = []
+    for k, comp in registry.items():
+        if k not in unvisited:
+            continue
+        unvisited.discard(k)
+        size, stack = 0, [comp]
+        while stack:
+            base = stack.pop()
+            size += 1
+            for g in group.generators:
+                mk = key(_oracle_transport(g, base))
+                if mk in unvisited:
+                    unvisited.discard(mk)
+                    stack.append(registry[mk])
+        orbits.append((comp, size))
+    return orbits
+
+
+def _oracle_t_orbit_size(comp, lattice, memo):
+    """[span + Λ_T : span + Z^c], a ratio of the Smith moduli of the offset
+    lattices for Z^c and for Λ_T."""
+    unit = (identity_matrix(len(lattice[0])), 1)
+    plain, wide = ([m for m in _oracle_lattice(comp, lat, memo)[2] if m]
+                   for lat in (unit, lattice))
+    return lattice[1] ** len(plain) * prod(plain) // prod(wide)
 
 
 def _dense_image(linear, vec):
@@ -1227,37 +1321,41 @@ def _oracle_acts_as_minus_one(linear, comp):
     return all(linear[i1 - 1][i1 - 1] == -1 for i1 in comp.free_lines)
 
 
-def _oracle_classify_residual(group, cosets, comp, setwise, lattice):
+def _oracle_classify_residual(group, cosets, comp, setwise, key):
     pointwise = sum(_oracle_fixed_pointwise_in(group, a, comp) for a in cosets)
     if setwise == pointwise:
         return "trivial"
     if setwise == 2 * pointwise:
-        key = comp.key(lattice)
         if any(_oracle_acts_as_minus_one(a, comp)
-               and _transport(f, comp).key(lattice) == key
+               and key(_oracle_transport(f, comp)) == key(comp)
                for a, f in cosets.items()):
             return "pm1"
     return "other"
 
 
 def oracle_strata(group, maps):
-    """The library's strata of the cosets f T (f in maps), with the residual
-    classified over every coset and sorted by Fraction offsets.  No class
-    names a fixing coset, so the orbit search moves each by every
-    generator."""
+    """The strata of the cosets f T (f in maps) from the library's coset
+    solve, with classes keyed by their own directions, moved by every
+    generator, the residual classified over every coset and the strata
+    sorted by Fraction offsets."""
     cosets = _cosets(group)
     lattice, lattice_inv = _translation_lattice(group)
+    memo = {}
+
+    def key(comp):
+        return _oracle_key(comp, lattice, memo)
+
     registry = {}
     for f in maps:
         for comp in _fixed_components(f, lattice, lattice_inv):
-            registry.setdefault(comp.key(lattice), (comp, None))
+            registry.setdefault(key(comp), comp)
     strata = []
-    for rep, classes in _group_into_orbits(group, registry, lattice):
-        count = classes * _t_orbit_size(rep, lattice)
+    for rep, classes in _oracle_orbits(group, registry, key):
+        count = classes * _oracle_t_orbit_size(rep, lattice, memo)
         setwise = group.order // count
         strata.append(FlatStratum(
             rep.torus_dim, rep.line_dim, count, rep.display_offset(), setwise,
-            _oracle_classify_residual(group, cosets, rep, setwise, lattice)))
+            _oracle_classify_residual(group, cosets, rep, setwise, key)))
     strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.offset))
     return strata
 
@@ -1375,14 +1473,30 @@ class TestResidualOracle:
 
     def test_negid_quarter_makes_no_self_moves(self, monkeypatch):
         # every class lies in the fixed set of the coset of -Id, the only
-        # linear part a generator moves by
-        calls = []
-        transport = torus._transport
-        monkeypatch.setattr(torus, "_transport",
-                            lambda g, comp: calls.append(g) or transport(g, comp))
+        # linear part a generator moves by; a move images a class's offset
+        # by the generator's _act, and all 128 strata are points, whose
+        # residual takes no image
         group, = _permuted_file_group(NEGID_QUARTER, IDENTITY7)
+        joyce = the_group()
+        moves = []
+        act = AffineTorusMap._act
+        monkeypatch.setattr(AffineTorusMap, "_act",
+                            lambda g, num, den: moves.append(g) or act(g, num, den))
         assert len(singular_locus(group)) == 128
-        assert calls == []
+        assert moves == []
+        # the counter sees moves where they happen: Joyce's classes of the
+        # alpha coset are moved by beta and gamma
+        assert len(singular_locus(joyce)) == 12
+        assert moves
+
+    def test_torus_binds_no_lru_cache(self):
+        # caches keyed by input data grow with the inputs a process sees
+        names = [(name, value) for name, value in vars(torus).items()]
+        names += [(f"{name}.{attr}", member) for name, value in vars(torus).items()
+                  if isinstance(value, type) and value.__module__ == torus.__name__
+                  for attr, member in vars(value).items()]
+        assert [name for name, value in names
+                if isinstance(getattr(value, "__func__", value), _lru_cache_wrapper)] == []
 
 
 # ---------------------------------------------------------------------------
