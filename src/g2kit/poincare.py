@@ -14,11 +14,13 @@ closed remainder (delta of the mode over |m|^2).  Because |m|^2 is an
 integer, d(primitive) == input holds bit for bit, and harmonic
 (zero-mode) components are detected exactly.
 
-A polynomial c(t) is stored as integer pairs over one common
-denominator, (den, ((re0, im0), (re1, im1), ...)) for
-c(t) = sum_k (re_k + i im_k) t^k / den, with den > 0, the whole tuple
-in lowest terms and no trailing zero pair; the zero polynomial is ().
-That form is canonical, so equal polynomials are equal tuples.
+A form is stored as integer pairs over one denominator for the whole
+form: each term's polynomial is ((re0, im0), (re1, im1), ...) for
+c(t) = sum_k (re_k + i im_k) t^k / den.  The form is canonical: den > 0,
+den and all the integers have gcd 1, no polynomial is zero or ends in a
+zero pair, and the terms are sorted by key; so equal forms are equal
+tuples.  Every operation is integer work over one denominator (one lcm
+for the t-integral and one for 1/|m|^2) and ends in one gcd per form.
 ComplexFrac is the coefficient type at the boundary only:
 CylinderForm.build takes it and CylinderForm.mapping returns it.
 """
@@ -27,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .errors import InvalidOperand, NotExact, NumericFailure
 
@@ -67,105 +69,40 @@ class ComplexFrac:
         return bool(self.re) or bool(self.im)
 
 
-def _pcanon(den, pairs):
-    """The canonical polynomial of pairs over den > 0, or () if it is 0."""
-    n = len(pairs)
-    while n and pairs[n - 1] == (0, 0):
-        n -= 1
-    if not n:
-        return ()
-    g = math.gcd(den, *chain.from_iterable(pairs))
-    return (den // g, tuple((x // g, y // g) for x, y in pairs[:n]))
+def _put(polys, key, pairs):
+    """polys[key] += pairs, both integer pairs over the same denominator."""
+    old = polys.get(key)
+    polys[key] = pairs if old is None else [
+        (x + u, y + v) for (x, y), (u, v) in zip_longest(old, pairs,
+                                                         fillvalue=(0, 0))]
 
 
-def _from_quotients(coeffs):
-    """Polynomial from integer (re_num, re_den, im_num, im_den) coefficients.
-
-    Coefficients come lowest degree first, denominators positive.
-    """
-    den = math.lcm(*chain.from_iterable((q, s) for _, q, _, s in coeffs))
-    return _pcanon(den, [(a * (den // q), b * (den // s))
-                         for a, q, b, s in coeffs])
-
-
-def _to_complex(p):
-    """The coefficients of a nonzero p as a tuple of ComplexFrac."""
-    den, pairs = p
-    return tuple(ComplexFrac(Fraction(x, den), Fraction(y, den))
-                 for x, y in pairs)
-
-
-def _padd(a, b):
-    """a + b, where either may be (); the helpers below take nonzero p."""
-    if not a:
-        return b
-    if not b:
-        return a
-    (da, pa), (db, pb) = a, b
-    if len(pa) < len(pb):
-        (da, pa), (db, pb) = b, a
-    den = math.lcm(da, db)
-    ka, kb = den // da, den // db
-    out = [(x * ka + u * kb, y * ka + v * kb)
-           for (x, y), (u, v) in zip(pa, pb)]
-    out.extend((x * ka, y * ka) for x, y in pa[len(pb):])
-    return _pcanon(den, out)
-
-
-def _pscale(c, p):
-    """c * p for a Gaussian rational c given as integers (re, im, den)."""
-    re, im, cden = c
-    den, pairs = p
-    return _pcanon(den * cden, [(x * re - y * im, x * im + y * re)
-                                for x, y in pairs])
-
-
-def _pderiv(p):
-    den, pairs = p
-    return _pcanon(den, [(k * x, k * y)
-                         for k, (x, y) in enumerate(pairs) if k])
-
-
-def _pintegral(p):
-    """The primitive of p vanishing at t = 0."""
-    den, pairs = p
-    scale = math.lcm(*range(1, len(pairs) + 1))
-    return _pcanon(den * scale, [(0, 0)] + [
-        (x * (scale // (k + 1)), y * (scale // (k + 1)))
-        for k, (x, y) in enumerate(pairs)])
-
-
-def _pnorm_sq(p):
-    """Exact integral over [0, 1] of |p(t)|^2, a positive Fraction."""
-    den, pairs = p
-    scale = math.lcm(*range(1, 2 * len(pairs)))
-    total = 0
-    for a, (xa, ya) in enumerate(pairs):
-        for b, (xb, yb) in enumerate(pairs):
-            # Re(c_a * conj(c_b)) over the common denominator
-            total += (xa * xb + ya * yb) * (scale // (a + b + 1))
-    return Fraction(total, scale * den * den)
+def _times_i(k, pairs):
+    """The pairs of i*k*c(t)."""
+    return [(-k * y, k * x) for x, y in pairs]
 
 
 @dataclass(frozen=True)
 class CylinderForm:
     """Finite Fourier-polynomial form on T^d x [0, 1].
 
-    terms is a sorted tuple of ((mode, spatial, has_dt), poly) entries,
-    each poly a nonzero canonical (den, integer pairs) polynomial as in
-    the module docstring.  Use build() to construct one from a mapping
-    to ComplexFrac coefficient tuples, and mapping() to read it back.
+    terms is a sorted tuple of ((mode, spatial, has_dt), pairs) entries,
+    each pairs a nonzero polynomial over the form's one denominator den,
+    canonical as in the module docstring.  Use build() to construct one
+    from a mapping to ComplexFrac coefficient tuples, and mapping() to
+    read it back.
     """
 
     d: int
     degree: int
+    den: int
     terms: tuple
 
     @classmethod
     def build(cls, d, degree, mapping):
         if d < 1 or not 0 <= degree <= d + 1:
             raise InvalidOperand(f"bad dimensions d={d}, degree={degree}")
-        canon = {}
+        items = []
         for (mode, spatial, has_dt), poly in mapping.items():
             mode = tuple(int(c) for c in mode)
             spatial = tuple(spatial)
@@ -177,21 +114,39 @@ class CylinderForm:
             if len(spatial) + bool(has_dt) != degree:
                 raise InvalidOperand(
                     f"term {spatial} dt={bool(has_dt)} has wrong degree")
-            key = (mode, spatial, bool(has_dt))
-            p = _from_quotients([(c.re.numerator, c.re.denominator,
-                                  c.im.numerator, c.im.denominator)
-                                 for c in poly])
-            canon[key] = _padd(canon.get(key, ()), p)
-        return cls._of(d, degree, canon)
+            items.append(((mode, spatial, bool(has_dt)), poly))
+        den = math.lcm(*(q for _, poly in items for c in poly
+                         for q in (c.re.denominator, c.im.denominator)))
+        polys = {}
+        for key, poly in items:
+            _put(polys, key, [(c.re.numerator * (den // c.re.denominator),
+                               c.im.numerator * (den // c.im.denominator))
+                              for c in poly])
+        return cls._of(d, degree, den, polys)
 
     @classmethod
-    def _of(cls, d, degree, polys):
-        """Form from a key -> canonical polynomial dict; drops zeros."""
-        return cls(d=d, degree=degree,
-                   terms=tuple(sorted((k, p) for k, p in polys.items() if p)))
+    def _of(cls, d, degree, den, polys):
+        """The canonical form of a key -> integer pairs dict over den > 0."""
+        terms = []
+        g = den
+        for key, pairs in polys.items():
+            while pairs and pairs[-1] == (0, 0):
+                pairs = pairs[:-1]
+            if pairs:
+                terms.append((key, tuple(pairs)))
+                if g > 1:
+                    g = math.gcd(g, *chain.from_iterable(pairs))
+        terms.sort()
+        if g > 1:
+            den //= g
+            terms = [(key, tuple((x // g, y // g) for x, y in pairs))
+                     for key, pairs in terms]
+        return cls(d, degree, den, tuple(terms))
 
     def mapping(self):
-        return {k: _to_complex(p) for k, p in self.terms}
+        return {k: tuple(ComplexFrac(Fraction(x, self.den),
+                                     Fraction(y, self.den)) for x, y in p)
+                for k, p in self.terms}
 
     @property
     def is_zero(self):
@@ -201,67 +156,59 @@ class CylinderForm:
         if not isinstance(other, CylinderForm) or other.d != self.d \
                 or other.degree != self.degree:
             raise InvalidOperand("can only add forms of equal shape")
-        merged = dict(self.terms)
-        for k, p in other.terms:
-            merged[k] = _padd(merged.get(k, ()), p)
-        return CylinderForm._of(self.d, self.degree, merged)
+        den = math.lcm(self.den, other.den)
+        polys = {}
+        for form in (self, other):
+            k = den // form.den
+            for key, pairs in form.terms:
+                _put(polys, key, [(x * k, y * k) for x, y in pairs])
+        return CylinderForm._of(self.d, self.degree, den, polys)
 
     def __neg__(self):
-        return CylinderForm(self.d, self.degree,
-                            tuple((k, _pscale((-1, 0, 1), p))
-                                  for k, p in self.terms))
+        return CylinderForm(self.d, self.degree, self.den, tuple(
+            (key, tuple((-x, -y) for x, y in pairs))
+            for key, pairs in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def norm_sq(self):
         """Squared L2 norm over the common (2*pi)^d volume factor."""
-        return sum((_pnorm_sq(p) for _, p in self.terms), Fraction(0))
+        n = max((len(pairs) for _, pairs in self.terms), default=0)
+        scale = math.lcm(*range(1, 2 * n))
+        weight = [scale // (k + 1) for k in range(2 * n - 1)]
+        total = 0
+        for _, pairs in self.terms:
+            for a, (xa, ya) in enumerate(pairs):
+                for b, (xb, yb) in enumerate(pairs):
+                    # Re(c_a * conj(c_b)) over den^2
+                    total += (xa * xb + ya * yb) * weight[a + b]
+        return Fraction(total, scale * self.den * self.den)
 
-    def norm(self):
-        return math.sqrt(self.norm_sq())
 
-
-def _wedge_sign(j, spatial):
-    """Sign of dx_j ^ dx_I -> dx_{sorted}, or None if j is in I."""
-    if j in spatial:
-        return None
-    return (-1) ** sum(1 for i in spatial if i < j)
+def _derivative_polys(terms):
+    """d of (key, pairs) terms, as a key -> pairs dict over the same den."""
+    out = {}
+    for (mode, spatial, has_dt), pairs in terms:
+        sign = 1  # of dx_j ^ dx_I -> dx_{sorted}: -1 per index of I below j
+        for j, m in enumerate(mode):
+            if j in spatial:
+                sign = -sign
+            elif m:
+                _put(out, (mode, tuple(sorted(spatial + (j,))), has_dt),
+                     _times_i(sign * m, pairs))
+        if not has_dt and len(pairs) > 1:
+            sign = (-1) ** len(spatial)
+            _put(out, (mode, spatial, True),
+                 [(sign * k * x, sign * k * y)
+                  for k, (x, y) in enumerate(pairs) if k])
+    return out
 
 
 def exterior_derivative(form):
-    out = {}
-
-    def put(key, poly):
-        out[key] = _padd(out.get(key, ()), poly)
-
-    for (mode, spatial, has_dt), poly in form.terms:
-        for j in range(form.d):
-            if mode[j] == 0:
-                continue
-            sign = _wedge_sign(j, spatial)
-            if sign is None:
-                continue
-            merged = tuple(sorted(spatial + (j,)))
-            put((mode, merged, has_dt), _pscale((0, sign * mode[j], 1), poly))
-        if not has_dt:
-            dp = _pderiv(poly)
-            if dp:
-                put((mode, spatial, True),
-                    _pscale(((-1) ** len(spatial), 0, 1), dp))
     # the derivative of a top-degree form is the zero top form
-    return CylinderForm._of(form.d, min(form.degree + 1, form.d + 1), out)
-
-
-def _codifferential_over_laplacian(mode, spatial, poly):
-    """Terms of delta/|m|^2 applied to poly * e(m) * dx_I, m != 0."""
-    msq = sum(c * c for c in mode)
-    for pos, j in enumerate(spatial):
-        if mode[j] == 0:
-            continue
-        c = (0, -mode[j] * (-1) ** pos, msq)
-        yield (mode, spatial[:pos] + spatial[pos + 1:], False), \
-            _pscale(c, poly)
+    return CylinderForm._of(form.d, min(form.degree + 1, form.d + 1),
+                            form.den, _derivative_polys(form.terms))
 
 
 @dataclass(frozen=True)
@@ -284,27 +231,51 @@ def poincare_primitive(form):
     """
     if form.degree < 1:
         raise InvalidOperand("a 0-form has no primitive")
+    if form.is_zero:
+        raise InvalidOperand("the zero form has no norm ratio")
     if not exterior_derivative(form).is_zero:
         raise NotExact("input form is not closed")
 
+    # chi1, the t-integral from 0 of every dt polynomial, and the
+    # remainder form - d(chi1), both over den1 = den * lcm(1..n)
+    scale = math.lcm(*range(1, 1 + max(
+        (len(pairs) for (_, _, has_dt), pairs in form.terms if has_dt),
+        default=0)))
+    den1 = form.den * scale
     chi1 = {}
-    for (mode, spatial, has_dt), poly in form.terms:
+    for (mode, spatial, has_dt), pairs in form.terms:
         if has_dt:
-            sign = ((-1) ** len(spatial), 0, 1)
-            chi1[(mode, spatial, False)] = _pscale(sign, _pintegral(poly))
-    chi1 = CylinderForm._of(form.d, form.degree - 1, chi1)
+            sign = (-1) ** len(spatial)
+            chi1[(mode, spatial, False)] = [(0, 0)] + [
+                (sign * x * (scale // (k + 1)), sign * y * (scale // (k + 1)))
+                for k, (x, y) in enumerate(pairs)]
+    remainder = {key: [(x * scale, y * scale) for x, y in pairs]
+                 for key, pairs in form.terms}
+    for key, pairs in _derivative_polys(chi1.items()).items():
+        _put(remainder, key, [(-x, -y) for x, y in pairs])
+    remainder = CylinderForm._of(form.d, form.degree, den1, remainder)
 
-    remainder = form - exterior_derivative(chi1)
-    chi2 = {}
-    for (mode, spatial, has_dt), poly in remainder.terms:
+    for (mode, spatial, has_dt), _ in remainder.terms:
         if has_dt:
             raise NumericFailure("remainder kept a dt component")
         if not any(mode):
             raise NotExact(
                 "harmonic component: zero-mode term on " + repr(spatial))
-        for key, p in _codifferential_over_laplacian(mode, spatial, poly):
-            chi2[key] = _padd(chi2.get(key, ()), p)
-    chi = chi1 + CylinderForm._of(form.d, form.degree - 1, chi2)
+    # chi1 plus delta / |m|^2 of each mode, over one lcm of chi1's den
+    # and the remainder's den times each |m|^2
+    msq = {mode: sum(c * c for c in mode)
+           for (mode, _, _), _ in remainder.terms}
+    den = math.lcm(den1, *(remainder.den * m for m in msq.values()))
+    k = den // den1
+    chi = {key: [(x * k, y * k) for x, y in pairs]
+           for key, pairs in chi1.items()}
+    for (mode, spatial, _), pairs in remainder.terms:
+        q = den // (remainder.den * msq[mode])
+        for pos, j in enumerate(spatial):
+            if mode[j]:
+                _put(chi, (mode, spatial[:pos] + spatial[pos + 1:], False),
+                     _times_i(-mode[j] * (-1) ** pos * q, pairs))
+    chi = CylinderForm._of(form.d, form.degree - 1, den, chi)
 
     if exterior_derivative(chi) != form:
         raise NumericFailure("constructed primitive does not differentiate "
@@ -332,21 +303,29 @@ def _geometric_component(rng, cutoff):
 def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
     """Random form with small rational coefficients and |m|_inf <= cutoff.
 
-    Mode components decay geometrically toward high wavenumbers, the
-    regime where refining the cutoff adds detail without moving the
-    bulk of the norm.
+    Each coefficient is (a + i b) with a = r/q, b = s/p, r, s drawn from
+    -3..3 and q, p from 1..3.  Mode components decay geometrically toward
+    high wavenumbers, the regime where refining the cutoff adds detail
+    without moving the bulk of the norm.
     """
-    if not 0 <= degree <= d + 1:
-        raise InvalidOperand(f"degree {degree} out of range for d={d}")
+    return CylinderForm._of(d, degree, 6, _random_polys(
+        d, degree, cutoff, seed, n_terms, max_poly_degree))
+
+
+def _random_polys(d, degree, cutoff, seed, n_terms, max_poly_degree):
+    """The terms of random_form as a key -> pairs dict over den 6."""
+    if d < 1 or not 0 <= degree <= d + 1:
+        raise InvalidOperand(f"bad dimensions d={d}, degree={degree}")
+    if cutoff < 0:
+        raise InvalidOperand(f"negative cutoff {cutoff}")
+    if max_poly_degree < 0:
+        raise InvalidOperand(f"negative max_poly_degree {max_poly_degree}")
     rng = random.Random(seed)
+    lengths = range(1, max_poly_degree + 2)
+    numerators = range(-3, 4)
+    # 6 // q for q = 1, 2, 3: the numerator's factor over den 6
+    factors = (6, 3, 2)
     terms = {}
-
-    def rand_poly():
-        n = rng.randint(1, max_poly_degree + 1)
-        return _from_quotients([(rng.randint(-3, 3), rng.randint(1, 3),
-                                 rng.randint(-3, 3), rng.randint(1, 3))
-                                for _ in range(n)])
-
     for _ in range(n_terms):
         mode = tuple(_geometric_component(rng, cutoff) for _ in range(d))
         if degree > d:
@@ -356,17 +335,22 @@ def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
         else:
             has_dt = rng.random() < 0.5
         spatial = tuple(sorted(rng.sample(range(d), degree - has_dt)))
-        key = (mode, spatial, has_dt)
-        terms[key] = _padd(terms.get(key, ()), rand_poly())
-    return CylinderForm._of(d, degree, terms)
+        # choice(range(a, b + 1)) draws what randint(a, b) would
+        _put(terms, (mode, spatial, has_dt), [
+            (rng.choice(numerators) * rng.choice(factors),
+             rng.choice(numerators) * rng.choice(factors))
+            for _ in range(rng.choice(lengths))])
+    return terms
 
 
 def random_exact_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
     """d of a random (degree-1)-form; retries until the result is nonzero."""
+    if not 1 <= degree <= d + 1:
+        raise InvalidOperand(f"no exact {degree}-form on T^{d} x I")
     for attempt in range(100):
-        eta = random_form(d, degree - 1, cutoff, seed * 1_000 + attempt,
-                          n_terms=n_terms, max_poly_degree=max_poly_degree)
-        omega = exterior_derivative(eta)
+        eta = _random_polys(d, degree - 1, cutoff, seed * 1_000 + attempt,
+                            n_terms, max_poly_degree)
+        omega = CylinderForm._of(d, degree, 6, _derivative_polys(eta.items()))
         if not omega.is_zero:
             return omega
     raise NumericFailure("failed to draw a nonzero exact form")
@@ -374,6 +358,8 @@ def random_exact_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
 
 def primitive_ratio_study(d, degree, cutoff, n, seed=0):
     """Max and all primitive norm ratios over n random exact forms."""
+    if n < 1:
+        raise InvalidOperand(f"a ratio study needs n >= 1 forms, not {n}")
     ratios = []
     for i in range(n):
         omega = random_exact_form(d, degree, cutoff, seed + i)

@@ -1,11 +1,14 @@
 """Exact discrete forms on T^d x I and the two-stage primitive."""
 
+import math
 from fractions import Fraction
+from functools import _lru_cache_wrapper
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kit import poincare
 from g2kit.errors import InvalidOperand, NotExact
 from g2kit.poincare import (
     ComplexFrac,
@@ -162,6 +165,13 @@ class TestPrimitive:
         with pytest.raises(InvalidOperand):
             poincare_primitive(w)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_zero_form_has_no_ratio(self, degree):
+        w = random_form(2, degree, 2, 0, n_terms=0)
+        assert w.is_zero
+        with pytest.raises(InvalidOperand, match="zero form"):
+            poincare_primitive(w)
+
     def test_pure_time_integration(self):
         # omega = dt on T^2 x I is d(t), exact among 1-forms with
         # polynomial coefficients
@@ -184,6 +194,121 @@ class TestRefinementStability:
     def test_ratios_bounded(self):
         m8, r8 = primitive_ratio_study(2, 2, cutoff=8, n=50, seed=11)
         assert all(0 <= r < 10 for r in r8)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_study_needs_a_form(self, n):
+        with pytest.raises(InvalidOperand):
+            primitive_ratio_study(2, 2, 2, n)
+
+
+class TestDrawArguments:
+    def test_no_torus_of_dimension_zero(self):
+        with pytest.raises(InvalidOperand):
+            random_form(0, 0, 2, 0)
+        with pytest.raises(InvalidOperand):
+            random_exact_form(0, 1, 2, 0)
+
+    def test_negative_cutoff(self):
+        with pytest.raises(InvalidOperand):
+            random_form(2, 1, -1, 0)
+        with pytest.raises(InvalidOperand):
+            random_exact_form(2, 2, -1, 0)
+
+    def test_negative_polynomial_degree(self):
+        with pytest.raises(InvalidOperand):
+            random_form(2, 1, 2, 0, max_poly_degree=-1)
+        with pytest.raises(InvalidOperand):
+            random_exact_form(2, 2, 2, 0, max_poly_degree=-1)
+
+    @pytest.mark.parametrize("degree", [0, 4, 5])
+    def test_exact_degree_out_of_range(self, degree):
+        with pytest.raises(InvalidOperand):
+            random_exact_form(2, degree, 2, 0)
+
+
+# -- the stored form is canonical: one denominator, one gcd per form --
+
+
+def assert_canonical(f):
+    assert isinstance(f.den, int) and f.den > 0
+    assert isinstance(f.terms, tuple)
+    ints = []
+    for key, pairs in f.terms:
+        assert isinstance(pairs, tuple) and pairs
+        assert all(isinstance(p, tuple) and len(p) == 2 for p in pairs)
+        assert pairs[-1] != (0, 0)
+        ints.extend(v for p in pairs for v in p)
+    assert all(type(v) is int for v in ints)
+    assert math.gcd(f.den, *ints) == 1
+    keys = [key for key, _ in f.terms]
+    assert keys == sorted(set(keys))
+
+
+@st.composite
+def drawn_forms(draw):
+    d = draw(st.integers(2, 3))
+    degree = draw(st.integers(0, d + 1))
+    return d, degree, random_form(
+        d, degree, cutoff=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 10 ** 6)), n_terms=draw(st.integers(0, 5)),
+        max_poly_degree=draw(st.integers(0, 3)))
+
+
+small_coeffs = st.lists(
+    st.builds(ComplexFrac,
+              st.fractions(-4, 4, max_denominator=12),
+              st.fractions(-4, 4, max_denominator=12)),
+    max_size=4)
+
+
+class TestCanonical:
+    @given(drawn_forms(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_form_is_canonical(self, drawn, data):
+        d, degree, f = drawn
+        assert_canonical(f)
+        assert CylinderForm.build(d, degree, f.mapping()) == f
+        df = exterior_derivative(f)
+        assert_canonical(df)
+        assert CylinderForm.build(d, df.degree, df.mapping()) == df
+        for g in (f + f, f - f, -f):
+            assert_canonical(g)
+        # the same keys with other coefficients, zeros and trailing zeros
+        # included, over mixed denominators
+        rebuilt = CylinderForm.build(d, degree, {
+            key: tuple(data.draw(small_coeffs)) + (ZERO,) * data.draw(
+                st.integers(0, 2)) for key, _ in f.terms})
+        assert_canonical(rebuilt)
+        total = rebuilt + f
+        assert_canonical(total)
+        expected = dict(rebuilt.mapping())
+        for key, poly in f.mapping().items():
+            ref_put(expected, key, poly)
+        assert total.mapping() == expected
+        assert CylinderForm.build(d, degree, rebuilt.mapping()) == rebuilt
+        if degree >= 1:
+            w = random_exact_form(d, degree, cutoff=3,
+                                  seed=data.draw(st.integers(0, 10 ** 6)))
+            assert_canonical(w)
+            assert_canonical(poincare_primitive(w).primitive)
+
+    def test_fixed_forms_are_canonical(self):
+        for w in (exterior_derivative(sine_dx2()), mixed_denominator_form()):
+            assert_canonical(w)
+            assert_canonical(poincare_primitive(w).primitive)
+
+    def test_poincare_binds_no_lru_cache(self):
+        # reproduce-all runs the same seed on every pass, so a memo would
+        # measure a different program
+        names = [(name, value) for name, value in vars(poincare).items()]
+        names += [(f"{name}.{attr}", member)
+                  for name, value in vars(poincare).items()
+                  if isinstance(value, type)
+                  and value.__module__ == poincare.__name__
+                  for attr, member in vars(value).items()]
+        assert [name for name, value in names
+                if isinstance(getattr(value, "__func__", value),
+                              _lru_cache_wrapper)] == []
 
 
 # -- test-local reference: per-coefficient ComplexFrac/Fraction arithmetic --
@@ -315,6 +440,13 @@ class TestReferenceOracle:
         for seed in range(5):
             assert_matches_reference(
                 random_exact_form(d, degree, cutoff=3, seed=seed))
+
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_reproduce_all_forms(self, cutoff):
+        # the forms of flow-suite at seeds 0 and 3: its bit-exact count
+        # draws cutoff-2 forms, its ratio study cutoff-4 forms
+        for seed in range(103):
+            assert_matches_reference(random_exact_form(2, 2, cutoff, seed))
 
     def test_derivative_matches_reference(self):
         for seed in range(20):
