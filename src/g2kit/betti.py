@@ -9,7 +9,6 @@ the cohomology is known.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -131,18 +130,21 @@ def holonomy_classification(pi1_finite: bool, num_ends: int,
     return "reducible"
 
 
-@dataclass(frozen=True)
 class NonSymplecticInvariants:
     """Invariants (r, a) of an antisymplectic K3 involution's fixed lattice."""
 
-    r: int
-    a: int
+    __slots__ = ("r", "a")
 
-    def __post_init__(self):
-        if not (1 <= self.r <= 20):
-            raise InvalidInvariants(f"rank r = {self.r} outside 1..20")
-        if not (0 <= self.a <= self.r):
-            raise InvalidInvariants(f"a = {self.a} outside 0..r = {self.r}")
+    def __init__(self, r: int, a: int):
+        if not (1 <= r <= 20):
+            raise InvalidInvariants(f"rank r = {r} outside 1..20")
+        if not (0 <= a <= r):
+            raise InvalidInvariants(f"a = {a} outside 0..r = {r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NonSymplecticInvariants is immutable")
 
 
 def borcea_voisin_betti(inv: NonSymplecticInvariants) -> tuple[int, int]:
@@ -187,14 +189,23 @@ def connected_sum_b2(d1: int, d2: int, dim_intersection: int) -> int:
     return d1 + d2 + dim_intersection
 
 
-@dataclass(frozen=True)
 class EulerReport:
-    chi_m: int
-    chi_plus: int
-    chi_minus: int
-    chi_cross: int
-    additive_ok: bool
-    chi_zero_ok: bool
+    """The four Euler characteristics of mv_euler_check and its two verdicts."""
+
+    __slots__ = ("chi_m", "chi_plus", "chi_minus", "chi_cross", "additive_ok",
+                 "chi_zero_ok")
+
+    def __init__(self, chi_m, chi_plus, chi_minus, chi_cross, additive_ok,
+                 chi_zero_ok):
+        object.__setattr__(self, "chi_m", chi_m)
+        object.__setattr__(self, "chi_plus", chi_plus)
+        object.__setattr__(self, "chi_minus", chi_minus)
+        object.__setattr__(self, "chi_cross", chi_cross)
+        object.__setattr__(self, "additive_ok", additive_ok)
+        object.__setattr__(self, "chi_zero_ok", chi_zero_ok)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EulerReport is immutable")
 
     @property
     def consistent(self) -> bool:

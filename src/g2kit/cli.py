@@ -5,14 +5,13 @@ Exit codes: 0 all checked rows pass, 1 at least one row fails,
 scenario and seed produce byte-identical JSON.
 """
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
 import sys
-
-import click
 
 from .errors import G2KitError
 from .flow import decay_trials
@@ -32,10 +31,16 @@ from .scenarios import (
 # scale in double or extended precision and as 2621 scales of one sample,
 # so a run inside this budget ends within about 30 s.
 MAX_EH_POINTS = 2 ** 16
+# the largest scale --eh-check accepts.  The largest power of s that
+# potential_derivatives forms is s^10, in q ** 5 with q = hypot(u, s^2)
+# >= s^2 on the curvature probe's radii (u <= 6.25).  2^100 keeps s^10 at
+# most 2^1000, below the largest double (about 2^1024) with room for the
+# factors beside it; above the bound rows turn into inf and NaN.
+MAX_EH_SCALE = 2.0 ** 100
 
 
 def _error_exit(message):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -56,7 +61,7 @@ def _cell(value):
 def _emit(reports, fmt):
     if fmt == "json":
         payload = reports[0] if len(reports) == 1 else reports
-        click.echo(report_to_json(payload), nl=False)
+        sys.stdout.write(report_to_json(payload))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -68,7 +73,7 @@ def _emit(reports, fmt):
                                  "" if r.expected is None else _cell(r.expected),
                                  r.provenance,
                                  "" if r.passed is None else str(r.passed).lower()])
-        click.echo(buf.getvalue(), nl=False)
+        sys.stdout.write(buf.getvalue())
     else:
         lines = []
         for rep in reports:
@@ -82,15 +87,17 @@ def _emit(reports, fmt):
                 lines.append(f"| {r.check} | {_cell(r.computed)} | {expected} "
                              f"| {r.provenance} | {passed} |")
             lines.append("")
-        click.echo("\n".join(lines))
+        print("\n".join(lines))
+    # a terminal or file shared with stderr gets the report before FAIL lines
+    sys.stdout.flush()
 
 
 def _finish(reports):
     failing = [(rep.scenario, r) for rep in reports
                for r in rep.rows if r.passed is False]
     for scenario, r in failing:
-        click.echo(f"FAIL {scenario}: {r.check} computed {_cell(r.computed)} "
-                   f"expected {_cell(r.expected)}", err=True)
+        print(f"FAIL {scenario}: {r.check} computed {_cell(r.computed)} "
+              f"expected {_cell(r.expected)}", file=sys.stderr)
     sys.exit(1 if failing else 0)
 
 
@@ -111,6 +118,10 @@ def _parse_scales(values):
                 scale = _finite_positive(tok)
                 if scale is None:
                     _error_exit(f"--s must be finite and > 0, got {tok!r}")
+                if scale > MAX_EH_SCALE:
+                    _error_exit(f"--s must be at most 2^100 = "
+                                f"{MAX_EH_SCALE:.4g}, since s^10 must be a "
+                                f"finite double, got {tok!r}")
                 if scale in scales:
                     # a repeated scale leaves the curvature slope undefined
                     _error_exit(f"--s repeats the scale {tok!r}")
@@ -159,66 +170,98 @@ def _run_flow_demo(d, n, k_frac, trials, seed):
         "fitted_rates": rates, "decaying_trials": decaying,
         "pass": bool(ok),
     }
-    click.echo(json.dumps(payload, sort_keys=True, indent=2,
-                          default=_json_default))
+    print(json.dumps(payload, sort_keys=True, indent=2,
+                     default=_json_default))
     sys.exit(0 if ok else 1)
 
 
-@click.group(invoke_without_command=True)
-@click.option("--eh-check", is_flag=True,
-              help="Run the Eguchi-Hanson check suite and exit.")
-@click.option("--flow-demo", is_flag=True,
-              help="Run seeded decay-flow trials and exit.")
-@click.option("--s", "s", multiple=True,
-              help="Scale(s) for --eh-check, repeatable or comma separated.")
-@click.option("--tol", type=float, default=None,
-              help="Ricci tolerance override for --eh-check.")
-@click.option("--samples", type=int, default=20, show_default=True,
-              help="Sample points per scale for --eh-check.")
-@click.option("--d", type=int, default=2, show_default=True,
-              help="Torus dimension for --flow-demo.")
-@click.option("--N", "n", type=int, default=1, show_default=True,
-              help="Mode cutoff for --flow-demo.")
-@click.option("--k-frac", type=float, default=0.1, show_default=True,
-              help="Quadratic bound as a fraction of mu for --flow-demo.")
-@click.option("--trials", type=int, default=20, show_default=True,
-              help="Number of seeded trials for --flow-demo.")
-@click.option("--seed", type=click.IntRange(min=0), default=0,
-              show_default=True,
-              help="Base seed for --eh-check / --flow-demo.")
-@click.pass_context
-def main(ctx, eh_check, flow_demo, s, tol, samples, d, n, k_frac, trials,
-         seed):
-    """Reproduction toolkit for flat G2 quotients and their invariants."""
-    if ctx.invoked_subcommand is not None:
-        if eh_check or flow_demo:
-            raise click.UsageError(
-                "--eh-check/--flow-demo cannot be combined with a subcommand")
-        return
-    if eh_check and flow_demo:
-        raise click.UsageError("choose one of --eh-check and --flow-demo")
-    if eh_check:
-        _run_eh_check(s, tol, samples, seed)
-    elif flow_demo:
-        _run_flow_demo(d, n, k_frac, trials, seed)
-    else:
-        click.echo(ctx.get_help())
-        sys.exit(2)
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help that opens with "Usage: "."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
 
 
-@main.command("run")
-@click.argument("scenario", required=False)
-@click.option("--all", "run_all", is_flag=True,
-              help="Run every builtin scenario.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "md"]),
-              default="json", show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0,
-              show_default=True)
-def run_cmd(scenario, run_all, fmt, seed):
-    """Run one scenario (builtin name or JSON file), or --all builtins."""
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports a usage error as one error: line and exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, formatter_class=_HelpFormatter,
+                         **kwargs)
+
+    def error(self, message):
+        _error_exit(message)
+
+
+def _seed(text):
+    """The value of a --seed option: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return value
+
+
+def _parser():
+    parser = _Parser(
+        prog="g2kit",
+        description="Reproduction toolkit for flat G2 quotients and their "
+                    "invariants.")
+    parser.add_argument("--eh-check", action="store_true",
+                        help="Run the Eguchi-Hanson check suite and exit.")
+    parser.add_argument("--flow-demo", action="store_true",
+                        help="Run seeded decay-flow trials and exit.")
+    parser.add_argument("--s", action="append", default=[],
+                        help="Scale(s) for --eh-check, repeatable or comma "
+                             "separated.")
+    parser.add_argument("--tol", type=float,
+                        help="Ricci tolerance override for --eh-check.")
+    parser.add_argument("--samples", type=int, default=20,
+                        help="Sample points per scale for --eh-check. "
+                             "[default: %(default)s]")
+    parser.add_argument("--d", type=int, default=2,
+                        help="Torus dimension for --flow-demo. "
+                             "[default: %(default)s]")
+    parser.add_argument("--N", dest="n", type=int, default=1,
+                        help="Mode cutoff for --flow-demo. "
+                             "[default: %(default)s]")
+    parser.add_argument("--k-frac", type=float, default=0.1,
+                        help="Quadratic bound as a fraction of mu for "
+                             "--flow-demo. [default: %(default)s]")
+    parser.add_argument("--trials", type=int, default=20,
+                        help="Number of seeded trials for --flow-demo. "
+                             "[default: %(default)s]")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="Base seed for --eh-check / --flow-demo. "
+                             "[default: %(default)s]")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     parser_class=_Parser)
+    run = commands.add_parser(
+        "run", help="Run one scenario (builtin name or JSON file), or --all "
+                    "builtins.",
+        description="Run one scenario (builtin name or JSON file), or --all "
+                    "builtins.")
+    run.add_argument("scenario", nargs="?")
+    run.add_argument("--all", dest="run_all", action="store_true",
+                     help="Run every builtin scenario.")
+    run.add_argument("--format", choices=("json", "csv", "md"),
+                     default="json", help="[default: %(default)s]")
+    run.add_argument("--seed", type=_seed, default=0,
+                     help="[default: %(default)s]")
+    listing = commands.add_parser("list", help="List the builtin scenarios.",
+                                  description="List the builtin scenarios.")
+    listing.add_argument("--format", choices=("text", "json"), default="text",
+                         help="[default: %(default)s]")
+    return parser
+
+
+def _run_cmd(scenario, run_all, fmt, seed):
     precision = _precision_from_env()
     if run_all == (scenario is not None):
-        raise click.UsageError("give exactly one scenario name, or --all")
+        _error_exit("give exactly one scenario name, or --all")
     names = list(BUILTINS) if run_all else [scenario]
     try:
         reports = [run_scenario(nm, seed, precision) for nm in names]
@@ -228,17 +271,36 @@ def run_cmd(scenario, run_all, fmt, seed):
     _finish(reports)
 
 
-@main.command("list")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
-def list_cmd(fmt):
-    """List the builtin scenarios."""
+def _list_cmd(fmt):
     names = list_scenarios()
     if fmt == "json":
-        click.echo(json.dumps(names, indent=2))
+        print(json.dumps(names, indent=2))
     else:
         for name in names:
-            click.echo(name)
+            print(name)
+    sys.exit(0)
+
+
+def main(argv=None):
+    """Run the command line argv (default sys.argv[1:]); always exits."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command is not None and (args.eh_check or args.flow_demo):
+        _error_exit(
+            "--eh-check/--flow-demo cannot be combined with a subcommand")
+    if args.eh_check and args.flow_demo:
+        _error_exit("choose one of --eh-check and --flow-demo")
+    if args.command == "run":
+        _run_cmd(args.scenario, args.run_all, args.format, args.seed)
+    elif args.command == "list":
+        _list_cmd(args.format)
+    elif args.eh_check:
+        _run_eh_check(args.s, args.tol, args.samples, args.seed)
+    elif args.flow_demo:
+        _run_flow_demo(args.d, args.n, args.k_frac, args.trials, args.seed)
+    else:
+        parser.print_help()
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ stencil of 66 points evaluated as one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
 from .errors import ChartSingular, InvalidOperand, InvalidScale, NumericFailure
@@ -72,12 +71,17 @@ def potential_derivatives(s: float, u, order: int = 2):
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianMetric2:
     """2x2 complex Hessian data h_{i jbar} attached to a base point."""
 
-    matrix: np.ndarray
-    point: tuple = field(default=(complex("nan"), complex("nan")))
+    __slots__ = ("matrix", "point")
+
+    def __init__(self, matrix, point=(complex("nan"), complex("nan"))):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "point", point)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HermitianMetric2 is immutable")
 
     def det(self) -> complex:
         m = self.matrix
@@ -217,14 +221,20 @@ def sample_points(n: int, s: float, seed: int, rmin: float = 0.3,
     return [_to_complex(row) for row in pts]
 
 
-@dataclass(frozen=True)
 class ScalingReport:
     """Max relative deviation of the pullback from each rescaling candidate."""
 
-    s: float
-    lam: float
-    matches_lambda_s: float
-    matches_s_over_lambda: float
+    __slots__ = ("s", "lam", "matches_lambda_s", "matches_s_over_lambda")
+
+    def __init__(self, s, lam, matches_lambda_s, matches_s_over_lambda):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "matches_lambda_s", matches_lambda_s)
+        object.__setattr__(self, "matches_s_over_lambda",
+                           matches_s_over_lambda)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScalingReport is immutable")
 
     @property
     def verdict(self) -> str:
@@ -351,11 +361,19 @@ def curvature_norm(s: float, z1, z2) -> float:
     return radial_curvature_norm(_eh_derivs(s), z1, z2)
 
 
-@dataclass(frozen=True)
 class CurvatureScalingReport:
-    s_values: tuple
-    max_norms: tuple
-    slope: float | None
+    """Peak curvature norm per scale, and the log-log slope across the
+    scales (None for a single scale)."""
+
+    __slots__ = ("s_values", "max_norms", "slope")
+
+    def __init__(self, s_values, max_norms, slope):
+        object.__setattr__(self, "s_values", s_values)
+        object.__setattr__(self, "max_norms", max_norms)
+        object.__setattr__(self, "slope", slope)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CurvatureScalingReport is immutable")
 
 
 def curvature_injectivity_scaling_probe(s_list, radii=None,

@@ -46,8 +46,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional
 
 from ._lazy import lazy_module
 from .errors import CutoffTooLarge, IntegratorError, InvalidOperand
@@ -87,7 +85,6 @@ def _wedge_matrix(vector, d, p):
     return W
 
 
-@dataclass(frozen=True)
 class ModeSystem:
     """Truncated mode model of the linear operator with its splitting.
 
@@ -98,18 +95,18 @@ class ModeSystem:
     spanning its growing and decaying eigenspaces.
     """
 
-    d: int
-    N: int
-    p: int
-    modes: tuple
-    norm_sq: tuple
-    dim: int
-    mu: float
-    _weights: np.ndarray = field(repr=False)
-    _coupling: np.ndarray = field(repr=False)
-    _stacked: np.ndarray = field(repr=False)
-    _plus: np.ndarray = field(repr=False)
-    _minus: np.ndarray = field(repr=False)
+    __slots__ = ("d", "N", "p", "modes", "norm_sq", "dim", "mu", "_weights",
+                 "_coupling", "_stacked", "_plus", "_minus")
+
+    def __init__(self, d, N, p, modes, norm_sq, dim, mu, weights, coupling,
+                 stacked, plus, minus):
+        for name, value in zip(self.__slots__, (
+                d, N, p, modes, norm_sq, dim, mu, weights, coupling, stacked,
+                plus, minus)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModeSystem is immutable")
 
     @property
     def block_size(self):
@@ -171,18 +168,20 @@ class ModeSystem:
         return FlowState(norm * x / np.linalg.norm(x))
 
 
-@dataclass(frozen=True)
 class FlowState:
     """Coefficient vector over the mode basis at a time."""
 
-    x: np.ndarray
-    t: float = 0.0
+    __slots__ = ("x", "t")
 
-    def __post_init__(self):
-        arr = np.asarray(self.x, dtype=float)
+    def __init__(self, x, t=0.0):
+        arr = np.asarray(x, dtype=float)
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
             raise InvalidOperand("state must be a finite vector")
         object.__setattr__(self, "x", arr)
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlowState is immutable")
 
     @property
     def norm(self):
@@ -257,11 +256,10 @@ def build_mode_system(d, N):
         minus[k, r:] = -Qt.T / math.sqrt(2)
     return ModeSystem(
         d=d, N=N, p=p, modes=tuple(modes), norm_sq=norm_sq, dim=dim,
-        mu=2 * math.pi * math.sqrt(min(norm_sq)), _weights=weights,
-        _coupling=coupling, _stacked=stacked, _plus=plus, _minus=minus)
+        mu=2 * math.pi * math.sqrt(min(norm_sq)), weights=weights,
+        coupling=coupling, stacked=stacked, plus=plus, minus=minus)
 
 
-@dataclass(frozen=True)
 class QuadraticMap:
     """Homogeneous quadratic vector field with a recorded Lipschitz bound.
 
@@ -269,9 +267,15 @@ class QuadraticMap:
     measured Lipschitz constant of the map on the ball of ball_radius.
     """
 
-    tensor: np.ndarray
-    lipschitz_bound: float
-    ball_radius: float
+    __slots__ = ("tensor", "lipschitz_bound", "ball_radius")
+
+    def __init__(self, tensor, lipschitz_bound, ball_radius):
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "lipschitz_bound", lipschitz_bound)
+        object.__setattr__(self, "ball_radius", ball_radius)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticMap is immutable")
 
     def __call__(self, x):
         return np.einsum("ijk,j,k->i", self.tensor, x, x)
@@ -330,24 +334,25 @@ def random_quadratic(system, k, ball_radius=1.0, seed=0):
                         ball_radius=float(ball_radius))
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of dx/dt = Lx + Q(x) with norm bookkeeping.
 
-    nfev counts right-hand-side evaluations; hand-built trajectories
-    leave it at 0.
+    fitted_rate is None unless the run decays.  nfev counts
+    right-hand-side evaluations; hand-built trajectories leave it at 0.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    norms: np.ndarray
-    plus_norms: np.ndarray
-    minus_norms: np.ndarray
-    decaying: bool
-    escaped: bool
-    fitted_rate: Optional[float]
-    ball_radius: float
-    nfev: int = 0
+    __slots__ = ("times", "states", "norms", "plus_norms", "minus_norms",
+                 "decaying", "escaped", "fitted_rate", "ball_radius", "nfev")
+
+    def __init__(self, times, states, norms, plus_norms, minus_norms,
+                 decaying, escaped, fitted_rate, ball_radius, nfev=0):
+        for name, value in zip(self.__slots__, (
+                times, states, norms, plus_norms, minus_norms, decaying,
+                escaped, fitted_rate, ball_radius, nfev)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Trajectory is immutable")
 
 
 def _fit_rate(times, norms):
@@ -523,10 +528,18 @@ def integrate_flow(system, Q, x0, T, samples=201):
                       nfev=nfev)
 
 
-@dataclass(frozen=True)
 class GapCheck:
-    monotone: bool
-    dominance: Optional[bool]
+    """monotone and dominance verdicts of monotone_gap_check; dominance is
+    None for a non-decaying trajectory."""
+
+    __slots__ = ("monotone", "dominance")
+
+    def __init__(self, monotone, dominance):
+        object.__setattr__(self, "monotone", monotone)
+        object.__setattr__(self, "dominance", dominance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GapCheck is immutable")
 
     @property
     def ok(self):

@@ -27,46 +27,27 @@ CylinderForm.build takes it and CylinderForm.mapping returns it.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
 
 from .errors import InvalidOperand, NotExact, NumericFailure
 
 
-@dataclass(frozen=True)
 class ComplexFrac:
     """Complex number with Fraction real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
-    def __add__(self, other):
-        return ComplexFrac(self.re + other.re, self.im + other.im)
+    def __setattr__(self, name, value):
+        raise AttributeError("ComplexFrac is immutable")
 
-    def __sub__(self, other):
-        return ComplexFrac(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ComplexFrac(self.re * other, self.im * other)
-        return ComplexFrac(self.re * other.re - self.im * other.im,
-                           self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexFrac(-self.re, -self.im)
-
-    def norm_sq(self):
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
+    def __eq__(self, other):
+        return isinstance(other, ComplexFrac) and \
+            (self.re, self.im) == (other.re, other.im)
 
 
 def _put(polys, key, pairs):
@@ -82,7 +63,6 @@ def _times_i(k, pairs):
     return [(-k * y, k * x) for x, y in pairs]
 
 
-@dataclass(frozen=True)
 class CylinderForm:
     """Finite Fourier-polynomial form on T^d x [0, 1].
 
@@ -93,10 +73,21 @@ class CylinderForm:
     read it back.
     """
 
-    d: int
-    degree: int
-    den: int
-    terms: tuple
+    __slots__ = ("d", "degree", "den", "terms")
+
+    def __init__(self, d, degree, den, terms):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CylinderForm is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, CylinderForm) and \
+            (self.d, self.degree, self.den, self.terms) == \
+            (other.d, other.degree, other.den, other.terms)
 
     @classmethod
     def build(cls, d, degree, mapping):
@@ -152,26 +143,6 @@ class CylinderForm:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        if not isinstance(other, CylinderForm) or other.d != self.d \
-                or other.degree != self.degree:
-            raise InvalidOperand("can only add forms of equal shape")
-        den = math.lcm(self.den, other.den)
-        polys = {}
-        for form in (self, other):
-            k = den // form.den
-            for key, pairs in form.terms:
-                _put(polys, key, [(x * k, y * k) for x, y in pairs])
-        return CylinderForm._of(self.d, self.degree, den, polys)
-
-    def __neg__(self):
-        return CylinderForm(self.d, self.degree, self.den, tuple(
-            (key, tuple((-x, -y) for x, y in pairs))
-            for key, pairs in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def norm_sq(self):
         """Squared L2 norm over the common (2*pi)^d volume factor."""
         n = max((len(pairs) for _, pairs in self.terms), default=0)
@@ -211,13 +182,23 @@ def exterior_derivative(form):
                             form.den, _derivative_polys(form.terms))
 
 
-@dataclass(frozen=True)
 class PrimitiveResult:
-    primitive: CylinderForm
-    ratio: float
-    ratio_sq: Fraction
-    input_norm_sq: Fraction
-    primitive_norm_sq: Fraction
+    """A primitive chi of an exact form omega, with ratio = |chi| / |omega|
+    and the exact squared norms it comes from."""
+
+    __slots__ = ("primitive", "ratio", "ratio_sq", "input_norm_sq",
+                 "primitive_norm_sq")
+
+    def __init__(self, primitive, ratio, ratio_sq, input_norm_sq,
+                 primitive_norm_sq):
+        object.__setattr__(self, "primitive", primitive)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "ratio_sq", ratio_sq)
+        object.__setattr__(self, "input_norm_sq", input_norm_sq)
+        object.__setattr__(self, "primitive_norm_sq", primitive_norm_sq)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrimitiveResult is immutable")
 
 
 def poincare_primitive(form):

@@ -19,10 +19,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from ._lazy import lazy_module
@@ -100,13 +98,20 @@ def _sigma_53():
     return D([-1, -1, -1, 1, 1, 1, 1], [H, H, H, 0, 0, 0, 0], name="sigmap")
 
 
-@dataclass(frozen=True)
 class CheckRow:
-    check: str
-    computed: object
-    expected: object = None
-    provenance: str = "golden"
-    passed: Optional[bool] = None
+    """One report row; build it with row(), which sets passed."""
+
+    __slots__ = ("check", "computed", "expected", "provenance", "passed")
+
+    def __init__(self, check, computed, expected, provenance, passed):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "passed", passed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckRow is immutable")
 
     def to_dict(self):
         return {"check": self.check, "computed": _json_number(self.computed),
@@ -162,14 +167,21 @@ def row(check, computed, expected=None, provenance="golden"):
                     provenance=provenance, passed=passed)
 
 
-@dataclass(frozen=True)
 class Report:
-    scenario: str
-    rows: tuple
-    seed: int
-    precision: str
-    tolerances: dict = field(default_factory=dict)
-    version: str = __version__
+    """The rows of one scenario run, with the environment they were
+    computed in."""
+
+    __slots__ = ("scenario", "rows", "seed", "precision", "tolerances")
+
+    def __init__(self, scenario, rows, seed, precision, tolerances=None):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "tolerances", tolerances or {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Report is immutable")
 
     @property
     def all_pass(self):
@@ -182,7 +194,7 @@ class Report:
                 "seed": self.seed,
                 "precision": self.precision,
                 "tolerances": dict(sorted(self.tolerances.items())),
-                "version": self.version,
+                "version": __version__,
             },
             "rows": [r.to_dict() for r in self.rows],
             "pass": self.all_pass,
@@ -444,17 +456,28 @@ def list_scenarios():
     return list(BUILTINS)
 
 
-@dataclass(frozen=True)
 class Scenario:
-    """Validated user scenario loaded from JSON."""
+    """Validated user scenario loaded from JSON.
 
-    name: str
-    circles: int
-    generators: tuple        # (name, signs, shifts) triples
-    involution: Optional[tuple]
-    pull_direction: Optional[int]
-    checks: tuple
-    expected: dict
+    generators are (name, signs, shifts) triples, involution is one such
+    triple or None, and pull_direction a coordinate or None.
+    """
+
+    __slots__ = ("name", "circles", "generators", "involution",
+                 "pull_direction", "checks", "expected")
+
+    def __init__(self, name, circles, generators, involution, pull_direction,
+                 checks, expected):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "pull_direction", pull_direction)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "expected", expected)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scenario is immutable")
 
 
 _KNOWN_CHECKS = ("betti", "moduli", "coassoc", "form-invariance", "eh",

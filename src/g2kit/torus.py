@@ -31,7 +31,6 @@ cached across calls.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -511,7 +510,6 @@ def components_intersect(c1: _Component, c2: _Component) -> bool:
                    for k in range(rank, len(circ)))
 
 
-@dataclass(frozen=True)
 class FlatStratum:
     """A flat piece of a fixed locus or singular set.
 
@@ -525,12 +523,25 @@ class FlatStratum:
     components, where span is the span of the component's directions.
     """
 
-    torus_dim: int
-    line_dim: int
-    count: int
-    offset: tuple
-    stabilizer_order: int = 1
-    residual: str = "trivial"
+    __slots__ = ("torus_dim", "line_dim", "count", "offset",
+                 "stabilizer_order", "residual")
+
+    def __init__(self, torus_dim, line_dim, count, offset, stabilizer_order=1,
+                 residual="trivial"):
+        object.__setattr__(self, "torus_dim", torus_dim)
+        object.__setattr__(self, "line_dim", line_dim)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "residual", residual)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlatStratum is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FlatStratum) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
 
     @property
     def type_label(self) -> str:

@@ -1,19 +1,51 @@
 """End-to-end checks of the g2kit command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from g2kit import cli
-from g2kit.cli import MAX_EH_POINTS, main
-from g2kit.scenarios import BUILTINS, Report, report_to_json, row, run_scenario
+from g2kit.betti import EulerReport, NonSymplecticInvariants
+from g2kit.cli import MAX_EH_POINTS, MAX_EH_SCALE, main
+from g2kit.eguchi_hanson import (
+    CurvatureScalingReport,
+    HermitianMetric2,
+    ScalingReport,
+    potential_derivatives,
+)
+from g2kit.flow import (
+    FlowState,
+    GapCheck,
+    QuadraticMap,
+    Trajectory,
+    build_mode_system,
+)
+from g2kit.poincare import (
+    ComplexFrac,
+    exterior_derivative,
+    poincare_primitive,
+    random_form,
+)
+from g2kit.scenarios import (
+    BUILTINS,
+    Report,
+    Scenario,
+    report_to_json,
+    row,
+    run_scenario,
+)
+from g2kit.torus import FlatStratum
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
@@ -28,9 +60,49 @@ TOPOLOGY_SCENARIOS = [
 ]
 
 
+class _Tee(io.StringIO):
+    """A captured stream that also writes into a shared one."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs main(args) in this process and captures what it leaves.
+
+    The result has exit_code, exception (None after exit 0), stdout,
+    stderr and output (the two interleaved).  A SystemExit gives its code
+    and any other exception gives 1, as a command line runner does.
+    """
+
+    def invoke(self, main, args=(), env=None):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        exception, exit_code = None, 0
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as e:
+                exit_code = 0 if e.code is None else e.code
+                if exit_code != 0:
+                    exception = e
+            except Exception as e:
+                exception, exit_code = e, 1
+        return SimpleNamespace(exit_code=exit_code, exception=exception,
+                               stdout=out.getvalue(), stderr=err.getvalue(),
+                               output=both.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def good_scenario():
@@ -435,6 +507,48 @@ class TestUsageErrors:
         env = json.loads(res.output)["environment"]
         assert env["precision"] == "extended"
 
+    def test_help_exits_0(self, runner):
+        res = runner.invoke(main, ["--help"])
+        assert res.exit_code == 0
+        assert "Usage" in res.stdout
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "pull-x1", "--form", "csv"], ["run", "pull-x1", "--see", "3"],
+        ["--see", "3", "run", "pull-x1"], ["list", "--form", "json"],
+    ], ids=lambda args: " ".join(args))
+    def test_option_prefix_exits_2(self, runner, args):
+        # an option is only recognised under its full name
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert_one_error_line(res.stderr)
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--bogus"], ["run", "pull-x1", "--bogus"], ["list", "-x"],
+        ["run", "pull-x1", "--format", "xml"], ["list", "--format", "csv"],
+        ["run", "pull-x1", "extra"], ["--samples", "many", "--eh-check"],
+    ], ids=lambda args: " ".join(args))
+    def test_usage_error_is_one_line(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+
+    def test_seed_with_equals_sign(self, runner):
+        res = runner.invoke(main, ["run", "pull-x1", "--seed=3"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["environment"]["seed"] == 3
+
+    @pytest.mark.parametrize("args", [["list"], ["list", "--format", "json"]])
+    def test_main_ends_in_system_exit(self, args):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(SystemExit) as exit_info:
+                main(args)
+        assert exit_info.value.code == 0
+
 
 class TestToolFlags:
     def test_eh_check(self, runner):
@@ -469,9 +583,9 @@ class TestToolFlags:
         assert res.stdout == ""
 
     def test_eh_check_nonfinite_is_valid_json(self, runner):
-        # s = 1e300 passes the input check, but the curvature peaks
+        # s = 1e-50 passes the input check, but the curvature peaks
         # underflow and the slope fit comes out NaN
-        res = runner.invoke(main, ["--eh-check", "--s", "1,1e300",
+        res = runner.invoke(main, ["--eh-check", "--s", "1,1e-50",
                                    "--samples", "2"])
         assert res.exit_code == 1
 
@@ -565,3 +679,116 @@ class TestToolFlags:
     def test_flag_plus_subcommand_conflict(self, runner):
         res = runner.invoke(main, ["--eh-check", "list"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("scale", ["1e50", "1e100", "1e308", "1,1e100"])
+    def test_eh_check_scale_above_bound_exits_2(self, runner, monkeypatch,
+                                                scale):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated a scale above the bound")
+
+        monkeypatch.setattr(cli, "_eh_suite", unreachable)
+        res = runner.invoke(main, ["--eh-check", "--s", scale])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: --s ")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
+
+    def test_eh_check_scale_just_inside_bound_runs(self, runner, monkeypatch):
+        seen = []
+
+        def record(seed, precision, scales, **kwargs):
+            seen.append(scales)
+            return Report("eh-suite", (), seed, precision)
+
+        monkeypatch.setattr(cli, "_eh_suite", record)
+        res = runner.invoke(main, ["--eh-check", "--s", "1e30"])
+        assert res.exit_code == 0, res.output
+        assert seen == [(1e30,)]
+
+    @pytest.mark.parametrize("scale", ["1e30", "1e308"])
+    def test_eh_check_scale_warns_nothing(self, scale):
+        # a fresh interpreter, where a numpy RuntimeWarning would reach stderr
+        out = subprocess.run(
+            [sys.executable, "-m", "g2kit.cli", "--eh-check", "--s", scale,
+             "--samples", "1"], env=subprocess_env(), capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Warning" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        # inside the bound the chart numerics run and give their own verdict
+        assert ("--s" in out.stderr) == (float(scale) > MAX_EH_SCALE)
+
+    def test_eh_scale_bound_keeps_derivatives_finite(self):
+        # the curvature probe's radii run from 0.2 to 2.5, and
+        # potential_derivatives forms q ** 5 with q >= s^2 there
+        u = np.array([0.2 ** 2, 2.5 ** 2])
+        with np.errstate(over="raise", invalid="raise"):
+            derivs = potential_derivatives(MAX_EH_SCALE, u, order=4)
+        assert all(np.all(np.isfinite(d)) for d in derivs)
+        with pytest.raises(FloatingPointError):
+            with np.errstate(over="raise", invalid="raise"):
+                potential_derivatives(4 * MAX_EH_SCALE, u, order=4)
+
+
+def test_cli_import_loads_no_click_dataclasses_or_inspect():
+    # against the modules the interpreter holds before the import, so that
+    # whatever site and its .pth files load does not count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import g2kit.cli\n"
+            "print(sorted({'click', 'dataclasses', 'inspect'}\n"
+            "             & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         check=True, capture_output=True, text=True)
+    assert out.stdout == "[]\n"
+
+
+def _value_types():
+    """One instance of each immutable value type, with one of its fields."""
+    system = build_mode_system(2, 1)
+    form = exterior_derivative(random_form(2, 1, 2, 0))
+    zeros = np.zeros(2)
+    return [
+        (system, "mu"),
+        (FlowState(np.ones(2)), "x"),
+        (QuadraticMap(np.zeros((1, 1, 1)), 0.5, 1.0), "lipschitz_bound"),
+        (Trajectory(zeros, zeros, zeros, zeros, zeros, False, False, None,
+                    1.0), "fitted_rate"),
+        (GapCheck(True, None), "dominance"),
+        (HermitianMetric2(np.eye(2)), "matrix"),
+        (ScalingReport(1.0, 2.0, 0.5, 0.0), "s"),
+        (CurvatureScalingReport((1.0,), (2.0,), None), "slope"),
+        (NonSymplecticInvariants(10, 8), "r"),
+        (EulerReport(0, 0, 0, 0, True, True), "chi_m"),
+        (ComplexFrac(1, 2), "re"),
+        (form, "den"),
+        (poincare_primitive(form), "ratio"),
+        (row("a", 1, 1), "passed"),
+        (Report("r", (), 0, "double"), "rows"),
+        (Scenario("s", 1, (), None, None, ("betti",), {}), "checks"),
+        (FlatStratum(0, 0, 1, ()), "count"),
+    ]
+
+
+class TestValueTypes:
+    def test_every_value_type_is_covered(self):
+        assert len({type(v) for v, _ in _value_types()}) == 17
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_fields_cannot_be_assigned(self, index):
+        value, field = _value_types()[index]
+        getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+
+    @pytest.mark.parametrize("index", range(17))
+    def test_value_type_in_a_report_raises(self, index):
+        # a tuple would be written as a JSON array without a word
+        value, _ = _value_types()[index]
+        report = Report("r", (row("info", value),), 0, "double")
+        with pytest.raises(TypeError, match=type(value).__name__):
+            report_to_json(report)

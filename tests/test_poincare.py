@@ -21,37 +21,38 @@ from g2kit.poincare import (
 )
 
 F = Fraction
-I_HALF = ComplexFrac(0, F(1, 2))
 ZERO = ComplexFrac()
 
 
 def sine_dx2():
     """sin(x1) dx2 on T^2 x I in complex modes."""
     return CylinderForm.build(2, 1, {
-        ((1, 0), (1,), False): (-I_HALF,),
-        ((-1, 0), (1,), False): (I_HALF,),
+        ((1, 0), (1,), False): (ComplexFrac(0, F(-1, 2)),),
+        ((-1, 0), (1,), False): (ComplexFrac(0, F(1, 2)),),
     })
 
 
-class TestComplexFrac:
-    def test_arithmetic(self):
-        a = ComplexFrac(F(1, 2), F(-1, 3))
-        b = ComplexFrac(F(2), F(1, 3))
-        assert a + b == ComplexFrac(F(5, 2), 0)
-        assert a - b == ComplexFrac(F(-3, 2), F(-2, 3))
-        assert a * b == ComplexFrac(F(1) + F(1, 9), F(1, 6) - F(2, 3))
-        assert -a == ComplexFrac(F(-1, 2), F(1, 3))
-        assert a.norm_sq() == F(1, 4) + F(1, 9)
+class TestReferenceArithmetic:
+    """The reference oracle's complex arithmetic on (re, im) pairs."""
 
-    def test_truthiness(self):
-        assert not ComplexFrac()
-        assert ComplexFrac(0, F(1, 5))
-        assert ComplexFrac(3) * F(1, 3) == ComplexFrac(1)
+    def test_arithmetic(self):
+        a = (F(1, 2), F(-1, 3))
+        b = (F(2), F(1, 3))
+        assert c_add(a, b) == (F(5, 2), 0)
+        assert c_add(a, c_mul(MINUS_ONE, b)) == (F(-3, 2), F(-2, 3))
+        assert c_mul(a, b) == (F(1) + F(1, 9), F(1, 6) - F(2, 3))
+        assert c_mul(MINUS_ONE, a) == (F(-1, 2), F(1, 3))
+        assert c_norm_sq(a) == F(1, 4) + F(1, 9)
+
+    def test_zero_is_trimmed(self):
+        assert ref_trim([ZERO_PAIR]) == ()
+        assert ref_trim([(0, F(1, 5)), ZERO_PAIR]) == ((0, F(1, 5)),)
+        assert ref_scale((F(1, 3), 0), [(F(3), 0)]) == ((1, 0),)
 
     def test_product_norm(self):
-        a = ComplexFrac(F(2, 3), F(-1, 7))
-        b = ComplexFrac(F(-5), F(1, 2))
-        assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
+        a = (F(2, 3), F(-1, 7))
+        b = (F(-5), F(1, 2))
+        assert c_norm_sq(c_mul(a, b)) == c_norm_sq(a) * c_norm_sq(b)
 
 
 class TestBuild:
@@ -76,13 +77,16 @@ class TestBuild:
         assert w.is_zero
 
     def test_addition_cancels(self):
-        w = sine_dx2()
-        assert (w - w).is_zero
-        assert w + (-w) == w - w
+        terms = pairs_of(sine_dx2().mapping())
+        total = ref_sum(terms, ref_neg(terms))
+        assert total == {}
+        assert build_ref(2, 1, total).is_zero
+        assert build_ref(2, 1, ref_sum(terms, terms)) == build_ref(
+            2, 1, {key: ref_scale((2, 0), poly) for key, poly in terms.items()})
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidOperand):
-            sine_dx2() + exterior_derivative(sine_dx2())
+            CylinderForm.build(2, 1, exterior_derivative(sine_dx2()).mapping())
 
 
 class TestDerivative:
@@ -271,20 +275,20 @@ class TestCanonical:
         df = exterior_derivative(f)
         assert_canonical(df)
         assert CylinderForm.build(d, df.degree, df.mapping()) == df
-        for g in (f + f, f - f, -f):
-            assert_canonical(g)
+        terms = pairs_of(f.mapping())
+        for g in (ref_sum(terms, terms), ref_sum(terms, ref_neg(terms)),
+                  ref_neg(terms)):
+            assert_canonical(build_ref(d, degree, g))
         # the same keys with other coefficients, zeros and trailing zeros
         # included, over mixed denominators
         rebuilt = CylinderForm.build(d, degree, {
             key: tuple(data.draw(small_coeffs)) + (ZERO,) * data.draw(
                 st.integers(0, 2)) for key, _ in f.terms})
         assert_canonical(rebuilt)
-        total = rebuilt + f
+        expected = ref_sum(pairs_of(rebuilt.mapping()), terms)
+        total = build_ref(d, degree, expected)
         assert_canonical(total)
-        expected = dict(rebuilt.mapping())
-        for key, poly in f.mapping().items():
-            ref_put(expected, key, poly)
-        assert total.mapping() == expected
+        assert pairs_of(total.mapping()) == expected
         assert CylinderForm.build(d, degree, rebuilt.mapping()) == rebuilt
         if degree >= 1:
             w = random_exact_form(d, degree, cutoff=3,
@@ -311,44 +315,76 @@ class TestCanonical:
                               _lru_cache_wrapper)] == []
 
 
-# -- test-local reference: per-coefficient ComplexFrac/Fraction arithmetic --
+# -- test-local reference: per-coefficient arithmetic on (re, im) pairs --
 #
-# Forms are plain dicts {(mode, spatial, has_dt): tuple of ComplexFrac}
-# without zero entries.  Nothing here uses the library's polynomial
-# helpers, so it is an independent oracle for the integer-pair fast path.
+# A complex rational is a pair of Fractions, and a form is a plain dict
+# {(mode, spatial, has_dt): tuple of pairs} without zero polynomials or
+# trailing zero pairs.  Nothing here uses the library's arithmetic, so it
+# is an independent oracle for the integer-pair fast path; pairs_of and
+# build_ref cross the boundary through mapping() and build().
+
+ZERO_PAIR = (F(0), F(0))
+MINUS_ONE = (F(-1), F(0))
+
+
+def c_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def c_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def c_norm_sq(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def pairs_of(mapping):
+    """A mapping() of ComplexFrac tuples as reference terms."""
+    return {key: tuple((c.re, c.im) for c in poly)
+            for key, poly in mapping.items()}
+
+
+def build_ref(d, degree, terms):
+    """The library form with the reference terms' coefficients."""
+    return CylinderForm.build(d, degree, {
+        key: tuple(ComplexFrac(*c) for c in poly)
+        for key, poly in terms.items()})
 
 
 def ref_trim(p):
     p = list(p)
-    while p and not p[-1]:
+    while p and p[-1] == ZERO_PAIR:
         p.pop()
     return tuple(p)
 
 
 def ref_add(a, b):
     n = max(len(a), len(b))
-    a = tuple(a) + (ZERO,) * (n - len(a))
-    b = tuple(b) + (ZERO,) * (n - len(b))
-    return ref_trim(x + y for x, y in zip(a, b))
+    a = tuple(a) + (ZERO_PAIR,) * (n - len(a))
+    b = tuple(b) + (ZERO_PAIR,) * (n - len(b))
+    return ref_trim(c_add(x, y) for x, y in zip(a, b))
 
 
 def ref_scale(c, p):
-    return ref_trim(c * x for x in p)
+    return ref_trim(c_mul(c, x) for x in p)
 
 
 def ref_deriv(p):
-    return ref_trim(p[k] * k for k in range(1, len(p)))
+    return ref_trim(c_mul((k, 0), p[k]) for k in range(1, len(p)))
 
 
 def ref_integral(p):
-    return ref_trim((ZERO,) + tuple(p[k] * F(1, k + 1) for k in range(len(p))))
+    return ref_trim((ZERO_PAIR,) + tuple(c_mul((F(1, k + 1), 0), p[k])
+                                         for k in range(len(p))))
 
 
 def ref_norm_sq(p):
     total = F(0)
     for a, ca in enumerate(p):
         for b, cb in enumerate(p):
-            total += (ca * ComplexFrac(cb.re, -cb.im)).re * F(1, a + b + 1)
+            # Re(c_a * conj(c_b))
+            total += (ca[0] * cb[0] + ca[1] * cb[1]) * F(1, a + b + 1)
     return total
 
 
@@ -360,6 +396,17 @@ def ref_put(terms, key, poly):
         terms.pop(key, None)
 
 
+def ref_sum(a, b):
+    out = dict(a)
+    for key, poly in b.items():
+        ref_put(out, key, poly)
+    return out
+
+
+def ref_neg(terms):
+    return {key: ref_scale(MINUS_ONE, poly) for key, poly in terms.items()}
+
+
 def ref_d(d, terms):
     out = {}
     for (mode, spatial, has_dt), poly in terms.items():
@@ -368,11 +415,10 @@ def ref_d(d, terms):
                 continue
             sign = (-1) ** sum(1 for i in spatial if i < j)
             ref_put(out, (mode, tuple(sorted(spatial + (j,))), has_dt),
-                    ref_scale(ComplexFrac(0, sign * mode[j]), poly))
+                    ref_scale((0, sign * mode[j]), poly))
         if not has_dt:
             ref_put(out, (mode, spatial, True),
-                    ref_scale(ComplexFrac((-1) ** len(spatial)),
-                              ref_deriv(poly)))
+                    ref_scale(((-1) ** len(spatial), 0), ref_deriv(poly)))
     return out
 
 
@@ -382,17 +428,14 @@ def ref_primitive(d, terms):
     for (mode, spatial, has_dt), poly in terms.items():
         if has_dt:
             ref_put(chi, (mode, spatial, False),
-                    ref_scale(ComplexFrac((-1) ** len(spatial)),
-                              ref_integral(poly)))
-    remainder = dict(terms)
-    for key, poly in ref_d(d, chi).items():
-        ref_put(remainder, key, ref_scale(ComplexFrac(-1), poly))
+                    ref_scale(((-1) ** len(spatial), 0), ref_integral(poly)))
+    remainder = ref_sum(terms, ref_neg(ref_d(d, chi)))
     for (mode, spatial, has_dt), poly in list(remainder.items()):
         assert not has_dt and any(mode)
         msq = sum(c * c for c in mode)
         for pos, j in enumerate(spatial):
             if mode[j]:
-                c = ComplexFrac(0, F(-mode[j], msq)) * ((-1) ** pos)
+                c = (0, F(-mode[j], msq) * (-1) ** pos)
                 ref_put(chi, (mode, spatial[:pos] + spatial[pos + 1:], False),
                         ref_scale(c, poly))
     assert ref_d(d, chi) == terms
@@ -403,11 +446,11 @@ def ref_primitive(d, terms):
 
 def assert_matches_reference(w):
     res = poincare_primitive(w)
-    chi, wsq, csq = ref_primitive(w.d, w.mapping())
-    assert res.primitive.mapping() == chi
+    chi, wsq, csq = ref_primitive(w.d, pairs_of(w.mapping()))
+    assert pairs_of(res.primitive.mapping()) == chi
     # the library form is canonical: rebuilding it from the reference
     # coefficients gives the same terms
-    assert res.primitive == CylinderForm.build(w.d, w.degree - 1, chi)
+    assert res.primitive == build_ref(w.d, w.degree - 1, chi)
     assert res.input_norm_sq == wsq
     assert res.primitive_norm_sq == csq
     assert res.ratio_sq == csq / wsq
@@ -416,14 +459,13 @@ def assert_matches_reference(w):
 def mixed_denominator_form():
     """d of a 1-form on T^2 x I with cubic, mixed-denominator coefficients."""
     eta = {
-        ((1, -2), (0,), False): (ComplexFrac(F(7, 6), F(-5, 4)), ZERO,
-                                 ComplexFrac(F(1, 10), F(3, 7)),
-                                 ComplexFrac(F(-9, 14), F(2, 15))),
-        ((0, 3), (1,), False): (ComplexFrac(F(1, 3)), ComplexFrac(0, F(4, 9))),
-        ((2, 1), (), True): (ComplexFrac(F(-11, 12), F(5, 8)), ZERO,
-                             ComplexFrac(F(1, 5), F(-1, 6))),
+        ((1, -2), (0,), False): ((F(7, 6), F(-5, 4)), ZERO_PAIR,
+                                 (F(1, 10), F(3, 7)), (F(-9, 14), F(2, 15))),
+        ((0, 3), (1,), False): ((F(1, 3), 0), (0, F(4, 9))),
+        ((2, 1), (), True): ((F(-11, 12), F(5, 8)), ZERO_PAIR,
+                             (F(1, 5), F(-1, 6))),
     }
-    return CylinderForm.build(2, 2, ref_d(2, eta))
+    return build_ref(2, 2, ref_d(2, eta))
 
 
 class TestReferenceOracle:
@@ -451,7 +493,8 @@ class TestReferenceOracle:
     def test_derivative_matches_reference(self):
         for seed in range(20):
             w = random_form(3, seed % 5, cutoff=3, seed=seed)
-            assert exterior_derivative(w).mapping() == ref_d(3, w.mapping())
+            assert pairs_of(exterior_derivative(w).mapping()) == \
+                ref_d(3, pairs_of(w.mapping()))
 
     @given(st.integers(2, 3), st.data())
     @settings(max_examples=60, deadline=None)
