@@ -13,6 +13,7 @@ import math
 import os
 import sys
 
+from ._lazy import lazy_module
 from .errors import G2KitError
 from .flow import decay_trials
 from .scenarios import (
@@ -24,6 +25,7 @@ from .scenarios import (
     run_scenario,
 )
 
+np = lazy_module("numpy")
 
 # chart points --eh-check evaluates: per scale, --samples Ricci ratios and
 # the curvature probe's 8 radii x 3 directions.  2^16 points took 23.7-24.6 s
@@ -141,9 +143,13 @@ def _run_eh_check(s, tol, samples, seed):
                     f"above the {MAX_EH_POINTS}-point budget")
     if tol is not None and _finite_positive(tol) is None:
         _error_exit(f"--tol must be finite and > 0, got {tol}")
+    # at tiny scales s^4 and the curvature peaks underflow (and in
+    # extended precision a norm overflows); the probes then compute NaN or
+    # inf, which fails its row, so numpy need not warn
     try:
-        report = _eh_suite(seed, precision, scales=scales,
-                           samples=samples, ricci_tol=tol)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            report = _eh_suite(seed, precision, scales=scales,
+                               samples=samples, ricci_tol=tol)
     except G2KitError as e:
         _error_exit(e)
     _emit([report], "json")

@@ -17,6 +17,9 @@ Storage follows the block structure, one stack per object: the weights
 2*pi*|m|, the couplings M (blocks, r, r), the operator's 2r x 2r blocks,
 and the splitting into growing (B+) and decaying (B-) eigenspaces as two
 stacks of per-block orthonormal bases, each of shape (blocks, 2r, r).
+The build is stacked as well: one wedge pattern per (d, p) fills the
+wedge matrices of every mode at once, one batched SVD compresses them to
+the couplings, and one batched SVD of the couplings gives the bases.
 The spectrum is one batched SVD of the couplings, and projections,
 random states and matvec act block by block with einsum, so no
 dim x dim/2 matrix is ever formed.
@@ -26,7 +29,16 @@ The flow dx/dt = Lx + Q(x) is integrated by an explicit Dormand-Prince
 quartic dense output (Shampine 1986), written out in numpy in
 _dormand_prince.  It runs the same numpy operations in the same order as
 SciPy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
-bit-for-bit oracle; SciPy is not needed at run time.
+bit-for-bit oracle; SciPy is not needed at run time.  Each accepted
+step writes its dense output as columns of one preallocated
+(dim, samples) buffer, and the states are that buffer's transpose, the
+layout SciPy's sol.y.T has.  The layout is part of the arithmetic: numpy
+sums the rows of the transposed buffer column by column, a contiguous
+row pairwise, so the trajectory norms, and the fitted rates made from
+them, keep their bits only in this layout.  integrate_flow takes the
+norms over row blocks of about NORM_BLOCK_FLOATS floats, never a lone
+row, so a trajectory costs its states array plus one block's
+temporaries.
 
 random_quadratic draws a dense Gaussian tensor and calibrates its
 Lipschitz bound by an alternating power iteration whose six restarts
@@ -64,25 +76,30 @@ MAX_TRIAL_WORK = 2 ** 23
 
 INTEGRATOR_RTOL = 1e-9
 INTEGRATOR_ATOL = 1e-12
+# floats of a trajectory's states per row block of integrate_flow's norms
+# (512 KiB); each block's temporaries are a few times this.  Every state
+# array up to dim 326 at 201 samples, the decay trials included, is one
+# block.
+NORM_BLOCK_FLOATS = 2 ** 16
 
 
-def _wedge_matrix(vector, d, p):
-    """Matrix of xi -> v ^ xi from (p-1)-forms to p-forms.
+def _wedge_pattern(d, p):
+    """The wedge map xi -> v ^ xi from (p-1)-forms to p-forms as entries.
 
-    Bases are lexicographically ordered index combinations.
+    Returns int arrays (row, column, coordinate, sign): the matrix holds
+    sign * v[coordinate] at (row, column), and no position repeats.  Bases
+    are lexicographically ordered index combinations.
     """
-    rows = list(itertools.combinations(range(d), p))
-    cols = list(itertools.combinations(range(d), p - 1))
-    row_index = {c: i for i, c in enumerate(rows)}
-    W = np.zeros((len(rows), len(cols)))
-    for j, idx in enumerate(cols):
+    row_index = {c: i for i, c in
+                 enumerate(itertools.combinations(range(d), p))}
+    entries = []
+    for j, idx in enumerate(itertools.combinations(range(d), p - 1)):
         for i in range(d):
             if i in idx:
                 continue
             merged = tuple(sorted(idx + (i,)))
-            sign = (-1) ** merged.index(i)
-            W[row_index[merged], j] += sign * vector[i]
-    return W
+            entries.append((row_index[merged], j, i, (-1) ** merged.index(i)))
+    return np.array(entries).T
 
 
 class ModeSystem:
@@ -229,31 +246,29 @@ def build_mode_system(d, N):
     p, r, dim = _system_size(d, N)
     modes = [m for m in itertools.product(range(-N, N + 1), repeat=d) if any(m)]
     norm_sq = tuple(sum(c * c for c in m) for m in modes)
-    blocks = len(modes)
-    weights = np.empty(blocks)
-    coupling = np.empty((blocks, r, r))
-    stacked = np.zeros((blocks, 2 * r, 2 * r))
-    plus = np.empty((blocks, 2 * r, r))
-    minus = np.empty((blocks, 2 * r, r))
-    for k, m in enumerate(modes):
-        norm = math.sqrt(norm_sq[k])
-        W = _wedge_matrix(np.array(m) / norm, d, p)
-        U, s, Vt = np.linalg.svd(W)
-        if int(np.sum(s > 0.5)) != r or s[r - 1] < 1e-12:
-            raise InvalidOperand(
-                "wedge map rank mismatch; operator not injective on the "
-                "retained subspace")
-        M = U[:, :r].T @ W @ Vt[:r].T
-        weight = weights[k] = 2 * math.pi * norm
-        coupling[k] = M
-        stacked[k, :r, r:] = weight * M
-        stacked[k, r:, :r] = weight * M.T
-        # eigenvectors of [[0, M], [M^T, 0]] from the SVD of M
-        P, _, Qt = np.linalg.svd(M)
-        plus[k, :r] = P / math.sqrt(2)
-        plus[k, r:] = Qt.T / math.sqrt(2)
-        minus[k, :r] = P / math.sqrt(2)
-        minus[k, r:] = -Qt.T / math.sqrt(2)
+    norms = np.sqrt(np.array(norm_sq, dtype=float))
+    row, col, coord, sign = _wedge_pattern(d, p)
+    W = np.zeros((len(modes), math.comb(d, p), math.comb(d, p - 1)))
+    # += into zeros stores 0.0 + sign * v: +0.0 where m has a zero
+    # component, which a plain assignment would leave as -0.0
+    W[:, row, col] += sign * (np.array(modes) / norms[:, None])[:, coord]
+    U, s, Vt = np.linalg.svd(W)
+    if np.any(np.sum(s > 0.5, axis=1) != r) or np.any(s[:, r - 1] < 1e-12):
+        raise InvalidOperand(
+            "wedge map rank mismatch; operator not injective on the "
+            "retained subspace")
+    coupling = U[:, :, :r].swapaxes(1, 2) @ W @ Vt[:, :r].swapaxes(1, 2)
+    del W, U, Vt   # the largest stacks, freed before the outputs are made
+    weights = 2 * math.pi * norms
+    stacked = np.zeros((len(modes), 2 * r, 2 * r))
+    stacked[:, :r, r:] = weights[:, None, None] * coupling
+    stacked[:, r:, :r] = weights[:, None, None] * coupling.swapaxes(1, 2)
+    # eigenvectors of [[0, M], [M^T, 0]] from the SVD of M
+    P, _, Qt = np.linalg.svd(coupling)
+    plus = np.concatenate(
+        [P / math.sqrt(2), Qt.swapaxes(1, 2) / math.sqrt(2)], axis=1)
+    minus = np.concatenate(
+        [P / math.sqrt(2), -Qt.swapaxes(1, 2) / math.sqrt(2)], axis=1)
     return ModeSystem(
         d=d, N=N, p=p, modes=tuple(modes), norm_sq=norm_sq, dim=dim,
         mu=2 * math.pi * math.sqrt(min(norm_sq)), weights=weights,
@@ -409,8 +424,12 @@ def _dormand_prince(fun, y0, t_eval):
     step.  Every numpy operation runs in the order of SciPy's RK45 under
     solve_ivp(t_eval=...), so the samples match it bit for bit (the tests
     hold it to that).  Returns (states, nfev) with states of shape
-    (len(t_eval), len(y0)); raises IntegratorError when the step size
-    falls below the spacing of floats at t.
+    (len(t_eval), len(y0)): the transpose of one (len(y0), len(t_eval))
+    buffer that each step fills with its dense output columns.  The
+    transposed view keeps the memory order SciPy's samples have, and the
+    order in which np.linalg.norm(states, axis=1) sums, so the norms keep
+    their bits.  Raises IntegratorError when the step size falls below
+    the spacing of floats at t.
     """
     A, B, E, P = (np.array(m) for m in (_DP_A, _DP_B, _DP_E, _DP_P))
     rtol, atol = INTEGRATOR_RTOL, INTEGRATOR_ATOL
@@ -435,9 +454,9 @@ def _dormand_prince(fun, y0, t_eval):
     h_abs = min(100 * h0, h1, t_bound)
 
     K = np.empty((len(A) + 1, y.size))
+    out = np.empty((y.size, len(t_eval)))
     t = 0.0
     i = 0
-    samples = []
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -482,9 +501,23 @@ def _dormand_prince(fun, y0, t_eval):
             h = t - t_old
             x = (step_ts - t_old) / h
             p = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
-            samples.append(h * np.dot(dense, p) + y_old[:, None])
+            out[:, i:i_new] = h * np.dot(dense, p) + y_old[:, None]
             i = i_new
-    return np.hstack(samples).T, nfev
+    return out.T, nfev
+
+
+def _row_blocks(rows, cols):
+    """Slices of consecutive rows, about NORM_BLOCK_FLOATS floats each.
+
+    No slice holds a single row: numpy sums a lone row pairwise but a
+    block of rows of the transposed states column by column, and the two
+    round differently.  A one-row tail joins the block before it.
+    """
+    step = max(2, NORM_BLOCK_FLOATS // cols)
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
 
 
 def integrate_flow(system, Q, x0, T, samples=201):
@@ -512,9 +545,12 @@ def integrate_flow(system, Q, x0, T, samples=201):
         fun = lambda x: system.matvec(x) + Q(x)
     times = np.linspace(0.0, float(T), samples)
     states, nfev = _dormand_prince(fun, x0.x, times)
-    norms = np.linalg.norm(states, axis=1)
-    plus = np.linalg.norm(system.project_plus(states), axis=1)
-    minus = np.linalg.norm(system.project_minus(states), axis=1)
+    norms, plus, minus = (np.empty(samples) for _ in range(3))
+    for rows in _row_blocks(samples, system.dim):
+        block = states[rows]
+        norms[rows] = np.linalg.norm(block, axis=1)
+        plus[rows] = np.linalg.norm(system.project_plus(block), axis=1)
+        minus[rows] = np.linalg.norm(system.project_minus(block), axis=1)
     radius = Q.ball_radius if Q is not None else math.inf
     escaped = bool(np.any(norms > radius))
     # a trajectory that has turned around (norm rising off its minimum)

@@ -720,6 +720,21 @@ class TestToolFlags:
         # inside the bound the chart numerics run and give their own verdict
         assert ("--s" in out.stderr) == (float(scale) > MAX_EH_SCALE)
 
+    @pytest.mark.parametrize("scale,precision", [
+        ("1e-100", "double"), ("1e-100", "extended"), ("1,1e-50", "double")])
+    def test_eh_check_tiny_scale_warns_nothing(self, scale, precision):
+        # s^4 and the curvature peaks underflow: the rows fail with NaN,
+        # and numpy stays quiet about the divisions and the log
+        out = subprocess.run(
+            [sys.executable, "-m", "g2kit.cli", "--eh-check", "--s", scale,
+             "--samples", "1"],
+            env={**subprocess_env(), "G2KIT_PRECISION": precision},
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert '"NaN"' in out.stdout
+        assert "Warning" not in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_eh_scale_bound_keeps_derivatives_finite(self):
         # the curvature probe's radii run from 0.2 to 2.5, and
         # potential_derivatives forms q ** 5 with q >= s^2 there

@@ -14,7 +14,7 @@ from g2kit.flow import (
     INTEGRATOR_ATOL,
     INTEGRATOR_RTOL,
     MAX_TRIAL_WORK,
-    _wedge_matrix,
+    NORM_BLOCK_FLOATS,
     FlowState,
     QuadraticMap,
     Trajectory,
@@ -57,6 +57,58 @@ def per_restart_quadratic_tensor(system, k, seed, ball_radius=1.0):
     t = rng.standard_normal((n, n, n))
     t = 0.5 * (t + t.transpose(0, 2, 1))
     return (k / (2.0 * ball_radius * per_restart_operator_norm(t, rng))) * t
+
+
+def _wedge_matrix(vector, d, p):
+    """Matrix of xi -> v ^ xi from (p-1)-forms to p-forms.
+
+    Bases are lexicographically ordered index combinations.
+    """
+    rows = list(itertools.combinations(range(d), p))
+    cols = list(itertools.combinations(range(d), p - 1))
+    row_index = {c: i for i, c in enumerate(rows)}
+    W = np.zeros((len(rows), len(cols)))
+    for j, idx in enumerate(cols):
+        for i in range(d):
+            if i in idx:
+                continue
+            merged = tuple(sorted(idx + (i,)))
+            sign = (-1) ** merged.index(i)
+            W[row_index[merged], j] += sign * vector[i]
+    return W
+
+
+def reference_build(d, N):
+    """build_mode_system's stacks, assembled one mode at a time.
+
+    Returns (weights, coupling, stacked, plus, minus) from one wedge
+    matrix, SVD and coupling SVD per mode.
+    """
+    p = min(3, d)
+    r = math.comb(d - 1, p - 1)
+    modes = [m for m in itertools.product(range(-N, N + 1), repeat=d) if any(m)]
+    blocks = len(modes)
+    weights = np.empty(blocks)
+    coupling = np.empty((blocks, r, r))
+    stacked = np.zeros((blocks, 2 * r, 2 * r))
+    plus = np.empty((blocks, 2 * r, r))
+    minus = np.empty((blocks, 2 * r, r))
+    for k, m in enumerate(modes):
+        norm = math.sqrt(sum(c * c for c in m))
+        W = _wedge_matrix(np.array(m) / norm, d, p)
+        U, s, Vt = np.linalg.svd(W)
+        assert int(np.sum(s > 0.5)) == r and s[r - 1] >= 1e-12
+        M = U[:, :r].T @ W @ Vt[:r].T
+        weight = weights[k] = 2 * math.pi * norm
+        coupling[k] = M
+        stacked[k, :r, r:] = weight * M
+        stacked[k, r:, :r] = weight * M.T
+        P, _, Qt = np.linalg.svd(M)
+        plus[k, :r] = P / math.sqrt(2)
+        plus[k, r:] = Qt.T / math.sqrt(2)
+        minus[k, :r] = P / math.sqrt(2)
+        minus[k, r:] = -Qt.T / math.sqrt(2)
+    return weights, coupling, stacked, plus, minus
 
 
 def ambient_operator(system):
@@ -192,6 +244,17 @@ class TestSpectrum:
             assert np.array_equal(block[:r, r:], weight * sys_._coupling[k])
             assert np.array_equal(block[r:, :r], weight * sys_._coupling[k].T)
             assert not block[:r, :r].any() and not block[r:, r:].any()
+
+    @pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                     (4, 1), (5, 1), (6, 1)])
+    def test_stacked_build_matches_per_mode_loop(self, d, N):
+        sys_ = build_mode_system(d, N)
+        names = ("_weights", "_coupling", "_stacked", "_plus", "_minus")
+        for name, want in zip(names, reference_build(d, N)):
+            got = getattr(sys_, name)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
     def test_pairing_symmetry(self):
         spec = build_mode_system(2, 2).spectrum()
@@ -342,6 +405,69 @@ class TestLinearFlow:
         traj = integrate_flow(self.sys, None, x0, self.T)
         assert not traj.decaying
         assert traj.fitted_rate is None
+
+
+class TestInPlaceIntegrator:
+    """The preallocated states buffer and the row-blocked norms."""
+
+    @staticmethod
+    def _whole_array_norms(system, traj):
+        return (np.linalg.norm(traj.states, axis=1),
+                np.linalg.norm(system.project_plus(traj.states), axis=1),
+                np.linalg.norm(system.project_minus(traj.states), axis=1))
+
+    def _assert_norms_match(self, system, samples):
+        x0 = system.random_minus_state(seed=3)
+        traj = integrate_flow(system, None, x0, 2.0 / system.mu,
+                              samples=samples)
+        got = (traj.norms, traj.plus_norms, traj.minus_norms)
+        for a, b in zip(got, self._whole_array_norms(system, traj)):
+            assert np.array_equal(a, b)
+
+    # at 2 samples the rate fit sees one point, and numpy warns about it
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.parametrize("samples", [2, 3, 201])
+    def test_block_norms_match_whole_array(self, samples):
+        for d in (2, 5):
+            self._assert_norms_match(build_mode_system(d, 1), samples)
+
+    def test_block_norms_with_one_row_tail(self):
+        # (5, 1) has dim 2904, so a block holds 22 rows; 45 samples are two
+        # full blocks and one row, which joins the second block
+        system = build_mode_system(5, 1)
+        step = NORM_BLOCK_FLOATS // system.dim
+        samples = 2 * step + 1
+        blocks = flow._row_blocks(samples, system.dim)
+        assert len(blocks) == 2 and blocks[-1] == slice(step, samples)
+        self._assert_norms_match(system, samples)
+
+    def test_blocks_cover_rows_and_never_hold_one(self):
+        for cols in (16, 2904, 14560, 40000, NORM_BLOCK_FLOATS):
+            for rows in range(2, 60):
+                blocks = flow._row_blocks(rows, cols)
+                assert blocks[0].start == 0 and blocks[-1].stop == rows
+                for a, b in zip(blocks, blocks[1:]):
+                    assert a.stop == b.start
+                assert all(b.stop - b.start >= 2 for b in blocks)
+        # within the budget a states array is one block
+        assert len(flow._row_blocks(201, 52)) == 1
+
+    def test_states_layout(self):
+        system = build_mode_system(3, 1)
+        traj = integrate_flow(system, None, system.random_minus_state(0), 0.1)
+        assert traj.states.shape == (201, system.dim)
+        assert traj.states.flags.f_contiguous
+
+    def test_peak_memory_near_states(self):
+        system = build_mode_system(5, 1)
+        x0 = system.random_minus_state(seed=0)
+        tracemalloc.start()
+        try:
+            traj = integrate_flow(system, None, x0, 2.0 / system.mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * traj.states.nbytes
 
 
 class TestQuadraticMap:
