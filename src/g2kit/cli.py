@@ -15,7 +15,6 @@ import sys
 
 from ._lazy import lazy_module
 from .errors import G2KitError
-from .flow import decay_trials
 from .scenarios import (
     BUILTINS,
     _eh_suite,
@@ -25,6 +24,7 @@ from .scenarios import (
     run_scenario,
 )
 
+flow = lazy_module("g2kit.flow")
 np = lazy_module("numpy")
 
 # chart points --eh-check evaluates: per scale, --samples Ricci ratios and
@@ -158,8 +158,8 @@ def _run_eh_check(s, tol, samples, seed):
 
 def _run_flow_demo(d, n, k_frac, trials, seed):
     try:
-        system, runs = decay_trials(d=d, N=n, k_frac=k_frac, trials=trials,
-                                    seed=seed)
+        system, runs = flow.decay_trials(d=d, N=n, k_frac=k_frac,
+                                         trials=trials, seed=seed)
     except G2KitError as e:
         _error_exit(e)
     k = k_frac * system.mu

@@ -371,7 +371,9 @@ class Trajectory:
 
 
 def _fit_rate(times, norms):
-    half = len(times) // 2
+    """The decay rate of a log-linear fit over the second half of the
+    samples, or over both when there are only two."""
+    half = min(len(times) // 2, len(times) - 2)
     t = times[half:]
     y = np.log(np.maximum(norms[half:], 1e-300))
     slope = np.polyfit(t, y, 1)[0]

@@ -24,78 +24,55 @@ from pathlib import Path
 
 from . import __version__
 from ._lazy import lazy_module
-from .betti import (
-    BettiVector,
-    NonSymplecticInvariants,
-    borcea_voisin_betti,
-    connected_sum_b2,
-    holonomy_classification,
-    kunneth_s1,
-    moduli_dimension,
-    open_cy_betti,
-    resolve_betti,
-)
-from .eguchi_hanson import (
-    TOLERANCES,
-    curvature_injectivity_scaling_probe,
-    flat_deviation,
-    potential,
-    ricci_ratio,
-    sample_points,
-    scaling_identity_probe,
-)
 from .errors import G2KitError, InvalidScenario
-from .flow import build_mode_system, decay_trials
-from .forms import PHI0
-from .poincare import (
-    exterior_derivative,
-    poincare_primitive,
-    primitive_ratio_study,
-    random_exact_form,
-)
-from .torus import (
-    AffineTorusMap,
-    check_preserves_form,
-    count_ends,
-    cross_section_group,
-    fixed_set,
-    generate_group,
-    involution_fixed_census,
-    pull,
-    quotient_betti,
-    singular_locus,
-)
 
+# each layer compiles at its first use, so a command loads only what it runs
+betti = lazy_module("g2kit.betti")
+eguchi_hanson = lazy_module("g2kit.eguchi_hanson")
+flow = lazy_module("g2kit.flow")
+forms = lazy_module("g2kit.forms")
+poincare = lazy_module("g2kit.poincare")
+torus = lazy_module("g2kit.torus")
 np = lazy_module("numpy")
 
 MAX_SHIFT_DENOMINATOR = 16
 
 H = Fraction(1, 2)
-D = AffineTorusMap.diagonal
 
 
 def _alpha():
-    return D([1, 1, 1, -1, -1, -1, -1], name="alpha")
+    return torus.AffineTorusMap.diagonal([1, 1, 1, -1, -1, -1, -1],
+                                         name="alpha")
 
 
 def _beta():
-    return D([1, -1, -1, 1, 1, -1, -1], [0, 0, 0, 0, 0, H, 0], name="beta")
+    return torus.AffineTorusMap.diagonal([1, -1, -1, 1, 1, -1, -1],
+                                         [0, 0, 0, 0, 0, H, 0],
+                                         name="beta")
 
 
 def _gamma():
-    return D([-1, 1, -1, 1, -1, 1, -1], [0, 0, 0, 0, H, 0, H], name="gamma")
+    return torus.AffineTorusMap.diagonal([-1, 1, -1, 1, -1, 1, -1],
+                                         [0, 0, 0, 0, H, 0, H],
+                                         name="gamma")
 
 
 def _gamma1():
-    return D([-1, 1, -1, 1, -1, 1, -1], [0, 0, H, 0, H, 0, 0], name="gamma1")
+    return torus.AffineTorusMap.diagonal([-1, 1, -1, 1, -1, 1, -1],
+                                         [0, 0, H, 0, H, 0, 0],
+                                         name="gamma1")
 
 
 def _sigma_52():
-    return D([-1, 1, 1, 1, 1, -1, -1], [H, 0, 0, 0, 0, H, H], name="sigma")
+    return torus.AffineTorusMap.diagonal([-1, 1, 1, 1, 1, -1, -1],
+                                         [H, 0, 0, 0, 0, H, H],
+                                         name="sigma")
 
 
 def _sigma_53():
-    return D([-1, -1, -1, 1, 1, 1, 1], [H, H, H, 0, 0, 0, 0], name="sigmap")
+    return torus.AffineTorusMap.diagonal([-1, -1, -1, 1, 1, 1, 1],
+                                         [H, H, H, 0, 0, 0, 0],
+                                         name="sigmap")
 
 
 class CheckRow:
@@ -232,14 +209,18 @@ def _summary(strata):
 
 
 def _the_group():
-    return generate_group([_alpha(), _beta(), _gamma()])
+    return torus.generate_group([_alpha(), _beta(), _gamma()])
 
 
 def _topology(group):
     """Singular strata, quotient betti numbers and resolved betti numbers."""
-    strata = singular_locus(group)
-    base = quotient_betti(group)
-    return strata, base, resolve_betti(base, strata)
+    strata = torus.singular_locus(group)
+    base = torus.quotient_betti(group)
+    return strata, base, betti.resolve_betti(base, strata)
+
+
+def _fixed(f):
+    return _summary(torus.fixed_set(f))
 
 
 def _joyce(seed, precision):
@@ -247,14 +228,14 @@ def _joyce(seed, precision):
     a, b, g = _alpha(), _beta(), _gamma()
     rows = [
         row("group_order", G.order, 8),
-        row("fixed_alpha", _summary(fixed_set(a)), "16xT3"),
-        row("fixed_beta", _summary(fixed_set(b)), "16xT3"),
-        row("fixed_gamma", _summary(fixed_set(g)), "16xT3"),
-        row("fixed_alpha_beta", _summary(fixed_set(a.compose(b))), "free"),
-        row("fixed_beta_gamma", _summary(fixed_set(b.compose(g))), "free"),
-        row("fixed_gamma_alpha", _summary(fixed_set(g.compose(a))), "free"),
-        row("fixed_alpha_beta_gamma",
-            _summary(fixed_set(a.compose(b).compose(g))), "free"),
+        row("fixed_alpha", _fixed(a), "16xT3"),
+        row("fixed_beta", _fixed(b), "16xT3"),
+        row("fixed_gamma", _fixed(g), "16xT3"),
+        row("fixed_alpha_beta", _fixed(a.compose(b)), "free"),
+        row("fixed_beta_gamma", _fixed(b.compose(g)), "free"),
+        row("fixed_gamma_alpha", _fixed(g.compose(a)), "free"),
+        row("fixed_alpha_beta_gamma", _fixed(a.compose(b).compose(g)),
+            "free"),
     ]
     locus, base, res = _topology(G)
     rows.append(row("singular_locus", _summary(locus), "12xT3"))
@@ -266,15 +247,15 @@ def _joyce(seed, precision):
     rows.append(row("resolved_b3", res[3], 43))
     # pullback is functorial, so the generators decide for all of G
     rows.append(row("phi_invariance",
-                    all(check_preserves_form(x, PHI0, 1)
+                    all(torus.check_preserves_form(x, forms.PHI0, 1)
                         for x in G.generators), True))
     return Report("joyce-T7-Gamma", tuple(rows), seed, precision)
 
 
 def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
                    cross_b2b3, moduli, seed, precision):
-    G = generate_group(gens)
-    P = pull(G, direction)
+    G = torus.generate_group(gens)
+    P = torus.pull(G, direction)
     rows = [row("group_order", P.order, 8)]
     strata, base, res = _topology(P)
     rows.append(row("singular_locus", _summary(strata), strata_summary))
@@ -282,15 +263,16 @@ def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
                     None))
     rows.append(row("resolved_betti_2_5", [res[k] for k in range(2, 6)],
                     list(resolved_2_5)))
-    _, _, cres = _topology(cross_section_group(P, direction))
+    _, _, cres = _topology(torus.cross_section_group(P, direction))
     rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
                     list(cross_b2b3)))
     rows.append(row("moduli_dimension",
-                    moduli_dimension(res[4], cres[3], res[1]), moduli))
-    ends = count_ends(P, direction)
+                    betti.moduli_dimension(res[4], cres[3], res[1]), moduli))
+    ends = torus.count_ends(P, direction)
     rows.append(row("ends", ends, 1))
     rows.append(row("holonomy",
-                    holonomy_classification(res[1] == 0, ends, res[1] > 0),
+                    betti.holonomy_classification(res[1] == 0, ends,
+                                                  res[1] > 0),
                     "full_G2"))
     return Report(name, tuple(rows), seed, precision)
 
@@ -314,24 +296,25 @@ def _gamma1_pull_x7(seed, precision):
 
 
 def _pull_x5_borcea(seed, precision):
-    G = generate_group([_alpha(), _beta()])
-    P = pull(G, 5)
-    q = quotient_betti(P)
-    ends = count_ends(P, 5)
+    G = torus.generate_group([_alpha(), _beta()])
+    P = torus.pull(G, 5)
+    q = torus.quotient_betti(P)
+    ends = torus.count_ends(P, 5)
     rows = [
         row("group_order", P.order, 4),
         row("b1", q[1], 1),
         row("ends", ends, 1),
         row("holonomy",
-            holonomy_classification(q[1] == 0, ends, q[1] > 0), "reducible"),
+            betti.holonomy_classification(q[1] == 0, ends, q[1] > 0),
+            "reducible"),
     ]
-    bv = borcea_voisin_betti(NonSymplecticInvariants(10, 8))
+    bv = betti.borcea_voisin_betti(betti.NonSymplecticInvariants(10, 8))
     rows.append(row("blownup_quotient_b2_b3", list(bv), [15, 8]))
-    w = open_cy_betti(bv[0], bv[1], 10)
+    w = betti.open_cy_betti(bv[0], bv[1], 10)
     rows.append(row("open_piece_b2_b3_ker", list(w), [14, 20, 4]))
-    s1w = kunneth_s1(BettiVector([1, 0, w[0], w[1]]))
+    s1w = betti.kunneth_s1(betti.BettiVector([1, 0, w[0], w[1]]))
     rows.append(row("circle_times_w_b2_b3", [s1w[2], s1w[3]], [14, 34]))
-    rows.append(row("connected_sum_b2", connected_sum_b2(4, 4, 4), 12))
+    rows.append(row("connected_sum_b2", betti.connected_sum_b2(4, 4, 4), 12))
     return Report("pull-x5-borcea", tuple(rows), seed, precision)
 
 
@@ -341,16 +324,16 @@ def _coassoc(name, sigma_fn, census_expected, half_direction, half_expected,
     sigma = sigma_fn()
     rows = [
         row("reverses_reference_form",
-            check_preserves_form(sigma, PHI0, -1), True),
-        row("census", _summary(involution_fixed_census(sigma, G)),
+            torus.check_preserves_form(sigma, forms.PHI0, -1), True),
+        row("census", _summary(torus.involution_fixed_census(sigma, G)),
             census_expected),
     ]
     if half_direction is not None:
-        P = pull(G, half_direction)
-        lifted = AffineTorusMap(sigma.linear, sigma.shift, P.lines,
-                                sigma.name)
+        P = torus.pull(G, half_direction)
+        lifted = torus.AffineTorusMap(sigma.linear, sigma.shift, P.lines,
+                                      sigma.name)
         rows.append(row("half_census",
-                        _summary(involution_fixed_census(lifted, P)),
+                        _summary(torus.involution_fixed_census(lifted, P)),
                         half_expected))
     return Report(name, tuple(rows), seed, precision)
 
@@ -367,29 +350,31 @@ def _coassoc_53(seed, precision):
 
 def _eh_suite(seed, precision, scales=(0.5, 1.0, 2.0), samples=20,
               ricci_tol=None):
-    tol = dict(TOLERANCES)
+    tol = dict(eguchi_hanson.TOLERANCES)
     if ricci_tol is not None:
         tol["ricci"] = ricci_tol
     rows = []
     for s in scales:
-        worst = max(ricci_ratio(s, z1, z2, precision=precision)
-                    for z1, z2 in sample_points(samples, s, seed=seed))
+        points = eguchi_hanson.sample_points(samples, s, seed=seed)
+        worst = max(eguchi_hanson.ricci_ratio(s, z1, z2, precision=precision)
+                    for z1, z2 in points)
         rows.append(row(f"ricci_max_ratio_s={s:g}", worst, tol["ricci"],
                         provenance="tolerance"))
     rows.append(row("flat_deviation_at_r_1000s",
-                    flat_deviation(1.0, 1000.0 + 0j, 0j),
+                    eguchi_hanson.flat_deviation(1.0, 1000.0 + 0j, 0j),
                     tol["flat_limit"], provenance="tolerance"))
     rows.append(row("potential_asymptote_rel_err",
-                    abs(potential(1.0, 1e4) / 1e8 - 1), 1e-6,
+                    abs(eguchi_hanson.potential(1.0, 1e4) / 1e8 - 1), 1e-6,
                     provenance="tolerance"))
-    probe = scaling_identity_probe(1.0, 2.0, sample_points(10, 1.0, seed=seed))
+    probe = eguchi_hanson.scaling_identity_probe(
+        1.0, 2.0, eguchi_hanson.sample_points(10, 1.0, seed=seed))
     rows.append(row("scaling_verdict", probe.verdict, "s/lambda"))
     margin = probe.matches_lambda_s / max(probe.matches_s_over_lambda, 1e-300)
     rows.append(row("scaling_margin", min(margin, 1e300), 1e6,
                     provenance="floor"))
     rows.append(row("scaling_dev_matching", probe.matches_s_over_lambda))
     rows.append(row("scaling_dev_other", probe.matches_lambda_s))
-    crep = curvature_injectivity_scaling_probe(list(scales))
+    crep = eguchi_hanson.curvature_injectivity_scaling_probe(list(scales))
     if len(scales) >= 2:
         rows.append(row("curvature_slope", crep.slope, [-2.1, -1.9],
                         provenance="range"))
@@ -404,7 +389,7 @@ def _flow_suite(seed, precision):
     tol = {"integrator_rtol": 1e-9, "spectrum_match": 1e-9,
            "rate_slack_times_mu": 0.05, "ratio_drift": 0.10}
     rows = []
-    sys22 = build_mode_system(2, 2)
+    sys22 = flow.build_mode_system(2, 2)
     rows.append(row("mu", sys22.mu, 2 * math.pi))
     rows.append(row("spectrum_table_N2",
                     {str(k): v for k, v in sys22.spectrum_table().items()},
@@ -414,7 +399,8 @@ def _flow_suite(seed, precision):
     rows.append(row("blockwise_vs_dense_max_dev", dev,
                     tol["spectrum_match"], provenance="tolerance"))
 
-    system, runs = decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=seed)
+    system, runs = flow.decay_trials(d=2, N=1, k_frac=0.1, trials=20,
+                                     seed=seed)
     bound = system.mu - 2 * (0.1 * system.mu) - 0.05 * system.mu
     rows.append(row("decaying_trials", sum(t.decaying for t, _ in runs), 20))
     rows.append(row("min_fitted_rate",
@@ -427,13 +413,13 @@ def _flow_suite(seed, precision):
 
     exact, ratios = 0, []
     for i in range(100):
-        w = random_exact_form(2, 2, cutoff=2, seed=seed + i)
-        res = poincare_primitive(w)
-        exact += exterior_derivative(res.primitive) == w
+        w = poincare.random_exact_form(2, 2, cutoff=2, seed=seed + i)
+        res = poincare.poincare_primitive(w)
+        exact += poincare.exterior_derivative(res.primitive) == w
         ratios.append(res.ratio)
     rows.append(row("primitive_bit_exact_count", exact, 100))
     m1 = max(ratios)
-    m2, _ = primitive_ratio_study(2, 2, cutoff=4, n=100, seed=seed)
+    m2, _ = poincare.primitive_ratio_study(2, 2, cutoff=4, n=100, seed=seed)
     rows.append(row("primitive_ratio_drift", abs(m2 - m1) / m1,
                     tol["ratio_drift"], provenance="tolerance"))
     return Report("flow-suite", tuple(rows), seed, precision, tolerances=tol)
@@ -603,15 +589,16 @@ def load_scenario(path):
 
 def _build_map(spec, lines=()):
     name, signs, shifts = spec
-    return AffineTorusMap.diagonal(signs, shifts, lines, name)
+    return torus.AffineTorusMap.diagonal(signs, shifts, lines, name)
 
 
 def run_scenario_object(sc, seed=0, precision="double"):
     """Execute a validated user scenario."""
     exp = sc.expected
     try:
-        group = generate_group([_build_map(g) for g in sc.generators])
-        pulled = pull(group, sc.pull_direction) if sc.pull_direction else None
+        group = torus.generate_group([_build_map(g) for g in sc.generators])
+        pulled = torus.pull(group, sc.pull_direction) \
+            if sc.pull_direction else None
     except G2KitError as e:
         raise InvalidScenario(f"scenario construction failed: {e}") from None
     active = pulled if pulled is not None else group
@@ -633,7 +620,7 @@ def run_scenario_object(sc, seed=0, precision="double"):
             if sc.circles != 7:
                 raise InvalidScenario(
                     "form-invariance needs a 7-dimensional torus")
-            ok = all(check_preserves_form(_build_map(g), PHI0, 1)
+            ok = all(torus.check_preserves_form(_build_map(g), forms.PHI0, 1)
                      for g in sc.generators)
             rows.append(row("phi_invariance", ok, True))
         elif check == "coassoc":
@@ -641,18 +628,18 @@ def run_scenario_object(sc, seed=0, precision="double"):
             # direction changes the betti and moduli rows only
             sigma = _build_map(sc.involution)
             rows.append(row("reverses_reference_form",
-                            check_preserves_form(sigma, PHI0, -1), True))
-            rows.append(row("census",
-                            _summary(involution_fixed_census(sigma, group)),
-                            exp.get("census")))
+                            torus.check_preserves_form(sigma, forms.PHI0, -1),
+                            True))
+            census = torus.involution_fixed_census(sigma, group)
+            rows.append(row("census", _summary(census), exp.get("census")))
         elif check == "moduli":
             res = topology()[2]
             _, _, cres = _topology(
-                cross_section_group(active, sc.pull_direction))
+                torus.cross_section_group(active, sc.pull_direction))
             rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
                             exp.get("cross_section_b2_b3")))
             rows.append(row("moduli_dimension",
-                            moduli_dimension(res[4], cres[3], res[1]),
+                            betti.moduli_dimension(res[4], cres[3], res[1]),
                             exp.get("moduli_dimension")))
         elif check == "eh":
             rows.extend(_eh_suite(seed, precision).rows)

@@ -36,6 +36,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
+from ._lazy import lazy_module
 from .betti import BettiVector
 from .errors import (
     GroupTooLarge,
@@ -52,7 +53,9 @@ from .exact import (
     mat_vec,
     smith_normal_form,
 )
-from .forms import ExteriorForm, LinearMapR, pullback
+
+# only check_preserves_form needs the form algebra
+forms = lazy_module("g2kit.forms")
 
 GROUP_SIZE_BOUND = 1024
 
@@ -296,13 +299,14 @@ def generate_group(gens: Sequence[AffineTorusMap],
     return FiniteActionGroup(chosen, elements)
 
 
-def check_preserves_form(f: AffineTorusMap, phi: ExteriorForm, sign: int) -> bool:
+def check_preserves_form(f: AffineTorusMap, phi: forms.ExteriorForm,
+                         sign: int) -> bool:
     """Does the linear part pull the form back to sign * form?"""
     if f.n != phi.dim:
         raise InvalidOperand("dimension mismatch")
     if sign not in (1, -1):
         raise InvalidOperand("sign must be +1 or -1")
-    return pullback(LinearMapR(f.linear), phi) == sign * phi
+    return forms.pullback(forms.LinearMapR(f.linear), phi) == sign * phi
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,53 @@ def test_exact_scenario_does_not_load_numpy(tmp_path):
     assert out.stderr.split("\n")[:2] == ["0", "[]"]
 
 
+LAYERS = ("torus", "exact", "forms", "betti", "eguchi_hanson", "poincare",
+          "flow")
+
+
+def layers_run(argv):
+    """(exit code, layers run) of `g2kit argv` in a fresh interpreter; with
+    argv None the interpreter only imports g2kit.cli.  A layer has run when
+    its module is a plain module, not one still bound lazily."""
+    call = "pass" if argv is None else f"g2kit.cli.main({argv!r})"
+    code = ("import json, sys, types, g2kit.cli\n"
+            "code = None\n"
+            "try:\n"
+            f"    {call}\n"
+            "except SystemExit as e:\n"
+            "    code = e.code\n"
+            f"ran = [n for n in {LAYERS!r}\n"
+            "       if type(sys.modules.get('g2kit.' + n)) is types.ModuleType]\n"
+            "print(json.dumps([code, ran]), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         check=True, capture_output=True, text=True)
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+class TestLayersLoadOnFirstUse:
+    def test_import_and_list_run_no_layer(self):
+        assert layers_run(None) == [None, []]
+        assert layers_run(["list"]) == [0, []]
+
+    def test_betti_file_runs_only_the_exact_topology(self, tmp_path):
+        spec = good_scenario()
+        spec["checks"] = ["betti"]
+        code, ran = layers_run(["run", write_scenario(tmp_path, spec)])
+        assert code == 0
+        assert ran == ["torus", "exact", "betti"]
+
+    def test_flow_demo_runs_only_flow(self):
+        assert layers_run(["--flow-demo", "--trials", "1"]) == [0, ["flow"]]
+
+    def test_lazy_layer_is_bound_on_its_package(self):
+        code = ("import g2kit.scenarios, g2kit.torus\n"
+                "print(g2kit.torus.generate_group.__name__)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=subprocess_env(), check=True,
+                             capture_output=True, text=True)
+        assert out.stdout == "generate_group\n"
+
+
 class TestUserScenarios:
     def test_valid_scenario_passes(self, runner, tmp_path):
         path = write_scenario(tmp_path, good_scenario())

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -400,6 +401,20 @@ class TestLinearFlow:
         assert traj.decaying
         assert abs(traj.fitted_rate - self.sys.mu) < 1e-6
 
+    def test_two_samples_fit_the_two_point_slope(self):
+        # a fit over the last half of two samples sees one point, warns
+        # and gives 3.35, below mu = 6.28
+        x0 = self.sys.random_minus_state(seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_flow(self.sys, None, x0, 2.0 / self.sys.mu,
+                                  samples=2)
+        (t0, t1), (n0, n1) = traj.times, traj.norms
+        assert traj.decaying
+        slope = (math.log(n1) - math.log(n0)) / (t1 - t0)
+        assert traj.fitted_rate == pytest.approx(-slope, rel=1e-12)
+        assert traj.fitted_rate > self.sys.mu
+
     def test_growth_flagged(self):
         x0 = random_plus_state(self.sys, seed=1, norm=0.01)
         traj = integrate_flow(self.sys, None, x0, self.T)
@@ -424,8 +439,6 @@ class TestInPlaceIntegrator:
         for a, b in zip(got, self._whole_array_norms(system, traj)):
             assert np.array_equal(a, b)
 
-    # at 2 samples the rate fit sees one point, and numpy warns about it
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     @pytest.mark.parametrize("samples", [2, 3, 201])
     def test_block_norms_match_whole_array(self, samples):
         for d in (2, 5):
