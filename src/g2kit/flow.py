@@ -27,24 +27,33 @@ dim x dim/2 matrix is ever formed.
 The flow dx/dt = Lx + Q(x) is integrated by an explicit Dormand-Prince
 5(4) pair (Dormand & Prince 1980) with step-size control and Shampine's
 quartic dense output (Shampine 1986), written out in numpy in
-_dormand_prince.  It runs the same numpy operations in the same order as
-SciPy's solve_ivp(method="RK45", t_eval=...), which the tests keep as a
-bit-for-bit oracle; SciPy is not needed at run time.  Each accepted
-step writes its dense output as columns of one preallocated
-(dim, samples) buffer, and the states are that buffer's transpose, the
-layout SciPy's sol.y.T has.  The layout is part of the arithmetic: numpy
-sums the rows of the transposed buffer column by column, a contiguous
-row pairwise, so the trajectory norms, and the fitted rates made from
-them, keep their bits only in this layout.  integrate_flow takes the
-norms over row blocks of about NORM_BLOCK_FLOATS floats, never a lone
-row, so a trajectory costs its states array plus one block's
-temporaries.
+_dormand_prince.  It advances a (rows, dim) stack of runs in lockstep,
+each row with its own t, step size, accept/reject state and nfev; a
+lone run is a stack of one.  Per row it runs the same numpy operations
+in the same order as SciPy's solve_ivp(method="RK45", t_eval=...), which
+the tests keep as a bit-for-bit oracle; SciPy is not needed at run
+time.  The batched operations (matvec over a stack, the stacked
+quadratic einsum, matmul of the tableau rows against the stages, row
+norms from matmul) give each row the bits of its lone call; the
+step-size factors stay per-row scalars, since numpy's array power
+rounds differently from the scalar one.  Each accepted step writes its
+dense output as columns of one preallocated (rows, dim, samples)
+buffer, and a run's states are its slab's transpose, the layout SciPy's
+sol.y.T has.  The layout is part of the arithmetic: numpy sums the rows
+of the transposed buffer column by column, a contiguous row pairwise,
+so the trajectory norms, and the fitted rates made from them, keep
+their bits only in this layout.  integrate_flow takes the norms over
+row blocks of about NORM_BLOCK_FLOATS floats, never a lone row, so a
+trajectory costs its states array plus one block's temporaries.
 
-random_quadratic draws a dense Gaussian tensor and calibrates its
-Lipschitz bound by an alternating power iteration whose six restarts
-step together, one einsum over a (restarts, dim) stack per update.
-A draw costs order dim^3, so decay_trials bounds dim^3 x trials by
-MAX_TRIAL_WORK before it builds or draws anything.
+random_quadratic draws dense Gaussian tensors and calibrates their
+Lipschitz bounds by an alternating power iteration with six restarts.
+The restarts of every tensor in a stack step together, one einsum over
+a (trials, restarts, dim) stack per update.  A draw costs order dim^3,
+so decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it
+builds or draws anything.  It stacks its trials up to
+STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
+per-call overhead, which the trials of a stack share.
 
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
@@ -67,12 +76,18 @@ np = lazy_module("numpy")
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
 MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
-# dim^3 x trials for decay_trials.  A trial costs about 1.0-1.6 us per
+# dim^3 x trials for decay_trials.  A trial costs about 0.7-1.1 us per
 # dim^3 for the draw (the batched power iteration of
-# _tensor_operator_norm, dims 48-160) and up to as much again for the
+# _tensor_operator_norms, dims 48-160) and 0.2-1.1 us per dim^3 for the
 # integration, on a 2-core x86-64 VM with one BLAS thread, so a run
 # inside this budget ends within about 30 s.
 MAX_TRIAL_WORK = 2 ** 23
+# floats of quadratic tensor per stack of decay trials (256 KiB): the
+# trials of a stack are drawn, calibrated and integrated together.  At
+# dim 16 a stack holds 8 trials, and a trial of dim 48 or more runs
+# alone.  Stacks of 20 dim-16 trials ran a run --all pass about 4% faster
+# but raised its peak RSS by 1.1 MB, against 0.1-0.3 MB at 8.
+STACK_TENSOR_FLOATS = 2 ** 15
 
 INTEGRATOR_RTOL = 1e-9
 INTEGRATOR_ATOL = 1e-12
@@ -130,10 +145,11 @@ class ModeSystem:
         return self._stacked.shape[1]
 
     def matvec(self, x):
-        b = self.block_size
-        y = np.einsum("kij,kj->ki", self._stacked,
-                      np.asarray(x).reshape(-1, b))
-        return y.reshape(-1)
+        """L x for a vector x, or for each row of a (rows, dim) stack."""
+        x = np.asarray(x)
+        xb = x.reshape(*x.shape[:-1], -1, self.block_size)
+        y = np.einsum("kij,...kj->...ki", self._stacked, xb)
+        return y.reshape(x.shape)
 
     def spectrum(self):
         """All eigenvalues, sorted ascending: +-weight times the singular
@@ -296,57 +312,77 @@ class QuadraticMap:
         return np.einsum("ijk,j,k->i", self.tensor, x, x)
 
 
-def _unit_rows(x):
-    """Rows of x scaled to unit length.
+def _row_norms(x):
+    """Lengths of x along its last axis.
 
     The squared lengths come from matmul's vector-vector dot, the same
-    dot product np.linalg.norm takes on one vector, so each row is
-    scaled exactly as its own norm would scale it.
+    dot product np.linalg.norm takes on one vector, so each length has
+    the bits np.linalg.norm gives that row alone.
     """
-    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0]
-    return x / np.maximum(norms, 1e-300)
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0, 0]
 
 
-def _tensor_operator_norm(tensor, rng, restarts=6, iters=40):
-    """max over unit u of the spectral norm of tensor[:, :, u].
+def _unit_rows(x):
+    """x scaled to unit length along its last axis."""
+    return x / np.maximum(_row_norms(x), 1e-300)[..., None]
 
-    Alternating power iteration with random restarts; the maximizer is a
-    critical point of the trilinear form w^T T(u) v.  The restarts step
-    together as rows of (restarts, n) stacks, one einsum per update; each
-    row takes the arithmetic of a lone restart, so the result does not
-    depend on the batching.
+
+def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
+    """For each tensor of a (trials, n, n, n) stack, the max over unit u
+    of the spectral norm of tensor[:, :, u].
+
+    Alternating power iteration with random restarts, drawn from the
+    trial's own rng; the maximizer is a critical point of the trilinear
+    form w^T T(u) v.  Every trial's restarts step together as rows of
+    (trials, restarts, n) stacks, one einsum per update, and each row
+    takes the arithmetic of a lone restart on a lone tensor, so the
+    norms do not depend on the batching.
     """
-    start = rng.standard_normal((restarts, 3, tensor.shape[0]))
-    u, w, v = (_unit_rows(start[:, i]) for i in range(3))
+    n = tensors.shape[1]
+    start = np.stack([rng.standard_normal((restarts, 3, n)) for rng in rngs])
+    u, w, v = (_unit_rows(start[:, :, i]) for i in range(3))
     for _ in range(iters):
-        w = _unit_rows(np.einsum("ijk,rj,rk->ri", tensor, v, u))
-        v = _unit_rows(np.einsum("ijk,ri,rk->rj", tensor, w, u))
-        u = _unit_rows(np.einsum("ijk,ri,rj->rk", tensor, w, v))
-    values = np.einsum("ijk,ri,rj,rk->r", tensor, w, v, u)
-    return max(0.0, *map(float, values))
+        w = _unit_rows(np.einsum("bijk,brj,brk->bri", tensors, v, u))
+        v = _unit_rows(np.einsum("bijk,bri,brk->brj", tensors, w, u))
+        u = _unit_rows(np.einsum("bijk,bri,brj->brk", tensors, w, v))
+    values = np.einsum("bijk,bri,brj,brk->br", tensors, w, v, u)
+    return [max(0.0, *map(float, row)) for row in values]
 
 
 def random_quadratic(system, k, ball_radius=1.0, seed=0):
     """Random symmetric quadratic map with Lipschitz bound k on the ball.
 
     The raw Gaussian tensor is rescaled so that the measured supremum of
-    the Jacobian norm over the ball of ball_radius equals k.
+    the Jacobian norm over the ball of ball_radius equals k.  seed may
+    also be a non-empty list of seeds: then one map is drawn per seed,
+    the draws are calibrated together as one stack, and the list of maps
+    is returned, each bit for bit the map its seed alone gives.  The
+    stack counts against MAX_QUADRATIC_COEFFICIENTS as a whole.
     """
     if not k > 0 or not ball_radius > 0:
         raise InvalidOperand("Lipschitz bound and radius must be positive")
+    seeds = seed if isinstance(seed, list) else [seed]
     n = system.dim
-    if n ** 3 > MAX_QUADRATIC_COEFFICIENTS:
+    if not seeds:
+        raise InvalidOperand("the list of seeds is empty")
+    if len(seeds) * n ** 3 > MAX_QUADRATIC_COEFFICIENTS:
         raise CutoffTooLarge(
-            f"quadratic tensor would have {n}^3 coefficients, above the "
-            f"{MAX_QUADRATIC_COEFFICIENTS}-coefficient budget")
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal((n, n, n))
-    t = 0.5 * (t + t.transpose(0, 2, 1))
+            f"{len(seeds)} quadratic tensors of {n}^3 coefficients exceed "
+            f"the {MAX_QUADRATIC_COEFFICIENTS}-coefficient budget")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    tensors = np.empty((len(seeds), n, n, n))
+    for t, rng in zip(tensors, rngs):
+        draw = rng.standard_normal((n, n, n))
+        np.add(draw, draw.transpose(0, 2, 1), out=t)
+    del draw
+    tensors *= 0.5
     # Lipschitz constant on the ball: sup over |x| <= rho of |DQ(x)|,
     # and DQ(x) = 2 T(., ., x) is linear in x
-    c = 2.0 * ball_radius * _tensor_operator_norm(t, rng)
-    return QuadraticMap(tensor=(k / c) * t, lipschitz_bound=float(k),
-                        ball_radius=float(ball_radius))
+    maps = [QuadraticMap(tensor=(k / (2.0 * ball_radius * norm)) * t,
+                         lipschitz_bound=float(k),
+                         ball_radius=float(ball_radius))
+            for t, norm in zip(tensors, _tensor_operator_norms(tensors, rngs))]
+    return maps if isinstance(seed, list) else maps[0]
 
 
 class Trajectory:
@@ -412,100 +448,94 @@ _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 5
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms_rows(x):
+    return _row_norms(x) / x.shape[-1] ** 0.5
 
 
-def _dormand_prince(fun, y0, t_eval):
-    """Integrate dy/dt = fun(y) from y0 at t = 0 and sample at t_eval.
+def _dormand_prince(fun, y, t_eval):
+    """Integrate dy/dt = fun(y) from each row of y at t = 0 and sample
+    every row at t_eval.
 
-    t_eval rises from 0 to its last entry, the end of the interval.
-    Explicit Dormand-Prince 5(4) at INTEGRATOR_RTOL and INTEGRATOR_ATOL
-    with local extrapolation, the Hairer-Norsett-Wanner initial step and
-    step-size controller, and the quartic dense output on each accepted
-    step.  Every numpy operation runs in the order of SciPy's RK45 under
+    fun maps a (rows, dim) stack to the derivatives of its rows.  t_eval
+    rises from 0 to its last entry, the end of the interval.  Explicit
+    Dormand-Prince 5(4) at INTEGRATOR_RTOL and INTEGRATOR_ATOL with local
+    extrapolation, the Hairer-Norsett-Wanner initial step and step-size
+    controller, and the quartic dense output on each accepted step.  The
+    rows advance in lockstep: each pass of the loop tries one step on
+    every unfinished row, and each row keeps its own t, step size,
+    accept/reject state, nfev and dense output, so a finished row rides
+    along with h = 0 and no row's arithmetic sees another's.  Per row,
+    every numpy operation runs in the order of SciPy's RK45 under
     solve_ivp(t_eval=...), so the samples match it bit for bit (the tests
-    hold it to that).  Returns (states, nfev) with states of shape
-    (len(t_eval), len(y0)): the transpose of one (len(y0), len(t_eval))
-    buffer that each step fills with its dense output columns.  The
-    transposed view keeps the memory order SciPy's samples have, and the
-    order in which np.linalg.norm(states, axis=1) sums, so the norms keep
-    their bits.  Raises IntegratorError when the step size falls below
-    the spacing of floats at t.
+    hold it to that); the step-size factors stay per-row scalar powers.
+    Returns (out, nfev): out of shape (rows, dim, len(t_eval)), filled
+    with each accepted step's dense output columns, and nfev a list.
+    out[r].T are row r's states, in the memory order SciPy's samples
+    have and in which np.linalg.norm(states, axis=1) sums, so the norms
+    keep their bits.  Raises IntegratorError when a step size
+    falls below the spacing of floats at its row's t.
     """
     A, B, E, P = (np.array(m) for m in (_DP_A, _DP_B, _DP_E, _DP_P))
     rtol, atol = INTEGRATOR_RTOL, INTEGRATOR_ATOL
+    rows, dim = y.shape
     t_bound = float(t_eval[-1])
-    y = y0
     f = fun(y)
-    nfev = 1
 
-    # initial step
+    # initial steps; the powers stay scalar, as numpy's array power
+    # rounds differently
     scale = atol + np.abs(y) * rtol
-    d0 = _rms(y / scale)
-    d1 = _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound)
-    f1 = fun(y + h0 * f)
-    nfev += 1
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, t_bound)
+    d0, d1 = _rms_rows(y / scale), _rms_rows(f / scale)
+    h0 = np.minimum([1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+                     for a, b in zip(d0, d1)], t_bound)
+    d2 = _rms_rows((fun(y + h0[:, None] * f) - f) / scale) / h0
+    h1 = [max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15
+          else (0.01 / max(b, c)) ** (1 / 5) for h, b, c in zip(h0, d1, d2)]
+    h_abs = np.minimum(np.minimum(100 * h0, h1), t_bound)
 
-    K = np.empty((len(A) + 1, y.size))
-    out = np.empty((y.size, len(t_eval)))
-    t = 0.0
-    i = 0
-    while t < t_bound:
+    nfev = np.full(rows, 2)
+    K = np.empty((rows, len(A) + 1, dim))
+    out = np.empty((rows, dim, len(t_eval)))
+    t = np.zeros(rows)
+    sample = np.zeros(rows, dtype=int)
+    retry = np.zeros(rows, dtype=bool)   # the row's last try was rejected
+    live = t < t_bound
+    while live.any():
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegratorError(
-                    "Required step size is less than spacing between "
-                    "numbers.")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, len(A)):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(y_new)
-            K[-1] = f_new
-            nfev += len(A)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        i_new = np.searchsorted(t_eval, t, side="right")
-        step_ts = t_eval[i:i_new]
-        if step_ts.size > 0:
-            dense = K.T.dot(P)
-            h = t - t_old
-            x = (step_ts - t_old) / h
-            p = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
-            out[:, i:i_new] = h * np.dot(dense, p) + y_old[:, None]
-            i = i_new
-    return out.T, nfev
+        h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
+        if np.any(live & (h_abs < min_step)):
+            raise IntegratorError(
+                "Required step size is less than spacing between numbers.")
+        t_new = np.minimum(t + h_abs, t_bound)
+        h = t_new - t   # 0 on a finished row, which sits at t_bound
+        h_abs = np.abs(h)
+        K[:, 0] = f
+        for s in range(1, len(A)):
+            K[:, s] = fun(y + np.matmul(A[s, :s], K[:, :s]) * h[:, None])
+        y_new = y + h[:, None] * np.matmul(B, K[:, :-1])
+        f_new = K[:, -1] = fun(y_new)
+        nfev[live] += len(A)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norms = _rms_rows(np.matmul(E, K) * h[:, None] / scale)
+        accepted = live & (error_norms < 1)
+        # per row, SciPy's factor: at most 1 after a rejection, 10 after
+        # an accepted step, and at least 0.2
+        h_abs *= [min(1 if again else _MAX_FACTOR, max(
+            _MIN_FACTOR, _SAFETY * e ** _ERROR_EXPONENT if e else math.inf))
+            for e, again in zip(error_norms, retry)]
+        retry = ~accepted
+        ends = np.searchsorted(t_eval, t_new, side="right")
+        dense = np.matmul(K.swapaxes(1, 2), P)
+        for r in np.flatnonzero(accepted & (ends > sample)):
+            x = (t_eval[sample[r]:ends[r]] - t[r]) / h[r]
+            p = np.cumprod(np.broadcast_to(x, (P.shape[1], x.size)), axis=0)
+            out[r, :, sample[r]:ends[r]] = (h[r] * np.dot(dense[r], p)
+                                            + y[r, :, None])
+            sample[r] = ends[r]
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        f = np.where(accepted[:, None], f_new, f)
+        live = t < t_bound
+    return out, nfev.tolist()
 
 
 def _row_blocks(rows, cols):
@@ -528,27 +558,49 @@ def integrate_flow(system, Q, x0, T, samples=201):
     Q may be None for the linear flow.  Trajectories that leave the
     quadratic map's calibration ball are reported as non-decaying and
     get no fitted rate.  The state is sampled at `samples` equally
-    spaced times.
+    spaced times.  x0 may also be a non-empty list of start states, with
+    Q None or a list of as many maps: then run r starts from x0[r] under
+    Q[r], the runs advance as one stack, and the list of their
+    trajectories is returned, each bit for bit the trajectory of its run
+    alone.  A list of numbers is one start state.
     """
-    if Q is not None and Q.lipschitz_bound >= system.mu / 2:
+    stack = isinstance(x0, list) and not (x0 and np.isscalar(x0[0]))
+    starts = x0 if stack else [x0]
+    maps = Q if isinstance(Q, list) else [Q] * len(starts)
+    if (not starts or len(maps) != len(starts)
+            or Q is not None and isinstance(Q, list) != stack):
+        raise InvalidOperand(
+            f"Q must be None, one map for one start state or a list of one "
+            f"map per start state; got {len(starts)} start states")
+    if any(q is not None and q.lipschitz_bound >= system.mu / 2
+           for q in maps):
         raise InvalidOperand(
             "quadratic Lipschitz bound must stay below mu/2")
     if not (math.isfinite(T) and T > 0):
         raise InvalidOperand(f"horizon T must be finite and > 0, got {T}")
     samples = _whole_number(samples, "samples", 2)
-    if not isinstance(x0, FlowState):
-        x0 = FlowState(np.asarray(x0, dtype=float))
-    if x0.x.size != system.dim:
-        raise InvalidOperand(f"start state has {x0.x.size} coordinates, "
-                             f"the system has dim {system.dim}")
+    starts = [s if isinstance(s, FlowState) else FlowState(s) for s in starts]
+    for s in starts:
+        if s.x.size != system.dim:
+            raise InvalidOperand(f"start state has {s.x.size} coordinates, "
+                                 f"the system has dim {system.dim}")
     if Q is None:
         fun = system.matvec
     else:
-        fun = lambda x: system.matvec(x) + Q(x)
+        tensors = np.stack([q.tensor for q in Q]) if stack else Q.tensor[None]
+        fun = lambda y: system.matvec(y) + np.einsum(
+            "bijk,bj,bk->bi", tensors, y, y)
     times = np.linspace(0.0, float(T), samples)
-    states, nfev = _dormand_prince(fun, x0.x, times)
-    norms, plus, minus = (np.empty(samples) for _ in range(3))
-    for rows in _row_blocks(samples, system.dim):
+    out, nfev = _dormand_prince(fun, np.array([s.x for s in starts]), times)
+    runs = [_trajectory(system, q, times, block.T, n)
+            for q, block, n in zip(maps, out, nfev)]
+    return runs if stack else runs[0]
+
+
+def _trajectory(system, Q, times, states, nfev):
+    """The Trajectory of one run's sampled states, with its norms."""
+    norms, plus, minus = (np.empty(len(times)) for _ in range(3))
+    for rows in _row_blocks(len(times), system.dim):
         block = states[rows]
         norms[rows] = np.linalg.norm(block, axis=1)
         plus[rows] = np.linalg.norm(system.project_plus(block), axis=1)
@@ -602,6 +654,18 @@ def monotone_gap_check(traj, tol=1e-7):
     return GapCheck(monotone=monotone, dominance=dominance)
 
 
+def _check_range(value, name, upper=math.inf):
+    """Raise InvalidOperand unless value is a number in (0, upper), which
+    neither NaN nor inf is."""
+    try:
+        if 0 < value < upper:
+            return
+    except TypeError:
+        pass
+    raise InvalidOperand(
+        f"{name} must be finite and in (0, {upper}), got {value!r}")
+
+
 def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
                  ball_radius=1.0, start_norm=0.01, horizon=None):
     """Seeded ensemble of quadratic perturbation runs.
@@ -610,6 +674,9 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
     k = k_frac * mu and a random small start in B-, integrates over
     the horizon (default 2/mu), and records the fitted rate and the
     gap diagnostics.  Returns (system, list of (trajectory, GapCheck)).
+    Trial i draws its map from seed + i and its start from
+    seed + 10000 + i; stacks of up to STACK_TENSOR_FLOATS // dim^3 trials
+    share one random_quadratic and one integrate_flow call.
 
     A generic start is not on the stable manifold: the quadratic
     coupling feeds the growing subspace at order k*|x0|^2, which takes
@@ -621,10 +688,18 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
     window need not stay decaying: d = 2, N = 4 gave no decaying trial
     in two.
 
-    Sizes with dim^3 x trials above MAX_TRIAL_WORK raise CutoffTooLarge
-    before anything is built or drawn.
+    Sizes with dim^3 x trials above MAX_TRIAL_WORK raise CutoffTooLarge,
+    and a k_frac outside (0, 1/2) (mu is 2*pi at every size, and k must
+    stay below mu/2) or a ball_radius, start_norm or horizon that is not
+    finite and > 0 raises InvalidOperand, before anything is built or
+    drawn.
     """
     trials = _whole_number(trials, "trials", 1)
+    _check_range(k_frac, "k_frac", 0.5)
+    _check_range(ball_radius, "ball_radius")
+    _check_range(start_norm, "start_norm")
+    if horizon is not None:
+        _check_range(horizon, "horizon")
     dim = _system_size(d, N)[2]
     if dim ** 3 * trials > MAX_TRIAL_WORK:
         raise CutoffTooLarge(
@@ -633,11 +708,14 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
     system = build_mode_system(d, N)
     k = k_frac * system.mu
     T = 2.0 / system.mu if horizon is None else horizon
+    size = max(1, STACK_TENSOR_FLOATS // dim ** 3)
     out = []
-    for i in range(trials):
-        Q = random_quadratic(system, k, ball_radius, seed=seed + i)
-        x0 = system.random_minus_state(seed=seed + 10_000 + i,
-                                       norm=start_norm)
-        traj = integrate_flow(system, Q, x0, T=T)
-        out.append((traj, monotone_gap_check(traj)))
+    for first in range(0, trials, size):
+        batch = range(first, min(first + size, trials))
+        maps = random_quadratic(system, k, ball_radius,
+                                seed=[seed + i for i in batch])
+        starts = [system.random_minus_state(seed=seed + 10_000 + i,
+                                            norm=start_norm) for i in batch]
+        out += [(traj, monotone_gap_check(traj))
+                for traj in integrate_flow(system, maps, starts, T=T)]
     return system, out

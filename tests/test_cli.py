@@ -693,6 +693,18 @@ class TestToolFlags:
         assert "budget" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("k_frac", ["0.5", "0", "-0.1", "nan", "inf"])
+    def test_flow_demo_bad_k_exits_2_before_drawing(self, runner, k_frac):
+        # at dim 160 one draw and its calibration take seconds
+        start = time.perf_counter()
+        res = runner.invoke(main, ["--flow-demo", "--d", "2", "--N", "4",
+                                   "--k-frac", k_frac, "--trials", "1"])
+        assert time.perf_counter() - start < 2.0
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert "k_frac" in res.stderr
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("args", [
         ["--s", "1", "--samples", str(MAX_EH_POINTS - 24 + 1)],
         ["--s", "1,2", "--samples", str(MAX_EH_POINTS // 2 - 24 + 1)],

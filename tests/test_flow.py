@@ -60,6 +60,118 @@ def per_restart_quadratic_tensor(system, k, seed, ball_radius=1.0):
     return (k / (2.0 * ball_radius * per_restart_operator_norm(t, rng))) * t
 
 
+def lone_dormand_prince(fun, y0, t_eval):
+    """Dormand-Prince 5(4) on one trajectory with scalar step control,
+    every numpy operation in the order of SciPy's RK45: the reference that
+    each row of the stacked _dormand_prince must match.
+
+    Returns (states, nfev, rejected steps).
+    """
+    A, B, E, P = (np.array(m) for m in (flow._DP_A, flow._DP_B, flow._DP_E,
+                                        flow._DP_P))
+    rtol, atol = INTEGRATOR_RTOL, INTEGRATOR_ATOL
+    rms = lambda x: np.linalg.norm(x) / x.size ** 0.5
+    t_bound = float(t_eval[-1])
+    y = y0
+    f = fun(y)
+    nfev = 2
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = rms((fun(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound)
+    K = np.empty((len(A) + 1, y.size))
+    out = np.empty((y.size, len(t_eval)))
+    t, i, rejections = 0.0, 0, 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegratorError(
+                    "Required step size is less than spacing between "
+                    "numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, len(A)):
+                K[s] = fun(y + np.dot(K[:s].T, A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = K[-1] = fun(y_new)
+            nfev += len(A)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = rms(np.dot(K.T, E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = flow._MAX_FACTOR
+                else:
+                    factor = min(flow._MAX_FACTOR, flow._SAFETY
+                                 * error_norm ** flow._ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(flow._MIN_FACTOR,
+                         flow._SAFETY * error_norm ** flow._ERROR_EXPONENT)
+            rejected = True
+            rejections += 1
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if i_new > i:
+            dense = K.T.dot(P)
+            x = (t_eval[i:i_new] - t_old) / (t - t_old)
+            p = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
+            out[:, i:i_new] = (t - t_old) * np.dot(dense, p) + y_old[:, None]
+            i = i_new
+    return out.T, nfev, rejections
+
+
+def lone_run(system, Q, x0, T, samples=201):
+    """One trajectory from lone_dormand_prince, with its rejected steps."""
+    fun = system.matvec if Q is None else lambda x: system.matvec(x) + Q(x)
+    times = np.linspace(0.0, float(T), samples)
+    states, nfev, rejections = lone_dormand_prince(fun, x0.x, times)
+    return flow._trajectory(system, Q, times, states, nfev), rejections
+
+
+def lone_decay_trials(d, N, k_frac=0.1, trials=20, seed=0):
+    """decay_trials as a loop of lone trials, each calibrated one restart
+    at a time and integrated alone."""
+    system = build_mode_system(d, N)
+    k = k_frac * system.mu
+    out = []
+    for i in range(trials):
+        Q = QuadraticMap(per_restart_quadratic_tensor(system, k, seed + i),
+                         lipschitz_bound=k, ball_radius=1.0)
+        x0 = system.random_minus_state(seed=seed + 10_000 + i, norm=0.01)
+        traj, _ = lone_run(system, Q, x0, 2.0 / system.mu)
+        out.append((traj, monotone_gap_check(traj)))
+    return out
+
+
+def assert_same_runs(got, want):
+    """Trajectories equal bit for bit: states, norms, nfev and rate."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.states.shape == b.states.shape
+        assert a.states.strides == b.states.strides
+        for name in ("times", "states", "norms", "plus_norms", "minus_norms"):
+            assert np.array_equal(getattr(a, name).view(np.int64),
+                                  getattr(b, name).view(np.int64)), name
+        assert a.nfev == b.nfev
+        assert (a.decaying, a.escaped) == (b.decaying, b.escaped)
+        assert np.float64(a.fitted_rate).view(np.int64) == \
+            np.float64(b.fitted_rate).view(np.int64)
+
+
 def _wedge_matrix(vector, d, p):
     """Matrix of xi -> v ^ xi from (p-1)-forms to p-forms.
 
@@ -520,6 +632,18 @@ class TestQuadraticMap:
         with pytest.raises(CutoffTooLarge):
             random_quadratic(build_mode_system(d, N), k=1.0)
 
+    def test_seed_list_counts_against_the_budget(self):
+        # one dim-240 tensor fits the coefficient budget, two do not
+        system = build_mode_system(2, 5)
+        assert system.dim ** 3 <= flow.MAX_QUADRATIC_COEFFICIENTS \
+            < 2 * system.dim ** 3
+        with pytest.raises(CutoffTooLarge, match="2 quadratic tensors"):
+            random_quadratic(system, k=1.0, seed=[0, 1])
+
+    def test_empty_seed_list(self):
+        with pytest.raises(InvalidOperand, match="seeds"):
+            random_quadratic(self.sys, k=1.0, seed=[])
+
     def test_validation(self):
         with pytest.raises(InvalidOperand):
             random_quadratic(self.sys, k=0.0, ball_radius=1.0, seed=0)
@@ -565,19 +689,52 @@ class TestCalibrationOracle:
             want = per_restart_quadratic_tensor(system, k, seed)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("d,N,seeds", [
+        (2, 1, list(range(12))), (2, 2, [0, 7]), (3, 1, [3, 0])])
+    def test_stacked_draw_bits(self, d, N, seeds):
+        system = build_mode_system(d, N)
+        k = 0.1 * system.mu
+        maps = random_quadratic(system, k, ball_radius=0.5, seed=seeds)
+        assert len(maps) == len(seeds)
+        for seed, Q in zip(seeds, maps):
+            want = per_restart_quadratic_tensor(system, k, seed, 0.5)
+            assert np.array_equal(Q.tensor.view(np.int64),
+                                  want.view(np.int64))
+            assert (Q.lipschitz_bound, Q.ball_radius) == (k, 0.5)
+
     @pytest.mark.parametrize("restarts,iters", [(1, 1), (3, 5), (6, 40)])
     def test_norm_bits(self, restarts, iters):
+        # a stack of three tensors that are not symmetric in (j, k)
         gen = np.random.default_rng(5)
-        t = gen.standard_normal((16, 16, 16))
-        a = flow._tensor_operator_norm(t, np.random.default_rng(1),
-                                       restarts, iters)
-        b = per_restart_operator_norm(t, np.random.default_rng(1),
-                                      restarts, iters)
-        assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+        stack = gen.standard_normal((3, 16, 16, 16))
+        got = flow._tensor_operator_norms(
+            stack, [np.random.default_rng(s) for s in range(3)], restarts,
+            iters)
+        for s, t in enumerate(stack):
+            want = per_restart_operator_norm(t, np.random.default_rng(s),
+                                             restarts, iters)
+            assert np.float64(got[s]).view(np.int64) == \
+                np.float64(want).view(np.int64)
+
+    @pytest.mark.parametrize("n", [52, 90, 91])
+    @pytest.mark.parametrize("restarts", [1, 6])
+    def test_norm_bits_at_larger_dims(self, n, restarts):
+        # a stack of two non-symmetric tensors: einsum's loops differ from
+        # dim 16, and above dim 90 an (i, j) slice no longer fits one
+        # 8192-float buffer
+        stack = np.random.default_rng(n).standard_normal((2, n, n, n))
+        got = flow._tensor_operator_norms(
+            stack, [np.random.default_rng(s) for s in (4, 9)], restarts, 3)
+        for s, t, norm in zip((4, 9), stack, got):
+            want = per_restart_operator_norm(t, np.random.default_rng(s),
+                                             restarts, 3)
+            assert np.float64(norm).view(np.int64) == \
+                np.float64(want).view(np.int64)
 
     def test_zero_tensor(self):
-        t = np.zeros((4, 4, 4))
-        assert flow._tensor_operator_norm(t, np.random.default_rng(0)) == 0.0
+        t = np.zeros((1, 4, 4, 4))
+        assert flow._tensor_operator_norms(
+            t, [np.random.default_rng(0)]) == [0.0]
 
 
 class TestDecayTrials:
@@ -618,6 +775,29 @@ class TestDecayTrials:
         with pytest.raises(CutoffTooLarge, match="budget"):
             decay_trials(d=d, N=N, trials=trials)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"k_frac": 0.5}, {"k_frac": 0.9}, {"k_frac": 0.0}, {"k_frac": -0.1},
+        {"k_frac": math.nan}, {"k_frac": math.inf}, {"k_frac": "0.1"},
+        {"horizon": 0.0}, {"horizon": -1.0}, {"horizon": math.nan},
+        {"horizon": math.inf}, {"ball_radius": 0.0}, {"ball_radius": -1.0},
+        {"ball_radius": math.inf}, {"start_norm": 0.0},
+        {"start_norm": math.nan}, {"start_norm": -0.01}],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_arguments_refused_before_building(self, kwargs,
+                                                   monkeypatch):
+        def unreachable(*args, **kw):
+            raise AssertionError("built or drawn before the argument check")
+
+        monkeypatch.setattr(flow, "build_mode_system", unreachable)
+        monkeypatch.setattr(flow, "random_quadratic", unreachable)
+        with pytest.raises(InvalidOperand, match=next(iter(kwargs))):
+            decay_trials(d=2, N=4, trials=1, **kwargs)
+
+    def test_largest_k_frac_below_half_stays_below_mu_half(self):
+        # mu is 2*pi at every size, so k_frac < 1/2 keeps k < mu/2 exactly
+        mu = build_mode_system(2, 1).mu
+        assert np.nextafter(0.5, 0.0) * mu < mu / 2
+
     @pytest.mark.parametrize("d,N,trials", [
         (2, 1, 20), (3, 1, 10), (2, 2, 20), (3, 1, 20), (2, 3, 9),
         (2, 4, 2)])
@@ -627,6 +807,137 @@ class TestDecayTrials:
         # the most trials the README admits at dims 96 and 160
         dim = build_mode_system(d, N).dim
         assert dim ** 3 * trials <= MAX_TRIAL_WORK
+
+
+class TestStackedTrials:
+    """decay_trials' stacks and integrate_flow's lockstep rows against
+    lone runs: lone_dormand_prince per trial, calibrated one restart at a
+    time."""
+
+    @staticmethod
+    def _assert_matches_lone(d, N, trials, seed):
+        _, runs = decay_trials(d=d, N=N, trials=trials, seed=seed)
+        want = lone_decay_trials(d, N, trials=trials, seed=seed)
+        assert_same_runs([t for t, _ in runs], [t for t, _ in want])
+        for (_, a), (_, b) in zip(runs, want):
+            assert (a.monotone, a.dominance) == (b.monotone, b.dominance)
+
+    @pytest.mark.parametrize("d,N,trials,seed", [
+        (2, 1, 20, 0), (2, 1, 20, 3), (2, 2, 3, 1), (3, 1, 2, 0)])
+    def test_decay_trials_match_lone_trials(self, d, N, trials, seed):
+        self._assert_matches_lone(d, N, trials, seed)
+
+    def test_trials_split_into_two_stacks(self, monkeypatch):
+        # room for three dim-16 tensors per stack: 5 trials are 3 + 2
+        monkeypatch.setattr(flow, "STACK_TENSOR_FLOATS", 3 * 16 ** 3)
+        sizes = []
+        integrate = flow.integrate_flow
+
+        def counted(system, Q, x0, T, samples=201):
+            sizes.append(len(x0))
+            return integrate(system, Q, x0, T, samples)
+
+        monkeypatch.setattr(flow, "integrate_flow", counted)
+        self._assert_matches_lone(2, 1, 5, 7)
+        assert sizes == [3, 2]
+
+    def test_rows_take_their_own_steps(self):
+        # a large growing start under a strong map rejects steps; the
+        # rows beside it take other step counts
+        system = build_mode_system(2, 1)
+        maps = [random_quadratic(system, f * system.mu, seed=s)
+                for f, s in ((0.4, 1), (0.1, 0), (0.2, 5))]
+        starts = [random_plus_state(system, seed=2, norm=1.0),
+                  system.random_minus_state(seed=3, norm=0.01),
+                  random_plus_state(system, seed=4, norm=0.3)]
+        got = integrate_flow(system, maps, starts, 0.3, samples=17)
+        lone = [lone_run(system, Q, x0, 0.3, samples=17)
+                for Q, x0 in zip(maps, starts)]
+        assert_same_runs(got, [t for t, _ in lone])
+        assert len({t.nfev for t in got}) == 3
+        assert lone[0][1] > 0
+
+    def test_linear_stack(self):
+        system = build_mode_system(3, 1)
+        starts = [system.random_minus_state(seed=s) for s in range(3)]
+        got = integrate_flow(system, None, starts, 2.0 / system.mu)
+        assert_same_runs(got, [lone_run(system, None, x0, 2.0 / system.mu)[0]
+                               for x0 in starts])
+
+    def test_a_failing_row_fails_the_stack(self):
+        system = build_mode_system(2, 1)
+        n = system.dim
+        t = np.zeros((n, n, n))
+        for i in range(n):
+            t[i, i, i] = 50.0
+        blowup = QuadraticMap(tensor=t, lipschitz_bound=system.mu / 100,
+                              ball_radius=10.0)
+        calm = random_quadratic(system, 0.1 * system.mu, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(IntegratorError):
+            integrate_flow(system, [calm, blowup],
+                           [system.random_minus_state(0, 0.01),
+                            FlowState(np.ones(n))], T=5.0)
+
+    def test_one_map_per_start(self):
+        system = build_mode_system(2, 1)
+        Q = random_quadratic(system, 0.1 * system.mu, seed=0)
+        with pytest.raises(InvalidOperand, match="2 start states"):
+            integrate_flow(system, [Q], [system.random_minus_state(s)
+                                         for s in (0, 1)], T=1.0)
+        with pytest.raises(InvalidOperand, match="0 start states"):
+            integrate_flow(system, [], [], T=1.0)
+        with pytest.raises(InvalidOperand, match="1 start states"):
+            integrate_flow(system, [Q], system.random_minus_state(0), T=1.0)
+        with pytest.raises(InvalidOperand, match="2 start states"):
+            integrate_flow(system, Q, [system.random_minus_state(s)
+                                       for s in (0, 1)], T=1.0)
+
+    def test_list_of_numbers_is_one_start_state(self):
+        system = build_mode_system(2, 1)
+        Q = random_quadratic(system, 0.1 * system.mu, seed=0)
+        x0 = system.random_minus_state(seed=1, norm=0.01).x
+        got = integrate_flow(system, Q, x0.tolist(), T=0.2, samples=11)
+        assert isinstance(got, Trajectory)
+        assert_same_runs([got], [integrate_flow(system, Q, x0, T=0.2,
+                                                samples=11)])
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_stack_of_one_matches_lone_run_at_large_dims(self, N):
+        # dims 96 and 160: above dim 90 einsum's reductions run over more
+        # than one 8192-float buffer, and the stacked quadratic einsum and
+        # matvec must still give each row the bits of Q(x) and of the
+        # blockwise matvec
+        system = build_mode_system(2, N)
+        n = system.dim
+        t = np.random.default_rng(N).standard_normal((n, n, n)) / n
+        Q = QuadraticMap(0.5 * (t + t.transpose(0, 2, 1)),
+                         lipschitz_bound=0.1 * system.mu, ball_radius=1.0)
+        x = system.random_minus_state(seed=N, norm=0.01).x
+        assert np.array_equal(
+            np.einsum("bijk,bj,bk->bi", Q.tensor[None], x[None], x[None])[0]
+            .view(np.int64), Q(x).view(np.int64))
+        blockwise = np.einsum("kij,kj->ki", system._stacked,
+                              x.reshape(-1, system.block_size)).reshape(-1)
+        assert np.array_equal(system.matvec(x[None])[0].view(np.int64),
+                              blockwise.view(np.int64))
+        got = integrate_flow(system, Q, FlowState(x), T=0.05, samples=6)
+        want, _ = lone_run(system, Q, FlowState(x), 0.05, samples=6)
+        assert_same_runs([got], [want])
+
+    def test_calls_go_through_the_module(self, monkeypatch):
+        # perfbench attributes time to flow.random_quadratic and
+        # flow.integrate_flow by wrapping the module attributes
+        calls = Counter()
+        for name in ("random_quadratic", "integrate_flow"):
+            def counted(*args, _fn=getattr(flow, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(flow, name, counted)
+        decay_trials(d=2, N=1, trials=4)
+        assert calls == {"random_quadratic": 1, "integrate_flow": 1}
+        decay_trials(d=3, N=1, trials=2)
+        assert calls == {"random_quadratic": 3, "integrate_flow": 3}
 
 
 class TestGapCheck:
