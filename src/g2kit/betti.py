@@ -12,6 +12,7 @@ from collections import Counter
 from math import comb
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import (
     InvalidEnds,
     InvalidInvariants,
@@ -21,7 +22,7 @@ from .errors import (
 )
 
 
-class BettiVector:
+class BettiVector(Frozen):
     """Immutable vector (b^0, ..., b^n) of nonnegative integers."""
 
     __slots__ = ("n", "b")
@@ -32,11 +33,7 @@ class BettiVector:
             raise InvalidOperand("BettiVector needs at least b^0")
         if any(v < 0 for v in vals):
             raise InvalidOperand(f"negative Betti number in {vals}")
-        object.__setattr__(self, "n", len(vals) - 1)
-        object.__setattr__(self, "b", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiVector is immutable")
+        super().__init__(len(vals) - 1, vals)
 
     def __getitem__(self, k: int) -> int:
         return self.b[k]
@@ -130,7 +127,7 @@ def holonomy_classification(pi1_finite: bool, num_ends: int,
     return "reducible"
 
 
-class NonSymplecticInvariants:
+class NonSymplecticInvariants(Frozen):
     """Invariants (r, a) of an antisymplectic K3 involution's fixed lattice."""
 
     __slots__ = ("r", "a")
@@ -140,11 +137,7 @@ class NonSymplecticInvariants:
             raise InvalidInvariants(f"rank r = {r} outside 1..20")
         if not (0 <= a <= r):
             raise InvalidInvariants(f"a = {a} outside 0..r = {r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonSymplecticInvariants is immutable")
+        super().__init__(r, a)
 
 
 def borcea_voisin_betti(inv: NonSymplecticInvariants) -> tuple[int, int]:
@@ -189,23 +182,11 @@ def connected_sum_b2(d1: int, d2: int, dim_intersection: int) -> int:
     return d1 + d2 + dim_intersection
 
 
-class EulerReport:
+class EulerReport(Frozen):
     """The four Euler characteristics of mv_euler_check and its two verdicts."""
 
     __slots__ = ("chi_m", "chi_plus", "chi_minus", "chi_cross", "additive_ok",
                  "chi_zero_ok")
-
-    def __init__(self, chi_m, chi_plus, chi_minus, chi_cross, additive_ok,
-                 chi_zero_ok):
-        object.__setattr__(self, "chi_m", chi_m)
-        object.__setattr__(self, "chi_plus", chi_plus)
-        object.__setattr__(self, "chi_minus", chi_minus)
-        object.__setattr__(self, "chi_cross", chi_cross)
-        object.__setattr__(self, "additive_ok", additive_ok)
-        object.__setattr__(self, "chi_zero_ok", chi_zero_ok)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EulerReport is immutable")
 
     @property
     def consistent(self) -> bool:

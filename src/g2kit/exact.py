@@ -259,7 +259,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
                 add_col(i + 1, i, 1)
                 # re-reduce the 2x2 corner
                 while m[i + 1][i] != 0:
-                    q = m[i][i] // m[i + 1][i] if m[i + 1][i] != 0 else 0
                     if abs(m[i + 1][i]) <= abs(m[i][i]):
                         q = m[i][i] // m[i + 1][i]
                         add_row(i + 1, i, -q)

@@ -68,6 +68,7 @@ import math
 import operator
 from collections import Counter
 
+from ._frozen import Frozen
 from ._lazy import lazy_module
 from .errors import CutoffTooLarge, IntegratorError, InvalidOperand
 
@@ -117,7 +118,7 @@ def _wedge_pattern(d, p):
     return np.array(entries).T
 
 
-class ModeSystem:
+class ModeSystem(Frozen):
     """Truncated mode model of the linear operator with its splitting.
 
     Entry k of each stack belongs to modes[k], with squared length
@@ -129,16 +130,6 @@ class ModeSystem:
 
     __slots__ = ("d", "N", "p", "modes", "norm_sq", "dim", "mu", "_weights",
                  "_coupling", "_stacked", "_plus", "_minus")
-
-    def __init__(self, d, N, p, modes, norm_sq, dim, mu, weights, coupling,
-                 stacked, plus, minus):
-        for name, value in zip(self.__slots__, (
-                d, N, p, modes, norm_sq, dim, mu, weights, coupling, stacked,
-                plus, minus)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModeSystem is immutable")
 
     @property
     def block_size(self):
@@ -201,7 +192,7 @@ class ModeSystem:
         return FlowState(norm * x / np.linalg.norm(x))
 
 
-class FlowState:
+class FlowState(Frozen):
     """Coefficient vector over the mode basis at a time."""
 
     __slots__ = ("x", "t")
@@ -210,11 +201,7 @@ class FlowState:
         arr = np.asarray(x, dtype=float)
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
             raise InvalidOperand("state must be a finite vector")
-        object.__setattr__(self, "x", arr)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowState is immutable")
+        super().__init__(arr, t)
 
     @property
     def norm(self):
@@ -285,13 +272,12 @@ def build_mode_system(d, N):
         [P / math.sqrt(2), Qt.swapaxes(1, 2) / math.sqrt(2)], axis=1)
     minus = np.concatenate(
         [P / math.sqrt(2), -Qt.swapaxes(1, 2) / math.sqrt(2)], axis=1)
-    return ModeSystem(
-        d=d, N=N, p=p, modes=tuple(modes), norm_sq=norm_sq, dim=dim,
-        mu=2 * math.pi * math.sqrt(min(norm_sq)), weights=weights,
-        coupling=coupling, stacked=stacked, plus=plus, minus=minus)
+    return ModeSystem(d, N, p, tuple(modes), norm_sq, dim,
+                      2 * math.pi * math.sqrt(min(norm_sq)), weights, coupling,
+                      stacked, plus, minus)
 
 
-class QuadraticMap:
+class QuadraticMap(Frozen):
     """Homogeneous quadratic vector field with a recorded Lipschitz bound.
 
     tensor[i, j, k] is symmetric in (j, k); lipschitz_bound is the
@@ -299,14 +285,6 @@ class QuadraticMap:
     """
 
     __slots__ = ("tensor", "lipschitz_bound", "ball_radius")
-
-    def __init__(self, tensor, lipschitz_bound, ball_radius):
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "lipschitz_bound", lipschitz_bound)
-        object.__setattr__(self, "ball_radius", ball_radius)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticMap is immutable")
 
     def __call__(self, x):
         return np.einsum("ijk,j,k->i", self.tensor, x, x)
@@ -385,7 +363,7 @@ def random_quadratic(system, k, ball_radius=1.0, seed=0):
     return maps if isinstance(seed, list) else maps[0]
 
 
-class Trajectory:
+class Trajectory(Frozen):
     """Sampled solution of dx/dt = Lx + Q(x) with norm bookkeeping.
 
     fitted_rate is None unless the run decays.  nfev counts
@@ -397,13 +375,8 @@ class Trajectory:
 
     def __init__(self, times, states, norms, plus_norms, minus_norms,
                  decaying, escaped, fitted_rate, ball_radius, nfev=0):
-        for name, value in zip(self.__slots__, (
-                times, states, norms, plus_norms, minus_norms, decaying,
-                escaped, fitted_rate, ball_radius, nfev)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Trajectory is immutable")
+        super().__init__(times, states, norms, plus_norms, minus_norms,
+                         decaying, escaped, fitted_rate, ball_radius, nfev)
 
 
 def _fit_rate(times, norms):
@@ -618,18 +591,11 @@ def _trajectory(system, Q, times, states, nfev):
                       nfev=nfev)
 
 
-class GapCheck:
+class GapCheck(Frozen):
     """monotone and dominance verdicts of monotone_gap_check; dominance is
     None for a non-decaying trajectory."""
 
     __slots__ = ("monotone", "dominance")
-
-    def __init__(self, monotone, dominance):
-        object.__setattr__(self, "monotone", monotone)
-        object.__setattr__(self, "dominance", dominance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GapCheck is immutable")
 
     @property
     def ok(self):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     DegenerateMetric,
     DegeneratePlane,
@@ -42,14 +43,14 @@ def _sort_index(idx: Sequence[int]) -> tuple[Index, int]:
     return tuple(arr), sign
 
 
-class ExteriorForm:
+class ExteriorForm(Frozen):
     """Sparse exterior form with exact rational coefficients.
 
     Coefficients are keyed by strictly increasing 1-based index tuples.
     Instances are immutable; all operations return new forms.
     """
 
-    __slots__ = ("dim", "degree", "coeffs", "_key")
+    __slots__ = ("dim", "degree", "coeffs")
 
     def __init__(self, dim: int, degree: int, coeffs: Mapping[Sequence[int], object] = ()):
         if not (1 <= dim <= 7):
@@ -72,19 +73,16 @@ class ExteriorForm:
                 canon.pop(idx, None)
             else:
                 canon[idx] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", canon)
-        object.__setattr__(self, "_key", (dim, degree, tuple(sorted(canon.items()))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExteriorForm is immutable")
+        super().__init__(dim, degree, canon)
 
     def __eq__(self, other):
-        return isinstance(other, ExteriorForm) and self._key == other._key
+        # dict equality ignores insertion order
+        return isinstance(other, ExteriorForm) and \
+            (self.dim, self.degree, self.coeffs) == \
+            (other.dim, other.degree, other.coeffs)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.dim, self.degree, frozenset(self.coeffs.items())))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -195,7 +193,7 @@ def evaluate(a: ExteriorForm, vectors: Sequence[Sequence]) -> Fraction:
     return total
 
 
-class LinearMapR:
+class LinearMapR(Frozen):
     """Invertible-or-not linear map of R^n with exact rational matrix."""
 
     __slots__ = ("dim", "matrix", "det")
@@ -205,12 +203,7 @@ class LinearMapR:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise InvalidOperand("matrix must be square")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "det", det(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMapR is immutable")
+        super().__init__(n, rows, det(rows))
 
     def __eq__(self, other):
         return isinstance(other, LinearMapR) and self.matrix == other.matrix
@@ -260,7 +253,7 @@ def pullback(lin: LinearMapR, a: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.dim, a.degree, out)
 
 
-class MetricTensor:
+class MetricTensor(Frozen):
     """Symmetric rational metric with cached definiteness information."""
 
     __slots__ = ("dim", "matrix", "positive_definite", "exact")
@@ -275,13 +268,7 @@ class MetricTensor:
                 if rows[i][j] != rows[j][i]:
                     raise InvalidOperand("metric matrix must be symmetric")
         pos = all(det([row[: k + 1] for row in rows[: k + 1]]) > 0 for k in range(n))
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "positive_definite", pos)
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetricTensor is immutable")
+        super().__init__(n, rows, pos, exact)
 
     def __eq__(self, other):
         return isinstance(other, MetricTensor) and self.matrix == other.matrix

@@ -30,20 +30,17 @@ import random
 from fractions import Fraction
 from itertools import chain, zip_longest
 
+from ._frozen import Frozen
 from .errors import InvalidOperand, NotExact, NumericFailure
 
 
-class ComplexFrac:
+class ComplexFrac(Frozen):
     """Complex number with Fraction real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexFrac is immutable")
+        super().__init__(Fraction(re), Fraction(im))
 
     def __eq__(self, other):
         return isinstance(other, ComplexFrac) and \
@@ -63,7 +60,7 @@ def _times_i(k, pairs):
     return [(-k * y, k * x) for x, y in pairs]
 
 
-class CylinderForm:
+class CylinderForm(Frozen):
     """Finite Fourier-polynomial form on T^d x [0, 1].
 
     terms is a sorted tuple of ((mode, spatial, has_dt), pairs) entries,
@@ -74,15 +71,6 @@ class CylinderForm:
     """
 
     __slots__ = ("d", "degree", "den", "terms")
-
-    def __init__(self, d, degree, den, terms):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CylinderForm is immutable")
 
     def __eq__(self, other):
         return isinstance(other, CylinderForm) and \
@@ -182,23 +170,12 @@ def exterior_derivative(form):
                             form.den, _derivative_polys(form.terms))
 
 
-class PrimitiveResult:
+class PrimitiveResult(Frozen):
     """A primitive chi of an exact form omega, with ratio = |chi| / |omega|
     and the exact squared norms it comes from."""
 
     __slots__ = ("primitive", "ratio", "ratio_sq", "input_norm_sq",
                  "primitive_norm_sq")
-
-    def __init__(self, primitive, ratio, ratio_sq, input_norm_sq,
-                 primitive_norm_sq):
-        object.__setattr__(self, "primitive", primitive)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "ratio_sq", ratio_sq)
-        object.__setattr__(self, "input_norm_sq", input_norm_sq)
-        object.__setattr__(self, "primitive_norm_sq", primitive_norm_sq)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimitiveResult is immutable")
 
 
 def poincare_primitive(form):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
+from ._frozen import Frozen
 from ._lazy import lazy_module
 from .errors import G2KitError, InvalidScenario
 
@@ -75,20 +76,10 @@ def _sigma_53():
                                          name="sigmap")
 
 
-class CheckRow:
+class CheckRow(Frozen):
     """One report row; build it with row(), which sets passed."""
 
     __slots__ = ("check", "computed", "expected", "provenance", "passed")
-
-    def __init__(self, check, computed, expected, provenance, passed):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "passed", passed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckRow is immutable")
 
     def to_dict(self):
         return {"check": self.check, "computed": _json_number(self.computed),
@@ -140,25 +131,17 @@ def row(check, computed, expected=None, provenance="golden"):
             passed = bool(lo <= computed <= hi)
         else:
             passed = computed == expected
-    return CheckRow(check=check, computed=computed, expected=expected,
-                    provenance=provenance, passed=passed)
+    return CheckRow(check, computed, expected, provenance, passed)
 
 
-class Report:
+class Report(Frozen):
     """The rows of one scenario run, with the environment they were
     computed in."""
 
     __slots__ = ("scenario", "rows", "seed", "precision", "tolerances")
 
     def __init__(self, scenario, rows, seed, precision, tolerances=None):
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "tolerances", tolerances or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Report is immutable")
+        super().__init__(scenario, rows, seed, precision, tolerances or {})
 
     @property
     def all_pass(self):
@@ -442,7 +425,7 @@ def list_scenarios():
     return list(BUILTINS)
 
 
-class Scenario:
+class Scenario(Frozen):
     """Validated user scenario loaded from JSON.
 
     generators are (name, signs, shifts) triples, involution is one such
@@ -451,19 +434,6 @@ class Scenario:
 
     __slots__ = ("name", "circles", "generators", "involution",
                  "pull_direction", "checks", "expected")
-
-    def __init__(self, name, circles, generators, involution, pull_direction,
-                 checks, expected):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "circles", circles)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "involution", involution)
-        object.__setattr__(self, "pull_direction", pull_direction)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "expected", expected)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scenario is immutable")
 
 
 _KNOWN_CHECKS = ("betti", "moduli", "coassoc", "form-invariance", "eh",

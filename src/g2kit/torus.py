@@ -36,6 +36,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from ._lazy import lazy_module
 from .betti import BettiVector
 from .errors import (
@@ -77,7 +78,7 @@ def _linear_image(terms, vec, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class AffineTorusMap:
+class AffineTorusMap(Frozen):
     """Affine map x -> Ax + v of T^c x R^l, with A in GL(n, Z).
 
     A must not mix circle and line coordinates, and must act on each line
@@ -133,9 +134,6 @@ class AffineTorusMap:
         f = object.__new__(AffineTorusMap)
         f._fill(len(rows), lines, rows, num, den, name)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineTorusMap is immutable")
 
     def __eq__(self, other):
         return isinstance(other, AffineTorusMap) and self._key == other._key
@@ -206,7 +204,7 @@ class AffineTorusMap:
         return AffineTorusMap(lin, shift, lines, name)
 
 
-class FiniteActionGroup:
+class FiniteActionGroup(Frozen):
     """A finite group of affine torus maps: its elements, identity first, and
     a subset of them that generates it."""
 
@@ -214,12 +212,9 @@ class FiniteActionGroup:
 
     def __init__(self, generators: Sequence[AffineTorusMap],
                  elements: Sequence[AffineTorusMap]):
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteActionGroup is immutable")
+        elements = tuple(elements)
+        super().__init__(tuple(generators), elements,
+                         {e: i for i, e in enumerate(elements)})
 
     def __len__(self):
         return len(self.elements)
@@ -514,7 +509,7 @@ def components_intersect(c1: _Component, c2: _Component) -> bool:
                    for k in range(rank, len(circ)))
 
 
-class FlatStratum:
+class FlatStratum(Frozen):
     """A flat piece of a fixed locus or singular set.
 
     count components upstairs form one object downstairs; offset is a point
@@ -532,15 +527,8 @@ class FlatStratum:
 
     def __init__(self, torus_dim, line_dim, count, offset, stabilizer_order=1,
                  residual="trivial"):
-        object.__setattr__(self, "torus_dim", torus_dim)
-        object.__setattr__(self, "line_dim", line_dim)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "stabilizer_order", stabilizer_order)
-        object.__setattr__(self, "residual", residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatStratum is immutable")
+        super().__init__(torus_dim, line_dim, count, offset, stabilizer_order,
+                         residual)
 
     def __eq__(self, other):
         return isinstance(other, FlatStratum) and all(
@@ -804,13 +792,8 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
                 fracs[x] = Fraction(x, den)
         dim = len(span.dirs) + len(span.free_lines)
         strata.append(((-dim, offset), FlatStratum(
-            torus_dim=len(span.dirs),
-            line_dim=len(span.free_lines),
-            count=count,
-            offset=tuple([fracs[x] for x in offset]),
-            stabilizer_order=setwise,
-            residual=residual,
-        )))
+            len(span.dirs), len(span.free_lines), count,
+            tuple([fracs[x] for x in offset]), setwise, residual)))
     strata.sort(key=lambda pair: pair[0])
     return [s for _, s in strata]
 

@@ -1,10 +1,13 @@
 """End-to-end checks of the g2kit command line interface."""
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -15,8 +18,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import g2kit
 from g2kit import cli
-from g2kit.betti import EulerReport, NonSymplecticInvariants
+from g2kit._frozen import Frozen
+from g2kit.betti import BettiVector, EulerReport, NonSymplecticInvariants
 from g2kit.cli import MAX_EH_POINTS, MAX_EH_SCALE, main
 from g2kit.eguchi_hanson import (
     CurvatureScalingReport,
@@ -31,6 +36,7 @@ from g2kit.flow import (
     Trajectory,
     build_mode_system,
 )
+from g2kit.forms import ExteriorForm, LinearMapR, MetricTensor
 from g2kit.poincare import (
     ComplexFrac,
     exterior_derivative,
@@ -45,7 +51,7 @@ from g2kit.scenarios import (
     row,
     run_scenario,
 )
-from g2kit.torus import FlatStratum
+from g2kit.torus import AffineTorusMap, FlatStratum, generate_group
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 
@@ -806,17 +812,31 @@ class TestToolFlags:
                 potential_derivatives(4 * MAX_EH_SCALE, u, order=4)
 
 
-def test_cli_import_loads_no_click_dataclasses_or_inspect():
+def test_cli_import_loads_no_click_dataclasses_inspect_or_typing():
     # against the modules the interpreter holds before the import, so that
     # whatever site and its .pth files load does not count
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import g2kit.cli\n"
-            "print(sorted({'click', 'dataclasses', 'inspect'}\n"
+            "print(sorted({'click', 'dataclasses', 'inspect', 'typing'}\n"
             "             & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          check=True, capture_output=True, text=True)
     assert out.stdout == "[]\n"
+
+
+def _frozen_types():
+    """Every subclass of Frozen, at any depth, once each g2kit module is
+    imported."""
+    for module in pkgutil.iter_modules(g2kit.__path__):
+        importlib.import_module(f"g2kit.{module.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
 
 
 def _value_types():
@@ -824,6 +844,7 @@ def _value_types():
     system = build_mode_system(2, 1)
     form = exterior_derivative(random_form(2, 1, 2, 0))
     zeros = np.zeros(2)
+    flip = AffineTorusMap.diagonal([-1, 1])
     return [
         (system, "mu"),
         (FlowState(np.ones(2)), "x"),
@@ -843,23 +864,52 @@ def _value_types():
         (Report("r", (), 0, "double"), "rows"),
         (Scenario("s", 1, (), None, None, ("betti",), {}), "checks"),
         (FlatStratum(0, 0, 1, ()), "count"),
+        (BettiVector([1, 0, 1]), "b"),
+        (ExteriorForm(2, 1, {(1,): 1}), "coeffs"),
+        (LinearMapR.identity(2), "det"),
+        (MetricTensor([[1, 0], [0, 1]]), "positive_definite"),
+        (flip, "den"),
+        (generate_group([flip]), "elements"),
     ]
 
 
 class TestValueTypes:
     def test_every_value_type_is_covered(self):
-        assert len({type(v) for v, _ in _value_types()}) == 17
+        types = [type(v) for v, _ in _value_types()]
+        assert len(types) == len(set(types))
+        assert set(types) == _frozen_types()
 
-    @pytest.mark.parametrize("index", range(17))
+    def test_only_the_base_defines_setattr(self):
+        src = Path(g2kit.__file__).parent
+        owners = [f"{path.name}:{node.name}"
+                  for path in sorted(src.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(f, ast.FunctionDef)
+                          and f.name == "__setattr__" for f in node.body)]
+        assert owners == ["_frozen.py:Frozen"]
+
+    def test_fields_are_checked_like_a_signature(self):
+        with pytest.raises(TypeError, match="missing 'dominance'"):
+            GapCheck(True)
+        with pytest.raises(TypeError, match="takes 2 fields but 3"):
+            GapCheck(True, None, 1)
+        with pytest.raises(TypeError, match="unexpected field 'ok'"):
+            GapCheck(True, dominance=None, ok=True)
+        with pytest.raises(TypeError, match="unexpected field 'monotone'"):
+            GapCheck(True, None, monotone=False)
+
+    @pytest.mark.parametrize("index", range(len(_frozen_types())))
     def test_fields_cannot_be_assigned(self, index):
         value, field = _value_types()[index]
         getattr(value, field)
-        with pytest.raises(AttributeError):
+        message = f"{type(value).__name__} is immutable"
+        with pytest.raises(AttributeError, match=message):
             setattr(value, field, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             value.extra = None
 
-    @pytest.mark.parametrize("index", range(17))
+    @pytest.mark.parametrize("index", range(len(_frozen_types())))
     def test_value_type_in_a_report_raises(self, index):
         # a tuple would be written as a JSON array without a word
         value, _ = _value_types()[index]
