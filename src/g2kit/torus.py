@@ -2,29 +2,29 @@
 
 Coordinates are 1-based.  A subset of coordinates may be declared as "line"
 (noncompact R-factor) coordinates; the rest are circle coordinates of a torus.
-All arithmetic is exact: integer matrices for the linear parts (acting
-through their nonzero entries, one per row for a signed permutation),
-integer numerators over one common denominator for shifts and component
-offsets, Smith normal form for the fixed-point congruences.
+Every map is x -> diag(ε) x + v with signs ε_i = ±1, which is all that the
+paper's quotients use: Joyce's T^7/Γ, its pulled halves and the involutions
+σ.  A map keeps its signs and the bit mask of its reversed coordinates, so
+composing maps multiplies signs, and the point group is a group of masks
+under XOR.  All arithmetic is exact: integer numerators over one common
+denominator for shifts and component offsets, Smith normal form for the
+fixed-point congruences.
 
 Singular strata are found modulo the translation lattice, as crystallography
 lists Wyckoff positions by point-group orbits modulo the lattice.  The
-translation subgroup T = {g : linear(g) = Id} is normal in G, with lattice
-Λ_T = Z^c + shifts(T).  The maps with one linear part A form a coset f T (of G,
-or of G∘sigma in a census), and the union of their fixed sets, modulo Λ_T, is
-{x : (A - 1) x + v_f ∈ Λ_T}: one Smith-form solve per point-group element.
-Each call keeps one span table, keyed by the canonical span of the
-directions and the free lines.  An entry holds integer rows that read an
-offset's class modulo span + Λ_T, taken from the Smith solve of the first
-coset with that span, the index [span + Λ_T : span + Z^c] (one more Smith
-form, only when Λ_T ≠ Z^c), and the cosets that fix or negate the span.
-Components are keyed by the entry and the rows' values at their offset.
-The orbit search moves only offsets by the generators: a generator maps
-one span to another, found once per generator and span.  An orbit of k
-classes holds k [span + Λ_T : span + Z^c] components upstairs.  A coset
-holds a pointwise fixer of a component iff its linear part fixes the
-component's span and x0 - A x0 lies in v_f + Λ_T, one sparse image
-M_f x0 with M_f = D B^-1 (1 - A) formed once per coset.  Nothing is
+translation subgroup T = {g : signs(g) = +1} is normal in G, with lattice
+Λ_T = Z^c + shifts(T), a general lattice.  The maps with one sign vector ε
+form a coset f T (of G, or of G∘sigma in a census), and the union of their
+fixed sets, modulo Λ_T, is {x : (diag(ε) - 1) x + v_f ∈ Λ_T}: one Smith-form
+solve per point-group element.  Its components run along the coset's +1
+coordinates S (circle directions and free lines), and every map keeps that
+coordinate set, so the orbit search moves only offsets.  Each coset keeps
+integer rows that read an offset's class modulo S + Λ_T, taken from its
+Smith solve, and the index [S + Λ_T : S + Z^c] (one more Smith form, only
+when Λ_T ≠ Z^c).  An orbit of k classes holds k [S + Λ_T : S + Z^c]
+components upstairs.  The cosets +1 on S form a subgroup F of the point
+group, and the pointwise stabilizer of a component through x0 has order
+|F| / |F x0 mod Λ_T|, from one orbit walk under a basis of F.  Nothing is
 cached across calls.
 """
 
@@ -37,7 +37,6 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
-from ._lazy import lazy_module
 from .betti import BettiVector
 from .errors import (
     GroupTooLarge,
@@ -47,16 +46,12 @@ from .errors import (
     PullObstruction,
 )
 from .exact import (
-    det,
     frac,
     identity_matrix,
     mat_mul,
     mat_vec,
     smith_normal_form,
 )
-
-# only check_preserves_form needs the form algebra
-forms = lazy_module("g2kit.forms")
 
 GROUP_SIZE_BOUND = 1024
 
@@ -70,8 +65,7 @@ def _sparse(rows) -> tuple[tuple[int, int, int], ...]:
 
 def _linear_image(terms, vec, size: int) -> tuple[int, ...]:
     """M vec for the size-row matrix M with nonzero entries terms (see
-    _sparse): one multiply per entry, so one per row for a signed
-    permutation."""
+    _sparse): one multiply per entry."""
     out = [0] * size
     for i, j, a in terms:
         out[i] += a * vec[j]
@@ -79,60 +73,47 @@ def _linear_image(terms, vec, size: int) -> tuple[int, ...]:
 
 
 class AffineTorusMap(Frozen):
-    """Affine map x -> Ax + v of T^c x R^l, with A in GL(n, Z).
+    """Affine map x -> diag(signs) x + v of T^c x R^l, each sign +1 or -1.
 
-    A must not mix circle and line coordinates, and must act on each line
-    coordinate as +-1.  The shift is kept as integer numerators over the
-    least common denominator, canonical mod 1 on circle coordinates.
-    The optional name is bookkeeping only and does not enter equality.
+    mask has bit i set where coordinate i + 1 is reversed.  The shift is
+    kept as integer numerators over the least common denominator, canonical
+    mod 1 on circle coordinates.  The optional name is bookkeeping only and
+    does not enter equality.
     """
 
-    __slots__ = ("n", "lines", "linear", "num", "den", "name", "_key", "_terms")
+    __slots__ = ("n", "lines", "signs", "mask", "num", "den", "name", "_key")
 
-    def __init__(self, linear: Sequence[Sequence[int]], shift: Sequence = None,
+    def __init__(self, signs: Sequence[int], shift: Sequence = None,
                  lines: Iterable[int] = (), name: str = ""):
-        rows = tuple(tuple(int(x) for x in row) for row in linear)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InvalidOperand("linear part must be square")
-        if abs(det(rows)) != 1:
-            raise InvalidOperand("linear part must be unimodular")
+        signs = tuple(signs)
+        if any(s not in (1, -1) for s in signs):
+            raise InvalidOperand("signs must be +1 or -1")
+        n = len(signs)
         lines = frozenset(int(i) for i in lines)
         if any(not (1 <= i <= n) for i in lines):
             raise InvalidOperand("line coordinates out of range")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] and ((i + 1 in lines) != (j + 1 in lines)):
-                    raise InvalidOperand(
-                        f"linear part mixes circle and line coordinates at ({i+1},{j+1})")
-        for i in lines:
-            row = rows[i - 1]
-            if row[i - 1] not in (1, -1) or any(row[j] for j in range(n) if j != i - 1):
-                raise InvalidOperand(
-                    f"line coordinate {i} must carry a plain sign action")
         if shift is None:
             shift = [0] * n
         vals = [frac(x) for x in shift]
         if len(vals) != n:
             raise InvalidOperand("shift length mismatch")
         den = lcm(*(v.denominator for v in vals))
-        self._fill(n, lines, rows,
+        self._fill(tuple(int(s) for s in signs), lines,
                    [v.numerator * (den // v.denominator) for v in vals], den, name)
 
-    def _fill(self, n, lines, rows, num, den, name):
+    def _fill(self, signs, lines, num, den, name):
         num = [x if i + 1 in lines else x % den for i, x in enumerate(num)]
         g = gcd(den, *num)
         num, den = tuple(x // g for x in num), den // g
-        for attr, value in (("n", n), ("lines", lines), ("linear", rows),
-                            ("num", num), ("den", den), ("name", name),
-                            ("_key", (n, lines, rows, num, den))):
-            object.__setattr__(self, attr, value)
+        n, mask = len(signs), sum(1 << i for i, s in enumerate(signs) if s < 0)
+        Frozen.__init__(self, n, lines, signs, mask, num, den, name,
+                        (n, lines, mask, num, den))
 
     @staticmethod
-    def _from_parts(rows, num, den, lines, name) -> "AffineTorusMap":
-        """A map whose linear part is already known to be valid."""
+    def _from_parts(signs, num, den, lines, name) -> "AffineTorusMap":
+        """A map whose signs and lines are already known to be valid."""
         f = object.__new__(AffineTorusMap)
-        f._fill(len(rows), lines, rows, num, den, name)
+        f._fill(signs, lines, num, den, name)
         return f
 
     def __eq__(self, other):
@@ -147,61 +128,42 @@ class AffineTorusMap(Frozen):
             f" x R^{len(self.lines)}>" if self.lines else ">")
 
     @property
-    def terms(self) -> tuple[tuple[int, int, int], ...]:
-        """The linear part's nonzero entries (see _sparse), filled on first
-        use: the group closure builds many maps that never act on a point."""
-        try:
-            return self._terms
-        except AttributeError:
-            terms = _sparse(self.linear)
-            object.__setattr__(self, "_terms", terms)
-            return terms
-
-    @property
     def shift(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_identity(self) -> bool:
-        ident = all(self.linear[i][j] == (i == j) for i in range(self.n)
-                    for j in range(self.n))
-        return ident and not any(self.num)
+        return not self.mask and not any(self.num)
 
     def _act(self, num, den) -> tuple[tuple[int, ...], int]:
         """Image of the point num/den, as numerators over lcm(den, self.den)."""
         d = lcm(den, self.den)
         k, s = d // den, d // self.den
+        img = [e * x * k + t * s for e, x, t in zip(self.signs, num, self.num)]
         lines = self.lines
-        img = _linear_image(self.terms, num, self.n)
-        return tuple([v * k + t * s if i + 1 in lines else (v * k + t * s) % d
-                      for i, (v, t) in enumerate(zip(img, self.num))]), d
+        if lines:
+            return tuple([v if i + 1 in lines else v % d
+                          for i, v in enumerate(img)]), d
+        return tuple([v % d for v in img]), d
 
     def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
         """self after other."""
         if self.n != other.n or self.lines != other.lines:
             raise InvalidOperand("maps act on different spaces")
-        return self._then(other, mat_mul(self.linear, other.linear))
+        return self._then(other)
 
-    def _then(self, other, linear) -> "AffineTorusMap":
-        """self after other, given the product of their linear parts."""
+    def _then(self, other) -> "AffineTorusMap":
+        """self after other, for maps on the same space."""
         name = f"{self.name}*{other.name}" if self.name and other.name else ""
-        return AffineTorusMap._from_parts(linear, *self._act(other.num, other.den),
+        signs = tuple([a * b for a, b in zip(self.signs, other.signs)])
+        return AffineTorusMap._from_parts(signs, *self._act(other.num, other.den),
                                           self.lines, name)
 
     @staticmethod
     def identity(n: int, lines: Iterable[int] = ()) -> "AffineTorusMap":
-        """The identity, valid by construction: it is unimodular, mixes no
-        coordinates and keeps every line."""
         lines = frozenset(int(i) for i in lines)
         if any(not (1 <= i <= n) for i in lines):
             raise InvalidOperand("line coordinates out of range")
-        return AffineTorusMap._from_parts(identity_matrix(n), (0,) * n, 1, lines, "id")
-
-    @staticmethod
-    def diagonal(signs: Sequence[int], shift: Sequence = None,
-                 lines: Iterable[int] = (), name: str = "") -> "AffineTorusMap":
-        n = len(signs)
-        lin = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return AffineTorusMap(lin, shift, lines, name)
+        return AffineTorusMap._from_parts((1,) * n, (0,) * n, 1, lines, "id")
 
 
 class FiniteActionGroup(Frozen):
@@ -261,18 +223,9 @@ def generate_group(gens: Sequence[AffineTorusMap],
             raise InvalidOperand("generators act on different spaces")
     ident = AffineTorusMap.identity(n, lines)
     elements, seen, chosen = [ident], {ident}, []
-    # a group has few distinct linear parts, so their products repeat
-    products: dict = {}
-
-    def compose(f, g):
-        pair = (f.linear, g.linear)
-        linear = products.get(pair)
-        if linear is None:
-            linear = products[pair] = mat_mul(*pair)
-        return f._then(g, linear)
 
     def add_coset(rep, prev):
-        for h in [rep] + [compose(h, rep) for h in prev]:
+        for h in [rep] + [h._then(rep) for h in prev]:
             seen.add(h)
             elements.append(h)
         if len(elements) > bound:
@@ -287,21 +240,22 @@ def generate_group(gens: Sequence[AffineTorusMap],
         add_coset(m, prev)
         for r in reps:
             for g in chosen:
-                prod = compose(r, g)
-                if prod not in seen:
-                    reps.append(prod)
-                    add_coset(prod, prev)
+                h = r._then(g)
+                if h not in seen:
+                    reps.append(h)
+                    add_coset(h, prev)
     return FiniteActionGroup(chosen, elements)
 
 
-def check_preserves_form(f: AffineTorusMap, phi: forms.ExteriorForm,
-                         sign: int) -> bool:
-    """Does the linear part pull the form back to sign * form?"""
+def check_preserves_form(f: AffineTorusMap, phi, sign: int) -> bool:
+    """Does the linear part pull the exterior form phi back to sign * phi?
+    It takes c dx^I to c (prod of the signs on I) dx^I, so every monomial
+    of phi must carry the sign product sign."""
     if f.n != phi.dim:
         raise InvalidOperand("dimension mismatch")
     if sign not in (1, -1):
         raise InvalidOperand("sign must be +1 or -1")
-    return forms.pullback(forms.LinearMapR(f.linear), phi) == sign * phi
+    return all(prod(f.signs[i - 1] for i in idx) == sign for idx in phi.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,44 +289,9 @@ class _Component:
         return tuple(Fraction(x, self.den) for x in self.num)
 
 
-def _primitive(row) -> list[int]:
-    """The primitive integer vector on the ray of a nonzero integer vector."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else list(row)
-
-
-def _span(rows) -> tuple[tuple[int, ...], ...]:
-    """The rows of rref(rows), each as the primitive integer vector on its
-    ray: one canonical form for the span of an integer matrix's rows.
-
-    Gauss-Jordan elimination on integer rows: a pivot row is made positive
-    and every other row r becomes primitive(p r - r[col] pivot_row), which
-    stays on the ray of its rational counterpart, so no Fraction is made."""
-    if not rows:
-        return ()
-    m = [list(row) for row in rows]
-    pivots = 0
-    for col in range(len(m[0])):
-        piv = next((i for i in range(pivots, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[pivots], m[piv] = m[piv], m[pivots]
-        if m[pivots][col] < 0:
-            m[pivots] = [-x for x in m[pivots]]
-        top, p = m[pivots], m[pivots][col]
-        for i, row in enumerate(m):
-            f = row[col]
-            if i != pivots and f:
-                m[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
-        pivots += 1
-        if pivots == len(m):
-            break
-    return tuple(tuple(_primitive(row)) for row in m[:pivots])
-
-
 def _translation_lattice(group: FiniteActionGroup):
     """Λ_T = Z^c + shifts(T) on the circle coordinates, for the translation
-    subgroup T = {g : linear(g) = Id}, as (B, D) with Λ_T = B Z^c / D, and
+    subgroup T = {g : signs(g) = +1}, as (B, D) with Λ_T = B Z^c / D, and
     the integer matrix D B^-1.
 
     The columns of B are the rows of the Hermite normal form of D Λ_T, built
@@ -381,8 +300,7 @@ def _translation_lattice(group: FiniteActionGroup):
     D B^-1 is integral because Z^c ⊂ Λ_T; B is lower triangular, so forward
     substitution finds it with exact integer divisions."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    ident = group.identity.linear
-    trans = [g for g in group.elements if g.linear == ident]
+    trans = [g for g in group.elements if not g.mask]
     den = lcm(*(t.den for t in trans))
     c = len(circ)
     rows = [[den * (i == j) for j in range(c)] for i in range(c)]
@@ -425,14 +343,14 @@ def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
     circ = [i for i in range(n) if (i + 1) not in lines]
     free_lines = set()
     for i1 in lines:
-        if f.linear[i1 - 1][i1 - 1] == 1:
+        if f.signs[i1 - 1] == 1:
             if f.num[i1 - 1]:
                 return None
             free_lines.add(i1)
     c = len(circ)
     basis, scale = lattice or (identity_matrix(c), 1)
     inv = lattice_inv or identity_matrix(c)
-    a = tuple(tuple(f.linear[i][j] for j in circ) for i in circ)
+    a = tuple(tuple(f.signs[i] if i == j else 0 for j in circ) for i in circ)
     if scale != 1:
         # D = 1 only for Λ = Z^c, where the Hermite basis B is the identity
         a = mat_mul(inv, mat_mul(a, basis))
@@ -547,114 +465,67 @@ class FlatStratum(Frozen):
         return base
 
 
-def _canonical_span(dirs, free_lines, circ):
-    """The span table's key for directions and free lines."""
-    return _span([[d[i] for i in circ] for d in dirs]), free_lines
-
-
 class _Span:
-    """One entry of a _strata call's span table: a span of directions with
-    its free lines, shared by every coset whose fixed components run along
-    it.
+    """The coordinates S that the fixed components of one coset f T run
+    along: its +1 circle coordinates (torus_dim of them) and its free lines
+    (line_dim), as the bit mask plus.  Every map keeps S.
 
     Its rows (_sparse entries over all n coordinates) read an offset's
-    class modulo span + Λ_T: the first `circle` of them mod 1, then one
-    exact row per pinned line.  index is [span + Λ_T : span + Z^c], the
-    number of components upstairs in one class.  action is filled when a
-    stratum along the span first needs it (see _span_action)."""
+    class modulo S + Λ_T, mod 1.  A line the coset reverses needs no row:
+    its components all sit at x_i = v_i / 2, and every map keeps that value,
+    since a map that keeps a line has no shift on it and all maps that
+    reverse it share their shift there (for a census map f∘sigma too, as
+    sigma normalizes G).  index is [S + Λ_T : S + Z^c], the number of
+    components upstairs in one class.  action is filled when a stratum
+    along S first needs it (see _span_action)."""
 
-    __slots__ = ("dirs", "free_lines", "rows", "size", "circle", "index", "action")
+    __slots__ = ("plus", "torus_dim", "line_dim", "rows", "size", "index",
+                 "action")
 
-    def __init__(self, fix, circ, lines, lattice, lattice_inv):
+    def __init__(self, f, fix, circ, lattice, lattice_inv):
         free_lines, dirs, _, _, (u, m, diag) = fix
         # row k of U (A' - 1) is d_k times row k of V^-1, and the rows of
-        # V^-1 with d_k != 0 take integer values exactly on span + Z^c in
-        # y = D B^-1 x, that is on span + Λ_T in x
+        # V^-1 with d_k != 0 take integer values exactly on S + Z^c in
+        # y = D B^-1 x, that is on S + Λ_T in x
         rows = [[x // dk for x in row] for row, dk in zip(mat_mul(u, m), diag) if dk]
         self.index = 1
         if rows and lattice[1] != 1:
             rows = mat_mul(rows, lattice_inv)
-            # R x ∈ Z^(c-t) cuts out span + Λ_T, and R maps span + Z^c onto
+            # R x ∈ Z^(c-t) cuts out S + Λ_T, and R maps S + Z^c onto
             # R Z^c, so the index is [Z^(c-t) : R Z^c], the product of the
             # Smith moduli of R; Λ_T = Z^c needs no solve
             _, d, _ = smith_normal_form(rows)
             self.index = prod(d[k][k] for k in range(len(rows)))
-        terms = [(k, circ[j], x) for k, j, x in _sparse(rows)]
-        pinned = sorted(lines - free_lines)
-        terms += [(len(rows) + k, i1 - 1, 1) for k, i1 in enumerate(pinned)]
-        self.dirs = list(dirs)
-        self.free_lines = free_lines
-        self.rows = tuple(terms)
-        self.circle = len(rows)
-        self.size = len(rows) + len(pinned)
+        self.plus = ((1 << f.n) - 1) ^ f.mask
+        self.torus_dim, self.line_dim = len(dirs), len(free_lines)
+        self.rows = tuple((k, circ[j], x) for k, j, x in _sparse(rows))
+        self.size = len(rows)
         self.action = None
 
     def key(self, num, den):
         """Canonical hashable key of the class of the point num/den modulo
-        span + Λ_T, at the lowest denominator, so points over different
+        S + Λ_T, at the lowest denominator, so points over different
         denominators compare."""
-        vals = _linear_image(self.rows, num, self.size)
-        circle = self.circle
-        vals = [v % den if i < circle else v for i, v in enumerate(vals)]
+        vals = [v % den for v in _linear_image(self.rows, num, self.size)]
         g = gcd(den, *vals)
         if g > 1:
             return self, den // g, tuple([v // g for v in vals])
         return self, den, tuple(vals)
 
 
-def _shift_test(f: AffineTorusMap, circ, lattice_inv):
-    """M_f = D B^-1 (1 - A) and w_f = D B^-1 v_f (over f.den) for the coset
-    f T and Λ_T = B Z^c / D, kept only in the rows where one of them is
-    nonzero: the _sparse entries of those rows of M_f over all n
-    coordinates, the same rows of w_f, and f.den (see _fixes_pointwise)."""
-    one_minus = [[(i == j) - f.linear[p][q] for j, q in enumerate(circ)]
-                 for i, p in enumerate(circ)]
-    m = mat_mul(lattice_inv, one_minus)
-    w = mat_vec(lattice_inv, [f.num[p] for p in circ])
-    live = [i for i, (row, x) in enumerate(zip(m, w)) if x or any(row)]
-    terms = tuple((k, circ[j], x) for k, i in enumerate(live)
-                  for j, x in enumerate(m[i]) if x)
-    return terms, tuple(w[i] for i in live), f.den
-
-
-def _fixes_pointwise(test, num, den) -> bool:
-    """Does an element of the coset f T fix the component through num/den
-    pointwise, given that the linear part A fixes its directions and free
-    lines?  test = (M_f, w_f, f.den) from _shift_test.
-
-    Such an element's shift can only be x0 - A x0 at the offset x0, and the
-    shifts of f T are v_f + Λ_T on the circle coordinates, so the test is
-    whether D B^-1 (x0 - A x0 - v_f) = M_f x0 - w_f is integral, that is
-    whether f.den M_f num - den w_f vanishes mod den f.den.  The line
-    coordinates need no test: in a finite group a line kept by A carries no
-    shift, and all elements (and all census maps) that reverse a line share
-    their shift on it, so x0 - A x0 - v_f is 0 there.  The coset holds no
-    second such element, as translations act freely."""
-    terms, w, fden = test
-    d = den * fden
-    return not any((x * fden - y * den) % d
-                   for x, y in zip(_linear_image(terms, num, len(w)), w))
-
-
-def _span_action(span: _Span, cosets: dict, shift_test):
-    """The shift tests (shift_test(f)) of the coset representatives whose
-    linear part fixes every direction and free line of the span, and the
-    representatives whose linear part negates each of them.  A coset is
-    dropped at the first direction it neither fixes nor negates."""
-    minus = [tuple(-x for x in d) for d in span.dirs]
-    fixing, negating = [], []
-    for a, f in cosets.items():
-        signs = {a[i1 - 1][i1 - 1] for i1 in span.free_lines}
-        for d, neg in zip(span.dirs, minus):
-            image = _linear_image(f.terms, d, f.n)
-            signs.add(1 if image == d else -1 if image == neg else 0)
-            if len(signs) > 1 or 0 in signs:
-                break
-        if signs == {1}:
-            fixing.append(shift_test(f))
-        elif signs == {-1}:
-            negating.append(f)
-    return fixing, negating
+def _span_action(span: _Span, cosets: dict):
+    """The cosets that fix S pointwise in its directions and free lines,
+    those +1 on all of S: a subgroup F of the point group, given as |F| and
+    the representatives of an F2 basis of it.  Then the representatives of
+    the cosets that negate S, those -1 on all of S."""
+    plus = span.plus
+    reached, basis = {0}, []
+    for mask, f in cosets.items():
+        if not mask & plus and mask not in reached:
+            basis.append(f)
+            reached |= {r ^ mask for r in reached}
+    negating = [f for mask, f in cosets.items() if mask & plus == plus]
+    return len(reached), basis, negating
 
 
 def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
@@ -664,25 +535,21 @@ def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
                    for c in _fixed_components(f)), key=lambda s: s.offset)
 
 
-def _group_into_orbits(group: FiniteActionGroup, registry: dict, spans: dict,
-                       circ) -> list:
-    """registry maps the key of a class mod span + Λ_T to its offset num/den,
-    its span table entry and the linear part of the coset f T of G whose
-    fixed set gave it, or None when the coset lies outside G (a census map
-    f∘sigma); returns each orbit as the key of its first registered class
-    and its number of classes.
+def _group_into_orbits(group: FiniteActionGroup, registry: dict) -> list:
+    """registry maps the key of a class mod S + Λ_T to its offset num/den,
+    its _Span and the mask of the coset f T of G whose fixed set gave it, or
+    None when the coset lies outside G (a census map f∘sigma); returns each
+    orbit as the key of its first registered class and its number of
+    classes.
 
     The search moves classes by the generators only: G is finite, so every
     element is a positive word in them, and T is normal, so every element
     maps classes to classes; a translation fixes each class and is skipped.
     So is a generator in the class's own coset f T: one element of f T fixes
     the component pointwise, and the others differ from it by translations.
-    A move images the offset only: g maps a span to the span of g's
-    image of its directions, found once per generator and span.  The cost
-    is O(classes * generators)."""
-    ident = group.identity.linear
-    movers = [g for g in group.generators if g.linear != ident]
-    targets: dict = {}
+    Every map keeps S, so a move images the offset only.  The cost is
+    O(classes * generators)."""
+    movers = [g for g in group.generators if g.mask]
     unvisited = set(registry)
     orbits = []
     for key in registry:
@@ -691,17 +558,15 @@ def _group_into_orbits(group: FiniteActionGroup, registry: dict, spans: dict,
         unvisited.discard(key)
         size, stack = 0, [registry[key]]
         while stack:
-            num, den, span, linear = stack.pop()
+            num, den, span, mask = stack.pop()
             size += 1
-            for i, g in enumerate(movers):
-                if g.linear == linear:
+            for g in movers:
+                if g.mask == mask:
                     continue
-                target = targets.get((i, span))
-                if target is None:
-                    moved = [_linear_image(g.terms, d, g.n) for d in span.dirs]
-                    target = targets[i, span] = spans[
-                        _canonical_span(moved, span.free_lines, circ)]
-                mk = target.key(*g._act(num, den))
+                image = g._act(num, den)
+                if image == (num, den):  # g keeps the offset, so its class
+                    continue
+                mk = span.key(*image)
                 if mk in unvisited:
                     unvisited.discard(mk)
                     stack.append(registry[mk])
@@ -709,16 +574,34 @@ def _group_into_orbits(group: FiniteActionGroup, registry: dict, spans: dict,
     return orbits
 
 
-def _classify_residual(span: _Span, num, den, key, setwise: int) -> str:
+def _classify_residual(span: _Span, num, den, key, setwise: int,
+                       lattice_class) -> str:
     """How the setwise stabilizer, of order |G| / |orbit|, acts on the
-    component through num/den (of class key) beyond its pointwise part,
-    decided per coset of T among the cosets span.action gives.
+    component through num/den (of class key) beyond its pointwise part.
 
-    A coset f T holds an element that maps the component to itself iff f
-    maps its offset into its class, and an element acting as -1 on a
-    component of positive dimension never fixes it pointwise."""
-    fixing, negating = span.action
-    pointwise = sum(_fixes_pointwise(test, num, den) for test in fixing)
+    A coset of F holds one pointwise fixer iff it maps the offset x0 to
+    itself modulo Λ_T (translations act freely, and a coset +1 on S moves
+    the component along itself), so the pointwise stabilizer has order
+    |F| / |F x0 mod Λ_T|; lattice_class reads a point's circle coordinates
+    mod Λ_T, as every map keeps its line coordinates (see _Span).  A
+    coset holds an element that maps the component to itself iff it maps
+    its offset into its class, and an element acting as -1 on a component
+    of positive dimension never fixes it pointwise."""
+    order, basis, negating = span.action
+    d = lcm(den, *(f.den for f in basis))
+    start = tuple(x * (d // den) for x in num)
+    orbit, stack = {lattice_class(start, d)}, [start]
+    while stack:
+        point = stack.pop()
+        for f in basis:
+            image = f._act(point, d)[0]
+            if image == point:
+                continue
+            cls = lattice_class(image, d)
+            if cls not in orbit:
+                orbit.add(cls)
+                stack.append(image)
+    pointwise = order // len(orbit)
     if setwise == pointwise:
         return "trivial"
     if setwise == 2 * pointwise and any(span.key(*f._act(num, den)) == key
@@ -729,47 +612,37 @@ def _classify_residual(span: _Span, num, den, key, setwise: int) -> str:
 
 def _cosets(group: FiniteActionGroup) -> dict:
     """One element of each coset of the translation subgroup T, keyed by its
-    linear part: the point group G/T."""
+    mask: the point group G/T."""
     reps = {}
     for g in group.elements:
-        reps.setdefault(g.linear, g)
+        reps.setdefault(g.mask, g)
     return reps
 
 
 def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
     """Quotient strata of the fixed components of the cosets f T (f in maps),
-    which the group permutes.
-
-    The span table, local to the call, keys each span of directions (with
-    its free lines) by its canonical form and holds what every class along
-    it needs (see _Span); the rows come from the Smith solve of the first
-    coset with that span."""
+    which the group permutes.  Each coset's _Span comes from its own Smith
+    solve."""
     lattice, inv = _translation_lattice(group)
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    spans: dict = {}
     registry: dict = {}
     for f in maps:
         fix = _solve_coset(f, lattice, inv)
         if fix is None:
             continue
-        free_lines, dirs, den, offsets, _ = fix
-        canon = _canonical_span(dirs, free_lines, circ)
-        span = spans.get(canon)
-        if span is None:
-            span = spans[canon] = _Span(fix, circ, group.lines, lattice, inv)
+        span = _Span(f, fix, circ, lattice, inv)
+        _, _, den, offsets, _ = fix
         # only a coset of G maps the classes of its own fixed set to
         # themselves; a census map f∘sigma lies outside G
-        fixer = f.linear if f in group else None
+        fixer = f.mask if f in group else None
         for num in offsets:
             registry.setdefault(span.key(num, den), (num, den, span, fixer))
-    orbits = _group_into_orbits(group, registry, spans, circ)
-    tests: dict = {}
+    orbits = _group_into_orbits(group, registry)
+    # a point's class mod Λ_T is D B^-1 x mod Z^c
+    inv_terms = tuple((k, circ[j], x) for k, j, x in _sparse(inv))
 
-    def shift_test(f):
-        test = tests.get(f.linear)
-        if test is None:
-            test = tests[f.linear] = _shift_test(f, circ, inv)
-        return test
+    def lattice_class(num, den):
+        return tuple([v % den for v in _linear_image(inv_terms, num, len(circ))])
 
     # strata are ordered by dimension, then offset: over one common
     # denominator the offsets compare as integer tuples
@@ -782,17 +655,18 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
         setwise = group.order // count
         # a point fixed setwise is fixed pointwise
         residual = "trivial"
-        if span.dirs or span.free_lines:
+        if span.plus:
             if span.action is None:
-                span.action = _span_action(span, cosets, shift_test)
-            residual = _classify_residual(span, num, rden, key, setwise)
+                span.action = _span_action(span, cosets)
+            residual = _classify_residual(span, num, rden, key, setwise,
+                                          lattice_class)
         offset = tuple(x * (den // rden) for x in num)
         for x in offset:
             if x not in fracs:
                 fracs[x] = Fraction(x, den)
-        dim = len(span.dirs) + len(span.free_lines)
+        dim = span.torus_dim + span.line_dim
         strata.append(((-dim, offset), FlatStratum(
-            len(span.dirs), len(span.free_lines), count,
+            span.torus_dim, span.line_dim, count,
             tuple([fracs[x] for x in offset]), setwise, residual)))
     strata.sort(key=lambda pair: pair[0])
     return [s for _, s in strata]
@@ -803,8 +677,7 @@ def singular_locus(group: FiniteActionGroup) -> list[FlatStratum]:
 
     Translations act freely, so the identity coset T contributes nothing."""
     cosets = _cosets(group)
-    ident = group.identity.linear
-    return _strata(group, cosets, [f for a, f in cosets.items() if a != ident])
+    return _strata(group, cosets, [f for mask, f in cosets.items() if mask])
 
 
 def involution_fixed_census(sigma: AffineTorusMap,
@@ -820,53 +693,25 @@ def involution_fixed_census(sigma: AffineTorusMap,
     for g in group.generators:
         if sigma.compose(g).compose(sigma) not in group:
             raise NotEquivariant("involution does not normalize the group")
-    # sigma normalizes T, so the maps with one linear part form a coset f sigma T
+    # sigma normalizes T, so the maps with one sign vector form a coset f sigma T
     cosets = _cosets(group)
     return _strata(group, cosets, [f.compose(sigma) for f in cosets.values()])
 
 
-def _exterior_traces(a) -> list[int]:
-    """tr Λ^k A for k = 0..n of an integer n×n matrix A.
-
-    The powers are kept as sparse rows, and Newton's identities turn the
-    power traces p_j = tr A^j into the elementary symmetric functions of
-    the eigenvalues:
-    k e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} p_j, and e_k = tr Λ^k A.
-    """
-    n = len(a)
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    power = [dict(row) for row in rows]
-    p = [sum(row.get(i, 0) for i, row in enumerate(power))]
-    for _ in range(n - 1):
-        # row i of A^(j+1) sums A^j[i][k] times row k of A over the nonzero
-        # A^j[i][k]: one multiply per row for a monomial block
-        nxt = []
-        for prow in power:
-            acc: dict = {}
-            for k, x in prow.items():
-                for j, y in rows[k]:
-                    acc[j] = acc.get(j, 0) + x * y
-            nxt.append(acc)
-        power = nxt
-        p.append(sum(row.get(i, 0) for i, row in enumerate(power)))
-    e = [1]
-    for k in range(1, n + 1):
-        e.append(sum((-1) ** (j - 1) * e[k - j] * p[j - 1]
-                     for j in range(1, k + 1)) // k)
-    return e
-
-
 def quotient_betti(group: FiniteActionGroup) -> BettiVector:
-    """Betti numbers of the quotient: averaged exterior-power traces of the
-    circle block (line factors are contractible and contribute nothing),
-    taken once per distinct block and weighted by its multiplicity."""
+    """Betti numbers of the quotient: the group average of tr Λ^k on the
+    circle block (line factors are contractible and contribute nothing).
+    For signs ε that trace is the elementary symmetric polynomial e_k(ε),
+    the coefficient of t^k in prod (1 + ε_i t), taken once per distinct
+    circle sign vector and weighted by its multiplicity."""
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    blocks: Counter = Counter()
-    for linear, mult in Counter(g.linear for g in group.elements).items():
-        blocks[tuple(tuple(linear[i][j] for j in circ) for i in circ)] += mult
+    blocks = Counter(tuple(g.signs[i] for i in circ) for g in group.elements)
     totals = [0] * (len(circ) + 1)
-    for block, mult in blocks.items():
-        totals = [t + mult * e for t, e in zip(totals, _exterior_traces(block))]
+    for signs, mult in blocks.items():
+        e = [1]
+        for s in signs:
+            e = [a + s * b for a, b in zip(e + [0], [0] + e)]
+        totals = [t + mult * x for t, x in zip(totals, e)]
     out = []
     for k, total in enumerate(totals):
         avg = Fraction(total, group.order)
@@ -881,40 +726,33 @@ def count_ends(group: FiniteActionGroup, i: int) -> int:
     """Ends of the quotient along line coordinate i: 2 if no element reverses it."""
     if i not in group.lines:
         raise InvalidOperand(f"coordinate {i} is not a line coordinate")
-    return 1 if any(g.linear[i - 1][i - 1] == -1 for g in group.elements) else 2
+    return 1 if any(g.signs[i - 1] == -1 for g in group.elements) else 2
 
 
 def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
     """Convert circle coordinate i to a line coordinate.
 
-    Every element must act on x_i as a reflection or as the identity, without
-    mixing it with other coordinates, and must not translate along it: such
-    a translation would have infinite order on a line.  The pulled maps then
-    form a group with the pulled generators.  An element that keeps x_i has
-    no shift on it, and two elements that reverse x_i have the same
-    canonical shift v on it, since their composite keeps x_i and so has
-    shift 0 there.  In a pulled composite, where x_i is no longer read mod 1,
-    the shift on x_i is therefore 0, v or v - v = 0, as on the torus: pulling
-    commutes with composition and is injective, so no closure is needed.
+    No element may translate along x_i while keeping it: such a translation
+    would have infinite order on a line.  The pulled maps then form a group
+    with the pulled generators.  An element that keeps x_i has no shift on
+    it, and two elements that reverse x_i have the same canonical shift v
+    on it, since their composite keeps x_i and so has shift 0 there.  In a
+    pulled composite, where x_i is no longer read mod 1, the shift on x_i
+    is therefore 0, v or v - v = 0, as on the torus: pulling commutes with
+    composition and is injective, so no closure is needed.
     """
     if i in group.lines:
         raise InvalidOperand(f"coordinate {i} is already a line")
     if not (1 <= i <= group.n):
         raise InvalidOperand("coordinate out of range")
     for g in group.elements:
-        row = g.linear[i - 1]
-        col = [g.linear[j][i - 1] for j in range(g.n)]
-        if any(row[j] for j in range(g.n) if j != i - 1) or \
-                any(col[j] for j in range(g.n) if j != i - 1):
-            raise PullObstruction(
-                f"element {g.name or g} mixes coordinate {i} with others")
-        if g.linear[i - 1][i - 1] == 1 and g.num[i - 1] != 0:
+        if g.signs[i - 1] == 1 and g.num[i - 1] != 0:
             raise PullObstruction(
                 f"element {g.name or g} translates along coordinate {i}")
     new_lines = group.lines | {i}
 
     def pulled(g):
-        return AffineTorusMap._from_parts(g.linear, g.num, g.den, new_lines, g.name)
+        return AffineTorusMap._from_parts(g.signs, g.num, g.den, new_lines, g.name)
 
     return FiniteActionGroup([pulled(g) for g in group.generators],
                              [pulled(g) for g in group.elements])
@@ -923,19 +761,17 @@ def pull(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
 def cross_section_group(group: FiniteActionGroup, i: int) -> FiniteActionGroup:
     """The end-preserving subgroup, restricted to the cross-section T^{n-1}.
 
-    The restrictions need no validation.  A line coordinate carries a plain
-    sign action and no map mixes lines with circles, so each element's
-    linear part is block diagonal with the 1x1 block at i: dropping row and
-    column i leaves a unimodular block with the same line/circle split.  An
-    element that keeps a line has no shift along it (a finite group holds
-    no translation along a line), so the kept shift numerators stay
-    canonical and restriction is injective on the end-preserving elements."""
+    The restrictions need no validation: dropping coordinate i leaves
+    signs and lines as valid as before.  An element that keeps a line has
+    no shift along it (a finite group holds no translation along a line),
+    so the kept shift numerators stay canonical and restriction is
+    injective on the end-preserving elements."""
     if i not in group.lines:
         raise InvalidOperand(f"coordinate {i} is not a line coordinate")
     keep = [j for j in range(group.n) if j != i - 1]
     new_lines = frozenset(j if j < i else j - 1 for j in group.lines if j != i)
     members = [AffineTorusMap._from_parts(
-        tuple(tuple(g.linear[p][q] for q in keep) for p in keep),
-        [g.num[p] for p in keep], g.den, new_lines, g.name)
-        for g in group.elements if g.linear[i - 1][i - 1] == 1]
+        tuple(g.signs[p] for p in keep), [g.num[p] for p in keep], g.den,
+        new_lines, g.name)
+        for g in group.elements if g.signs[i - 1] == 1]
     return generate_group(members)

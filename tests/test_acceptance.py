@@ -76,7 +76,7 @@ from g2kit.torus import (
 from test_torus import apply
 
 H = Fraction(1, 2)
-D = AffineTorusMap.diagonal
+D = AffineTorusMap
 
 E7 = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
 EUCLID7 = MetricTensor([[int(i == j) for j in range(7)] for i in range(7)])
@@ -124,6 +124,7 @@ BUDGETS = {
     "TestCriterion5PoincarePrimitive": (10.0, "criterion 5"),
     "TestLargeUserGroup": (5.0, "T^8 group of order 1024"),
     "TestSignFlipUserGroup": (3.5, "all sign flips of T^7, 2186 strata"),
+    "TestSignFlipT8UserGroup": (2.5, "all sign flips of T^8, 6560 strata"),
     "TestPulledUserGroup": (2.0, "pulled T^7 group of order 1024"),
 }
 
@@ -301,7 +302,7 @@ class TestCriterion1ExactTopology:
     def test_census_example_one_half(self, the_group):
         P = pull(the_group, 4)
         s = sigma_52()
-        lifted = AffineTorusMap(s.linear, s.shift, P.lines, s.name)
+        lifted = AffineTorusMap(s.signs, s.shift, P.lines, s.name)
         labels = Counter(c.type_label for c in involution_fixed_census(lifted, P))
         note("half census is 8 points + 1 x T3xR",
              labels == {"point": 8, "T3xR": 1})
@@ -510,21 +511,38 @@ class TestSignFlipUserGroup:
     reflections, whose fixed sets bound the quotient."""
 
     def test_all_sign_flips_t7(self, tmp_path):
-        n = 7
-        doc = {"name": "signflips-T7", "circles": n, "checks": ["betti"],
-               "generators": [{"name": f"s{i + 1}",
-                               "signs": [-1 if j == i else 1 for j in range(n)]}
-                              for i in range(n)],
-               "expected": {
-                   "group_order": 128,
-                   "singular_locus": "14xT6+84xT5+280xT4+560xT3+672xT2"
-                                     "+448xT1/pm1+128xpoint",
-                   "quotient_betti": [1, 0, 0, 0, 0, 0, 0, 0]}}
-        path = tmp_path / "signflips-T7.json"
-        path.write_text(json.dumps(doc))
-        rows = {r.check: r for r in run_scenario_object(load_scenario(path)).rows}
-        note("T^7 / all sign flips: order 128, 2186 strata",
-             all(rows[check].passed for check in doc["expected"]))
+        note("T^7 / all sign flips: order 128, 2186 strata", signflip_file_passes(
+            tmp_path, 7, {"group_order": 128,
+                          "singular_locus": "14xT6+84xT5+280xT4+560xT3+672xT2"
+                                            "+448xT1/pm1+128xpoint",
+                          "quotient_betti": [1, 0, 0, 0, 0, 0, 0, 0]}))
+
+
+class TestSignFlipT8UserGroup:
+    """The same file for T^8: a point group of order 256 = 2^8 and
+    3^8 - 1 = 6560 strata, the largest input a scenario file can give."""
+
+    def test_all_sign_flips_t8(self, tmp_path):
+        note("T^8 / all sign flips: order 256, 6560 strata", signflip_file_passes(
+            tmp_path, 8, {"group_order": 256,
+                          "singular_locus": "16xT7+112xT6+448xT5+1120xT4+1792xT3"
+                                            "+1792xT2+1024xT1/pm1+256xpoint",
+                          "quotient_betti": [1, 0, 0, 0, 0, 0, 0, 0, 0]}))
+
+
+def signflip_file_passes(tmp_path, n, expected):
+    """Write the scenario file of all n coordinate sign flips of T^n with a
+    betti check, load and run it as the CLI does, and say whether every
+    expected row passes."""
+    doc = {"name": f"signflips-T{n}", "circles": n, "checks": ["betti"],
+           "generators": [{"name": f"s{i + 1}",
+                           "signs": [-1 if j == i else 1 for j in range(n)]}
+                          for i in range(n)],
+           "expected": expected}
+    path = tmp_path / f"signflips-T{n}.json"
+    path.write_text(json.dumps(doc))
+    rows = {r.check: r for r in run_scenario_object(load_scenario(path)).rows}
+    return all(rows[check].passed for check in expected)
 
 
 class TestPulledUserGroup:

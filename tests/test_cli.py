@@ -516,6 +516,21 @@ class TestUserScenarios:
         assert res.exit_code == 2
         assert "at least 5 circles" in res.stderr
 
+    @pytest.mark.parametrize("check", ["coassoc", "form-invariance"])
+    @pytest.mark.parametrize("circles", [3, 8])
+    def test_phi0_check_off_seven_circles_exits_2(self, runner, tmp_path,
+                                                  check, circles):
+        # refused when the file loads, before the betti row is computed
+        flip = {"signs": [-1] + [1] * (circles - 1)}
+        spec = {"name": "phi0-off-t7", "circles": circles,
+                "generators": [flip], "involution": {"signs": [1] * circles,
+                                                     "shift": ["1/2"] * circles},
+                "checks": ["betti", check]}
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {check} check needs 7 circles\n"
+
     def test_bad_signs_exits_2(self, runner, tmp_path):
         spec = good_scenario()
         spec["generators"][0]["signs"] = [2] * 7
@@ -844,7 +859,7 @@ def _value_types():
     system = build_mode_system(2, 1)
     form = exterior_derivative(random_form(2, 1, 2, 0))
     zeros = np.zeros(2)
-    flip = AffineTorusMap.diagonal([-1, 1])
+    flip = AffineTorusMap([-1, 1])
     return [
         (system, "mu"),
         (FlowState(np.ones(2)), "x"),

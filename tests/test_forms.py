@@ -227,9 +227,17 @@ class TestPullback:
             callers.append(sys._getframe(1).f_code.co_name)
             return det(rows)
 
-        for module in (forms, torus):
-            monkeypatch.setattr(module, "det", counted)
+        # the torus layer reads the form rows off sign products, with no
+        # determinant at all; pulling phi_0 back by the generators' matrices
+        # takes one in each LinearMapR and none in pullback
+        assert not hasattr(torus, "det")
+        monkeypatch.setattr(forms, "det", counted)
         assert run_scenario("joyce-T7-Gamma").all_pass
+        assert callers == []
+        for g in torus.generate_group([torus.AffineTorusMap(signs) for signs in (
+                [1, 1, 1, -1, -1, -1, -1], [1, -1, -1, 1, 1, -1, -1],
+                [-1, 1, -1, 1, -1, 1, -1])]):
+            assert pullback(LinearMapR.diagonal(g.signs), PHI0) == PHI0
         assert callers and "pullback" not in callers
 
 

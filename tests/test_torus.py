@@ -1,9 +1,11 @@
 """Affine torus actions: fixed loci, orbit censuses, quotient cohomology.
 
 The brute-force oracle enumerates the grid (1/8 Z)^n / Z^n with numpy and
-compares against the Smith-normal-form component enumeration.
+compares against the Smith-normal-form component enumeration.  The oracles
+read each map's linear part as a dense matrix, through dense(f).
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from functools import _lru_cache_wrapper
@@ -23,13 +25,11 @@ from g2kit.errors import (
 )
 from g2kit.exact import det, identity_matrix, inverse, mat_mul, mat_vec, smith_normal_form
 from g2kit import torus
-from g2kit.forms import PHI0
+from g2kit.forms import PHI0, ExteriorForm, LinearMapR, pullback
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
     _Component,
-    _cosets,
-    _exterior_traces,
     _fixed_components,
     _translation_lattice,
     check_preserves_form,
@@ -45,7 +45,14 @@ from g2kit.torus import (
 )
 
 H = Fraction(1, 2)
-D = AffineTorusMap.diagonal
+Q = Fraction(1, 4)
+D = AffineTorusMap
+
+
+def dense(f):
+    """The linear part of f as a dense integer matrix."""
+    return tuple(tuple(s if i == j else 0 for j in range(f.n))
+                 for i, s in enumerate(f.signs))
 
 
 def alpha():
@@ -76,17 +83,13 @@ def the_group():
     return generate_group([alpha(), beta(), gamma()])
 
 
-def rotation_t2(shift=(0, 0), name="r"):
-    return AffineTorusMap([[0, -1], [1, 0]], shift, name=name)
-
-
 def apply(f, point):
     """f(point) from the linear part and the shift, in Fraction arithmetic,
     with the circle coordinates taken mod 1."""
     x = [Fraction(v) for v in point]
     assert len(x) == f.n
     img = [sum(a * v for a, v in zip(row, x)) + t
-           for row, t in zip(f.linear, f.shift)]
+           for row, t in zip(dense(f), f.shift)]
     return tuple(v if i + 1 in f.lines else v % 1 for i, v in enumerate(img))
 
 
@@ -112,7 +115,7 @@ def grid_fixed_count(f, grid=8):
     assert not f.lines
     n = f.n
     idx = np.indices((grid,) * n).reshape(n, -1)
-    a = np.array(f.linear, dtype=np.int64)
+    a = np.array(dense(f), dtype=np.int64)
     s = np.array([int(x * grid) for x in f.shift], dtype=np.int64)
     assert all(Fraction(int(x * grid)) == x * grid for x in f.shift)
     img = (a @ idx + s[:, None]) % grid
@@ -120,28 +123,57 @@ def grid_fixed_count(f, grid=8):
     return int(mask.sum()), idx[:, mask]
 
 
+# Linear parts given as matrices, each with the lines it was declared on:
+# rotations, a shear and a swap in GL(n, Z), a matrix that is not
+# unimodular, one that mixes a line with a circle, and a diagonal one.  A map
+# takes a sign per coordinate, so the constructor refuses each.
+NON_SIGN_LINEAR_PARTS = {
+    "rotation-T2": ([[0, -1], [1, 0]], ()),
+    "shear": ([[1, 1], [0, 1]], ()),
+    "swap-x1-x2": ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], ()),
+    "dihedral-T3-rotation": ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], ()),
+    "rotation-T5": ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                     [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]], ()),
+    "not-unimodular": ([[2]], ()),
+    "mixes-line-and-circle": ([[0, 1], [1, 0]], (1,)),
+    "diagonal-matrix": ([[1, 0], [0, -1]], ()),
+}
+
+
 class TestAffineTorusMap:
     def test_canonical_shift(self):
-        f = AffineTorusMap([[1]], [Fraction(5, 4)])
+        f = AffineTorusMap([1], [Fraction(5, 4)])
         assert f.shift == (Fraction(1, 4),)
-        g = AffineTorusMap([[1]], [Fraction(-1, 4)])
+        g = AffineTorusMap([1], [Fraction(-1, 4)])
         assert g.shift == (Fraction(3, 4),)
 
     def test_line_shift_kept_exact(self):
-        f = AffineTorusMap([[1, 0], [0, -1]], [Fraction(3, 2), 0], lines=[1])
+        f = AffineTorusMap([1, -1], [Fraction(3, 2), 0], lines=[1])
         assert f.shift[0] == Fraction(3, 2)
 
     def test_validation(self):
+        for signs in ([2], [0], [1, -2, 1], [1, Fraction(1, 2)]):
+            with pytest.raises(InvalidOperand):
+                AffineTorusMap(signs)  # an entry other than +-1
         with pytest.raises(InvalidOperand):
-            AffineTorusMap([[1, 0]])  # not square
+            AffineTorusMap([-1], lines=[2])  # line index out of range
         with pytest.raises(InvalidOperand):
-            AffineTorusMap([[2]])  # not unimodular
+            AffineTorusMap([1], [0, 0])  # shift longer than the signs
         with pytest.raises(InvalidOperand):
-            AffineTorusMap([[0, 1], [1, 0]], lines=[1])  # mixes line and circle
-        with pytest.raises(InvalidOperand):
-            AffineTorusMap([[-1]], lines=[2])  # line index out of range
-        with pytest.raises(InvalidOperand):
-            AffineTorusMap([[1]], [0, 0])  # wrong shift length
+            AffineTorusMap([1, -1, 1], [0, 0])  # shift shorter than the signs
+
+    @pytest.mark.parametrize("case", list(NON_SIGN_LINEAR_PARTS))
+    def test_refuses_non_sign_linear_part(self, case):
+        linear, lines = NON_SIGN_LINEAR_PARTS[case]
+        with pytest.raises(InvalidOperand, match="signs must be"):
+            AffineTorusMap(linear, None, lines)
+
+    def test_signs_and_mask(self):
+        f = D([1, -1, -1, 1], [0, 0, H, Q], lines=[4])
+        assert f.signs == (1, -1, -1, 1) and f.mask == 0b0110
+        g = D([-1, -1, 1, 1], lines=[4])
+        assert f.compose(g).signs == (-1, 1, -1, 1)
+        assert f.compose(g).mask == f.mask ^ g.mask
 
     def test_apply(self):
         g = gamma()
@@ -160,10 +192,11 @@ class TestAffineTorusMap:
         assert g.compose(b) == bg
 
     def test_order(self):
+        quarter = D([1, 1], [Q, 0])
         assert map_order(alpha()) == 2
-        assert map_order(rotation_t2()) == 4
+        assert map_order(quarter) == 4
         assert map_order(AffineTorusMap.identity(3)) == 1
-        assert map_order(rotation_t2(), cap=3) is None
+        assert map_order(quarter, cap=3) is None
 
     def test_equality_ignores_name(self):
         a1 = D([1, -1], name="one")
@@ -182,7 +215,7 @@ class TestAffineTorusMap:
 
     def test_dimension_mismatch_in_compose(self):
         with pytest.raises(InvalidOperand):
-            alpha().compose(rotation_t2())
+            alpha().compose(D([1, -1]))
 
 
 @st.composite
@@ -220,15 +253,15 @@ class TestGenerateGroup:
         assert "alpha" in names and "alpha*beta" in names
 
     def test_closure_bound(self):
+        quarter = D([1, 1], [Q, 0], name="q")
         with pytest.raises(GroupTooLarge):
-            generate_group([rotation_t2()], bound=3)
-        assert generate_group([rotation_t2()], bound=4).order == 4
-        # a shear has infinite order: the closure must stop at the bound
-        shear = AffineTorusMap([[1, 1], [0, 1]], name="shear")
+            generate_group([quarter], bound=3)
+        assert generate_group([quarter], bound=4).order == 4
+        eighths = [D([1, 1], [Fraction(1, 8), 0]), D([-1, 1], [0, 0]),
+                   D([1, 1], [0, Fraction(1, 8)])]
         with pytest.raises(GroupTooLarge):
-            generate_group([rotation_t2(), shear], bound=64)
-        with pytest.raises(GroupTooLarge):
-            generate_group([shear])
+            generate_group(eighths, bound=127)
+        assert generate_group(eighths, bound=128).order == 128
 
     def test_multiplication_table(self):
         G = generate_group([alpha(), beta()])
@@ -242,7 +275,7 @@ class TestGenerateGroup:
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(InvalidOperand):
-            generate_group([alpha(), rotation_t2()])
+            generate_group([alpha(), D([1, -1])])
 
 
 class TestFixedSet:
@@ -264,7 +297,7 @@ class TestFixedSet:
     def test_component_count_closed_form(self):
         # 2^(number of -1 coords) whenever every +1 coordinate has zero shift
         for gen in (alpha(), beta(), gamma(), gamma1(), sigma_52(), sigma_53()):
-            minus = sum(1 for i in range(7) if gen.linear[i][i] == -1)
+            minus = gen.signs.count(-1)
             assert len(fixed_set(gen)) == 2 ** minus
 
     def test_nonzero_shift_on_plus_coordinate_empty(self):
@@ -276,7 +309,7 @@ class TestFixedSet:
         assert len(strata) == 1 and strata[0].torus_dim == 3
 
     def test_gamma_on_cylinder(self):
-        g = AffineTorusMap(gamma().linear, gamma().shift, lines=[1],
+        g = AffineTorusMap(gamma().signs, gamma().shift, lines=[1],
                            name="gamma")
         strata = fixed_set(g)
         assert len(strata) == 8
@@ -284,51 +317,21 @@ class TestFixedSet:
         assert all(s.offset[0] == 0 for s in strata)  # pinned at x1 = 0
 
     def test_free_line_reported(self):
-        a = AffineTorusMap(alpha().linear, None, lines=[1], name="alpha")
+        a = AffineTorusMap(alpha().signs, None, lines=[1], name="alpha")
         strata = fixed_set(a)
         assert len(strata) == 16
         assert all(s.line_dim == 1 and s.torus_dim == 2 for s in strata)
         assert all(s.type_label == "T2xR" for s in strata)
 
     def test_line_translation_empty(self):
-        f = AffineTorusMap([[1, 0], [0, -1]], [Fraction(1, 2), 0], lines=[1])
+        f = AffineTorusMap([1, -1], [Fraction(1, 2), 0], lines=[1])
         assert fixed_set(f) == []
 
     def test_line_reflection_pins_value(self):
-        f = AffineTorusMap([[-1, 0], [0, 1]], [Fraction(3, 1), 0], lines=[1])
+        f = AffineTorusMap([-1, 1], [Fraction(3, 1), 0], lines=[1])
         strata = fixed_set(f)
         assert len(strata) == 1
         assert strata[0].offset[0] == Fraction(3, 2)
-
-    def test_quarter_rotation_two_points(self):
-        strata = fixed_set(rotation_t2())
-        assert len(strata) == 2
-        offs = sorted(s.offset for s in strata)
-        assert offs == [(0, 0), (H, H)]
-
-    def test_shifted_rotation(self):
-        f = rotation_t2(shift=(H, 0))
-        strata = fixed_set(f)
-        assert len(strata) == 2
-        count, pts = grid_fixed_count(f)
-        assert count == 2
-        for s in strata:
-            assert apply(f, s.offset) == s.offset
-
-    def test_shear_component(self):
-        f = AffineTorusMap([[1, 1], [0, 1]], [Fraction(1, 4), 0])
-        strata = fixed_set(f)
-        assert len(strata) == 1
-        assert strata[0].torus_dim == 1
-        assert strata[0].offset[1] == Fraction(3, 4)
-        count, _ = grid_fixed_count(f)
-        assert count == 8
-
-    def test_shear_with_blocked_translation(self):
-        f = AffineTorusMap([[1, 1], [0, 1]], [0, Fraction(1, 4)])
-        assert fixed_set(f) == []
-        count, _ = grid_fixed_count(f)
-        assert count == 0
 
 
 class TestGridOracle:
@@ -390,19 +393,6 @@ class TestSingularLocus:
         assert sorted(fixer_names(strata, (a, b))) == ["alpha"] * 8 + ["beta"] * 8
         assert all(s.stabilizer_order == 2 for s in strata)
 
-    def test_t2_mod_z4_cone_points(self):
-        G = generate_group([rotation_t2()])
-        assert G.order == 4
-        strata = singular_locus(G)
-        assert len(strata) == 3
-        counts = sorted(s.count for s in strata)
-        assert counts == [1, 1, 2]
-        # the two order-4 points are fixed by everything, the pair swapped
-        # by the rotation by its square only
-        assert sorted((s.count, s.stabilizer_order) for s in strata) == [
-            (1, 4), (1, 4), (2, 2)]
-        assert quotient_betti(G) == (1, 0, 1)
-
     def test_pillowcase(self):
         flip = D([-1, -1], name="flip")
         slide = D([1, 1], [H, 0], name="slide")
@@ -414,19 +404,17 @@ class TestSingularLocus:
         assert quotient_betti(G) == (1, 0, 1)
 
     def test_residual_other(self):
-        g = D([-1, -1, -1, 1, 1], name="g")
-        rot = [[1, 0, 0, 0, 0],
-               [0, 1, 0, 0, 0],
-               [0, 0, 1, 0, 0],
-               [0, 0, 0, 0, -1],
-               [0, 0, 0, 1, 0]]
-        h = AffineTorusMap(rot, None, name="h")
+        # h keeps each T2 of g and reverses one of its two directions only,
+        # so the setwise stabilizer acts on it by neither 1 nor -1
+        g = D([-1, 1, 1], name="g")
+        h = D([1, -1, 1], name="h")
         G = generate_group([g, h])
-        assert G.order == 8
+        assert G.order == 4
         strata = singular_locus(G)
         others = [s for s in strata if s.residual == "other"]
-        assert len(others) == 8
+        assert len(others) == 4
         assert all(s.torus_dim == 2 and s.count == 1 for s in others)
+        assert all(s.residual == "trivial" for s in strata if s.torus_dim == 1)
 
 
 class TestQuotientBetti:
@@ -458,10 +446,6 @@ class TestPullAndSections:
         with pytest.raises(PullObstruction):
             pull(the_group(), 5)
 
-    def test_pull_rejects_mixing(self):
-        with pytest.raises(PullObstruction):
-            pull(generate_group([rotation_t2()]), 1)
-
     def test_pull_rejects_line_coordinate(self):
         P = pull(the_group(), 1)
         with pytest.raises(InvalidOperand):
@@ -474,7 +458,7 @@ class TestPullAndSections:
         # that does not run along the line is pinned at x1 = 1/4
         P = pull(generate_group([D([-1, 1], [H, 0], name="r"),
                                  D([1, -1], name="s")]), 1)
-        assert AffineTorusMap([[-1, 0], [0, 1]], [H, 0], [1]) in P
+        assert AffineTorusMap([-1, 1], [H, 0], [1]) in P
         assert {s.offset[0] for s in singular_locus(P)
                 if not s.line_dim} == {Fraction(1, 4)}
 
@@ -488,12 +472,11 @@ class TestPullAndSections:
         # the four elements that keep the ends restrict one to one onto the
         # cross-section group
         P = pull(the_group(), 1)
-        kept = [g for g in P if g.linear[0][0] == 1]
+        kept = [g for g in P if g.signs[0] == 1]
         assert len(kept) == 4
         cs = cross_section_group(P, 1)
         assert set(cs.elements) == {
-            AffineTorusMap([row[1:] for row in g.linear[1:]], g.shift[1:])
-            for g in kept}
+            AffineTorusMap(g.signs[1:], g.shift[1:]) for g in kept}
 
     def test_cross_section_x1(self):
         cs = cross_section_group(pull(the_group(), 1), 1)
@@ -573,7 +556,24 @@ class TestFormPreservation:
         with pytest.raises(InvalidOperand):
             check_preserves_form(alpha(), PHI0, 2)
         with pytest.raises(InvalidOperand):
-            check_preserves_form(rotation_t2(), PHI0, 1)
+            check_preserves_form(D([1, -1]), PHI0, 1)
+
+    def test_sign_products_match_dense_pullback(self):
+        # every sign vector of T^7, against the pullback by its dense
+        # matrix: phi_0 at both signs, and a random form with few monomials
+        # so that some sign vectors keep it
+        rng = random.Random(0)
+        monomials = rng.sample(list(combinations(range(1, 8), 3)), 3)
+        other = ExteriorForm(7, 3, {
+            idx: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for idx in monomials})
+        seen = set()
+        for signs in product([1, -1], repeat=7):
+            f = D(signs)
+            for phi, sign in ((PHI0, 1), (PHI0, -1), (other, 1), (other, -1)):
+                expect = pullback(LinearMapR(dense(f)), phi) == sign * phi
+                assert check_preserves_form(f, phi, sign) == expect
+                seen.add((phi is PHI0, sign, expect))
+        assert len(seen) == 8
 
 
 class TestInvolutionCensus:
@@ -620,7 +620,7 @@ class TestInvolutionCensus:
     def test_half_census_after_pull(self):
         P = pull(the_group(), 4)
         s = sigma_52()
-        sp = AffineTorusMap(s.linear, s.shift, P.lines, "sigma")
+        sp = AffineTorusMap(s.signs, s.shift, P.lines, "sigma")
         cen = involution_fixed_census(sp, P)
         pts = [s for s in cen if s.type_label == "point"]
         rods = [s for s in cen if s.torus_dim == 3 and s.line_dim == 1]
@@ -634,7 +634,7 @@ class TestInvolutionCensus:
         maps = [g.compose(sigma_52()) for g in G]
         for g in (alpha(), beta().compose(gamma())):
             moved = g.compose(sigma_52())
-            moved = AffineTorusMap(moved.linear, moved.shift, moved.lines, "s")
+            moved = AffineTorusMap(moved.signs, moved.shift, moved.lines, "s")
             cen = involution_fixed_census(moved, G)
             assert sorted(map(signature, cen)) == sorted(map(signature, base))
             # same coset G sigma, so the same oracle orbits hold both censuses
@@ -650,16 +650,15 @@ class TestInvolutionCensus:
             involution_fixed_census(f, the_group())
 
     def test_rejects_non_normalizing(self):
-        swap = [[0, 1, 0, 0, 0, 0, 0],
-                [1, 0, 0, 0, 0, 0, 0]] + \
-               [[int(i == j) for j in range(7)] for i in range(2, 7)]
-        f = AffineTorusMap(swap, None, name="swap")
+        # f gamma f shifts x1 by 1/2, and no element of the group does
+        f = D([-1, 1, 1, 1, 1, 1, 1], [Q, 0, 0, 0, 0, 0, 0], name="f")
+        assert f.compose(f).is_identity()
         with pytest.raises(NotEquivariant):
             involution_fixed_census(f, the_group())
 
     def test_rejects_mismatched_space(self):
         with pytest.raises(InvalidOperand):
-            involution_fixed_census(rotation_t2(), the_group())
+            involution_fixed_census(D([1, -1]), the_group())
 
 
 class TestStratumLabels:
@@ -710,11 +709,12 @@ def _ref_key(comp):
 
 def _ref_move(g, comp):
     offset, dirs, free, lines = comp
+    linear = dense(g)
     img = tuple(
         Fraction(0) if i + 1 in free else v if i + 1 in lines else v % 1
         for i, v in enumerate(sum(a * x for a, x in zip(row, offset)) + s
-                              for row, s in zip(g.linear, g.shift)))
-    moved = tuple(tuple(sum(a * x for a, x in zip(row, d)) for row in g.linear)
+                              for row, s in zip(linear, g.shift)))
+    moved = tuple(tuple(sum(a * x for a, x in zip(row, d)) for row in linear)
                   for d in dirs)
     return img, moved, free, lines
 
@@ -723,7 +723,7 @@ def _ref_fixes_pointwise(g, comp):
     offset, dirs, free, _ = comp
     img, moved, _, _ = _ref_move(g, comp)
     return (moved == dirs
-            and all(g.linear[i - 1][i - 1] == 1 and g.shift[i - 1] == 0
+            and all(dense(g)[i - 1][i - 1] == 1 and g.shift[i - 1] == 0
                     for i in free)
             and all(a == b for i, (a, b) in enumerate(zip(img, offset))
                     if i + 1 not in free))
@@ -732,7 +732,7 @@ def _ref_fixes_pointwise(g, comp):
 def _ref_minus_one(g, comp):
     _, dirs, free, _ = comp
     return (_ref_move(g, comp)[1] == tuple(tuple(-x for x in d) for d in dirs)
-            and all(g.linear[i - 1][i - 1] == -1 for i in free))
+            and all(dense(g)[i - 1][i - 1] == -1 for i in free))
 
 
 def reference_strata(group, maps):
@@ -741,7 +741,7 @@ def reference_strata(group, maps):
     stabilizer order), members = the orbit's components."""
     registry = {}
     for f in maps:
-        for c in _fixed_components(f):
+        for c in dense_fixed_components(f):
             comp = (c.display_offset(), c.directions, c.free_lines, f.lines)
             registry.setdefault(_ref_key(comp), comp)
     orbits, seen = [], set()
@@ -840,20 +840,6 @@ def _census_case(sigma, group):
             [g.compose(sigma) for g in group])
 
 
-def _dihedral_t3():
-    r = AffineTorusMap([[0, -1, 0], [1, 0, 0], [0, 0, 1]], name="r")
-    s = AffineTorusMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]], name="s")
-    c = D([1, 1, -1], [H, H, 0], name="c")
-    return generate_group([r, s, c])
-
-
-def _rotation_t5():
-    rot = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
-           [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
-    return generate_group([D([-1, -1, -1, 1, 1], name="g"),
-                           AffineTorusMap(rot, None, name="h")])
-
-
 def _translations_t4():
     # |T| = 4, and t^2 moves each T2 of the reflection along itself
     return generate_group([D([-1, -1, 1, 1], name="g"),
@@ -870,8 +856,6 @@ ORACLE_CASES = {
     "coassoc-5.3": lambda: _census_case(sigma_53(), the_group()),
     "negid-quarter-T4": lambda: _locus_case(generate_group(
         [D([-1] * 4, name="m"), D([1] * 4, [Fraction(1, 4), 0, 0, 0], name="t")])),
-    "dihedral-T3": lambda: _locus_case(_dihedral_t3()),
-    "rotation-T5": lambda: _locus_case(_rotation_t5()),
     "translations-T4": lambda: _locus_case(_translations_t4()),
     "translations-T2-census": lambda: _census_case(
         D([1, 1], [H, H], name="s"),
@@ -900,34 +884,70 @@ ORACLE_CASES = {
 
 
 def _blocks_pull(g, i):
-    """Does g mix coordinate i with others, or translate along it?"""
-    others = [j for j in range(g.n) if j != i - 1]
-    return (any(g.linear[i - 1][j] or g.linear[j][i - 1] for j in others)
-            or (g.linear[i - 1][i - 1] == 1 and g.shift[i - 1] != 0))
+    """Does g translate along coordinate i while keeping it?"""
+    return g.signs[i - 1] == 1 and g.shift[i - 1] != 0
 
 
 @st.composite
-def signed_diagonal_groups(draw):
+def signed_diagonal_generators(draw, pull_ready=False):
     """Signed diagonal maps with shifts, plus up to two pure translations
-    (so that the translation subgroup is often nontrivial), optionally
-    pulled along one coordinate."""
+    (so that the translation subgroup is often nontrivial).  With
+    pull_ready, one coordinate gets shift 0 in every map that keeps it and
+    one common shift in every map that reverses it, so that no element
+    translates along it."""
     n = draw(st.sampled_from([3, 4]))
     shift = st.sampled_from([Fraction(k, d) for d in range(1, 5) for k in range(d)])
     step = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 4)])
-    gens = [D(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
-              draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}")
+    maps = [(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
+             draw(st.lists(shift, min_size=n, max_size=n)), f"g{i}")
             for i in range(draw(st.integers(1, 3)))]
-    gens += [D([1] * n, draw(st.lists(step, min_size=n, max_size=n)), name=f"t{i}")
+    maps += [([1] * n, draw(st.lists(step, min_size=n, max_size=n)), f"t{i}")
              for i in range(draw(st.integers(0, 2)))]
+    if pull_ready:
+        p, common = draw(st.integers(0, n - 1)), draw(shift)
+        for signs, shifts, _ in maps:
+            shifts[p] = common if signs[p] == -1 else 0
+    return [D(signs, shifts, name=name) for signs, shifts, name in maps]
+
+
+@st.composite
+def signed_diagonal_groups(draw, pulls=True):
+    """The groups of signed_diagonal_generators, closed within 64 elements,
+    and with pulls optionally pulled along one coordinate (half of them
+    drawn pull-ready)."""
+    gens = draw(signed_diagonal_generators(pull_ready=pulls and draw(st.booleans())))
     try:
         group = generate_group(gens, bound=64)
     except GroupTooLarge:
         assume(False)
-    pullable = [i for i in range(1, n + 1)
+    pullable = [i for i in range(1, group.n + 1)
                 if not any(_blocks_pull(g, i) for g in group)]
-    if pullable and draw(st.booleans()):
+    if pulls and pullable and draw(st.booleans()):
         group = pull(group, draw(st.sampled_from(pullable)))
     return group
+
+
+@st.composite
+def equivariant_involutions(draw, group):
+    """A signed diagonal involution outside group that normalizes it, or
+    None when the drawn one does not.  A circle it keeps gets shift 0 or
+    1/2; a line it reverses gets the shift of an element that reverses it
+    (all such elements share it), or 0."""
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=group.n,
+                          max_size=group.n))
+    shift = []
+    for i, s in enumerate(signs, 1):
+        if i in group.lines:
+            reversers = [g.shift[i - 1] for g in group if g.signs[i - 1] == -1]
+            shift.append(reversers[0] if s == -1 and reversers else Fraction(0))
+        else:
+            shift.append(draw(st.sampled_from(
+                [Fraction(0), H] if s == 1 else [Fraction(0), Q, H, 3 * Q])))
+    sigma = D(signs, shift, group.lines, "sigma")
+    if sigma in group or any(sigma.compose(g).compose(sigma) not in group
+                             for g in group.generators):
+        return None
+    return sigma
 
 
 class TestOrbitOracle:
@@ -941,11 +961,21 @@ class TestOrbitOracle:
                      for s in case()[0]}
         assert residuals == {"trivial", "pm1", "other"}
 
-    @settings(max_examples=40, deadline=None)
-    @given(group=signed_diagonal_groups())
-    def test_random_signed_diagonal_groups(self, group):
-        fast, _, maps = _locus_case(group)
-        assert_matches_reference(fast, group, maps)
+    @settings(max_examples=80, deadline=None)
+    @given(group=signed_diagonal_groups(), data=st.data())
+    def test_random_signed_diagonal_groups(self, group, data):
+        # the group (pulled or not) and each cross-section group against
+        # both oracles, then the census of a random equivariant involution
+        groups = [group] + [cross_section_group(group, i) for i in group.lines]
+        for g in groups:
+            fast, _, maps = _locus_case(g)
+            assert_matches_reference(fast, g, maps)
+            assert fast == oracle_singular_locus(g)
+        sigma = data.draw(equivariant_involutions(group))
+        if sigma is not None:
+            fast, _, maps = _census_case(sigma, group)
+            assert_matches_reference(fast, group, maps)
+            assert fast == oracle_census(sigma, group)
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +993,7 @@ def reference_quotient_betti(group):
     circ = [i for i in range(group.n) if i + 1 not in group.lines]
     totals = [0] * (len(circ) + 1)
     for g in group.elements:
-        block = [[g.linear[p][q] for q in circ] for p in circ]
+        block = [[dense(g)[p][q] for q in circ] for p in circ]
         totals = [t + e for t, e in zip(totals, reference_exterior_traces(block))]
     return tuple(t / group.order for t in totals)
 
@@ -974,33 +1004,9 @@ BETTI_CASES = {
     "pull-x3": lambda: pull(the_group(), 3),
     "cross-section-x1": lambda: cross_section_group(pull(the_group(), 1), 1),
     "cross-section-x3": lambda: cross_section_group(pull(the_group(), 3), 3),
-    "rotation-T2": lambda: generate_group([rotation_t2()]),
-    "rotation-T5": _rotation_t5,
-    "dihedral-T3": _dihedral_t3,
+    "signflips-T5": lambda: signflips(5),
+    "line-flip-T2xR": lambda: ORACLE_CASES["line-flip-T2xR"]()[1],
 }
-
-
-@st.composite
-def signed_permutation_maps(draw):
-    n = draw(st.sampled_from([3, 4]))
-    shift = st.sampled_from([Fraction(0), H])
-    gens = []
-    for i in range(draw(st.integers(1, 2))):
-        perm = draw(st.permutations(range(n)))
-        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-        linear = [[signs[r] if c == perm[r] else 0 for c in range(n)]
-                  for r in range(n)]
-        gens.append(AffineTorusMap(
-            linear, draw(st.lists(shift, min_size=n, max_size=n)), name=f"g{i}"))
-    return gens
-
-
-@st.composite
-def signed_permutation_groups(draw):
-    try:
-        return generate_group(draw(signed_permutation_maps()), bound=256)
-    except GroupTooLarge:
-        assume(False)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +1089,8 @@ COMPONENT_CASES = {
     "gamma1-pull-x7": lambda: _group_components(
         pull(generate_group([alpha(), beta(), gamma1()]), 7)),
     "coassoc-5.2-half": lambda: _group_components(
-        pull(the_group(), 4), AffineTorusMap(sigma_52().linear, sigma_52().shift,
+        pull(the_group(), 4), AffineTorusMap(sigma_52().signs, sigma_52().shift,
                                              [4], "sigma")),
-    "dihedral-T3": lambda: _group_components(_dihedral_t3()),
     "translations-T4": lambda: _group_components(_translations_t4()),
     "line-flip-T2xR": lambda: _group_components(
         ORACLE_CASES["line-flip-T2xR"]()[1]),
@@ -1157,7 +1162,7 @@ class TestIntersectOracle:
 
 class TestPullProperty:
     @settings(max_examples=40, deadline=None)
-    @given(group=signed_permutation_groups(), data=st.data())
+    @given(group=signed_diagonal_groups(pulls=False), data=st.data())
     def test_pull_is_elementwise(self, group, data):
         i = data.draw(st.integers(1, group.n))
         if any(_blocks_pull(g, i) for g in group):
@@ -1167,7 +1172,7 @@ class TestPullProperty:
         lines = group.lines | {i}
         pulled = pull(group, i)
         assert set(pulled.elements) == {
-            AffineTorusMap(g.linear, g.shift, lines) for g in group}
+            AffineTorusMap(g.signs, g.shift, lines) for g in group}
         assert pulled.order == group.order
         assert pulled.identity.is_identity()
         # pull builds no closure: the pulled maps must be closed, and the
@@ -1186,27 +1191,83 @@ class TestQuotientBettiOracle:
         assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
 
     @settings(max_examples=40, deadline=None)
-    @given(group=signed_permutation_groups())
-    def test_random_signed_permutation_groups(self, group):
+    @given(group=signed_diagonal_groups())
+    def test_random_signed_diagonal_groups(self, group):
         assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=st.integers(1, 5).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-        min_size=n, max_size=n)))
-    def test_power_traces_on_dense_matrices(self, a):
-        assert _exterior_traces(a) == reference_exterior_traces(a)
 
 
 # ---------------------------------------------------------------------------
-# Reference for the strata modulo the translation lattice: each component is
-# keyed by its class modulo span + Λ_T through an offset lattice built from
-# its own directions (a Fraction null space and one Smith form), classes are
-# moved with their directions, every coset is visited for the residual, and
-# an element is looked up in the group by its linear part and the shift
-# x0 - A x0, with dense linear images.  Only the coset solve, the
-# translation lattice and the cosets are the library's, so the strata must
-# agree field by field and in order.
+# Reference for the strata modulo the translation lattice: each coset's fixed
+# set comes from a dense Smith solve of its own, each component is keyed by
+# its class modulo span + Λ_T through an offset lattice built from its own
+# directions (a Fraction null space and one Smith form), classes are moved
+# with their directions, every coset is visited for the residual, and an
+# element is looked up in the group by its linear part and the shift
+# x0 - A x0, with dense linear images.  Only the translation lattice is the
+# library's, so the strata must agree field by field and in order.
+
+
+def dense_fixed_components(f, lattice=None, lattice_inv=None):
+    """The fixed components of f; with lattice = (B, D) and lattice_inv the
+    integer matrix D B^-1, those of the maps f∘t over the translations t by
+    Λ = B Z^c / D, modulo Λ (both default to Λ = Z^c).
+
+    x = B y / D turns (A - 1) x + v ∈ Λ into (A' - 1) y + w ∈ Z^c, with
+    A' = (D B^-1) A B / D and w = D B^-1 v; with U (A' - 1) V = diag(d) and
+    y = V z it reads d_k z_k = -(U w)_k mod 1, and a line that A reverses
+    pins x_i = v_i / 2."""
+    n, lines, linear = f.n, f.lines, dense(f)
+    circ = [i for i in range(n) if (i + 1) not in lines]
+    free_lines = set()
+    for i1 in lines:
+        if linear[i1 - 1][i1 - 1] == 1:
+            if f.num[i1 - 1]:
+                return []
+            free_lines.add(i1)
+    c = len(circ)
+    basis, scale = lattice or (identity_matrix(c), 1)
+    inv = lattice_inv or identity_matrix(c)
+    a = tuple(tuple(linear[i][j] for j in circ) for i in circ)
+    if scale != 1:
+        a = mat_mul(inv, mat_mul(a, basis))
+    m = [[x // scale - (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(a)]
+    u, d, v = smith_normal_form(m) if c else ((), (), ())
+    w = mat_vec(u, mat_vec(inv, tuple(-f.num[i] for i in circ)))
+    diag = [d[k][k] for k in range(c)]
+    if any(dk == 0 and wk % f.den for dk, wk in zip(diag, w)):
+        return []
+    den_y = f.den * lcm(*(abs(dk) for dk in diag if dk))
+    choice_sets = [[(wk + j * f.den) * (den_y // (f.den * dk)) for j in range(abs(dk))]
+                   if dk else [0] for dk, wk in zip(diag, w)]
+    pinned = lines - free_lines
+    den = lcm(den_y * scale, 2 * f.den if pinned else 1)
+    up = den // (den_y * scale)
+    bv = mat_mul(basis, v) if c else ()
+    dirs = []
+    for k in range(c):
+        if diag[k] == 0:
+            vec = [0] * n
+            for i, row in zip(circ, bv):
+                vec[i] = row[k]
+            dirs.append(vec)
+    comps = []
+    for combo in product(*choice_sets):
+        num = [f.num[i - 1] * (den // (2 * f.den)) if i in pinned else 0
+               for i in range(1, n + 1)]
+        for i, x in zip(circ, mat_vec(bv, combo) if c else ()):
+            num[i] = x * up % den
+        comps.append(_Component(n, lines, num, den, dirs, free_lines))
+    return comps
+
+
+def dense_cosets(group):
+    """One element of each coset of the translation subgroup, the first in
+    the group's order, keyed by its dense linear part."""
+    reps = {}
+    for g in group.elements:
+        reps.setdefault(dense(g), g)
+    return reps
 
 
 def _oracle_offset_lattice(n, lines, free_lines, directions, lattice):
@@ -1260,12 +1321,12 @@ def _oracle_key(comp, lattice, memo):
 def _oracle_transport(g, comp):
     """g's image of comp, offset and directions, by dense linear images."""
     den = lcm(comp.den, g.den)
-    img = _dense_image(g.linear, [x * (den // comp.den) for x in comp.num])
+    img = _dense_image(dense(g), [x * (den // comp.den) for x in comp.num])
     num = [0 if i + 1 in comp.free_lines
            else v + t * (den // g.den) if i + 1 in comp.lines
            else (v + t * (den // g.den)) % den
            for i, (v, t) in enumerate(zip(img, g.num))]
-    dirs = [_dense_image(g.linear, d) for d in comp.directions]
+    dirs = [_dense_image(dense(g), d) for d in comp.directions]
     return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
 
 
@@ -1310,8 +1371,10 @@ def _oracle_fixed_pointwise_in(group, linear, comp):
         return False
     if any(linear[i1 - 1][i1 - 1] != 1 for i1 in comp.free_lines):
         return False
-    shift = [x - y for x, y in zip(comp.num, _dense_image(linear, comp.num))]
-    return AffineTorusMap._from_parts(linear, shift, comp.den, comp.lines, "") in group
+    shift = [Fraction(x - y, comp.den)
+             for x, y in zip(comp.num, _dense_image(linear, comp.num))]
+    signs = [row[i] for i, row in enumerate(linear)]
+    return AffineTorusMap(signs, shift, comp.lines) in group
 
 
 def _oracle_acts_as_minus_one(linear, comp):
@@ -1334,11 +1397,11 @@ def _oracle_classify_residual(group, cosets, comp, setwise, key):
 
 
 def oracle_strata(group, maps):
-    """The strata of the cosets f T (f in maps) from the library's coset
+    """The strata of the cosets f T (f in maps) from the dense coset
     solve, with classes keyed by their own directions, moved by every
     generator, the residual classified over every coset and the strata
     sorted by Fraction offsets."""
-    cosets = _cosets(group)
+    cosets = dense_cosets(group)
     lattice, lattice_inv = _translation_lattice(group)
     memo = {}
 
@@ -1347,7 +1410,7 @@ def oracle_strata(group, maps):
 
     registry = {}
     for f in maps:
-        for comp in _fixed_components(f, lattice, lattice_inv):
+        for comp in dense_fixed_components(f, lattice, lattice_inv):
             registry.setdefault(key(comp), comp)
     strata = []
     for rep, classes in _oracle_orbits(group, registry, key):
@@ -1361,13 +1424,14 @@ def oracle_strata(group, maps):
 
 
 def oracle_singular_locus(group):
-    ident = group.identity.linear
-    return oracle_strata(group, [f for a, f in _cosets(group).items()
+    ident = dense(group.identity)
+    return oracle_strata(group, [f for a, f in dense_cosets(group).items()
                                  if a != ident])
 
 
 def oracle_census(sigma, group):
-    return oracle_strata(group, [f.compose(sigma) for f in _cosets(group).values()])
+    return oracle_strata(group, [f.compose(sigma)
+                                 for f in dense_cosets(group).values()])
 
 
 def _permuted_file_maps(signs_shifts, perm):
@@ -1393,7 +1457,6 @@ def _permuted_file_group(signs_shifts, perm, pull_direction=None):
     return [pulled, cross_section_group(pulled, perm[pull_direction - 1] + 1)]
 
 
-Q = Fraction(1, 4)
 ZERO7 = (0,) * 7
 NEGID_QUARTER = [((-1,) * 7, ZERO7), ((1,) * 7, (Q, 0, 0, 0, 0, 0, 0))]
 JOYCE_GAMMA_QUARTER = [
@@ -1427,8 +1490,6 @@ LOCUS_GROUPS = {
     **{case: (lambda case=case: [ORACLE_CASES[case]()[1]])
        for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
                     "line-flip-T2xR")},
-    "dihedral-T3": lambda: [_dihedral_t3()],
-    "rotation-T5": lambda: [_rotation_t5()],
     "translations-T4": lambda: [_translations_t4()],
 }
 
@@ -1436,7 +1497,7 @@ CENSUS_CASES = {
     "coassoc-5.2": lambda: (sigma_52(), the_group()),
     "coassoc-5.3": lambda: (sigma_53(), the_group()),
     "coassoc-5.2-half": lambda: (
-        AffineTorusMap(sigma_52().linear, sigma_52().shift, [4], "sigma"),
+        AffineTorusMap(sigma_52().signs, sigma_52().shift, [4], "sigma"),
         pull(the_group(), 4)),
     "translations-T2": lambda: (
         D([1, 1], [H, H], name="s"),
@@ -1465,11 +1526,6 @@ class TestResidualOracle:
         # a stratum picks, per coordinate, free or one of the two fixed values
         for n in (4, 5, 6):
             assert len(singular_locus(signflips(n))) == 3 ** n - 1
-
-    @settings(max_examples=40, deadline=None)
-    @given(group=signed_permutation_groups())
-    def test_random_signed_permutation_groups(self, group):
-        assert singular_locus(group) == oracle_singular_locus(group)
 
     def test_negid_quarter_makes_no_self_moves(self, monkeypatch):
         # every class lies in the fixed set of the coset of -Id, the only
@@ -1582,9 +1638,9 @@ def reference_cross_section(group, i):
     keep = [j for j in range(group.n) if j != i - 1]
     new_lines = frozenset(j if j < i else j - 1 for j in group.lines if j != i)
     return reference_generate_group([
-        AffineTorusMap([[g.linear[p][q] for q in keep] for p in keep],
+        AffineTorusMap([dense(g)[p][p] for p in keep],
                        [g.shift[p] for p in keep], new_lines, g.name)
-        for g in group.elements if g.linear[i - 1][i - 1] == 1])
+        for g in group.elements if dense(g)[i - 1][i - 1] == 1])
 
 
 def assert_few_generators(sub):
@@ -1616,7 +1672,6 @@ CLOSURE_CASES = {
     "joyce-gamma1": lambda: [alpha(), beta(), gamma1()],
     "alpha-beta": lambda: [alpha(), beta()],
     "identity": lambda: [AffineTorusMap.identity(7)],
-    "rotation-T2": lambda: [rotation_t2()],
     **{f"{name}-{label}": (lambda gens=gens, perm=perm:
                            _permuted_file_maps(gens, perm))
        for name, gens in (("negid-quarter", NEGID_QUARTER),
@@ -1629,8 +1684,6 @@ CLOSURE_CASES = {
           name=f"t{i}") for i in range(8)],
     **{f"signflips-T{n}": (lambda n=n: list(signflips(n).elements[1:]))
        for n in (4, 5)},
-    "dihedral-T3": lambda: list(_dihedral_t3().elements),
-    "rotation-T5": lambda: list(_rotation_t5().elements),
     "translations-T4": lambda: list(_translations_t4().elements),
     **{case: (lambda case=case: list(ORACLE_CASES[case]()[1].elements))
        for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
@@ -1652,8 +1705,8 @@ class TestClosureOracle:
             assert_few_generators(group)
 
     @settings(max_examples=40, deadline=None)
-    @given(gens=signed_permutation_maps())
-    def test_random_signed_permutation_maps(self, gens):
+    @given(gens=signed_diagonal_generators())
+    def test_random_signed_diagonal_maps(self, gens):
         try:
             reference_generate_group(gens, bound=256)
         except GroupTooLarge:
@@ -1683,7 +1736,7 @@ class TestSubgroupOracle:
         assert_sections_match_reference(group)
 
     @settings(max_examples=40, deadline=None)
-    @given(group=signed_permutation_groups(), data=st.data())
+    @given(group=signed_diagonal_groups(), data=st.data())
     def test_subgroup_of_random_members(self, group, data):
         members = data.draw(st.lists(st.sampled_from(group.elements),
                                      min_size=1, max_size=4))
