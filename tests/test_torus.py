@@ -83,6 +83,16 @@ def the_group():
     return generate_group([alpha(), beta(), gamma()])
 
 
+def rotation_t2(shift=(0, 0), name="r"):
+    """The half turn of T^2, the one nontrivial rotation of the square
+    lattice that is a sign vector (the quarter turn is refused)."""
+    return D([-1, -1], shift, name=name)
+
+
+QUARTER_TURN = [[0, -1], [1, 0]]
+SHEAR = [[1, 1], [0, 1]]
+
+
 def apply(f, point):
     """f(point) from the linear part and the shift, in Fraction arithmetic,
     with the circle coordinates taken mod 1."""
@@ -128,8 +138,8 @@ def grid_fixed_count(f, grid=8):
 # unimodular, one that mixes a line with a circle, and a diagonal one.  A map
 # takes a sign per coordinate, so the constructor refuses each.
 NON_SIGN_LINEAR_PARTS = {
-    "rotation-T2": ([[0, -1], [1, 0]], ()),
-    "shear": ([[1, 1], [0, 1]], ()),
+    "rotation-T2": (QUARTER_TURN, ()),
+    "shear": (SHEAR, ()),
     "swap-x1-x2": ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], ()),
     "dihedral-T3-rotation": ([[0, -1, 0], [1, 0, 0], [0, 0, 1]], ()),
     "rotation-T5": ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
@@ -333,6 +343,46 @@ class TestFixedSet:
         assert len(strata) == 1
         assert strata[0].offset[0] == Fraction(3, 2)
 
+    def test_quarter_rotation_two_points(self):
+        # the quarter turn fixes (0, 0) and (1/2, 1/2) and is refused; the
+        # half turn fixes those and the pair the quarter turn swaps
+        with pytest.raises(InvalidOperand):
+            AffineTorusMap(QUARTER_TURN)
+        strata = fixed_set(rotation_t2())
+        assert sorted(s.offset for s in strata) == [(0, 0), (0, H), (H, 0), (H, H)]
+        assert all(s.torus_dim == 0 for s in strata)
+
+    def test_shifted_rotation(self):
+        f = rotation_t2(shift=(H, 0))
+        strata = fixed_set(f)
+        assert len(strata) == 4
+        count, pts = grid_fixed_count(f)
+        assert count == 4
+        for s in strata:
+            assert apply(f, s.offset) == s.offset
+
+    def test_shear_component(self):
+        # the shear x1 -> x1 + x2 + 1/4 fixes the circle x2 = 3/4 and is
+        # refused; reflecting x2 about 1/4 fixes that circle and x2 = 1/4
+        with pytest.raises(InvalidOperand):
+            AffineTorusMap(SHEAR, [Q, 0])
+        f = D([1, -1], [0, H])
+        strata = fixed_set(f)
+        assert all(s.torus_dim == 1 for s in strata)
+        assert sorted(s.offset[1] for s in strata) == [Q, 3 * Q]
+        count, _ = grid_fixed_count(f)
+        assert count == 16
+
+    def test_shear_with_blocked_translation(self):
+        # the shear that slides x2 by 1/4 fixes nothing and is refused; so
+        # does a reflection of x1 that slides x2 by 1/4
+        with pytest.raises(InvalidOperand):
+            AffineTorusMap(SHEAR, [0, Q])
+        f = D([-1, 1], [0, Q])
+        assert fixed_set(f) == []
+        count, _ = grid_fixed_count(f)
+        assert count == 0
+
 
 class TestGridOracle:
     @settings(max_examples=60, deadline=None)
@@ -403,6 +453,19 @@ class TestSingularLocus:
         assert all(s.torus_dim == 0 and s.count == 2 for s in strata)
         assert quotient_betti(G) == (1, 0, 1)
 
+    def test_t2_mod_z4_cone_points(self):
+        # T^2 modulo the quarter turn has cone points of orders 4, 4 and 2,
+        # and the quarter turn is refused; modulo the half turn it is a
+        # pillowcase whose four cone points are each their own stratum
+        with pytest.raises(InvalidOperand):
+            generate_group([AffineTorusMap(QUARTER_TURN)])
+        G = generate_group([rotation_t2()])
+        assert G.order == 2
+        strata = singular_locus(G)
+        assert sorted((s.count, s.stabilizer_order) for s in strata) == [(1, 2)] * 4
+        assert all(s.torus_dim == 0 for s in strata)
+        assert quotient_betti(G) == (1, 0, 1)
+
     def test_residual_other(self):
         # h keeps each T2 of g and reverses one of its two directions only,
         # so the setwise stabilizer acts on it by neither 1 nor -1
@@ -445,6 +508,15 @@ class TestPullAndSections:
     def test_pull_rejects_translation(self):
         with pytest.raises(PullObstruction):
             pull(the_group(), 5)
+
+    def test_pull_rejects_mixing(self):
+        # a rotation mixing x1 with x2 is refused before pull can see it;
+        # the half turn reverses x1 alone and pulls along it
+        with pytest.raises(InvalidOperand):
+            AffineTorusMap(QUARTER_TURN)
+        P = pull(generate_group([rotation_t2()]), 1)
+        assert P.order == 2 and P.lines == frozenset({1})
+        assert count_ends(P, 1) == 1
 
     def test_pull_rejects_line_coordinate(self):
         P = pull(the_group(), 1)
@@ -840,6 +912,23 @@ def _census_case(sigma, group):
             [g.compose(sigma) for g in group])
 
 
+def _dihedral_t3():
+    # the symmetries of a square inscribed in the circle x1: the quarter
+    # turn r of that circle and the reflection s generate the dihedral group
+    # of order 8 (s r s = r^-1); c reverses x3 and commutes with both
+    r = D([1, 1, 1], [Q, 0, 0], name="r")
+    s = D([-1, 1, 1], name="s")
+    c = D([1, 1, -1], [H, H, 0], name="c")
+    return generate_group([r, s, c])
+
+
+def _rotation_t5():
+    # h turns the (x4, x5) plane by a half turn while sliding x3 by a
+    # quarter, so it has order 4, and g, which reverses x3, inverts it
+    return generate_group([D([-1, -1, -1, 1, 1], name="g"),
+                           D([1, 1, 1, -1, -1], [0, 0, Q, 0, 0], name="h")])
+
+
 def _translations_t4():
     # |T| = 4, and t^2 moves each T2 of the reflection along itself
     return generate_group([D([-1, -1, 1, 1], name="g"),
@@ -856,6 +945,8 @@ ORACLE_CASES = {
     "coassoc-5.3": lambda: _census_case(sigma_53(), the_group()),
     "negid-quarter-T4": lambda: _locus_case(generate_group(
         [D([-1] * 4, name="m"), D([1] * 4, [Fraction(1, 4), 0, 0, 0], name="t")])),
+    "dihedral-T3": lambda: _locus_case(_dihedral_t3()),
+    "rotation-T5": lambda: _locus_case(_rotation_t5()),
     "translations-T4": lambda: _locus_case(_translations_t4()),
     "translations-T2-census": lambda: _census_case(
         D([1, 1], [H, H], name="s"),
@@ -1006,6 +1097,9 @@ BETTI_CASES = {
     "cross-section-x3": lambda: cross_section_group(pull(the_group(), 3), 3),
     "signflips-T5": lambda: signflips(5),
     "line-flip-T2xR": lambda: ORACLE_CASES["line-flip-T2xR"]()[1],
+    "rotation-T2": lambda: generate_group([rotation_t2()]),
+    "rotation-T5": _rotation_t5,
+    "dihedral-T3": _dihedral_t3,
 }
 
 
@@ -1091,6 +1185,7 @@ COMPONENT_CASES = {
     "coassoc-5.2-half": lambda: _group_components(
         pull(the_group(), 4), AffineTorusMap(sigma_52().signs, sigma_52().shift,
                                              [4], "sigma")),
+    "dihedral-T3": lambda: _group_components(_dihedral_t3()),
     "translations-T4": lambda: _group_components(_translations_t4()),
     "line-flip-T2xR": lambda: _group_components(
         ORACLE_CASES["line-flip-T2xR"]()[1]),
@@ -1490,6 +1585,8 @@ LOCUS_GROUPS = {
     **{case: (lambda case=case: [ORACLE_CASES[case]()[1]])
        for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
                     "line-flip-T2xR")},
+    "dihedral-T3": lambda: [_dihedral_t3()],
+    "rotation-T5": lambda: [_rotation_t5()],
     "translations-T4": lambda: [_translations_t4()],
 }
 
@@ -1504,6 +1601,29 @@ CENSUS_CASES = {
         generate_group([D([1, 1], [H, 0], name="t"),
                         D([-1, -1], [0, Fraction(3, 4)], name="m")])),
 }
+
+
+@st.composite
+def signed_permutation_groups(draw):
+    """An unpulled signed diagonal group G with its conjugate P G P^-1 by a
+    random signed permutation P: y_perm(i) = t_i x_i.  The conjugate of
+    x -> diag(e) x + v is again a sign vector: sign e_i and shift t_i v_i on
+    coordinate perm(i)."""
+    group = draw(signed_diagonal_groups(pulls=False))
+    perm = draw(st.permutations(range(group.n)))
+    t = draw(st.lists(st.sampled_from([1, -1]), min_size=group.n,
+                      max_size=group.n))
+    conj = []
+    for g in [group.identity, *group.generators]:
+        signs, shift = [0] * group.n, [0] * group.n
+        for i in range(group.n):
+            signs[perm[i]], shift[perm[i]] = g.signs[i], t[i] * g.shift[i]
+        conj.append(D(signs, shift, name=g.name))
+    return group, generate_group(conj)
+
+
+def _stratum_shape(s):
+    return (s.torus_dim, s.line_dim, s.count, s.stabilizer_order, s.residual)
 
 
 class TestResidualOracle:
@@ -1526,6 +1646,19 @@ class TestResidualOracle:
         # a stratum picks, per coordinate, free or one of the two fixed values
         for n in (4, 5, 6):
             assert len(singular_locus(signflips(n))) == 3 ** n - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=signed_permutation_groups())
+    def test_random_signed_permutation_groups(self, pair):
+        # P is a diffeomorphism of T^n carrying G's strata onto those of
+        # P G P^-1, so their shapes agree, and the conjugate's own strata
+        # match the oracle
+        group, conj = pair
+        assert conj.order == group.order
+        locus = singular_locus(conj)
+        assert locus == oracle_singular_locus(conj)
+        assert (sorted(map(_stratum_shape, locus))
+                == sorted(map(_stratum_shape, singular_locus(group))))
 
     def test_negid_quarter_makes_no_self_moves(self, monkeypatch):
         # every class lies in the fixed set of the coset of -Id, the only
@@ -1685,6 +1818,9 @@ CLOSURE_CASES = {
     **{f"signflips-T{n}": (lambda n=n: list(signflips(n).elements[1:]))
        for n in (4, 5)},
     "translations-T4": lambda: list(_translations_t4().elements),
+    "rotation-T2": lambda: [rotation_t2()],
+    "dihedral-T3": lambda: list(_dihedral_t3().elements),
+    "rotation-T5": lambda: list(_rotation_t5().elements),
     **{case: (lambda case=case: list(ORACLE_CASES[case]()[1].elements))
        for case in ("line-kept-T2xR", "line-reversed-T2xR", "line-reversed-T1xR",
                     "line-flip-T2xR", "signflips-T4-half-e1")},
