@@ -28,10 +28,12 @@ flow = lazy_module("g2kit.flow")
 np = lazy_module("numpy")
 
 # chart points --eh-check evaluates: per scale, --samples Ricci ratios and
-# the curvature probe's 8 radii x 3 directions.  2^16 points took 23.7-24.6 s
-# (about 0.37 ms a point) on a 2-core x86-64 VM with one BLAS thread, as one
-# scale in double or extended precision and as 2621 scales of one sample,
-# so a run inside this budget ends within about 30 s.
+# the curvature probe's 8 radii x 3 directions.  On a 2-core x86-64 VM with
+# one BLAS thread, 2^16 points took 21-26 s as 2621 scales of one sample,
+# nearly all of it in the curvature probe (about 0.35 ms a point), and
+# 1.9 s in double and 3.9 s in extended precision as one scale, whose
+# Ricci ratios run as stacks.  So a run inside this budget ends within
+# about 30 s; its peak RSS was 42-51 MB.
 MAX_EH_POINTS = 2 ** 16
 # the largest scale --eh-check accepts.  The largest power of s that
 # potential_derivatives forms is s^10, in q ** 5 with q = hypot(u, s^2)

@@ -9,8 +9,11 @@ whose complex Hessian has unit determinant identically; the middle term
 must grow logarithmically in r for that to hold, a constant in r there
 produces a metric that is not Ricci-flat.  Radial derivatives are
 implemented in closed form.  Finite differences appear only in
-ricci_at, which differentiates log det h of the closed-form metric on a
-stencil of 66 points evaluated as one stack.
+ricci_at and ricci_ratio, which differentiate log det h of the
+closed-form metric on a stencil of 66 points around each chart point.
+The stencils of a list of points are evaluated as one stack, up to
+RICCI_STACK_POINTS points at a time, and each point keeps the bits it
+has alone.
 """
 
 from __future__ import annotations
@@ -29,11 +32,25 @@ TOLERANCES = {
     "scaling": 1e-8,     # accepted pullback-candidate deviation
     "flat_limit": 1e-6,  # |h - Id| far from the exceptional set
 }
+# chart points per stack of ricci_ratio.  A point's 66 stencil rows and
+# their temporaries take about 20 KiB in double and 37 KiB in extended
+# precision (tracemalloc), so a full stack holds 1.3 or 2.4 MiB.  Points
+# cost about the same from stacks of 16 up; unbounded, the 4000 points
+# of --eh-check --s 1 --samples 4000 raised its peak RSS from 38 MB to
+# 112 MB.
+RICCI_STACK_POINTS = 64
 
 
 def _check_scale(s) -> None:
     if not (s > 0 and math.isfinite(float(s))):
         raise InvalidScale(f"scale parameter must be positive, got {s!r}")
+
+
+def _dtype(precision):
+    """The float type of a precision name, "double" or "extended"."""
+    if precision not in ("double", "extended"):
+        raise InvalidScale(f"unknown precision {precision!r}")
+    return np.longdouble if precision == "extended" else np.float64
 
 
 def potential(s: float, r: float) -> float:
@@ -104,6 +121,33 @@ def kahler_metric_at(s: float, z1, z2) -> HermitianMetric2:
     return HermitianMetric2(m, (complex(z1), complex(z2)))
 
 
+def _dots(x):
+    """x . x for each row of x, each with the bits of x.dot(x) on that
+    row alone: matmul takes the same dot product per row."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+def _frobenius_norms(m):
+    """np.linalg.norm of each complex matrix of a stack, with its bits."""
+    flat = m.reshape(len(m), -1)
+    return np.sqrt(_dots(flat.real) + _dots(flat.imag))
+
+
+def _metrics(fp, fpp, z):
+    """f' Id + f'' zbar_i z_j for each entry of fp and fpp and row of z,
+    each with the bits kahler_metric_at gives one point."""
+    return (fp[:, None, None] * np.eye(2, dtype=complex)
+            + fpp[:, None, None] * (z.conj()[:, :, None] * z[:, None, :]))
+
+
+def _metric_norms(s, z):
+    """kahler_metric_at(s, z1, z2).norm() for each row (z1, z2) of z."""
+    # u from numpy scalars, as kahler_metric_at forms it: their ** 2 calls
+    # pow, where an array's ** 2 rounds x * x
+    u = np.array([abs(z1) ** 2 + abs(z2) ** 2 for z1, z2 in z])
+    return _frobenius_norms(_metrics(*potential_derivatives(s, u), z))
+
+
 def _real_coords(z: np.ndarray) -> np.ndarray:
     return np.array([z[0].real, z[0].imag, z[1].real, z[1].imag], float)
 
@@ -115,40 +159,99 @@ def _to_complex(x) -> tuple:
 def _complex_hessian(real_hessian) -> np.ndarray:
     """Assemble d^2/dz_i dzbar_j from the real 4x4 Hessian.
 
-    Coordinates are ordered (Re z1, Im z1, Re z2, Im z2).
+    Coordinates are ordered (Re z1, Im z1, Re z2, Im z2).  real_hessian
+    may be an array or nested lists.
     """
     out = np.empty((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
             out[i, j] = 0.25 * (
-                float(real_hessian[xi, xj]) + float(real_hessian[yi, yj])
-                + 1j * (float(real_hessian[xi, yj])
-                        - float(real_hessian[yi, xj])))
+                float(real_hessian[xi][xj]) + float(real_hessian[yi][yj])
+                + 1j * (float(real_hessian[xi][yj])
+                        - float(real_hessian[yi][xj])))
     return out
 
 
-def _stencil(x, h):
-    """Rows x, x +- h e_i and x +- h e_i +- h e_j (i < j): 33 points for n = 4.
+# the pairs i < j of the four real coordinates, as np.triu_indices(4, 1)
+# lists them
+_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
+
+
+def _stencils(x, h):
+    """For each row of x and entry of h, the rows x, x +- h e_i and
+    x +- h e_i +- h e_j (i < j): a (points, 33, 4) stack.
 
     The entries are formed as x + ei + ej with ei = h e_i, in the order
-    _hessian_from_stencil reads them.
+    _hessians_from_stencils reads them; ei holds zeros off its axis even
+    where h is inf.
     """
-    e = np.diag(np.full(len(x), h, dtype=x.dtype))
-    i, j = np.triu_indices(len(x), 1)
-    return np.concatenate([x[None], x + e, x - e,
-                           x + e[i] + e[j], x + e[i] - e[j],
-                           x - e[i] + e[j], x - e[i] - e[j]])
+    e = np.zeros((len(x), 4, 4), dtype=x.dtype)
+    e[:, range(4), range(4)] = h[:, None]
+    ei, ej = e[:, _PAIRS[0]], e[:, _PAIRS[1]]
+    x = x[:, None]
+    return np.concatenate([x, x + e, x - e, x + ei + ej, x + ei - ej,
+                           x - ei + ej, x - ei - ej], axis=1)
 
 
-def _hessian_from_stencil(f, h):
-    """Central-difference Hessian from the values f on _stencil(x, h)."""
-    n = math.isqrt((len(f) - 1) // 2)
-    out = np.diag((f[1:n + 1] - 2 * f[0] + f[n + 1:2 * n + 1]) / (h * h))
-    pp, pm, mp, mm = f[2 * n + 1:].reshape(4, -1)
-    i, j = np.triu_indices(n, 1)
-    out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4 * h * h)
+def _hessians_from_stencils(f, h):
+    """Central-difference Hessians from the values f on _stencils(x, h)."""
+    out = np.zeros((len(f), 4, 4), dtype=f.dtype)
+    out[:, range(4), range(4)] = ((f[:, 1:5] - 2 * f[:, :1] + f[:, 5:9])
+                                  / (h * h)[:, None])
+    pp, pm, mp, mm = f[:, 9:].reshape(-1, 4, 6).swapaxes(0, 1)
+    i, j = _PAIRS
+    out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (4 * h * h)[:, None]
     return out
+
+
+def _ricci_hessians(s, points, outer, dtype):
+    """The real Hessians of log det h that ricci_at assembles, one per
+    point, as a (points, 4, 4) stack of dtype.
+
+    Each point's 66 stencil rows join one stack, and every row takes the
+    arithmetic of a lone point.  A refused point raises what ricci_at
+    raises for it, and the first refused point in the list wins.
+    """
+    _check_scale(s)
+    refused = None
+    x0 = []
+    for z1, z2 in points:
+        try:
+            x0.append(_real_coords(_base_point(z1, z2)))
+        except ChartSingular as e:
+            refused = e
+            break
+    x0 = np.array(x0, dtype=dtype).reshape(-1, 4)
+    # each radius from its row's dot product, as np.linalg.norm takes it
+    # for one point; np.linalg.norm(axis=1) rounds differently
+    r = np.sqrt(_dots(x0))
+    h = (np.full(len(x0), outer) if outer is not None
+         else 0.05 * r.astype(np.float64)).astype(dtype)
+    fits = (np.all(x0 + h[:, None] != x0, axis=1)
+            & np.all(x0 + (h / 2)[:, None] != x0, axis=1))
+    if not fits.all():
+        refused = NumericFailure(
+            "finite-difference step underflows at this point")
+        first = np.argmin(fits)
+        x0, h = x0[:first], h[:first]
+    x = np.concatenate([_stencils(x0, h), _stencils(x0, h / 2)],
+                       axis=1).reshape(-1, 4)
+
+    # the metric of every row; the points enter the complex matrix in
+    # double precision
+    m = _metrics(*potential_derivatives(s, _dots(x)),
+                 x.astype(np.float64).view(complex))
+    # the real part of the determinant, written out: numpy's vectorised
+    # complex multiply rounds differently from its scalar one
+    a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
+    det = ((a.real * b.real - a.imag * b.imag)
+           - (c.real * e.real - c.imag * e.imag))
+    f = np.log(det).reshape(len(x0), 66)
+    if refused is not None:
+        raise refused
+    return (4 * _hessians_from_stencils(f[:, 33:], h / 2)
+            - _hessians_from_stencils(f[:, :33], h)) / 3
 
 
 def ricci_at(s: float, z1, z2, outer: float | None = None,
@@ -163,41 +266,32 @@ def ricci_at(s: float, z1, z2, outer: float | None = None,
     arithmetic.  All 66 stencil points go through log det h as one stack;
     each row takes the arithmetic of a lone point.
     """
-    if precision not in ("double", "extended"):
-        raise InvalidScale(f"unknown precision {precision!r}")
-    dtype = np.longdouble if precision == "extended" else np.float64
-    _check_scale(s)
-    z = _base_point(z1, z2)
-    x0 = _real_coords(z).astype(dtype)
-    r = float(np.linalg.norm(x0))
-    h = dtype(outer if outer is not None else 0.05 * r)
-    if not np.all(x0 + h != x0) or not np.all(x0 + h / 2 != x0):
-        raise NumericFailure("finite-difference step underflows at this point")
-    x = np.concatenate([_stencil(x0, h), _stencil(x0, h / 2)])
-
-    # f' Id + f'' zbar_i z_j row by row, as kahler_metric_at forms it;
-    # the points enter the complex matrix in double precision
-    u = np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
-    fp, fpp = potential_derivatives(s, u, order=2)
-    zz = x.astype(np.float64).view(complex)
-    m = (fp[:, None, None] * np.eye(2, dtype=complex)
-         + fpp[:, None, None] * (zz.conj()[:, :, None] * zz[:, None, :]))
-    # the real part of the determinant, written out: numpy's vectorised
-    # complex multiply rounds differently from its scalar one
-    a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
-    det = ((a.real * b.real - a.imag * b.imag)
-           - (c.real * e.real - c.imag * e.imag))
-    coarse, fine = np.split(np.log(det), 2)
-    hess = (4 * _hessian_from_stencil(fine, h / 2)
-            - _hessian_from_stencil(coarse, h)) / 3
+    hess = _ricci_hessians(s, [(z1, z2)], outer, _dtype(precision))[0]
     return HermitianMetric2(-_complex_hessian(hess),
                             (complex(z1), complex(z2)))
 
 
-def ricci_ratio(s: float, z1, z2, precision: str = "double") -> float:
-    """|Ricci| / |h| at a point, the relative Ricci-flatness defect."""
-    ric = ricci_at(s, z1, z2, precision=precision)
-    return ric.norm() / kahler_metric_at(s, z1, z2).norm()
+def ricci_ratio(s: float, z1, z2=None, precision: str = "double"):
+    """|Ricci| / |h| at a point, the relative Ricci-flatness defect.
+
+    z1 may also be a non-empty list of points (z1, z2), with z2 left
+    out: then the list of their ratios is returned, each bit for bit the
+    ratio of its point alone.  The points are evaluated in stacks of up
+    to RICCI_STACK_POINTS, and the first point ricci_at refuses raises
+    its error.
+    """
+    points = z1 if z2 is None else [(z1, z2)]
+    dtype = _dtype(precision)
+    if not points:
+        raise InvalidOperand("the list of points is empty")
+    ratios = []
+    for first in range(0, len(points), RICCI_STACK_POINTS):
+        chunk = points[first:first + RICCI_STACK_POINTS]
+        hess = _ricci_hessians(s, chunk, None, dtype).astype(np.float64)
+        ric = np.array([_complex_hessian(rows) for rows in hess.tolist()])
+        ratios += (_frobenius_norms(ric)
+                   / _metric_norms(s, np.array(chunk, dtype=complex))).tolist()
+    return ratios if z2 is None else ratios[0]
 
 
 def flat_deviation(s: float, z1, z2) -> float:

@@ -49,9 +49,11 @@ trajectory costs its states array plus one block's temporaries.
 random_quadratic draws dense Gaussian tensors and calibrates their
 Lipschitz bounds by an alternating power iteration with six restarts.
 The restarts of every tensor in a stack step together, one einsum over
-a (trials, restarts, dim) stack per update.  A draw costs order dim^3,
-so decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it
-builds or draws anything.  It stacks its trials up to
+a (trials, restarts, dim) stack per update.  Up to dim 90 the u-update
+reads one k-major copy of the stack, which keeps its bits and takes
+0.5-0.7 of its time at dims 16-52.  A draw costs order dim^3, so
+decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it builds
+or draws anything.  It stacks its trials up to
 STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
 per-call overhead, which the trials of a stack share.
 
@@ -77,11 +79,12 @@ np = lazy_module("numpy")
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
 MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
-# dim^3 x trials for decay_trials.  A trial costs about 0.7-1.1 us per
+# dim^3 x trials for decay_trials.  A trial costs about 0.7-0.9 us per
 # dim^3 for the draw (the batched power iteration of
-# _tensor_operator_norms, dims 48-160) and 0.2-1.1 us per dim^3 for the
-# integration, on a 2-core x86-64 VM with one BLAS thread, so a run
-# inside this budget ends within about 30 s.
+# _tensor_operator_norms) at dims 48-52, where the u-update reads a
+# k-major copy, and 0.8-1.3 us at dims 96-160, plus 0.3-1.2 us per dim^3
+# for the integration, on a 2-core x86-64 VM with one BLAS thread, so a
+# run inside this budget ends within about 30 s.
 MAX_TRIAL_WORK = 2 ** 23
 # floats of quadratic tensor per stack of decay trials (256 KiB): the
 # trials of a stack are drawn, calibrated and integrated together.  At
@@ -97,6 +100,11 @@ INTEGRATOR_ATOL = 1e-12
 # array up to dim 326 at 201 samples, the decay trials included, is one
 # block.
 NORM_BLOCK_FLOATS = 2 ** 16
+# the largest n^2 for which _tensor_operator_norms runs its u-update on a
+# k-major copy of the tensors: numpy's einsum buffers 8192 elements, and
+# while an (i, j) slice fits, the copy sums in the order of the strided
+# read.  Dims 16, 48 and 52 of build_mode_system fall under it.
+U_UPDATE_KMAJOR_MAX = 8192
 
 
 def _wedge_pattern(d, p):
@@ -315,14 +323,24 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     (trials, restarts, n) stacks, one einsum per update, and each row
     takes the arithmetic of a lone restart on a lone tensor, so the
     norms do not depend on the batching.
+
+    The u-update sums over (i, j) with k innermost, which reads the
+    tensor with a stride.  Up to n^2 = U_UPDATE_KMAJOR_MAX it runs on
+    one k-major copy of the stack instead: there each (i, j) slice fits
+    einsum's buffer, so the copy gives the same bits, in 0.5-0.9 of the
+    time at dims 16-76.  Above, the copy would change the bits.
     """
     n = tensors.shape[1]
     start = np.stack([rng.standard_normal((restarts, 3, n)) for rng in rngs])
     u, w, v = (_unit_rows(start[:, :, i]) for i in range(3))
+    u_spec, u_tensors = "bijk,bri,brj->brk", tensors
+    if n * n <= U_UPDATE_KMAJOR_MAX:
+        u_spec = "bkij,bri,brj->brk"
+        u_tensors = np.ascontiguousarray(tensors.transpose(0, 3, 1, 2))
     for _ in range(iters):
         w = _unit_rows(np.einsum("bijk,brj,brk->bri", tensors, v, u))
         v = _unit_rows(np.einsum("bijk,bri,brk->brj", tensors, w, u))
-        u = _unit_rows(np.einsum("bijk,bri,brj->brk", tensors, w, v))
+        u = _unit_rows(np.einsum(u_spec, u_tensors, w, v))
     values = np.einsum("bijk,bri,brj,brk->br", tensors, w, v, u)
     return [max(0.0, *map(float, row)) for row in values]
 

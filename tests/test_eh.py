@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from g2kit.eguchi_hanson import (
+    RICCI_STACK_POINTS,
     TOLERANCES,
     HermitianMetric2,
     curvature_injectivity_scaling_probe,
@@ -38,10 +39,12 @@ from g2kit.eguchi_hanson import (
 from g2kit import eguchi_hanson
 from g2kit.errors import (
     ChartSingular,
+    G2KitError,
     InvalidOperand,
     InvalidScale,
     NumericFailure,
 )
+from g2kit.scenarios import _eh_suite
 
 SCALES = (0.5, 1.0, 2.0)
 
@@ -121,6 +124,12 @@ def scalar_ricci_at(s, z1, z2, outer=None, precision="double"):
 
     hess = hessian_richardson(logdet, x0, h_out)
     return -eguchi_hanson._complex_hessian(hess)
+
+
+def scalar_ricci_ratio(s, z1, z2, precision="double"):
+    """|Ricci| / |h| from scalar_ricci_at."""
+    ric = scalar_ricci_at(s, z1, z2, precision=precision)
+    return float(np.linalg.norm(ric)) / kahler_metric_at(s, z1, z2).norm()
 
 
 def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
@@ -356,6 +365,86 @@ class TestRicci:
         # the step reaches the excluded origin from (1, 0)
         with pytest.raises(ChartSingular):
             ricci_at(1.0, 1.0 + 0j, 0j, outer=1.0)
+
+
+# points that ricci_at refuses: the origin, a radius whose step does not
+# move the point, and a point whose stencil reaches rows with u = 0 in
+# double precision (|z|^2 rounds up to the least subnormal, a row 5%
+# closer to the origin rounds down to 0)
+ORIGIN = (0j, 0j)
+INFINITE = (complex("inf"), 0j)
+UNDERFLOW = (1.6e-162 + 0j, 0j)
+
+
+def first_error(call):
+    """The type and message of the G2KitError call() raises, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            call()
+    except G2KitError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestRicciStack:
+    """ricci_ratio over a list of points against one point at a time."""
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("count", [1, 20, RICCI_STACK_POINTS + 1])
+    def test_list_matches_scalar_path(self, count, precision):
+        for s in SCALES:
+            points = sample_points(count, s, seed=count, rmin=0.1, rmax=10)
+            got = ricci_ratio(s, points, precision=precision)
+            want = [scalar_ricci_ratio(s, z1, z2, precision)
+                    for z1, z2 in points]
+            assert all(type(r) is float for r in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    @pytest.mark.parametrize("at", [0, 7, RICCI_STACK_POINTS + 1])
+    @pytest.mark.parametrize("bad", [
+        (ORIGIN, INFINITE), (INFINITE, ORIGIN), (UNDERFLOW, INFINITE),
+        (INFINITE, UNDERFLOW), (UNDERFLOW, ORIGIN)])
+    def test_first_refused_point_raises_its_error(self, bad, at, precision):
+        good = sample_points(RICCI_STACK_POINTS + 4, 1.0, seed=2)
+        points = good[:at] + list(bad) + good[at:]
+
+        def per_point():
+            for z1, z2 in points:
+                scalar_ricci_at(1.0, z1, z2, precision=precision)
+
+        want = first_error(per_point)
+        assert want is not None
+        assert first_error(
+            lambda: ricci_ratio(1.0, points, precision=precision)) == want
+
+    def test_underflowing_stencil_row_is_refused(self):
+        with pytest.raises(ChartSingular, match="u = r"):
+            ricci_ratio(1.0, [UNDERFLOW])
+
+    def test_overflowing_scale_gives_nan_rows(self):
+        points = sample_points(RICCI_STACK_POINTS + 1, 1e300, seed=0)
+        with np.errstate(all="ignore"):
+            got = ricci_ratio(1e300, points)
+            want = [scalar_ricci_ratio(1e300, z1, z2) for z1, z2 in points]
+        assert np.isnan(got).all() and np.isnan(want).all()
+
+    def test_refuses_empty_list_and_unknown_precision(self):
+        with pytest.raises(InvalidOperand):
+            ricci_ratio(1.0, [])
+        with pytest.raises(InvalidScale):
+            ricci_ratio(1.0, [(1.0 + 0j, 0j)], precision="quad")
+
+    @pytest.mark.parametrize("precision", ["double", "extended"])
+    def test_eh_suite_rows_are_maxima_of_lone_points(self, precision):
+        # 600 samples run as stacks of RICCI_STACK_POINTS and a remainder
+        rows = {r.check: r.computed
+                for r in _eh_suite(3, precision, samples=600).rows}
+        for s in SCALES:
+            want = max(ricci_ratio(s, z1, z2, precision=precision)
+                       for z1, z2 in sample_points(600, s, seed=3))
+            got = rows[f"ricci_max_ratio_s={s:g}"]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCurvature:

@@ -680,7 +680,7 @@ class TestCalibrationOracle:
     """The batched power iteration against one restart at a time."""
 
     @pytest.mark.parametrize("d,N,seeds", [
-        (2, 1, range(12)), (2, 2, (0, 7)), (3, 1, (0, 3))])
+        (2, 1, range(12)), (2, 2, (0, 7)), (3, 1, (0, 3)), (2, 3, (0,))])
     def test_tensor_bits(self, d, N, seeds):
         system = build_mode_system(d, N)
         for seed in seeds:
