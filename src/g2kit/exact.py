@@ -45,12 +45,12 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
-def nth_root_fraction(q: Fraction, k: int, digits: int = 50) -> tuple[Fraction, bool]:
+def nth_root_fraction(q: Fraction, k: int) -> tuple[Fraction, bool]:
     """k-th root of a positive rational.
 
     Returns (root, exact). When q is a perfect k-th power the root is exact;
-    otherwise it is a correctly-rounded approximation with `digits` decimal
-    digits, still returned as a Fraction.
+    otherwise it is the root rounded down to a multiple of 1/(10^50 d), for
+    d the denominator of q, still returned as a Fraction.
     """
     if q <= 0:
         raise ValueError("nth_root_fraction needs q > 0")
@@ -58,7 +58,7 @@ def nth_root_fraction(q: Fraction, k: int, digits: int = 50) -> tuple[Fraction, 
     rn, rd = iroot(num, k), iroot(den, k)
     if rn ** k == num and rd ** k == den:
         return Fraction(rn, rd), True
-    scale = 10 ** digits
+    scale = 10 ** 50
     # (num/den)^(1/k) = (num * den^(k-1))^(1/k) / den
     approx = iroot(num * den ** (k - 1) * scale ** k, k)
     return Fraction(approx, den * scale), False

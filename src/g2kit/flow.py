@@ -92,6 +92,8 @@ MAX_TRIAL_WORK = 2 ** 23
 # alone.  Stacks of 20 dim-16 trials ran a run --all pass about 4% faster
 # but raised its peak RSS by 1.1 MB, against 0.1-0.3 MB at 8.
 STACK_TENSOR_FLOATS = 2 ** 15
+# norm of each decay trial's random start in B-
+START_NORM = 0.01
 
 INTEGRATOR_RTOL = 1e-9
 INTEGRATOR_ATOL = 1e-12
@@ -638,52 +640,39 @@ def monotone_gap_check(traj, tol=1e-7):
     return GapCheck(monotone=monotone, dominance=dominance)
 
 
-def _check_range(value, name, upper=math.inf):
-    """Raise InvalidOperand unless value is a number in (0, upper), which
-    neither NaN nor inf is."""
-    try:
-        if 0 < value < upper:
-            return
-    except TypeError:
-        pass
-    raise InvalidOperand(
-        f"{name} must be finite and in (0, {upper}), got {value!r}")
-
-
-def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
-                 ball_radius=1.0, start_norm=0.01, horizon=None):
+def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0):
     """Seeded ensemble of quadratic perturbation runs.
 
     Each trial draws a fresh quadratic map with Lipschitz bound
-    k = k_frac * mu and a random small start in B-, integrates over
-    the horizon (default 2/mu), and records the fitted rate and the
-    gap diagnostics.  Returns (system, list of (trajectory, GapCheck)).
-    Trial i draws its map from seed + i and its start from
+    k = k_frac * mu on the unit ball and a start in B- of norm
+    START_NORM, integrates over the horizon 2/mu, and records the fitted
+    rate and the gap diagnostics.  Returns (system, list of (trajectory,
+    GapCheck)).  Trial i draws its map from seed + i and its start from
     seed + 10000 + i; stacks of up to STACK_TENSOR_FLOATS // dim^3 trials
     share one random_quadratic and one integrate_flow call.
 
     A generic start is not on the stable manifold: the quadratic
     coupling feeds the growing subspace at order k*|x0|^2, which takes
     over after roughly log(1/(k*|x0|))/(2*mu).  Where this was checked,
-    d = 2 with N <= 3 and d = 3 with N = 1, the default horizon and start
-    norm keep the whole window inside the decaying regime, so the
-    ensemble exercises the rate bound rather than the escape branch.
-    Larger cutoffs bring growing modes with rates far above mu, and the
-    window need not stay decaying: d = 2, N = 4 gave no decaying trial
-    in two.
+    d = 2 with N <= 3 and d = 3 with N = 1, that horizon and start norm
+    keep the whole window inside the decaying regime, so the ensemble
+    exercises the rate bound rather than the escape branch.  Larger
+    cutoffs bring growing modes with rates far above mu, and the window
+    need not stay decaying: d = 2, N = 4 gave no decaying trial in two.
 
     Sizes with dim^3 x trials above MAX_TRIAL_WORK raise CutoffTooLarge,
     and a k_frac outside (0, 1/2) (mu is 2*pi at every size, and k must
-    stay below mu/2) or a ball_radius, start_norm or horizon that is not
-    finite and > 0 raises InvalidOperand, before anything is built or
+    stay below mu/2) raises InvalidOperand, before anything is built or
     drawn.
     """
     trials = _whole_number(trials, "trials", 1)
-    _check_range(k_frac, "k_frac", 0.5)
-    _check_range(ball_radius, "ball_radius")
-    _check_range(start_norm, "start_norm")
-    if horizon is not None:
-        _check_range(horizon, "horizon")
+    try:
+        in_range = 0 < k_frac < 0.5  # false for NaN
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise InvalidOperand(
+            f"k_frac must be finite and in (0, 0.5), got {k_frac!r}")
     dim = _system_size(d, N)[2]
     if dim ** 3 * trials > MAX_TRIAL_WORK:
         raise CutoffTooLarge(
@@ -691,15 +680,14 @@ def decay_trials(d=2, N=1, k_frac=0.1, trials=20, seed=0,
             f"{dim ** 3 * trials}, above the {MAX_TRIAL_WORK} work budget")
     system = build_mode_system(d, N)
     k = k_frac * system.mu
-    T = 2.0 / system.mu if horizon is None else horizon
+    T = 2.0 / system.mu
     size = max(1, STACK_TENSOR_FLOATS // dim ** 3)
     out = []
     for first in range(0, trials, size):
         batch = range(first, min(first + size, trials))
-        maps = random_quadratic(system, k, ball_radius,
-                                seed=[seed + i for i in batch])
+        maps = random_quadratic(system, k, seed=[seed + i for i in batch])
         starts = [system.random_minus_state(seed=seed + 10_000 + i,
-                                            norm=start_norm) for i in batch]
+                                            norm=START_NORM) for i in batch]
         out += [(traj, monotone_gap_check(traj))
                 for traj in integrate_flow(system, maps, starts, T=T)]
     return system, out

@@ -47,7 +47,10 @@ class ExteriorForm(Frozen):
     """Sparse exterior form with exact rational coefficients.
 
     Coefficients are keyed by strictly increasing 1-based index tuples.
-    Instances are immutable; all operations return new forms.
+    The constructor takes a mapping or (index, coefficient) pairs in any
+    order and is the one canonicalizer: it sorts each index, signs the
+    permutation, sums repeated keys and drops zeros.  Every operation hands
+    it the raw terms of its result.  Instances are immutable.
     """
 
     __slots__ = ("dim", "degree", "coeffs")
@@ -89,10 +92,8 @@ class ExteriorForm(Frozen):
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         self._check_same_shape(other)
-        merged = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            merged[idx] = merged.get(idx, Fraction(0)) + c
-        return ExteriorForm(self.dim, self.degree, merged)
+        return ExteriorForm(self.dim, self.degree,
+                            [*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self + (-other)
@@ -145,18 +146,9 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     deg = a.degree + b.degree
     if deg > a.dim:
         raise InvalidOperand(f"degree {a.degree}+{b.degree} exceeds dimension {a.dim}")
-    out: dict[Index, Fraction] = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            idx, sign = _sort_index(ia + ib)
-            if sign == 0:
-                continue
-            c = out.get(idx, Fraction(0)) + sign * ca * cb
-            if c == 0:
-                out.pop(idx, None)
-            else:
-                out[idx] = c
-    return ExteriorForm(a.dim, deg, out)
+    return ExteriorForm(a.dim, deg, [(ia + ib, ca * cb)
+                                     for ia, ca in a.coeffs.items()
+                                     for ib, cb in b.coeffs.items()])
 
 
 def contract(v: Sequence, a: ExteriorForm) -> ExteriorForm:
@@ -166,19 +158,10 @@ def contract(v: Sequence, a: ExteriorForm) -> ExteriorForm:
     vec = [frac(x) for x in v]
     if len(vec) != a.dim:
         raise InvalidOperand(f"vector length {len(vec)} != dimension {a.dim}")
-    out: dict[Index, Fraction] = {}
-    for idx, c in a.coeffs.items():
-        for p, i in enumerate(idx):
-            if vec[i - 1] == 0:
-                continue
-            rest = idx[:p] + idx[p + 1:]
-            term = (-1) ** p * vec[i - 1] * c
-            acc = out.get(rest, Fraction(0)) + term
-            if acc == 0:
-                out.pop(rest, None)
-            else:
-                out[rest] = acc
-    return ExteriorForm(a.dim, a.degree - 1, out)
+    return ExteriorForm(a.dim, a.degree - 1,
+                        [(idx[:p] + idx[p + 1:], (-1) ** p * vec[i - 1] * c)
+                         for idx, c in a.coeffs.items()
+                         for p, i in enumerate(idx)])
 
 
 def evaluate(a: ExteriorForm, vectors: Sequence[Sequence]) -> Fraction:
@@ -240,17 +223,13 @@ def pullback(lin: LinearMapR, a: ExteriorForm) -> ExteriorForm:
     n = a.dim
     ones = [ExteriorForm(n, 1, {(j,): x for j, x in enumerate(row, 1) if x})
             for row in lin.matrix]
-    out: dict[Index, Fraction] = {}
+    out = []
     for idx, c in a.coeffs.items():
-        if not idx:
-            out[idx] = out.get(idx, Fraction(0)) + c
-            continue
-        term = ones[idx[0] - 1]
-        for i in idx[1:]:
+        term = ExteriorForm(n, 0, {(): c})
+        for i in idx:
             term = wedge(term, ones[i - 1])
-        for target, t in term.coeffs.items():
-            out[target] = out.get(target, Fraction(0)) + c * t
-    return ExteriorForm(a.dim, a.degree, out)
+        out += term.coeffs.items()
+    return ExteriorForm(n, a.degree, out)
 
 
 class MetricTensor(Frozen):
@@ -277,12 +256,6 @@ class MetricTensor(Frozen):
         return hash(self.matrix)
 
 
-def _perm_sign_concat(first: Index, second: Index) -> int:
-    """Sign of the permutation sorting the concatenation of two disjoint tuples."""
-    _, sign = _sort_index(first + second)
-    return sign
-
-
 def hodge_star(g: MetricTensor, vol: ExteriorForm, a: ExteriorForm) -> ExteriorForm:
     """Hodge dual defined by b ∧ *a = <b,a>_g vol for every b of matching degree."""
     n = a.dim
@@ -296,7 +269,7 @@ def hodge_star(g: MetricTensor, vol: ExteriorForm, a: ExteriorForm) -> ExteriorF
         raise DegenerateMetric("volume form vanishes")
     ginv = inverse(g.matrix)
     k = a.degree
-    out: dict[Index, Fraction] = {}
+    out = []
     for idx in combinations(range(1, n + 1), k):
         # <dx^idx, a>_g
         pairing = Fraction(0)
@@ -306,10 +279,8 @@ def hodge_star(g: MetricTensor, vol: ExteriorForm, a: ExteriorForm) -> ExteriorF
             else:
                 gram = [[ginv[p - 1][q - 1] for q in ib] for p in idx]
                 pairing += cb * det(gram)
-        if pairing == 0:
-            continue
         comp = tuple(i for i in full if i not in idx)
-        out[comp] = _perm_sign_concat(idx, comp) * pairing * v
+        out.append((comp, _sort_index(idx + comp)[1] * pairing * v))
     return ExteriorForm(n, n - k, out)
 
 
@@ -405,13 +376,10 @@ def g2_from_su3(big: ExteriorForm, omega: ExteriorForm, t_index: int) -> Exterio
         raise InvalidOperand("expected a 3-form and a 2-form on R^6")
     if not (1 <= t_index <= 7):
         raise InvalidOperand("t_index out of range")
-    out: dict[Index, Fraction] = {}
-    for idx, c in big.coeffs.items():
-        out[_raise_index(idx, t_index)] = c
-    for idx, c in omega.coeffs.items():
-        up = _raise_index(idx, t_index)
-        out[(t_index,) + up] = out.get((t_index,) + up, Fraction(0)) + c
-    return ExteriorForm(7, 3, out)
+    return ExteriorForm(7, 3, [(_raise_index(idx, t_index), c)
+                               for idx, c in big.coeffs.items()] +
+                        [((t_index,) + _raise_index(idx, t_index), c)
+                         for idx, c in omega.coeffs.items()])
 
 
 def g2_from_hyperkahler(kappa_i: ExteriorForm, kappa_j: ExteriorForm,

@@ -26,13 +26,17 @@ components upstairs.  The cosets +1 on S form a subgroup F of the point
 group, and the pointwise stabilizer of a component through x0 has order
 |F| / |F x0 mod Λ_T|, from one orbit walk under a basis of F.  Nothing is
 cached across calls.
+
+The quotient's Betti numbers count invariant monomials.  A sign vector
+takes each monomial dx^I to ±dx^I, so the constant forms that G fixes are
+spanned by the monomials on circle coordinates whose sign is +1 under
+every generator, and b^k is the number of those of degree k.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -247,15 +251,40 @@ def generate_group(gens: Sequence[AffineTorusMap],
     return FiniteActionGroup(chosen, elements)
 
 
+def _monomial_sign(mask: int, bits: int) -> int:
+    """The sign a map with reversal mask puts on dx^I, for I given as the
+    bit mask bits (bit i - 1 for coordinate i): (-1)^popcount(mask ∩ I)."""
+    return -1 if (mask & bits).bit_count() & 1 else 1
+
+
 def check_preserves_form(f: AffineTorusMap, phi, sign: int) -> bool:
     """Does the linear part pull the exterior form phi back to sign * phi?
-    It takes c dx^I to c (prod of the signs on I) dx^I, so every monomial
-    of phi must carry the sign product sign."""
+    It takes c dx^I to c _monomial_sign(mask, I) dx^I, so every monomial
+    of phi must carry the sign sign."""
     if f.n != phi.dim:
         raise InvalidOperand("dimension mismatch")
     if sign not in (1, -1):
         raise InvalidOperand("sign must be +1 or -1")
-    return all(prod(f.signs[i - 1] for i in idx) == sign for idx in phi.coeffs)
+    return all(_monomial_sign(f.mask, sum(1 << (i - 1) for i in idx)) == sign
+               for idx in phi.coeffs)
+
+
+def invariant_forms(group: FiniteActionGroup, k: int) -> list[tuple[int, ...]]:
+    """A basis of the G-invariant constant k-forms on the circle block: the
+    increasing tuples I of 1-based circle coordinates whose monomial dx^I
+    every generator fixes.  The monomials are eigenforms of every sign
+    vector and their signs multiply under composition, so the generators
+    decide for all of G; a group without generators is trivial and fixes
+    every monomial."""
+    if k < 0:
+        raise InvalidOperand(f"degree {k} is negative")
+    circ = [i for i in range(1, group.n + 1) if i not in group.lines]
+    # each monomial with its bit mask, kept through one generator at a time
+    terms = list(zip(combinations(circ, k),
+                     map(sum, combinations([1 << (i - 1) for i in circ], k))))
+    for g in group.generators:
+        terms = [t for t in terms if _monomial_sign(g.mask, t[1]) == 1]
+    return [idx for idx, _ in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -699,27 +728,11 @@ def involution_fixed_census(sigma: AffineTorusMap,
 
 
 def quotient_betti(group: FiniteActionGroup) -> BettiVector:
-    """Betti numbers of the quotient: the group average of tr Λ^k on the
-    circle block (line factors are contractible and contribute nothing).
-    For signs ε that trace is the elementary symmetric polynomial e_k(ε),
-    the coefficient of t^k in prod (1 + ε_i t), taken once per distinct
-    circle sign vector and weighted by its multiplicity."""
-    circ = [i for i in range(group.n) if (i + 1) not in group.lines]
-    blocks = Counter(tuple(g.signs[i] for i in circ) for g in group.elements)
-    totals = [0] * (len(circ) + 1)
-    for signs, mult in blocks.items():
-        e = [1]
-        for s in signs:
-            e = [a + s * b for a, b in zip(e + [0], [0] + e)]
-        totals = [t + mult * x for t, x in zip(totals, e)]
-    out = []
-    for k, total in enumerate(totals):
-        avg = Fraction(total, group.order)
-        if avg.denominator != 1 or avg < 0:
-            raise InvalidOperand(
-                f"invariant trace average b^{k} = {avg} is not a nonnegative integer")
-        out.append(int(avg))
-    return BettiVector(out)
+    """Betti numbers of the quotient: b^k is the number of invariant
+    monomial k-forms on the circle block (line factors are contractible and
+    contribute nothing)."""
+    c = group.n - len(group.lines)
+    return BettiVector([len(invariant_forms(group, k)) for k in range(c + 1)])
 
 
 def count_ends(group: FiniteActionGroup, i: int) -> int:

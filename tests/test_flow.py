@@ -777,11 +777,7 @@ class TestDecayTrials:
 
     @pytest.mark.parametrize("kwargs", [
         {"k_frac": 0.5}, {"k_frac": 0.9}, {"k_frac": 0.0}, {"k_frac": -0.1},
-        {"k_frac": math.nan}, {"k_frac": math.inf}, {"k_frac": "0.1"},
-        {"horizon": 0.0}, {"horizon": -1.0}, {"horizon": math.nan},
-        {"horizon": math.inf}, {"ball_radius": 0.0}, {"ball_radius": -1.0},
-        {"ball_radius": math.inf}, {"start_norm": 0.0},
-        {"start_norm": math.nan}, {"start_norm": -0.01}],
+        {"k_frac": math.nan}, {"k_frac": math.inf}, {"k_frac": "0.1"}],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_bad_arguments_refused_before_building(self, kwargs,
                                                    monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from g2kit import forms, torus
 from g2kit.errors import (
@@ -117,6 +117,135 @@ class TestCanonicalForm:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             PHI0.dim = 6
+
+
+# ---------------------------------------------------------------------------
+# Reference for the form operations: each one sorts, signs, sums and prunes
+# its own output with an accumulate-and-prune loop, and sorts an index by
+# counting inversions.  The library hands raw terms to ExteriorForm instead.
+
+
+def reference_sort(idx):
+    """(sorted idx, sign of the sorting permutation), or (None, 0) when an
+    index repeats."""
+    if len(set(idx)) < len(idx):
+        return None, 0
+    return tuple(sorted(idx)), (-1) ** sum(a > b for a, b in combinations(idx, 2))
+
+
+def reference_accumulate(out, raw_idx, c):
+    idx, sign = reference_sort(raw_idx)
+    if sign == 0:
+        return
+    total = out.get(idx, Fraction(0)) + sign * c
+    if total == 0:
+        out.pop(idx, None)
+    else:
+        out[idx] = total
+
+
+def reference_terms(pairs):
+    out = {}
+    for idx, c in pairs:
+        reference_accumulate(out, tuple(idx), Fraction(c))
+    return out
+
+
+def reference_add(a, b):
+    return reference_terms([*a.coeffs.items(), *b.coeffs.items()])
+
+
+def reference_wedge_terms(a_terms, b_terms):
+    out = {}
+    for ia, ca in a_terms.items():
+        for ib, cb in b_terms.items():
+            reference_accumulate(out, ia + ib, ca * cb)
+    return out
+
+
+def reference_contract(v, a):
+    out = {}
+    for idx, c in a.coeffs.items():
+        for p, i in enumerate(idx):
+            if v[i - 1] != 0:
+                reference_accumulate(out, idx[:p] + idx[p + 1:],
+                                     (-1) ** p * Fraction(v[i - 1]) * c)
+    return out
+
+
+def reference_wedge_pullback(lin, a):
+    """c dx^I goes to c (L*dx^{i1}) ∧ ... ∧ (L*dx^{ik}), with the
+    reference wedge."""
+    ones = [{(j,): x for j, x in enumerate(row, 1) if x} for row in lin.matrix]
+    out = {}
+    for idx, c in a.coeffs.items():
+        term = {(): Fraction(1)}
+        for i in idx:
+            term = reference_wedge_terms(term, ones[i - 1])
+        for target, t in term.items():
+            reference_accumulate(out, target, c * t)
+    return out
+
+
+def raw_terms(dim, degree):
+    """(index, coefficient) pairs over a small alphabet, so indices repeat
+    within a tuple, keys recur in other orders and coefficients cancel."""
+    idx = st.tuples(*[st.integers(1, min(dim, degree + 1))] * degree)
+    coeff = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
+    return st.lists(st.tuples(idx, coeff), max_size=8)
+
+
+def assert_canonical(form, want):
+    assert form.coeffs == want
+    assert all(c != 0 for c in form.coeffs.values())
+    assert all(list(idx) == sorted(set(idx)) for idx in form.coeffs)
+
+
+class TestCanonicalizer:
+    @seed(23)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_raw_terms_in_any_order(self, data, dim):
+        degree = data.draw(st.integers(0, dim))
+        pairs = data.draw(raw_terms(dim, degree))
+        shuffled = data.draw(st.permutations(pairs))
+        a = ExteriorForm(dim, degree, pairs)
+        b = ExteriorForm(dim, degree, shuffled)
+        assert_canonical(a, reference_terms(pairs))
+        assert a == b and hash(a) == hash(b)
+
+    @seed(23)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_operations_match_reference_loops(self, data, dim):
+        p = data.draw(st.integers(0, dim))
+        q = data.draw(st.integers(0, dim - p))
+        a = ExteriorForm(dim, p, data.draw(raw_terms(dim, p)))
+        a2 = ExteriorForm(dim, p, data.draw(raw_terms(dim, p)))
+        b = ExteriorForm(dim, q, data.draw(raw_terms(dim, q)))
+        total = a + a2
+        assert_canonical(total, reference_add(a, a2))
+        assert total == a2 + a and hash(total) == hash(a2 + a)
+        assert_canonical(a + (-a), {})
+        product = wedge(a, b)
+        assert_canonical(product, reference_wedge_terms(a.coeffs, b.coeffs))
+        assert product == (-1) ** (p * q) * wedge(b, a)
+        if p:
+            v = data.draw(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]),
+                                   min_size=dim, max_size=dim))
+            assert_canonical(contract(v, a), reference_contract(v, a))
+        rows = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim,
+                                           max_size=dim),
+                                  min_size=dim, max_size=dim))
+        lin = LinearMapR(rows)
+        if lin.det:
+            assert_canonical(pullback(lin, a), reference_wedge_pullback(lin, a))
+
+    def test_cancelling_terms_leave_no_key(self):
+        a = dx(1, dim=3) + dx(2, dim=3)
+        assert_canonical(wedge(a, a), {})
+        assert_canonical(ExteriorForm(3, 2, [((1, 2), 1), ((2, 1), 1)]), {})
+        assert_canonical(contract([1, 1, 0], dx(1, 3, dim=3) - dx(2, 3, dim=3)), {})
 
 
 class TestWedgeContract:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from functools import _lru_cache_wrapper
 from math import gcd, lcm, log2, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from g2kit.errors import (
 from g2kit.exact import det, identity_matrix, inverse, mat_mul, mat_vec, smith_normal_form
 from g2kit import torus
 from g2kit.forms import PHI0, ExteriorForm, LinearMapR, pullback
+from g2kit.scenarios import load_scenario
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
@@ -38,6 +40,7 @@ from g2kit.torus import (
     cross_section_group,
     fixed_set,
     generate_group,
+    invariant_forms,
     involution_fixed_census,
     pull,
     quotient_betti,
@@ -1289,6 +1292,107 @@ class TestQuotientBettiOracle:
     @given(group=signed_diagonal_groups())
     def test_random_signed_diagonal_groups(self, group):
         assert tuple(quotient_betti(group)) == reference_quotient_betti(group)
+
+
+# ---------------------------------------------------------------------------
+# Reference for invariant_forms: a monomial on the circle block is invariant
+# when the dense linear part of every element pulls it back to itself, and
+# the basis has the dimension of reference_quotient_betti.
+
+PERFBENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
+
+def gamma1_group():
+    return generate_group([alpha(), beta(), gamma1()])
+
+
+def dense_pullback(g, idx):
+    """The pullback of dx^idx under dense(g), as {J: coefficient}: through
+    forms.pullback up to dimension 7, where ExteriorForm stops, and as the
+    nonzero minors det(L[idx, J]) above it."""
+    a = dense(g)
+    if g.n <= 7:
+        return pullback(LinearMapR(a), ExteriorForm(g.n, len(idx), {idx: 1})).coeffs
+    minors = {j: det([[a[p - 1][q - 1] for q in j] for p in idx])
+              for j in combinations(range(1, g.n + 1), len(idx))}
+    return {j: c for j, c in minors.items() if c}
+
+
+def assert_invariant_forms_match(group):
+    circ = [i for i in range(1, group.n + 1) if i not in group.lines]
+    reference = reference_quotient_betti(group)
+    for k in range(len(circ) + 1):
+        basis = invariant_forms(group, k)
+        assert basis == sorted(set(basis))
+        for idx in combinations(circ, k):
+            fixed = all(dense_pullback(g, idx) == {idx: 1} for g in group)
+            assert fixed == (idx in basis), (k, idx)
+        assert len(basis) == reference[k]
+
+
+def _pull_and_cross_section(make, i):
+    pulled = pull(make(), i)
+    return [pulled, cross_section_group(pulled, i)]
+
+
+def _scenario_groups(path):
+    """A perfbench scenario file's group, and when it names a pull the
+    pulled group and its cross-section too."""
+    sc = load_scenario(path)
+    group = generate_group([D(signs, shift, name=name)
+                            for name, signs, shift in sc.generators])
+    if sc.pull_direction is None:
+        return [group]
+    return [group, *_pull_and_cross_section(lambda: group, sc.pull_direction)]
+
+
+# every pull of Γ and Γ₁ that raises no PullObstruction
+JOYCE_PULLS = [("gamma", the_group, i) for i in (1, 2, 3, 4)] + \
+    [("gamma1", gamma1_group, i) for i in (1, 2, 4, 7)]
+
+INVARIANT_FORM_CASES = {
+    "joyce-gamma": lambda: [the_group()],
+    "joyce-gamma1": lambda: [gamma1_group()],
+    **{f"{name}-pull-x{i}": (lambda make=make, i=i: _pull_and_cross_section(make, i))
+       for name, make, i in JOYCE_PULLS},
+    **{f"signflips-T{n}": (lambda n=n: [signflips(n)]) for n in range(5, 9)},
+    **{f"perfbench-{path.stem}": (lambda path=path: _scenario_groups(path))
+       for path in sorted(PERFBENCH_SCENARIOS.glob("*.json"))},
+}
+
+
+class TestInvariantFormsOracle:
+    def test_cases_cover_every_valid_pull_and_scenario_file(self):
+        for make in (the_group, gamma1_group):
+            valid = []
+            for i in range(1, 8):
+                try:
+                    pull(make(), i)
+                    valid.append(i)
+                except PullObstruction:
+                    pass
+            assert [i for _, m, i in JOYCE_PULLS if m is make] == valid
+        assert len(list(PERFBENCH_SCENARIOS.glob("*.json"))) == 4
+
+    @pytest.mark.parametrize("case", list(INVARIANT_FORM_CASES))
+    def test_monomials_fixed_by_dense_pullback(self, case):
+        for group in INVARIANT_FORM_CASES[case]():
+            assert_invariant_forms_match(group)
+
+    @settings(max_examples=30, deadline=None)
+    @given(group=signed_diagonal_groups())
+    def test_random_signed_diagonal_groups(self, group):
+        assert_invariant_forms_match(group)
+
+    def test_trivial_group_fixes_every_monomial(self):
+        group = generate_group([AffineTorusMap.identity(4, lines=[2])])
+        assert group.generators == ()
+        assert invariant_forms(group, 2) == [(1, 3), (1, 4), (3, 4)]
+        assert invariant_forms(group, 4) == []
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(InvalidOperand):
+            invariant_forms(the_group(), -1)
 
 
 # ---------------------------------------------------------------------------
