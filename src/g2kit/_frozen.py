@@ -3,6 +3,15 @@
 _set = object.__setattr__
 
 
+def _rebuild(cls, values):
+    """An instance of cls with its slots filled from values, in slot order,
+    without calling cls.__init__."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
 class Frozen:
     """A record over its subclass's __slots__, filled once in their order,
     by position or by name, and never assigned again."""
@@ -26,3 +35,9 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the slots as they are: a
+        # subclass's __init__ may take other arguments than its slots
+        return _rebuild, (type(self),
+                          tuple(getattr(self, n) for n in self.__slots__))

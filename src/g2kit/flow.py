@@ -36,15 +36,20 @@ time.  The batched operations (matvec over a stack, the stacked
 quadratic einsum, matmul of the tableau rows against the stages, row
 norms from matmul) give each row the bits of its lone call; the
 step-size factors stay per-row scalars, since numpy's array power
-rounds differently from the scalar one.  Each accepted step writes its
-dense output as columns of one preallocated (rows, dim, samples)
-buffer, and a run's states are its slab's transpose, the layout SciPy's
-sol.y.T has.  The layout is part of the arithmetic: numpy sums the rows
-of the transposed buffer column by column, a contiguous row pairwise,
-so the trajectory norms, and the fitted rates made from them, keep
-their bits only in this layout.  integrate_flow takes the norms over
-row blocks of about NORM_BLOCK_FLOATS floats, never a lone row, so a
-trajectory costs its states array plus one block's temporaries.
+rounds differently from the scalar one.  Each step evaluates the dense
+output of all rows that reach new samples at once: their sample columns,
+padded to the widest row, go through one stacked matmul, and only the
+valid columns are written into one preallocated (rows, dim, samples)
+buffer.  A row that writes a single column is evaluated apart, since
+matmul, like np.dot on that row alone, takes its matrix-vector path
+there, which rounds differently from the matrix-matrix one.  A run's
+states are its slab's transpose, the layout SciPy's sol.y.T has.  The
+layout is part of the arithmetic: numpy sums the rows of the transposed
+buffer column by column, a contiguous row pairwise, so the trajectory
+norms, and the fitted rates made from them, keep their bits only in
+this layout.  integrate_flow takes the norms over row blocks of about
+NORM_BLOCK_FLOATS floats, never a lone row, so a trajectory costs its
+states array plus one block's temporaries.
 
 random_quadratic draws dense Gaussian tensors and calibrates their
 Lipschitz bounds by an alternating power iteration with six restarts.
@@ -55,7 +60,8 @@ reads one k-major copy of the stack, which keeps its bits and takes
 decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it builds
 or draws anything.  It stacks its trials up to
 STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
-per-call overhead, which the trials of a stack share.
+per-call overhead, which the trials of a stack share, and the 20
+trials of flow-suite form one stack.
 
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
@@ -79,19 +85,21 @@ np = lazy_module("numpy")
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
 MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
-# dim^3 x trials for decay_trials.  A trial costs about 0.7-0.9 us per
-# dim^3 for the draw (the batched power iteration of
-# _tensor_operator_norms) at dims 48-52, where the u-update reads a
-# k-major copy, and 0.8-1.3 us at dims 96-160, plus 0.3-1.2 us per dim^3
-# for the integration, on a 2-core x86-64 VM with one BLAS thread, so a
-# run inside this budget ends within about 30 s.
+# dim^3 x trials for decay_trials.  A trial costs about 1.0 us per dim^3
+# for the draw (the batched power iteration of _tensor_operator_norms) at
+# dims 48-52, where the u-update reads a k-major copy, and 1.2-1.3 us at
+# dims 96-160, plus 0.4-1.0 us per dim^3 for the integration, on a 2-core
+# x86-64 VM with one BLAS thread, so a run inside this budget ends within
+# about 30 s.
 MAX_TRIAL_WORK = 2 ** 23
-# floats of quadratic tensor per stack of decay trials (256 KiB): the
+# floats of quadratic tensor per stack of decay trials (1 MiB): the
 # trials of a stack are drawn, calibrated and integrated together.  At
-# dim 16 a stack holds 8 trials, and a trial of dim 48 or more runs
-# alone.  Stacks of 20 dim-16 trials ran a run --all pass about 4% faster
-# but raised its peak RSS by 1.1 MB, against 0.1-0.3 MB at 8.
-STACK_TENSOR_FLOATS = 2 ** 15
+# dim 16 a stack holds 32 trials, so the default 20 run as one stack, and
+# a trial of dim 48 or more runs alone.  One stack of 20 ran a run --all
+# pass about 10% faster than stacks of 8, 8 and 4 and raised its peak
+# RSS by 1.3 MB; under tracemalloc the 20 trials peak at 1.9 MiB, 3.1
+# times their 640 KiB of tensors.
+STACK_TENSOR_FLOATS = 2 ** 17
 # norm of each decay trial's random start in B-
 START_NORM = 0.01
 
@@ -462,7 +470,8 @@ def _dormand_prince(fun, y, t_eval):
     solve_ivp(t_eval=...), so the samples match it bit for bit (the tests
     hold it to that); the step-size factors stay per-row scalar powers.
     Returns (out, nfev): out of shape (rows, dim, len(t_eval)), filled
-    with each accepted step's dense output columns, and nfev a list.
+    with each accepted step's dense output columns, all rows of a step
+    in one stacked evaluation, and nfev a list.
     out[r].T are row r's states, in the memory order SciPy's samples
     have and in which np.linalg.norm(states, axis=1) sums, so the norms
     keep their bits.  Raises IntegratorError when a step size
@@ -517,13 +526,28 @@ def _dormand_prince(fun, y, t_eval):
             for e, again in zip(error_norms, retry)]
         retry = ~accepted
         ends = np.searchsorted(t_eval, t_new, side="right")
-        dense = np.matmul(K.swapaxes(1, 2), P)
-        for r in np.flatnonzero(accepted & (ends > sample)):
-            x = (t_eval[sample[r]:ends[r]] - t[r]) / h[r]
-            p = np.cumprod(np.broadcast_to(x, (P.shape[1], x.size)), axis=0)
-            out[r, :, sample[r]:ends[r]] = (h[r] * np.dot(dense[r], p)
-                                            + y[r, :, None])
-            sample[r] = ends[r]
+        writes = np.flatnonzero(accepted & (ends > sample))
+        count = ends[writes] - sample[writes]
+        # the dense output of the rows that reach new samples, each row's
+        # columns padded to the widest row.  A row that writes one column
+        # goes apart: matmul takes its matrix-vector path there, as np.dot
+        # does on the row alone, and a padded row would not.
+        for rows in (writes[count == 1], writes[count > 1]):
+            if not rows.size:
+                continue
+            first, stop = sample[rows, None], ends[rows, None]
+            cols = first + np.arange(np.max(stop - first))
+            valid = cols < stop
+            x = ((t_eval[np.where(valid, cols, first)] - t[rows, None])
+                 / h[rows, None])
+            p = np.cumprod(np.broadcast_to(
+                x[:, None], (rows.size, P.shape[1], x.shape[1])), axis=1)
+            dense = np.matmul(K[rows].swapaxes(1, 2), P)
+            values = (h[rows, None, None] * np.matmul(dense, p)
+                      + y[rows, :, None])
+            i, j = np.nonzero(valid)
+            out[rows[i], :, cols[i, j]] = values[i, :, j]
+        sample[writes] = ends[writes]
         t = np.where(accepted, t_new, t)
         y = np.where(accepted[:, None], y_new, y)
         f = np.where(accepted[:, None], f_new, f)

@@ -146,9 +146,12 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     deg = a.degree + b.degree
     if deg > a.dim:
         raise InvalidOperand(f"degree {a.degree}+{b.degree} exceeds dimension {a.dim}")
+    # a pair whose index sets meet wedges to zero: skip it before the
+    # product of its coefficients
     return ExteriorForm(a.dim, deg, [(ia + ib, ca * cb)
                                      for ia, ca in a.coeffs.items()
-                                     for ib, cb in b.coeffs.items()])
+                                     for ib, cb in b.coeffs.items()
+                                     if set(ia).isdisjoint(ib)])
 
 
 def contract(v: Sequence, a: ExteriorForm) -> ExteriorForm:

@@ -837,21 +837,105 @@ class TestStackedTrials:
         self._assert_matches_lone(2, 1, 5, 7)
         assert sizes == [3, 2]
 
-    def test_rows_take_their_own_steps(self):
-        # a large growing start under a strong map rejects steps; the
-        # rows beside it take other step counts
-        system = build_mode_system(2, 1)
+    def test_default_trials_form_one_stack(self, monkeypatch):
+        sizes = []
+        integrate = flow.integrate_flow
+
+        def counted(system, Q, x0, T, samples=201):
+            sizes.append(len(x0))
+            return integrate(system, Q, x0, T, samples)
+
+        monkeypatch.setattr(flow, "integrate_flow", counted)
+        decay_trials(2, 1, trials=20)
+        assert sizes == [20]
+        sizes.clear()
+        decay_trials(3, 1, trials=2)
+        assert sizes == [1, 1]
+
+    def test_peak_memory_of_one_stack(self):
+        # the 20 dim-16 tensors of one stack take 640 KiB; the peak holds
+        # the maps, their stacked copy in integrate_flow and the states
+        # buffer, about 3.1 times that
+        stack_bytes = 20 * 16 ** 3 * 8
+        decay_trials(2, 1, trials=20)   # first-call caches stay out
+        tracemalloc.start()
+        try:
+            decay_trials(2, 1, trials=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * stack_bytes
+
+    @staticmethod
+    def _mixed_stack(system):
+        """A large growing start under a strong map, which rejects steps,
+        beside rows that take other step counts."""
         maps = [random_quadratic(system, f * system.mu, seed=s)
                 for f, s in ((0.4, 1), (0.1, 0), (0.2, 5))]
         starts = [random_plus_state(system, seed=2, norm=1.0),
                   system.random_minus_state(seed=3, norm=0.01),
                   random_plus_state(system, seed=4, norm=0.3)]
+        return maps, starts
+
+    def test_rows_take_their_own_steps(self):
+        system = build_mode_system(2, 1)
+        maps, starts = self._mixed_stack(system)
         got = integrate_flow(system, maps, starts, 0.3, samples=17)
         lone = [lone_run(system, Q, x0, 0.3, samples=17)
                 for Q, x0 in zip(maps, starts)]
         assert_same_runs(got, [t for t, _ in lone])
         assert len({t.nfev for t in got}) == 3
         assert lone[0][1] > 0
+
+    class _DenseSpy:
+        """numpy for flow, logging each step (one searchsorted) and the
+        (rows, columns) of each dense-output product within it."""
+
+        def __init__(self):
+            self.steps = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def searchsorted(self, *args, **kwargs):
+            self.steps.append([])
+            return np.searchsorted(*args, **kwargs)
+
+        def matmul(self, a, b, *args, **kwargs):
+            if np.ndim(a) == np.ndim(b) == 3 and a.shape[2] == 4 == b.shape[1]:
+                self.steps[-1].append((b.shape[0], b.shape[2]))
+            return np.matmul(a, b, *args, **kwargs)
+
+    def _dense_steps(self, monkeypatch, samples, T=0.3):
+        """The mixed stack's run against its lone runs, bit for bit, and
+        the spy's log of its dense-output products."""
+        system = build_mode_system(2, 1)
+        maps, starts = self._mixed_stack(system)
+        spy = self._DenseSpy()
+        with monkeypatch.context() as m:
+            m.setattr(flow, "np", spy)
+            got = integrate_flow(system, maps, starts, T, samples=samples)
+        assert_same_runs(got, [lone_run(system, Q, x0, T, samples)[0]
+                               for Q, x0 in zip(maps, starts)])
+        return spy.steps
+
+    def test_two_samples(self, monkeypatch):
+        # a row writes a column only on its first and its last accepted
+        # step, and the rows take those in different steps
+        steps = self._dense_steps(monkeypatch, 2)
+        writing = sum(1 for s in steps if s)
+        assert writing <= 2 * 3 and 2 * writing < len(steps)
+
+    def test_many_columns_per_step(self, monkeypatch):
+        steps = self._dense_steps(monkeypatch, 2001)
+        assert max(width for s in steps for _, width in s) > 20
+
+    def test_one_column_beside_several_in_one_step(self, monkeypatch):
+        # a one-column row goes apart from the padded wider rows; padding
+        # it would take matmul's matrix-matrix path and change its bits
+        steps = self._dense_steps(monkeypatch, 51)
+        assert any(len(s) == 2 and s[0][1] == 1 and s[1][1] > 1
+                   for s in steps)
 
     def test_linear_stack(self):
         system = build_mode_system(3, 1)
