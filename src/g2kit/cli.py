@@ -29,11 +29,12 @@ np = lazy_module("numpy")
 
 # chart points --eh-check evaluates: per scale, --samples Ricci ratios and
 # the curvature probe's 8 radii x 3 directions.  On a 2-core x86-64 VM with
-# one BLAS thread, 2^16 points took 21-26 s as 2621 scales of one sample,
-# nearly all of it in the curvature probe (about 0.35 ms a point), and
-# 1.9 s in double and 3.9 s in extended precision as one scale, whose
-# Ricci ratios run as stacks.  So a run inside this budget ends within
-# about 30 s; its peak RSS was 42-51 MB.
+# one BLAS thread, 2^16 points took 2.3-3.0 s in either precision as 2621
+# scales of one sample, whose curvature points run as stacks (about
+# 0.02-0.03 ms a point, most of it the per-point potential derivatives),
+# and 1.4-1.7 s in double and 3.6-4.1 s in extended precision as one
+# scale, whose Ricci ratios run as stacks.  So a run inside this budget
+# ends within about 5 s; its peak RSS was 43-52 MB.
 MAX_EH_POINTS = 2 ** 16
 # the largest scale --eh-check accepts.  The largest power of s that
 # potential_derivatives forms is s^10, in q ** 5 with q = hypot(u, s^2)

@@ -14,6 +14,18 @@ closed-form metric on a stencil of 66 points around each chart point.
 The stencils of a list of points are evaluated as one stack, up to
 RICCI_STACK_POINTS points at a time, and each point keeps the bits it
 has alone.
+
+The curvature probe runs as stacks too: the metric, its inverse, its
+first derivatives, the 16 tensor entries, the positivity check, the
+frame h^(-1/2), the four frame changes and the norms of up to
+CURVATURE_STACK_POINTS points at a time, with the bits of one point
+alone (radial_curvature_norm and radial_curvature_tensor are one-point
+calls of the same kernel).  Two things keep those bits.  The tensor's
+complex products are written out in real and imaginary parts, because
+numpy's vectorised complex multiply rounds differently from the scalar
+one that a per-point sum would use.  The potential derivatives are taken
+one point at a time, because potential_derivatives on an array u rounds
+u**3, q**3, u**4 and q**5 differently from scalar powers.
 """
 
 from __future__ import annotations
@@ -39,6 +51,14 @@ TOLERANCES = {
 # of --eh-check --s 1 --samples 4000 raised its peak RSS from 38 MB to
 # 112 MB.
 RICCI_STACK_POINTS = 64
+# chart points per stack of the curvature probe, filled with whole
+# scales of 24 points (42 scales, 1008 points).  A point's tensor and its
+# temporaries take about 1.8 KiB (tracemalloc), so a full stack holds
+# under 2 MiB.  A stack of one scale spends most of its time in per-call
+# numpy overhead: --eh-check at 2621 scales of one sample took 4.3 s of
+# CPU with a stack per scale, and 3.3 s in full stacks, in back-to-back
+# runs on a 2-core x86-64 VM.
+CURVATURE_STACK_POINTS = 1024
 
 
 def _check_scale(s) -> None:
@@ -350,31 +370,134 @@ def scaling_identity_probe(s: float, lam: float, points) -> ScalingReport:
     return ScalingReport(float(s), float(lam), dev_ls, dev_sl)
 
 
+def _radial_points(derivs, points):
+    """The rows z of the points and their potential derivatives, for
+    _radial_metrics, _curvature_tensors and _curvature_norms.
+
+    derivs gets one float u = |z|^2 a point, formed as kahler_metric_at
+    forms it: potential_derivatives on an array u rounds its powers
+    differently.
+    """
+    rows = np.array([_base_point(z1, z2) for z1, z2 in points])
+    return rows, [derivs(float(abs(z[0]) ** 2 + abs(z[1]) ** 2))
+                  for z in rows]
+
+
 def radial_metric(derivs, z1, z2) -> np.ndarray:
     """Complex Hessian f' Id + f'' zbar_i z_j for any radial potential.
 
     derivs maps u = |z|^2 to a tuple of derivatives of the potential with
     respect to u; at least two entries are used here.
     """
-    z = _base_point(z1, z2)
-    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
-    d = derivs(u)
-    return d[0] * np.eye(2, dtype=complex) + d[1] * np.outer(z.conj(), z)
+    return _radial_metrics(*_radial_points(derivs, [(z1, z2)]))[0]
 
 
-def radial_metric_first_derivatives(derivs, z1, z2) -> np.ndarray:
-    """d h_{i jbar} / dz_k for a radial potential; index order [k, i, j]."""
-    z = _base_point(z1, z2)
-    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
-    d = derivs(u)
-    zc = z.conj()
-    out = np.empty((2, 2, 2), dtype=complex)
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                out[k, i, j] = (d[1] * (zc[k] * (i == j) + zc[i] * (j == k))
-                                + d[2] * zc[k] * zc[i] * z[j])
+def _radial_metrics(z, derivatives):
+    """radial_metric at each row of z, with its derivatives."""
+    d = np.array([e[:2] for e in derivatives])
+    return _metrics(d[:, 0], d[:, 1], z)
+
+
+# complex numbers below are (real, imaginary) pairs of arrays, and _mul
+# writes out the product of numpy's scalar complex multiply: its
+# vectorised one rounds differently.  A real factor f enters as (f, 0.0),
+# as numpy scalars promote it.
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _curvature_tensors(z, derivatives, h):
+    """radial_curvature_tensor for each row of z, with its derivatives
+    and metric h, as an (n, 2, 2, 2, 2) stack with each point's bits.
+
+    The entries follow the per-point sums term by term, over broadcast
+    index axes (n, i, j, k, l).
+    """
+    if len(derivatives[0]) < 4:
+        raise InvalidScale("curvature needs four potential derivatives")
+    d = np.array([e[:4] for e in derivatives])
+    eye = np.eye(2)
+
+    def at(x, axes):
+        """Row slots of x moved onto the named index axes."""
+        shape = [len(x)] + [1] * 4
+        for a in axes:
+            shape["ijkl".index(a) + 1] = 2
+        return x.reshape(shape)
+
+    d1, d2, d3 = (at(d[:, m], "") for m in (1, 2, 3))
+
+    def delta(a, b):
+        return at(eye[None], a + b), 0.0
+
+    def zbar(a):
+        return at(z.real, a), at(-z.imag, a)
+
+    def zed(a):
+        return at(z.real, a), at(z.imag, a)
+
+    # d h_{i jbar}/dz_k, held as axes (n, i, j, k)
+    dh = _add(_mul((d1, 0.0), _add(_mul(zbar("k"), delta("i", "j")),
+                                   _mul(zbar("i"), delta("j", "k")))),
+              _mul(_mul(_mul((d2, 0.0), zbar("k")), zbar("i")), zed("j")))
+    dh = [x.reshape(-1, 2, 2, 2) for x in dh]
+
+    # d1 times the Python integer (k==l)(i==j) + (i==l)(j==k), which may
+    # be 2, so the deltas stay numbers here
+    count = (at(eye[None], "kl") * at(eye[None], "ij")
+             + at(eye[None], "il") * at(eye[None], "jk"))
+    second = _add((d1 * count, 0.0), _mul((d2, 0.0), _add(_add(_add(
+        _mul(_mul(zed("l"), zbar("k")), delta("i", "j")),
+        _mul(_mul(zed("l"), zbar("i")), delta("j", "k"))),
+        _mul(_mul(delta("k", "l"), zbar("i")), zed("j"))),
+        _mul(_mul(delta("i", "l"), zbar("k")), zed("j")))))
+    second = _add(second, _mul(_mul(_mul(_mul((d3, 0.0), zed("l")),
+                                         zbar("k")), zbar("i")), zed("j")))
+
+    # h^{p qbar} (d h_{i qbar}/dz_k) conj(d h_{j pbar}/dz_l), added to 0
+    # over p, then q
+    hinv = np.linalg.inv(h)
+    corr = (0.0, 0.0)
+    for p in range(2):
+        for q in range(2):
+            hqp = (at(hinv.real[:, q, p], ""), at(hinv.imag[:, q, p], ""))
+            left = (dh[0][:, :, q, None, :, None],
+                    dh[1][:, :, q, None, :, None])
+            right = (dh[0][:, None, :, p, None, :],
+                     -dh[1][:, None, :, p, None, :])
+            corr = _add(corr, _mul(_mul(hqp, left), right))
+    out = np.empty((len(z), 2, 2, 2, 2), dtype=complex)
+    out.real, out.imag = _add((-second[0], -second[1]), corr)
     return out
+
+
+def _curvature_norms(z, derivatives):
+    """radial_curvature_norm at each row of z, with its derivatives, as
+    an array, each with the bits of its point alone.
+
+    A metric that is not positive definite at any point raises
+    NumericFailure before any tensor is formed.
+    """
+    h = _radial_metrics(z, derivatives)
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(1, 2)))
+    if np.any(w <= 0):
+        raise NumericFailure("metric not positive definite at sample point")
+    # h^(-1/2), Hermitian, as v @ np.diag(w ** -0.5) @ v^H per point
+    scale = np.zeros_like(h, dtype=float)
+    scale[:, range(2), range(2)] = w ** -0.5
+    c = v @ scale @ v.conj().swapaxes(1, 2)
+    r = _curvature_tensors(z, derivatives, h)
+    # unbarred slots contract with conj(c), barred slots with c, so that
+    # the frame columns A = conj(c) satisfy A^T h conj(A) = Id
+    r = np.einsum("nia,nijkl->najkl", c.conj(), r)
+    r = np.einsum("njb,najkl->nabkl", c, r)
+    r = np.einsum("nkc,nabkl->nabcl", c.conj(), r)
+    r = np.einsum("nld,nabcl->nabcd", c, r)
+    return _frobenius_norms(r)
 
 
 def radial_curvature_tensor(derivs, z1, z2) -> np.ndarray:
@@ -385,51 +508,14 @@ def radial_curvature_tensor(derivs, z1, z2) -> np.ndarray:
     assembled from derivatives of the potential up to fourth order.
     Index order [i, j, k, l], unbarred first.
     """
-    z = _base_point(z1, z2)
-    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
-    d = derivs(u)
-    if len(d) < 4:
-        raise InvalidScale("curvature needs four potential derivatives")
-    zc = z.conj()
-    h = radial_metric(derivs, z1, z2)
-    hinv = np.linalg.inv(h)
-    dh = radial_metric_first_derivatives(derivs, z1, z2)
-    out = np.empty((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for ell in range(2):
-                    second = (d[1] * ((k == ell) * (i == j)
-                                      + (i == ell) * (j == k))
-                              + d[2] * (z[ell] * zc[k] * (i == j)
-                                        + z[ell] * zc[i] * (j == k)
-                                        + (k == ell) * zc[i] * z[j]
-                                        + (i == ell) * zc[k] * z[j])
-                              + d[3] * z[ell] * zc[k] * zc[i] * z[j])
-                    corr = 0
-                    for p in range(2):
-                        for q in range(2):
-                            corr += (hinv[q, p] * dh[k, i, q]
-                                     * np.conj(dh[ell, j, p]))
-                    out[i, j, k, ell] = -second + corr
-    return out
+    z, derivatives = _radial_points(derivs, [(z1, z2)])
+    return _curvature_tensors(z, derivatives,
+                              _radial_metrics(z, derivatives))[0]
 
 
 def radial_curvature_norm(derivs, z1, z2) -> float:
     """Orthonormal-frame Frobenius norm of the curvature tensor."""
-    h = radial_metric(derivs, z1, z2)
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    if np.any(w <= 0):
-        raise NumericFailure("metric not positive definite at sample point")
-    c = v @ np.diag(w ** -0.5) @ v.conj().T  # h^(-1/2), Hermitian
-    r = radial_curvature_tensor(derivs, z1, z2)
-    # unbarred slots contract with conj(c), barred slots with c, so that
-    # the frame columns A = conj(c) satisfy A^T h conj(A) = Id
-    r = np.einsum("ia,ijkl->ajkl", c.conj(), r)
-    r = np.einsum("jb,ajkl->abkl", c, r)
-    r = np.einsum("kc,abkl->abcl", c.conj(), r)
-    r = np.einsum("ld,abcl->abcd", c, r)
-    return float(np.linalg.norm(r))
+    return float(_curvature_norms(*_radial_points(derivs, [(z1, z2)]))[0])
 
 
 def _eh_derivs(s: float):
@@ -466,14 +552,20 @@ def curvature_injectivity_scaling_probe(s_list) -> CurvatureScalingReport:
     radii = np.exp(np.linspace(np.log(0.2), np.log(2.5), 8))
     dirs = np.random.default_rng(7).normal(size=(3, 4))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    points = [_to_complex(r * d) for r in radii for d in dirs]
+    per_stack = CURVATURE_STACK_POINTS // len(points)
     maxima = []
-    for s in s_values:
-        best = 0.0
-        for r in radii:
-            for d in dirs:
-                z1, z2 = _to_complex(r * d)
-                best = max(best, curvature_norm(s, z1, z2))
-        maxima.append(best)
+    for first in range(0, len(s_values), per_stack):
+        z, derivatives = [], []
+        for s in s_values[first:first + per_stack]:
+            rows, d = _radial_points(_eh_derivs(s), points)
+            z.append(rows)
+            derivatives += d
+        norms = _curvature_norms(np.concatenate(z), derivatives)
+        # each maximum starts from 0.0 and skips NaN norms, as Python's
+        # max does
+        maxima += [max([0.0] + row)
+                   for row in norms.reshape(-1, len(points)).tolist()]
     slope = None
     if len(s_values) >= 2:
         slope = float(np.polyfit(np.log(s_values), np.log(maxima), 1)[0])

@@ -744,6 +744,22 @@ class TestToolFlags:
         assert_one_error_line(res.stderr)
         assert res.stdout == ""
 
+    def test_eh_check_at_point_budget_ends_in_time(self, runner):
+        # 2621 distinct scales of one sample are 65 525 chart points, the
+        # most scales the 2^16-point budget admits; nearly all of the time
+        # goes to the curvature probe's 24 points per scale
+        scales = np.linspace(0.1, 2.0, 2621).tolist()
+        assert len(set(scales)) == 2621
+        assert len(scales) * (1 + 24) <= MAX_EH_POINTS
+        start = time.perf_counter()
+        res = runner.invoke(main, ["--eh-check", "--s",
+                                   ",".join(map(repr, scales)),
+                                   "--samples", "1"])
+        assert time.perf_counter() - start < 15.0
+        assert res.exit_code in (0, 1), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("args", [
         ["run", "eh-suite"], ["run", "flow-suite"], ["run", "--all"],
         ["run", "joyce-T7-Gamma"], ["--eh-check"], ["--flow-demo"],

@@ -5,6 +5,10 @@ oracle (the Fubini-Study potential log(1+u), whose orthonormal-frame
 curvature norm is sqrt(12) at every point and whose Ricci tensor is
 exactly three times the metric).
 
+The curvature probe runs as stacks; the per-point loops it replaced are
+kept here as the oracle (loop_curvature_norm and its helpers), and the
+library must give their bits.
+
 Three assertions below are strict xfails: they pin the printed closed
 form of the potential, which assigns a finite value at the chart center
 and is convex in the squared radius.  The potential with unit-determinant
@@ -17,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from g2kit.eguchi_hanson import (
     RICCI_STACK_POINTS,
@@ -161,6 +166,112 @@ def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
 
 def eh_derivs(s):
     return lambda u: potential_derivatives(s, u, order=4)
+
+
+def loop_metric(derivs, z1, z2):
+    """f' Id + f'' zbar_i z_j at one point, from np.outer."""
+    z = eguchi_hanson._base_point(z1, z2)
+    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
+    d = derivs(u)
+    return d[0] * np.eye(2, dtype=complex) + d[1] * np.outer(z.conj(), z)
+
+
+def loop_metric_first_derivatives(derivs, z1, z2):
+    """d h_{i jbar} / dz_k, index order [k, i, j], one scalar at a time."""
+    z = eguchi_hanson._base_point(z1, z2)
+    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
+    d = derivs(u)
+    zc = z.conj()
+    out = np.empty((2, 2, 2), dtype=complex)
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                out[k, i, j] = (d[1] * (zc[k] * (i == j) + zc[i] * (j == k))
+                                + d[2] * zc[k] * zc[i] * z[j])
+    return out
+
+
+def loop_curvature_tensor(derivs, z1, z2):
+    """R_{i jbar k lbar} at one point, one scalar entry at a time."""
+    z = eguchi_hanson._base_point(z1, z2)
+    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
+    d = derivs(u)
+    if len(d) < 4:
+        raise InvalidScale("curvature needs four potential derivatives")
+    zc = z.conj()
+    hinv = np.linalg.inv(loop_metric(derivs, z1, z2))
+    dh = loop_metric_first_derivatives(derivs, z1, z2)
+    out = np.empty((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for ell in range(2):
+                    second = (d[1] * ((k == ell) * (i == j)
+                                      + (i == ell) * (j == k))
+                              + d[2] * (z[ell] * zc[k] * (i == j)
+                                        + z[ell] * zc[i] * (j == k)
+                                        + (k == ell) * zc[i] * z[j]
+                                        + (i == ell) * zc[k] * z[j])
+                              + d[3] * z[ell] * zc[k] * zc[i] * z[j])
+                    corr = 0
+                    for p in range(2):
+                        for q in range(2):
+                            corr += (hinv[q, p] * dh[k, i, q]
+                                     * np.conj(dh[ell, j, p]))
+                    out[i, j, k, ell] = -second + corr
+    return out
+
+
+def loop_curvature_norm(derivs, z1, z2):
+    """Orthonormal-frame norm of loop_curvature_tensor at one point."""
+    h = loop_metric(derivs, z1, z2)
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    if np.any(w <= 0):
+        raise NumericFailure("metric not positive definite at sample point")
+    c = v @ np.diag(w ** -0.5) @ v.conj().T
+    r = loop_curvature_tensor(derivs, z1, z2)
+    r = np.einsum("ia,ijkl->ajkl", c.conj(), r)
+    r = np.einsum("jb,ajkl->abkl", c, r)
+    r = np.einsum("kc,abkl->abcl", c.conj(), r)
+    r = np.einsum("ld,abcl->abcd", c, r)
+    return float(np.linalg.norm(r))
+
+
+def probe_grid():
+    """The curvature probe's 8 radii x 3 directions, in its order."""
+    radii = np.exp(np.linspace(np.log(0.2), np.log(2.5), 8))
+    dirs = np.random.default_rng(7).normal(size=(3, 4))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return [eguchi_hanson._to_complex(r * d) for r in radii for d in dirs]
+
+
+PROBE_GRID = probe_grid()
+# points with zero coordinates, signed zeros among them
+AXIS_POINTS = [(0.5 + 0j, 0j), (0j, 1.3 + 0j), (0j, -0.7j), (-1.1 + 0j, 0j),
+               (complex(0.3, -0.0), complex(-0.0, 0.2))]
+
+
+def loop_probe_peaks(s_values):
+    """The probe's peak norm per scale, one point at a time."""
+    peaks = []
+    for s in s_values:
+        best = 0.0
+        for z1, z2 in PROBE_GRID:
+            best = max(best, loop_curvature_norm(eh_derivs(s), z1, z2))
+        peaks.append(best)
+    return peaks
+
+
+def stacked_norms(derivs, points):
+    return eguchi_hanson._curvature_norms(
+        *eguchi_hanson._radial_points(derivs, points))
+
+
+def bits(values):
+    """The bytes of float64 values; every NaN counts as the same NaN,
+    whatever its sign bit."""
+    a = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def fs_derivs(u):
@@ -493,9 +604,108 @@ class TestCurvature:
         def no_sampling(*args):
             raise AssertionError("sampled before the scales were checked")
 
-        monkeypatch.setattr(eguchi_hanson, "curvature_norm", no_sampling)
+        # the probe gathers each scale's points, then runs the stacked
+        # kernel; neither may run for a refused list
+        monkeypatch.setattr(eguchi_hanson, "_radial_points", no_sampling)
+        monkeypatch.setattr(eguchi_hanson, "_curvature_norms", no_sampling)
         with pytest.raises(InvalidOperand):
             curvature_injectivity_scaling_probe(scales)
+
+
+class TestCurvatureStack:
+    """The stacked curvature kernel against the per-point loops above,
+    bit for bit."""
+
+    @seed(25)
+    @settings(max_examples=60, deadline=None)
+    @given(log_s=st.floats(math.log(1e-3), math.log(1e3)),
+           sample_seed=st.integers(0, 2 ** 16))
+    def test_norms_match_loop(self, log_s, sample_seed):
+        s = math.exp(log_s)
+        points = sample_points(8, s, seed=sample_seed) + PROBE_GRID
+        want = [loop_curvature_norm(eh_derivs(s), z1, z2)
+                for z1, z2 in points]
+        assert bits(stacked_norms(eh_derivs(s), points)) == bits(want)
+        assert bits([curvature_norm(s, z1, z2)
+                     for z1, z2 in points[::4]]) == bits(want[::4])
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-50, 1e-20, 10.0, 100.0, 1e3,
+                                   1.5e3])
+    def test_extreme_scales_match_loop(self, s):
+        points = PROBE_GRID + sample_points(8, s, seed=0) + AXIS_POINTS
+        with np.errstate(all="ignore"):
+            want = [loop_curvature_norm(eh_derivs(s), z1, z2)
+                    for z1, z2 in points]
+            got = stacked_norms(eh_derivs(s), points)
+            peaks = curvature_injectivity_scaling_probe([s]).max_norms
+        assert bits(got) == bits(want)
+        assert bits(peaks) == bits(loop_probe_peaks([s]))
+        if s <= 1e-50:
+            # s^4 underflows, and every norm on the grid is zero
+            assert not np.any(got[:len(PROBE_GRID)])
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 1e3])
+    def test_tensor_matches_loop(self, s):
+        for z1, z2 in sample_points(6, s, seed=1) + AXIS_POINTS:
+            got = radial_curvature_tensor(eh_derivs(s), z1, z2)
+            want = loop_curvature_tensor(eh_derivs(s), z1, z2)
+            assert got.tobytes() == want.tobytes()
+
+    def test_fubini_study_matches_loop(self):
+        for z1, z2 in sample_points(12, 1.0, seed=5) + AXIS_POINTS:
+            assert (radial_metric(fs_derivs, z1, z2).tobytes()
+                    == loop_metric(fs_derivs, z1, z2).tobytes())
+            assert (radial_curvature_tensor(fs_derivs, z1, z2).tobytes()
+                    == loop_curvature_tensor(fs_derivs, z1, z2).tobytes())
+            assert (bits(radial_curvature_norm(fs_derivs, z1, z2))
+                    == bits(loop_curvature_norm(fs_derivs, z1, z2)))
+
+    @pytest.mark.parametrize("s", [2e3, 1e30, 2.0 ** 100])
+    def test_not_positive_definite_raises_like_loop(self, s, monkeypatch):
+        def loop():
+            for z1, z2 in PROBE_GRID:
+                loop_curvature_norm(eh_derivs(s), z1, z2)
+
+        want = first_error(loop)
+        assert want == (NumericFailure,
+                        "metric not positive definite at sample point")
+        for z1, z2 in PROBE_GRID:
+            assert (first_error(lambda: curvature_norm(s, z1, z2))
+                    == first_error(lambda: loop_curvature_norm(
+                        eh_derivs(s), z1, z2)))
+
+        def no_tensor(*args):
+            raise AssertionError("formed a tensor before the check")
+
+        monkeypatch.setattr(eguchi_hanson, "_curvature_tensors", no_tensor)
+        assert first_error(
+            lambda: curvature_injectivity_scaling_probe([1.0, s])) == want
+
+    def test_origin_is_refused_like_loop(self):
+        want = first_error(lambda: loop_curvature_norm(eh_derivs(1.0),
+                                                       *ORIGIN))
+        assert want is not None and want[0] is ChartSingular
+        assert first_error(lambda: curvature_norm(1.0, *ORIGIN)) == want
+        assert first_error(
+            lambda: radial_curvature_tensor(fs_derivs, *ORIGIN)) == want
+
+    def test_probe_across_stacks_matches_loop(self):
+        # more scales than one stack holds
+        scales = np.geomspace(0.1, 2.0, 50).tolist()
+        assert len(scales) * len(PROBE_GRID) > \
+            eguchi_hanson.CURVATURE_STACK_POINTS
+        rep = curvature_injectivity_scaling_probe(scales)
+        assert bits(rep.max_norms) == bits(loop_probe_peaks(scales))
+
+    def test_eh_suite_curvature_rows_match_loop(self):
+        rows = {r.check: r.computed for r in _eh_suite(0, "double").rows}
+        want = np.polyfit(np.log(SCALES), np.log(loop_probe_peaks(SCALES)),
+                          1)[0]
+        assert bits(rows["curvature_slope"]) == bits(want)
+        rows = {r.check: r.computed
+                for r in _eh_suite(0, "double", scales=(1.0,)).rows}
+        assert bits(rows["curvature_peak_norms"]) == bits(
+            loop_probe_peaks([1.0]))
 
 
 class TestScalingProbe:
