@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from ._lazy import lazy_module
@@ -29,12 +28,11 @@ np = lazy_module("numpy")
 
 # chart points --eh-check evaluates: per scale, --samples Ricci ratios and
 # the curvature probe's 8 radii x 3 directions.  On a 2-core x86-64 VM with
-# one BLAS thread, 2^16 points took 2.3-3.0 s in either precision as 2621
-# scales of one sample, whose curvature points run as stacks (about
-# 0.02-0.03 ms a point, most of it the per-point potential derivatives),
-# and 1.4-1.7 s in double and 3.6-4.1 s in extended precision as one
-# scale, whose Ricci ratios run as stacks.  So a run inside this budget
-# ends within about 5 s; its peak RSS was 43-52 MB.
+# one BLAS thread, 2^16 points took 2.2-2.7 s as 2621 scales of one
+# sample, whose curvature points run as stacks (about 0.02-0.03 ms a
+# point, most of it the per-point potential derivatives), and 1.5-2.0 s
+# as one scale, whose Ricci ratios run as stacks.  So a run inside this
+# budget ends within about 5 s; its peak RSS was 44-50 MB.
 MAX_EH_POINTS = 2 ** 16
 # the largest scale --eh-check accepts.  The largest power of s that
 # potential_derivatives forms is s^10, in q ** 5 with q = hypot(u, s^2)
@@ -47,14 +45,6 @@ MAX_EH_SCALE = 2.0 ** 100
 def _error_exit(message):
     print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
-
-
-def _precision_from_env():
-    value = os.environ.get("G2KIT_PRECISION", "double")
-    if value not in ("double", "extended"):
-        _error_exit(f"G2KIT_PRECISION must be 'double' or 'extended', "
-                    f"got {value!r}")
-    return value
 
 
 def _cell(value):
@@ -135,7 +125,6 @@ def _parse_scales(values):
 
 
 def _run_eh_check(s, tol, samples, seed):
-    precision = _precision_from_env()
     scales = tuple(_parse_scales(s))
     if samples < 1:
         _error_exit(f"--samples must be >= 1, got {samples}")
@@ -146,13 +135,12 @@ def _run_eh_check(s, tol, samples, seed):
                     f"above the {MAX_EH_POINTS}-point budget")
     if tol is not None and _finite_positive(tol) is None:
         _error_exit(f"--tol must be finite and > 0, got {tol}")
-    # at tiny scales s^4 and the curvature peaks underflow (and in
-    # extended precision a norm overflows); the probes then compute NaN or
-    # inf, which fails its row, so numpy need not warn
+    # at tiny scales s^4 and the curvature peaks underflow; the probes
+    # then compute NaN or inf, which fails its row, so numpy need not warn
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            report = _eh_suite(seed, precision, scales=scales,
-                               samples=samples, ricci_tol=tol)
+            report = _eh_suite(seed, scales=scales, samples=samples,
+                               ricci_tol=tol)
     except G2KitError as e:
         _error_exit(e)
     _emit([report], "json")
@@ -268,12 +256,11 @@ def _parser():
 
 
 def _run_cmd(scenario, run_all, fmt, seed):
-    precision = _precision_from_env()
     if run_all == (scenario is not None):
         _error_exit("give exactly one scenario name, or --all")
     names = list(BUILTINS) if run_all else [scenario]
     try:
-        reports = [run_scenario(nm, seed, precision) for nm in names]
+        reports = [run_scenario(nm, seed) for nm in names]
     except G2KitError as e:
         _error_exit(e)
     _emit(reports, fmt)

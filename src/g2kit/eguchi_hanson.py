@@ -45,11 +45,10 @@ TOLERANCES = {
     "flat_limit": 1e-6,  # |h - Id| far from the exceptional set
 }
 # chart points per stack of ricci_ratio.  A point's 66 stencil rows and
-# their temporaries take about 20 KiB in double and 37 KiB in extended
-# precision (tracemalloc), so a full stack holds 1.3 or 2.4 MiB.  Points
-# cost about the same from stacks of 16 up; unbounded, the 4000 points
-# of --eh-check --s 1 --samples 4000 raised its peak RSS from 38 MB to
-# 112 MB.
+# their temporaries take about 18 KiB (tracemalloc), so a full stack
+# holds 1.1 MiB.  Points cost about the same from stacks of 16 up;
+# unbounded, the 4000 points of --eh-check --s 1 --samples 4000 raised
+# its peak RSS from 38 MB to 112 MB.
 RICCI_STACK_POINTS = 64
 # chart points per stack of the curvature probe, filled with whole
 # scales of 24 points (42 scales, 1008 points).  A point's tensor and its
@@ -64,13 +63,6 @@ CURVATURE_STACK_POINTS = 1024
 def _check_scale(s) -> None:
     if not (s > 0 and math.isfinite(float(s))):
         raise InvalidScale(f"scale parameter must be positive, got {s!r}")
-
-
-def _dtype(precision):
-    """The float type of a precision name, "double" or "extended"."""
-    if precision not in ("double", "extended"):
-        raise InvalidScale(f"unknown precision {precision!r}")
-    return np.longdouble if precision == "extended" else np.float64
 
 
 def potential(s: float, r: float) -> float:
@@ -125,8 +117,8 @@ class HermitianMetric2(Frozen):
         return float(np.linalg.norm(self.matrix))
 
 
-def _base_point(z1, z2, dtype=complex) -> np.ndarray:
-    z = np.array([z1, z2], dtype=dtype)
+def _base_point(z1, z2) -> np.ndarray:
+    z = np.array([z1, z2], dtype=complex)
     if not float(abs(z[0]) ** 2 + abs(z[1]) ** 2) > 0:
         raise ChartSingular("the chart excludes the origin of C^2")
     return z
@@ -206,7 +198,7 @@ def _stencils(x, h):
     _hessians_from_stencils reads them; ei holds zeros off its axis even
     where h is inf.
     """
-    e = np.zeros((len(x), 4, 4), dtype=x.dtype)
+    e = np.zeros((len(x), 4, 4))
     e[:, range(4), range(4)] = h[:, None]
     ei, ej = e[:, _PAIRS[0]], e[:, _PAIRS[1]]
     x = x[:, None]
@@ -216,7 +208,7 @@ def _stencils(x, h):
 
 def _hessians_from_stencils(f, h):
     """Central-difference Hessians from the values f on _stencils(x, h)."""
-    out = np.zeros((len(f), 4, 4), dtype=f.dtype)
+    out = np.zeros((len(f), 4, 4))
     out[:, range(4), range(4)] = ((f[:, 1:5] - 2 * f[:, :1] + f[:, 5:9])
                                   / (h * h)[:, None])
     pp, pm, mp, mm = f[:, 9:].reshape(-1, 4, 6).swapaxes(0, 1)
@@ -225,9 +217,9 @@ def _hessians_from_stencils(f, h):
     return out
 
 
-def _ricci_hessians(s, points, outer, dtype):
+def _ricci_hessians(s, points, outer):
     """The real Hessians of log det h that ricci_at assembles, one per
-    point, as a (points, 4, 4) stack of dtype.
+    point, as a (points, 4, 4) stack.
 
     Each point's 66 stencil rows join one stack, and every row takes the
     arithmetic of a lone point.  A refused point raises what ricci_at
@@ -242,12 +234,12 @@ def _ricci_hessians(s, points, outer, dtype):
         except ChartSingular as e:
             refused = e
             break
-    x0 = np.array(x0, dtype=dtype).reshape(-1, 4)
+    x0 = np.array(x0).reshape(-1, 4)
     # each radius from its row's dot product, as np.linalg.norm takes it
     # for one point; np.linalg.norm(axis=1) rounds differently
     r = np.sqrt(_dots(x0))
-    h = (np.full(len(x0), outer) if outer is not None
-         else 0.05 * r.astype(np.float64)).astype(dtype)
+    h = (np.full(len(x0), outer, dtype=float) if outer is not None
+         else 0.05 * r)
     fits = (np.all(x0 + h[:, None] != x0, axis=1)
             & np.all(x0 + (h / 2)[:, None] != x0, axis=1))
     if not fits.all():
@@ -258,10 +250,7 @@ def _ricci_hessians(s, points, outer, dtype):
     x = np.concatenate([_stencils(x0, h), _stencils(x0, h / 2)],
                        axis=1).reshape(-1, 4)
 
-    # the metric of every row; the points enter the complex matrix in
-    # double precision
-    m = _metrics(*potential_derivatives(s, _dots(x)),
-                 x.astype(np.float64).view(complex))
+    m = _metrics(*potential_derivatives(s, _dots(x)), x.view(complex))
     # the real part of the determinant, written out: numpy's vectorised
     # complex multiply rounds differently from its scalar one
     a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
@@ -274,24 +263,22 @@ def _ricci_hessians(s, points, outer, dtype):
             - _hessians_from_stencils(f[:, :33], h)) / 3
 
 
-def ricci_at(s: float, z1, z2, outer: float | None = None,
-             precision: str = "double") -> HermitianMetric2:
+def ricci_at(s: float, z1, z2, outer: float | None = None) -> HermitianMetric2:
     """Ricci coefficients of the closed-form metric at (z1, z2).
 
     log det h is evaluated from the closed-form Hessian and differentiated
     by central differences with Richardson extrapolation (steps h and
     h/2).  The result is numerically zero for the Ricci-flat family; the
     size of the residual measures the quality of the derivative code.
-    precision = "extended" switches the evaluation to long double
-    arithmetic.  All 66 stencil points go through log det h as one stack;
-    each row takes the arithmetic of a lone point.
+    All 66 stencil points go through log det h as one stack; each row
+    takes the arithmetic of a lone point.
     """
-    hess = _ricci_hessians(s, [(z1, z2)], outer, _dtype(precision))[0]
+    hess = _ricci_hessians(s, [(z1, z2)], outer)[0]
     return HermitianMetric2(-_complex_hessian(hess),
                             (complex(z1), complex(z2)))
 
 
-def ricci_ratio(s: float, z1, z2=None, precision: str = "double"):
+def ricci_ratio(s: float, z1, z2=None):
     """|Ricci| / |h| at a point, the relative Ricci-flatness defect.
 
     z1 may also be a non-empty list of points (z1, z2), with z2 left
@@ -301,13 +288,12 @@ def ricci_ratio(s: float, z1, z2=None, precision: str = "double"):
     its error.
     """
     points = z1 if z2 is None else [(z1, z2)]
-    dtype = _dtype(precision)
     if not points:
         raise InvalidOperand("the list of points is empty")
     ratios = []
     for first in range(0, len(points), RICCI_STACK_POINTS):
         chunk = points[first:first + RICCI_STACK_POINTS]
-        hess = _ricci_hessians(s, chunk, None, dtype).astype(np.float64)
+        hess = _ricci_hessians(s, chunk, None)
         ric = np.array([_complex_hessian(rows) for rows in hess.tolist()])
         ratios += (_frobenius_norms(ric)
                    / _metric_norms(s, np.array(chunk, dtype=complex))).tolist()
@@ -460,7 +446,10 @@ def _curvature_tensors(z, derivatives, h):
 
     # h^{p qbar} (d h_{i qbar}/dz_k) conj(d h_{j pbar}/dz_l), added to 0
     # over p, then q
-    hinv = np.linalg.inv(h)
+    try:
+        hinv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        raise NumericFailure("metric singular at sample point") from None
     corr = (0.0, 0.0)
     for p in range(2):
         for q in range(2):
@@ -506,7 +495,8 @@ def radial_curvature_tensor(derivs, z1, z2) -> np.ndarray:
     R = -d^2 h_{i jbar}/dz_k dzbar_l
         + h^{p qbar} (d h_{i qbar}/dz_k) conj(d h_{j pbar}/dz_l),
     assembled from derivatives of the potential up to fourth order.
-    Index order [i, j, k, l], unbarred first.
+    Index order [i, j, k, l], unbarred first.  A metric that is singular
+    in floating point raises NumericFailure.
     """
     z, derivatives = _radial_points(derivs, [(z1, z2)])
     return _curvature_tensors(z, derivatives,

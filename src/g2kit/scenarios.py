@@ -138,10 +138,10 @@ class Report(Frozen):
     """The rows of one scenario run, with the environment they were
     computed in."""
 
-    __slots__ = ("scenario", "rows", "seed", "precision", "tolerances")
+    __slots__ = ("scenario", "rows", "seed", "tolerances")
 
-    def __init__(self, scenario, rows, seed, precision, tolerances=None):
-        super().__init__(scenario, rows, seed, precision, tolerances or {})
+    def __init__(self, scenario, rows, seed, tolerances=None):
+        super().__init__(scenario, rows, seed, tolerances or {})
 
     @property
     def all_pass(self):
@@ -152,7 +152,7 @@ class Report(Frozen):
             "scenario": self.scenario,
             "environment": {
                 "seed": self.seed,
-                "precision": self.precision,
+                "precision": "double",
                 "tolerances": dict(sorted(self.tolerances.items())),
                 "version": __version__,
             },
@@ -206,7 +206,7 @@ def _fixed(f):
     return _summary(torus.fixed_set(f))
 
 
-def _joyce(seed, precision):
+def _joyce(seed):
     G = _the_group()
     a, b, g = _alpha(), _beta(), _gamma()
     rows = [
@@ -232,11 +232,11 @@ def _joyce(seed, precision):
     rows.append(row("phi_invariance",
                     all(torus.check_preserves_form(x, forms.PHI0, 1)
                         for x in G.generators), True))
-    return Report("joyce-T7-Gamma", tuple(rows), seed, precision)
+    return Report("joyce-T7-Gamma", tuple(rows), seed)
 
 
 def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
-                   cross_b2b3, moduli, seed, precision):
+                   cross_b2b3, moduli, seed):
     G = torus.generate_group(gens)
     P = torus.pull(G, direction)
     rows = [row("group_order", P.order, 8)]
@@ -257,28 +257,25 @@ def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
                     betti.holonomy_classification(res[1] == 0, ends,
                                                   res[1] > 0),
                     "full_G2"))
-    return Report(name, tuple(rows), seed, precision)
+    return Report(name, tuple(rows), seed)
 
 
-def _pull_x1(seed, precision):
+def _pull_x1(seed):
     return _pull_scenario("pull-x1", [_alpha(), _beta(), _gamma()], 1,
-                          "2xT3+8xT2xR", (10, 26, 17, 2), (19, 40), 36,
-                          seed, precision)
+                          "2xT3+8xT2xR", (10, 26, 17, 2), (19, 40), 36, seed)
 
 
-def _pull_x3(seed, precision):
+def _pull_x3(seed):
     return _pull_scenario("pull-x3", [_alpha(), _beta(), _gamma()], 3,
-                          "4xT3+4xT2xR", (8, 24, 19, 4), (11, 24), 30,
-                          seed, precision)
+                          "4xT3+4xT2xR", (8, 24, 19, 4), (11, 24), 30, seed)
 
 
-def _gamma1_pull_x7(seed, precision):
+def _gamma1_pull_x7(seed):
     return _pull_scenario("gamma1-pull-x7", [_alpha(), _beta(), _gamma1()], 7,
-                          "6xT3", (6, 22, 21, 6), (3, 8), 24,
-                          seed, precision)
+                          "6xT3", (6, 22, 21, 6), (3, 8), 24, seed)
 
 
-def _pull_x5_borcea(seed, precision):
+def _pull_x5_borcea(seed):
     G = torus.generate_group([_alpha(), _beta()])
     P = torus.pull(G, 5)
     q = torus.quotient_betti(P)
@@ -298,11 +295,11 @@ def _pull_x5_borcea(seed, precision):
     s1w = betti.kunneth_s1(betti.BettiVector([1, 0, w[0], w[1]]))
     rows.append(row("circle_times_w_b2_b3", [s1w[2], s1w[3]], [14, 34]))
     rows.append(row("connected_sum_b2", betti.connected_sum_b2(4, 4, 4), 12))
-    return Report("pull-x5-borcea", tuple(rows), seed, precision)
+    return Report("pull-x5-borcea", tuple(rows), seed)
 
 
 def _coassoc(name, sigma_fn, census_expected, half_direction, half_expected,
-             seed, precision):
+             seed):
     G = _the_group()
     sigma = sigma_fn()
     rows = [
@@ -318,28 +315,27 @@ def _coassoc(name, sigma_fn, census_expected, half_direction, half_expected,
         rows.append(row("half_census",
                         _summary(torus.involution_fixed_census(lifted, P)),
                         half_expected))
-    return Report(name, tuple(rows), seed, precision)
+    return Report(name, tuple(rows), seed)
 
 
-def _coassoc_52(seed, precision):
+def _coassoc_52(seed):
     return _coassoc("coassoc-5.2", _sigma_52, "1xT4+16xpoint",
-                    4, "1xT3xR+8xpoint", seed, precision)
+                    4, "1xT3xR+8xpoint", seed)
 
 
-def _coassoc_53(seed, precision):
+def _coassoc_53(seed):
     return _coassoc("coassoc-5.3", _sigma_53, "2xT4/pm1+32xpoint",
-                    None, None, seed, precision)
+                    None, None, seed)
 
 
-def _eh_suite(seed, precision, scales=(0.5, 1.0, 2.0), samples=20,
-              ricci_tol=None):
+def _eh_suite(seed, scales=(0.5, 1.0, 2.0), samples=20, ricci_tol=None):
     tol = dict(eguchi_hanson.TOLERANCES)
     if ricci_tol is not None:
         tol["ricci"] = ricci_tol
     rows = []
     for s in scales:
         points = eguchi_hanson.sample_points(samples, s, seed=seed)
-        worst = max(eguchi_hanson.ricci_ratio(s, points, precision=precision))
+        worst = max(eguchi_hanson.ricci_ratio(s, points))
         rows.append(row(f"ricci_max_ratio_s={s:g}", worst, tol["ricci"],
                         provenance="tolerance"))
     rows.append(row("flat_deviation_at_r_1000s",
@@ -364,10 +360,10 @@ def _eh_suite(seed, precision, scales=(0.5, 1.0, 2.0), samples=20,
         # a slope needs at least two scales; record the peak norm instead
         rows.append(row("curvature_peak_norms",
                         [float(v) for v in crep.max_norms]))
-    return Report("eh-suite", tuple(rows), seed, precision, tolerances=tol)
+    return Report("eh-suite", tuple(rows), seed, tolerances=tol)
 
 
-def _flow_suite(seed, precision):
+def _flow_suite(seed):
     tol = {"integrator_rtol": 1e-9, "spectrum_match": 1e-9,
            "rate_slack_times_mu": 0.05, "ratio_drift": 0.10}
     rows = []
@@ -404,7 +400,7 @@ def _flow_suite(seed, precision):
     m2, _ = poincare.primitive_ratio_study(2, 2, cutoff=4, n=100, seed=seed)
     rows.append(row("primitive_ratio_drift", abs(m2 - m1) / m1,
                     tol["ratio_drift"], provenance="tolerance"))
-    return Report("flow-suite", tuple(rows), seed, precision, tolerances=tol)
+    return Report("flow-suite", tuple(rows), seed, tolerances=tol)
 
 
 BUILTINS = {
@@ -565,7 +561,7 @@ def _build_map(spec, lines=()):
     return torus.AffineTorusMap(signs, shifts, lines, name)
 
 
-def run_scenario_object(sc, seed=0, precision="double"):
+def run_scenario_object(sc, seed=0):
     """Execute a validated user scenario."""
     exp = sc.expected
     try:
@@ -612,21 +608,19 @@ def run_scenario_object(sc, seed=0, precision="double"):
                             betti.moduli_dimension(res[4], cres[3], res[1]),
                             exp.get("moduli_dimension")))
         elif check == "eh":
-            rows.extend(_eh_suite(seed, precision).rows)
+            rows.extend(_eh_suite(seed).rows)
         elif check == "flow":
-            rows.extend(_flow_suite(seed, precision).rows)
-    return Report(sc.name, tuple(rows), seed, precision)
+            rows.extend(_flow_suite(seed).rows)
+    return Report(sc.name, tuple(rows), seed)
 
 
-def run_scenario(name_or_path, seed=0, precision="double"):
+def run_scenario(name_or_path, seed=0):
     """Run a builtin scenario by name, or a scenario JSON file by path."""
-    if precision not in ("double", "extended"):
-        raise InvalidScenario(f"unknown precision {precision!r}")
     if name_or_path in BUILTINS:
-        return BUILTINS[name_or_path](seed, precision)
+        return BUILTINS[name_or_path](seed)
     p = Path(name_or_path)
     if p.suffix == ".json" or p.exists():
-        return run_scenario_object(load_scenario(p), seed, precision)
+        return run_scenario_object(load_scenario(p), seed)
     raise InvalidScenario(
         f"unknown scenario {name_or_path!r}; builtins: "
         + ", ".join(BUILTINS))

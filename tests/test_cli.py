@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import g2kit
 from g2kit import cli
@@ -230,6 +231,20 @@ class TestDeterminism:
         b = runner.invoke(main, ["run", "eh-suite", "--seed", "3"])
         assert a.output == b.output
 
+    @pytest.mark.parametrize("value", ["extended", "quad"])
+    @pytest.mark.parametrize("args", [
+        ["run", "--all"], ["--eh-check", "--s", "0.5", "--samples", "4"],
+    ], ids=lambda args: " ".join(args))
+    def test_precision_variable_is_not_read(self, runner, monkeypatch, args,
+                                            value):
+        # double is the only precision, and no variable selects another
+        monkeypatch.delenv("G2KIT_PRECISION", raising=False)
+        unset = runner.invoke(main, args)
+        given_value = runner.invoke(main, args,
+                                    env={"G2KIT_PRECISION": value})
+        assert given_value.exit_code == unset.exit_code
+        assert given_value.stdout == unset.stdout
+
 
 class TestNonFiniteRows:
     def test_nonfinite_row_fails(self):
@@ -242,7 +257,7 @@ class TestNonFiniteRows:
     def test_report_spells_constants_as_strings(self):
         rep = Report("r", (row("a", float("inf")),
                            row("b", {"k": [float("nan"), -float("inf")]})),
-                     seed=0, precision="double")
+                     seed=0)
 
         def reject(constant):
             raise ValueError(f"bare JSON constant {constant}")
@@ -561,20 +576,6 @@ class TestUsageErrors:
         res = runner.invoke(main, ["run"])
         assert res.exit_code == 2
 
-    def test_bad_precision_env(self, runner):
-        res = runner.invoke(main, ["run", "pull-x1"],
-                            env={"G2KIT_PRECISION": "quad"})
-        assert res.exit_code == 2
-        assert "G2KIT_PRECISION" in res.stderr
-
-    def test_extended_precision_accepted(self, runner):
-        res = runner.invoke(main, ["--eh-check", "--s", "1.0",
-                                   "--samples", "4"],
-                            env={"G2KIT_PRECISION": "extended"})
-        assert res.exit_code == 0, res.output
-        env = json.loads(res.output)["environment"]
-        assert env["precision"] == "extended"
-
     def test_help_exits_0(self, runner):
         res = runner.invoke(main, ["--help"])
         assert res.exit_code == 0
@@ -793,9 +794,9 @@ class TestToolFlags:
     def test_eh_check_scale_just_inside_bound_runs(self, runner, monkeypatch):
         seen = []
 
-        def record(seed, precision, scales, **kwargs):
+        def record(seed, scales, **kwargs):
             seen.append(scales)
-            return Report("eh-suite", (), seed, precision)
+            return Report("eh-suite", (), seed)
 
         monkeypatch.setattr(cli, "_eh_suite", record)
         res = runner.invoke(main, ["--eh-check", "--s", "1e30"])
@@ -816,20 +817,44 @@ class TestToolFlags:
         # inside the bound the chart numerics run and give their own verdict
         assert ("--s" in out.stderr) == (float(scale) > MAX_EH_SCALE)
 
-    @pytest.mark.parametrize("scale,precision", [
-        ("1e-100", "double"), ("1e-100", "extended"), ("1,1e-50", "double")])
-    def test_eh_check_tiny_scale_warns_nothing(self, scale, precision):
+    @pytest.mark.parametrize("scale", ["1e-100", "1,1e-50"])
+    def test_eh_check_tiny_scale_warns_nothing(self, scale):
         # s^4 and the curvature peaks underflow: the rows fail with NaN,
         # and numpy stays quiet about the divisions and the log
         out = subprocess.run(
             [sys.executable, "-m", "g2kit.cli", "--eh-check", "--s", scale,
-             "--samples", "1"],
-            env={**subprocess_env(), "G2KIT_PRECISION": precision},
-            capture_output=True, text=True, timeout=120)
+             "--samples", "1"], env=subprocess_env(), capture_output=True,
+            text=True, timeout=120)
         assert out.returncode == 1
         assert '"NaN"' in out.stdout
         assert "Warning" not in out.stderr
         assert "Traceback" not in out.stderr
+
+    @seed(26)
+    @settings(max_examples=60, deadline=10000)
+    @given(
+        scales=st.lists(st.floats(-1074, 100).map(lambda e: 2.0 ** e),
+                        min_size=1, max_size=3, unique=True),
+        above=st.sampled_from([None, None, None, 2 * MAX_EH_SCALE, 1e308]),
+        samples=st.integers(1, 4),
+        tol=st.none() | st.floats(min_value=0.0, exclude_min=True,
+                                  allow_infinity=False))
+    def test_eh_check_ends_in_a_verdict(self, scales, above, samples, tol):
+        # scales log-uniform from the least positive double to the bound,
+        # sometimes with one past it, end in exit 0, 1 or 2, and a verdict
+        # is JSON
+        if above is not None:
+            scales = scales + [above]
+        args = ["--eh-check", "--s=" + ",".join(map(repr, scales)),
+                f"--samples={samples}"]
+        if tol is not None:
+            args.append(f"--tol={tol!r}")
+        res = Runner().invoke(main, args)
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        if res.exit_code in (0, 1):
+            json.loads(res.stdout)
 
     def test_eh_scale_bound_keeps_derivatives_finite(self):
         # the curvature probe's radii run from 0.2 to 2.5, and
@@ -892,7 +917,7 @@ def _value_types():
         (form, "den"),
         (poincare_primitive(form), "ratio"),
         (row("a", 1, 1), "passed"),
-        (Report("r", (), 0, "double"), "rows"),
+        (Report("r", (), 0), "rows"),
         (Scenario("s", 1, (), None, None, ("betti",), {}), "checks"),
         (FlatStratum(0, 0, 1, ()), "count"),
         (BettiVector([1, 0, 1]), "b"),
@@ -944,6 +969,6 @@ class TestValueTypes:
     def test_value_type_in_a_report_raises(self, index):
         # a tuple would be written as a JSON array without a word
         value, _ = _value_types()[index]
-        report = Report("r", (row("info", value),), 0, "double")
+        report = Report("r", (row("info", value),), 0)
         with pytest.raises(TypeError, match=type(value).__name__):
             report_to_json(report)

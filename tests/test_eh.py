@@ -111,13 +111,12 @@ def metric_fd_at(s, z1, z2):
                             (complex(z1), complex(z2)))
 
 
-def scalar_ricci_at(s, z1, z2, outer=None, precision="double"):
+def scalar_ricci_at(s, z1, z2, outer=None):
     """ricci_at with log det h evaluated one stencil point at a time."""
-    dtype = np.longdouble if precision == "extended" else np.float64
     z = eguchi_hanson._base_point(z1, z2)
-    x0 = eguchi_hanson._real_coords(z).astype(dtype)
+    x0 = eguchi_hanson._real_coords(z)
     r = float(np.linalg.norm(x0))
-    h_out = dtype(outer if outer is not None else 0.05 * r)
+    h_out = np.float64(outer if outer is not None else 0.05 * r)
 
     def logdet(x):
         u = np.dot(x, x)
@@ -125,20 +124,19 @@ def scalar_ricci_at(s, z1, z2, outer=None, precision="double"):
         zz = np.array([complex(x[0], x[1]), complex(x[2], x[3])])
         m = fp * np.eye(2, dtype=complex) + fpp * np.outer(zz.conj(), zz)
         d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-        return dtype(np.log(d))
+        return np.log(d)
 
     hess = hessian_richardson(logdet, x0, h_out)
     return -eguchi_hanson._complex_hessian(hess)
 
 
-def scalar_ricci_ratio(s, z1, z2, precision="double"):
+def scalar_ricci_ratio(s, z1, z2):
     """|Ricci| / |h| from scalar_ricci_at."""
-    ric = scalar_ricci_at(s, z1, z2, precision=precision)
+    ric = scalar_ricci_at(s, z1, z2)
     return float(np.linalg.norm(ric)) / kahler_metric_at(s, z1, z2).norm()
 
 
-def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
-                         dtype=float):
+def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None):
     """Ricci coefficients -d^2 log det h / dz dzbar for a radial potential.
 
     The metric itself is obtained from `potential_fn(r)` by nested central
@@ -146,10 +144,10 @@ def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
     potential, not only the closed-form family.
     """
     z = eguchi_hanson._base_point(z1, z2)
-    x0 = eguchi_hanson._real_coords(z).astype(dtype)
+    x0 = eguchi_hanson._real_coords(z)
     r = float(np.linalg.norm(x0))
-    h_in = dtype(inner if inner is not None else 0.01 * r)
-    h_out = dtype(outer if outer is not None else 0.08 * r)
+    h_in = float(inner if inner is not None else 0.01 * r)
+    h_out = float(outer if outer is not None else 0.08 * r)
 
     def logdet(x):
         def fun(y):
@@ -158,7 +156,7 @@ def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None,
         d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
         if not d > 0:
             raise NumericFailure("finite-difference metric lost positivity")
-        return dtype(np.log(d))
+        return float(np.log(d))
 
     return -eguchi_hanson._complex_hessian(
         hessian_richardson(logdet, x0, h_out))
@@ -409,14 +407,6 @@ class TestRicci:
             for z1, z2 in sample_points(20, s, seed=4):
                 assert ricci_ratio(s, z1, z2) < TOLERANCES["ricci"]
 
-    def test_extended_precision(self):
-        r = ricci_ratio(1.0, 0.7 + 0.2j, -0.3 + 0.4j, precision="extended")
-        assert r < 1e-9
-
-    def test_precision_flag_validated(self):
-        with pytest.raises(InvalidScale):
-            ricci_at(1.0, 1.0 + 0j, 0j, precision="quad")
-
     def test_nested_differences_from_potential(self):
         z1, z2 = 0.9 + 0.1j, 0.4 - 0.2j
         ric = ricci_from_potential(lambda r: potential(1.0, r), z1, z2)
@@ -443,24 +433,20 @@ class TestRicci:
         with pytest.raises(NumericFailure):
             ricci_at(1.0, 1.0 + 0j, 0j, outer=1e-300)
 
-    @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("s", SCALES)
-    def test_stacked_stencil_matches_scalar_path(self, s, precision):
+    def test_stacked_stencil_matches_scalar_path(self, s):
         # bit for bit: the same Ricci bytes as 66 single-point evaluations
         for seed in (0, 4, 11):
             for z1, z2 in sample_points(8, s, seed=seed, rmin=0.1, rmax=10):
-                got = ricci_at(s, z1, z2, precision=precision).matrix
-                want = scalar_ricci_at(s, z1, z2, precision=precision)
+                got = ricci_at(s, z1, z2).matrix
+                want = scalar_ricci_at(s, z1, z2)
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("precision", ["double", "extended"])
-    def test_stacked_stencil_with_given_step(self, precision):
+    def test_stacked_stencil_with_given_step(self):
         for outer in (0.01, 0.3):
             for z1, z2 in sample_points(4, 1.0, seed=5):
-                got = ricci_at(1.0, z1, z2, outer=outer,
-                               precision=precision).matrix
-                want = scalar_ricci_at(1.0, z1, z2, outer=outer,
-                                       precision=precision)
+                got = ricci_at(1.0, z1, z2, outer=outer).matrix
+                want = scalar_ricci_at(1.0, z1, z2, outer=outer)
                 assert got.tobytes() == want.tobytes()
 
     def test_overflowing_step_gives_nan_like_scalar_path(self):
@@ -500,34 +486,30 @@ def first_error(call):
 class TestRicciStack:
     """ricci_ratio over a list of points against one point at a time."""
 
-    @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("count", [1, 20, RICCI_STACK_POINTS + 1])
-    def test_list_matches_scalar_path(self, count, precision):
+    def test_list_matches_scalar_path(self, count):
         for s in SCALES:
             points = sample_points(count, s, seed=count, rmin=0.1, rmax=10)
-            got = ricci_ratio(s, points, precision=precision)
-            want = [scalar_ricci_ratio(s, z1, z2, precision)
-                    for z1, z2 in points]
+            got = ricci_ratio(s, points)
+            want = [scalar_ricci_ratio(s, z1, z2) for z1, z2 in points]
             assert all(type(r) is float for r in got)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("precision", ["double", "extended"])
     @pytest.mark.parametrize("at", [0, 7, RICCI_STACK_POINTS + 1])
     @pytest.mark.parametrize("bad", [
         (ORIGIN, INFINITE), (INFINITE, ORIGIN), (UNDERFLOW, INFINITE),
         (INFINITE, UNDERFLOW), (UNDERFLOW, ORIGIN)])
-    def test_first_refused_point_raises_its_error(self, bad, at, precision):
+    def test_first_refused_point_raises_its_error(self, bad, at):
         good = sample_points(RICCI_STACK_POINTS + 4, 1.0, seed=2)
         points = good[:at] + list(bad) + good[at:]
 
         def per_point():
             for z1, z2 in points:
-                scalar_ricci_at(1.0, z1, z2, precision=precision)
+                scalar_ricci_at(1.0, z1, z2)
 
         want = first_error(per_point)
         assert want is not None
-        assert first_error(
-            lambda: ricci_ratio(1.0, points, precision=precision)) == want
+        assert first_error(lambda: ricci_ratio(1.0, points)) == want
 
     def test_underflowing_stencil_row_is_refused(self):
         with pytest.raises(ChartSingular, match="u = r"):
@@ -540,19 +522,15 @@ class TestRicciStack:
             want = [scalar_ricci_ratio(1e300, z1, z2) for z1, z2 in points]
         assert np.isnan(got).all() and np.isnan(want).all()
 
-    def test_refuses_empty_list_and_unknown_precision(self):
+    def test_refuses_empty_list(self):
         with pytest.raises(InvalidOperand):
             ricci_ratio(1.0, [])
-        with pytest.raises(InvalidScale):
-            ricci_ratio(1.0, [(1.0 + 0j, 0j)], precision="quad")
 
-    @pytest.mark.parametrize("precision", ["double", "extended"])
-    def test_eh_suite_rows_are_maxima_of_lone_points(self, precision):
+    def test_eh_suite_rows_are_maxima_of_lone_points(self):
         # 600 samples run as stacks of RICCI_STACK_POINTS and a remainder
-        rows = {r.check: r.computed
-                for r in _eh_suite(3, precision, samples=600).rows}
+        rows = {r.check: r.computed for r in _eh_suite(3, samples=600).rows}
         for s in SCALES:
-            want = max(ricci_ratio(s, z1, z2, precision=precision)
+            want = max(ricci_ratio(s, z1, z2)
                        for z1, z2 in sample_points(600, s, seed=3))
             got = rows[f"ricci_max_ratio_s={s:g}"]
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -681,6 +659,14 @@ class TestCurvatureStack:
         assert first_error(
             lambda: curvature_injectivity_scaling_probe([1.0, s])) == want
 
+    @pytest.mark.parametrize("s,index", [(1e4, 5), (1e30, 11), (1e30, 19)])
+    def test_singular_metric_raises_numeric_failure(self, s, index):
+        # the scale-s metric at this grid point is singular in floating
+        # point, so it has no inverse to contract the tensor with
+        assert first_error(lambda: radial_curvature_tensor(
+            eh_derivs(s), *PROBE_GRID[index])) == (
+            NumericFailure, "metric singular at sample point")
+
     def test_origin_is_refused_like_loop(self):
         want = first_error(lambda: loop_curvature_norm(eh_derivs(1.0),
                                                        *ORIGIN))
@@ -698,12 +684,12 @@ class TestCurvatureStack:
         assert bits(rep.max_norms) == bits(loop_probe_peaks(scales))
 
     def test_eh_suite_curvature_rows_match_loop(self):
-        rows = {r.check: r.computed for r in _eh_suite(0, "double").rows}
+        rows = {r.check: r.computed for r in _eh_suite(0).rows}
         want = np.polyfit(np.log(SCALES), np.log(loop_probe_peaks(SCALES)),
                           1)[0]
         assert bits(rows["curvature_slope"]) == bits(want)
         rows = {r.check: r.computed
-                for r in _eh_suite(0, "double", scales=(1.0,)).rows}
+                for r in _eh_suite(0, scales=(1.0,)).rows}
         assert bits(rows["curvature_peak_norms"]) == bits(
             loop_probe_peaks([1.0]))
 
