@@ -16,6 +16,8 @@ from ._lazy import lazy_module
 from .errors import G2KitError
 from .scenarios import (
     BUILTINS,
+    Report,
+    _decay_rows,
     _eh_suite,
     _json_default,
     list_scenarios,
@@ -40,6 +42,13 @@ MAX_EH_POINTS = 2 ** 16
 # most 2^1000, below the largest double (about 2^1024) with room for the
 # factors beside it; above the bound rows turn into inf and NaN.
 MAX_EH_SCALE = 2.0 ** 100
+# the smallest scale --eh-check accepts.  The Ricci samples have radii of
+# at least 0.3 s, and |z|^2 of each stencil row must stay a normal double
+# (at least 2^-1022), so s must be at least 2^-511 / 0.3, about 5e-154.
+# 2^-500 leaves room for the stencil steps, 5% of the radius, and the
+# rounding of the sampled radii; below the bound |z|^2 underflows and the
+# chart refuses the sample as its origin.
+MIN_EH_SCALE = 2.0 ** -500
 
 
 def _error_exit(message):
@@ -83,11 +92,11 @@ def _emit(reports, fmt):
                              f"| {r.provenance} | {passed} |")
             lines.append("")
         print("\n".join(lines))
-    # a terminal or file shared with stderr gets the report before FAIL lines
-    sys.stdout.flush()
 
 
 def _finish(reports):
+    # a terminal or file shared with stderr gets the report before FAIL lines
+    sys.stdout.flush()
     failing = [(rep.scenario, r) for rep in reports
                for r in rep.rows if r.passed is False]
     for scenario, r in failing:
@@ -113,6 +122,10 @@ def _parse_scales(values):
                 scale = _finite_positive(tok)
                 if scale is None:
                     _error_exit(f"--s must be finite and > 0, got {tok!r}")
+                if scale < MIN_EH_SCALE:
+                    _error_exit(f"--s must be at least 2^-500 = "
+                                f"{MIN_EH_SCALE:.4g}, since the samples' "
+                                f"|z|^2 must be a normal double, got {tok!r}")
                 if scale > MAX_EH_SCALE:
                     _error_exit(f"--s must be at most 2^100 = "
                                 f"{MAX_EH_SCALE:.4g}, since s^10 must be a "
@@ -153,23 +166,20 @@ def _run_flow_demo(d, n, k_frac, trials, seed):
                                          trials=trials, seed=seed)
     except G2KitError as e:
         _error_exit(e)
-    k = k_frac * system.mu
-    bound = system.mu - 2 * k - 0.05 * system.mu
-    rates = [None if t.fitted_rate is None else float(t.fitted_rate)
-             for t, _ in runs]
-    decaying = sum(bool(t.decaying) for t, _ in runs)
-    ok = decaying == trials and all(
-        r is not None and r >= bound for r in rates) and all(
-        c.ok for _, c in runs)
+    report = Report("flow-demo", tuple(_decay_rows(system, runs, k_frac,
+                                                   trials)), seed)
+    decaying, rate = report.rows[:2]
     payload = {
         "d": d, "N": n, "seed": seed, "trials": trials,
-        "mu": system.mu, "k": k, "rate_bound": bound,
-        "fitted_rates": rates, "decaying_trials": decaying,
-        "pass": bool(ok),
+        "mu": system.mu, "k": k_frac * system.mu,
+        "rate_bound": rate.expected,
+        "fitted_rates": [None if t.fitted_rate is None
+                         else float(t.fitted_rate) for t, _ in runs],
+        "decaying_trials": decaying.computed, "pass": report.all_pass,
     }
     print(json.dumps(payload, sort_keys=True, indent=2,
                      default=_json_default))
-    sys.exit(0 if ok else 1)
+    _finish([report])
 
 
 class _HelpFormatter(argparse.HelpFormatter):

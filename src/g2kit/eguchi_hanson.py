@@ -9,23 +9,21 @@ whose complex Hessian has unit determinant identically; the middle term
 must grow logarithmically in r for that to hold, a constant in r there
 produces a metric that is not Ricci-flat.  Radial derivatives are
 implemented in closed form.  Finite differences appear only in
-ricci_at and ricci_ratio, which differentiate log det h of the
-closed-form metric on a stencil of 66 points around each chart point.
-The stencils of a list of points are evaluated as one stack, up to
-RICCI_STACK_POINTS points at a time, and each point keeps the bits it
-has alone.
+ricci_ratio, which differentiates log det h of the closed-form metric on
+a stencil of 66 points around each chart point.  The stencils of a list
+of points are evaluated as one stack, up to RICCI_STACK_POINTS points at
+a time, and each point keeps the bits it has alone.
 
 The curvature probe runs as stacks too: the metric, its inverse, its
 first derivatives, the 16 tensor entries, the positivity check, the
 frame h^(-1/2), the four frame changes and the norms of up to
 CURVATURE_STACK_POINTS points at a time, with the bits of one point
-alone (radial_curvature_norm and radial_curvature_tensor are one-point
-calls of the same kernel).  Two things keep those bits.  The tensor's
-complex products are written out in real and imaginary parts, because
-numpy's vectorised complex multiply rounds differently from the scalar
-one that a per-point sum would use.  The potential derivatives are taken
-one point at a time, because potential_derivatives on an array u rounds
-u**3, q**3, u**4 and q**5 differently from scalar powers.
+alone.  Two things keep those bits.  The tensor's complex products are
+written out in real and imaginary parts, because numpy's vectorised
+complex multiply rounds differently from the scalar one that a per-point
+sum would use.  The potential derivatives are taken one point at a
+time, because potential_derivatives on an array u rounds u**3, q**3,
+u**4 and q**5 differently from scalar powers.
 """
 
 from __future__ import annotations
@@ -101,36 +99,11 @@ def potential_derivatives(s: float, u, order: int = 2):
     return tuple(out)
 
 
-class HermitianMetric2(Frozen):
-    """2x2 complex Hessian data h_{i jbar} attached to a base point."""
-
-    __slots__ = ("matrix", "point")
-
-    def __init__(self, matrix, point=(complex("nan"), complex("nan"))):
-        super().__init__(matrix, point)
-
-    def det(self) -> complex:
-        m = self.matrix
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
 def _base_point(z1, z2) -> np.ndarray:
     z = np.array([z1, z2], dtype=complex)
     if not float(abs(z[0]) ** 2 + abs(z[1]) ** 2) > 0:
         raise ChartSingular("the chart excludes the origin of C^2")
     return z
-
-
-def kahler_metric_at(s: float, z1, z2) -> HermitianMetric2:
-    """Closed-form metric h_{i jbar} = f' Id + f'' zbar_i z_j at (z1, z2)."""
-    z = _base_point(z1, z2)
-    u = float(abs(z[0]) ** 2 + abs(z[1]) ** 2)
-    fp, fpp = potential_derivatives(s, u, order=2)
-    m = fp * np.eye(2, dtype=complex) + fpp * np.outer(z.conj(), z)
-    return HermitianMetric2(m, (complex(z1), complex(z2)))
 
 
 def _dots(x):
@@ -147,17 +120,33 @@ def _frobenius_norms(m):
 
 def _metrics(fp, fpp, z):
     """f' Id + f'' zbar_i z_j for each entry of fp and fpp and row of z,
-    each with the bits kahler_metric_at gives one point."""
+    as an (n, 2, 2) stack."""
     return (fp[:, None, None] * np.eye(2, dtype=complex)
             + fpp[:, None, None] * (z.conj()[:, :, None] * z[:, None, :]))
 
 
-def _metric_norms(s, z):
-    """kahler_metric_at(s, z1, z2).norm() for each row (z1, z2) of z."""
-    # u from numpy scalars, as kahler_metric_at forms it: their ** 2 calls
-    # pow, where an array's ** 2 rounds x * x
-    u = np.array([abs(z1) ** 2 + abs(z2) ** 2 for z1, z2 in z])
-    return _frobenius_norms(_metrics(*potential_derivatives(s, u), z))
+def _radial_points(points):
+    """The rows z of the points (z1, z2) and u = |z|^2 at each, as arrays.
+
+    u is formed from numpy scalars, whose ** 2 calls pow, where an array's
+    ** 2 rounds x * x.
+    """
+    z = np.array([_base_point(z1, z2) for z1, z2 in points])
+    return z, np.array([abs(z1) ** 2 + abs(z2) ** 2 for z1, z2 in z])
+
+
+def _kahler_metrics(s, points):
+    """The scale-s metric at each point (z1, z2), as an (n, 2, 2) stack,
+    each with the bits of its point alone.  The first two derivatives of
+    the potential take no powers of u, so they may take the array."""
+    z, u = _radial_points(points)
+    return _metrics(*potential_derivatives(s, u), z)
+
+
+def kahler_metric_at(s: float, z1, z2) -> np.ndarray:
+    """Closed-form metric h_{i jbar} = f' Id + f'' zbar_i z_j at (z1, z2),
+    as a 2x2 complex array."""
+    return _kahler_metrics(s, [(z1, z2)])[0]
 
 
 def _real_coords(z: np.ndarray) -> np.ndarray:
@@ -217,13 +206,16 @@ def _hessians_from_stencils(f, h):
     return out
 
 
-def _ricci_hessians(s, points, outer):
-    """The real Hessians of log det h that ricci_at assembles, one per
-    point, as a (points, 4, 4) stack.
+def _ricci_hessians(s, points):
+    """The real Hessians of log det h at each point, as a (points, 4, 4)
+    stack.
 
-    Each point's 66 stencil rows join one stack, and every row takes the
-    arithmetic of a lone point.  A refused point raises what ricci_at
-    raises for it, and the first refused point in the list wins.
+    log det h of the closed-form metric is differentiated by central
+    differences with Richardson extrapolation over the steps h = 0.05 r
+    and h/2.  Each point's 66 stencil rows join one stack, and every row
+    takes the arithmetic of a lone point.  The first refused point in the
+    list raises: ChartSingular for the origin or a stencil row with
+    |z|^2 = 0, NumericFailure where a step does not move the point.
     """
     _check_scale(s)
     refused = None
@@ -238,8 +230,7 @@ def _ricci_hessians(s, points, outer):
     # each radius from its row's dot product, as np.linalg.norm takes it
     # for one point; np.linalg.norm(axis=1) rounds differently
     r = np.sqrt(_dots(x0))
-    h = (np.full(len(x0), outer, dtype=float) if outer is not None
-         else 0.05 * r)
+    h = 0.05 * r
     fits = (np.all(x0 + h[:, None] != x0, axis=1)
             & np.all(x0 + (h / 2)[:, None] != x0, axis=1))
     if not fits.all():
@@ -263,46 +254,31 @@ def _ricci_hessians(s, points, outer):
             - _hessians_from_stencils(f[:, :33], h)) / 3
 
 
-def ricci_at(s: float, z1, z2, outer: float | None = None) -> HermitianMetric2:
-    """Ricci coefficients of the closed-form metric at (z1, z2).
+def ricci_ratio(s: float, points):
+    """|Ricci| / |h| at each of a non-empty list of points (z1, z2), the
+    relative Ricci-flatness defect.
 
-    log det h is evaluated from the closed-form Hessian and differentiated
-    by central differences with Richardson extrapolation (steps h and
-    h/2).  The result is numerically zero for the Ricci-flat family; the
-    size of the residual measures the quality of the derivative code.
-    All 66 stencil points go through log det h as one stack; each row
-    takes the arithmetic of a lone point.
-    """
-    hess = _ricci_hessians(s, [(z1, z2)], outer)[0]
-    return HermitianMetric2(-_complex_hessian(hess),
-                            (complex(z1), complex(z2)))
-
-
-def ricci_ratio(s: float, z1, z2=None):
-    """|Ricci| / |h| at a point, the relative Ricci-flatness defect.
-
-    z1 may also be a non-empty list of points (z1, z2), with z2 left
-    out: then the list of their ratios is returned, each bit for bit the
-    ratio of its point alone.  The points are evaluated in stacks of up
-    to RICCI_STACK_POINTS, and the first point ricci_at refuses raises
+    The result is numerically zero for the Ricci-flat family; the size of
+    the residual measures the quality of the derivative code.  The points
+    are evaluated in stacks of up to RICCI_STACK_POINTS, each ratio bit
+    for bit that of its point alone, and the first refused point raises
     its error.
     """
-    points = z1 if z2 is None else [(z1, z2)]
     if not points:
         raise InvalidOperand("the list of points is empty")
     ratios = []
     for first in range(0, len(points), RICCI_STACK_POINTS):
         chunk = points[first:first + RICCI_STACK_POINTS]
-        hess = _ricci_hessians(s, chunk, None)
+        hess = _ricci_hessians(s, chunk)
         ric = np.array([_complex_hessian(rows) for rows in hess.tolist()])
         ratios += (_frobenius_norms(ric)
-                   / _metric_norms(s, np.array(chunk, dtype=complex))).tolist()
-    return ratios if z2 is None else ratios[0]
+                   / _frobenius_norms(_kahler_metrics(s, chunk))).tolist()
+    return ratios
 
 
 def flat_deviation(s: float, z1, z2) -> float:
     """Relative distance of h from the flat identity metric at (z1, z2)."""
-    m = kahler_metric_at(s, z1, z2).matrix
+    m = kahler_metric_at(s, z1, z2)
     return float(np.linalg.norm(m - np.eye(2)) / np.sqrt(2.0))
 
 
@@ -345,9 +321,9 @@ def scaling_identity_probe(s: float, lam: float, points) -> ScalingReport:
     _check_scale(lam)
     dev_ls, dev_sl = 0.0, 0.0
     for z1, z2 in points:
-        pulled = lam ** 2 * kahler_metric_at(s, lam * z1, lam * z2).matrix
+        pulled = lam ** 2 * kahler_metric_at(s, lam * z1, lam * z2)
         for dev, cand in ((0, lam * s), (1, s / lam)):
-            ref = lam ** 2 * kahler_metric_at(cand, z1, z2).matrix
+            ref = lam ** 2 * kahler_metric_at(cand, z1, z2)
             score = float(np.linalg.norm(pulled - ref) / np.linalg.norm(ref))
             if dev == 0:
                 dev_ls = max(dev_ls, score)
@@ -356,32 +332,10 @@ def scaling_identity_probe(s: float, lam: float, points) -> ScalingReport:
     return ScalingReport(float(s), float(lam), dev_ls, dev_sl)
 
 
-def _radial_points(derivs, points):
-    """The rows z of the points and their potential derivatives, for
-    _radial_metrics, _curvature_tensors and _curvature_norms.
-
-    derivs gets one float u = |z|^2 a point, formed as kahler_metric_at
-    forms it: potential_derivatives on an array u rounds its powers
-    differently.
-    """
-    rows = np.array([_base_point(z1, z2) for z1, z2 in points])
-    return rows, [derivs(float(abs(z[0]) ** 2 + abs(z[1]) ** 2))
-                  for z in rows]
-
-
-def radial_metric(derivs, z1, z2) -> np.ndarray:
-    """Complex Hessian f' Id + f'' zbar_i z_j for any radial potential.
-
-    derivs maps u = |z|^2 to a tuple of derivatives of the potential with
-    respect to u; at least two entries are used here.
-    """
-    return _radial_metrics(*_radial_points(derivs, [(z1, z2)]))[0]
-
-
-def _radial_metrics(z, derivatives):
-    """radial_metric at each row of z, with its derivatives."""
-    d = np.array([e[:2] for e in derivatives])
-    return _metrics(d[:, 0], d[:, 1], z)
+def _eh_derivatives(s, u):
+    """The potential's derivatives up to fourth order at each entry of u,
+    taken one float at a time, as an (n, 4) array."""
+    return np.array([potential_derivatives(s, float(x), order=4) for x in u])
 
 
 # complex numbers below are (real, imaginary) pairs of arrays, and _mul
@@ -396,16 +350,18 @@ def _add(a, b):
     return a[0] + b[0], a[1] + b[1]
 
 
-def _curvature_tensors(z, derivatives, h):
-    """radial_curvature_tensor for each row of z, with its derivatives
-    and metric h, as an (n, 2, 2, 2, 2) stack with each point's bits.
+def _curvature_tensors(z, d, h):
+    """Kahler curvature R_{i jbar k lbar} of a radial-potential metric h
+    at each row of z, as an (n, 2, 2, 2, 2) stack with each point's bits.
 
+    R = -d^2 h_{i jbar}/dz_k dzbar_l
+        + h^{p qbar} (d h_{i qbar}/dz_k) conj(d h_{j pbar}/dz_l),
+    assembled from the potential's derivatives d with respect to u, up to
+    fourth order, one row a point.  Index order [i, j, k, l], unbarred first.
     The entries follow the per-point sums term by term, over broadcast
-    index axes (n, i, j, k, l).
+    index axes (n, i, j, k, l).  A metric that is singular in floating
+    point raises NumericFailure.
     """
-    if len(derivatives[0]) < 4:
-        raise InvalidScale("curvature needs four potential derivatives")
-    d = np.array([e[:4] for e in derivatives])
     eye = np.eye(2)
 
     def at(x, axes):
@@ -464,14 +420,15 @@ def _curvature_tensors(z, derivatives, h):
     return out
 
 
-def _curvature_norms(z, derivatives):
-    """radial_curvature_norm at each row of z, with its derivatives, as
-    an array, each with the bits of its point alone.
+def _curvature_norms(z, d):
+    """Orthonormal-frame Frobenius norm of the curvature tensor at each
+    row of z, with its potential derivatives d, each with the bits of its
+    point alone.
 
     A metric that is not positive definite at any point raises
     NumericFailure before any tensor is formed.
     """
-    h = _radial_metrics(z, derivatives)
+    h = _metrics(d[:, 0], d[:, 1], z)
     w, v = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(1, 2)))
     if np.any(w <= 0):
         raise NumericFailure("metric not positive definite at sample point")
@@ -479,7 +436,7 @@ def _curvature_norms(z, derivatives):
     scale = np.zeros_like(h, dtype=float)
     scale[:, range(2), range(2)] = w ** -0.5
     c = v @ scale @ v.conj().swapaxes(1, 2)
-    r = _curvature_tensors(z, derivatives, h)
+    r = _curvature_tensors(z, d, h)
     # unbarred slots contract with conj(c), barred slots with c, so that
     # the frame columns A = conj(c) satisfy A^T h conj(A) = Id
     r = np.einsum("nia,nijkl->najkl", c.conj(), r)
@@ -487,35 +444,6 @@ def _curvature_norms(z, derivatives):
     r = np.einsum("nkc,nabkl->nabcl", c.conj(), r)
     r = np.einsum("nld,nabcl->nabcd", c, r)
     return _frobenius_norms(r)
-
-
-def radial_curvature_tensor(derivs, z1, z2) -> np.ndarray:
-    """Kahler curvature R_{i jbar k lbar} of a radial-potential metric.
-
-    R = -d^2 h_{i jbar}/dz_k dzbar_l
-        + h^{p qbar} (d h_{i qbar}/dz_k) conj(d h_{j pbar}/dz_l),
-    assembled from derivatives of the potential up to fourth order.
-    Index order [i, j, k, l], unbarred first.  A metric that is singular
-    in floating point raises NumericFailure.
-    """
-    z, derivatives = _radial_points(derivs, [(z1, z2)])
-    return _curvature_tensors(z, derivatives,
-                              _radial_metrics(z, derivatives))[0]
-
-
-def radial_curvature_norm(derivs, z1, z2) -> float:
-    """Orthonormal-frame Frobenius norm of the curvature tensor."""
-    return float(_curvature_norms(*_radial_points(derivs, [(z1, z2)]))[0])
-
-
-def _eh_derivs(s: float):
-    return lambda u: potential_derivatives(s, u, order=4)
-
-
-def curvature_norm(s: float, z1, z2) -> float:
-    """Orthonormal-frame curvature norm of the scale-s metric at (z1, z2)."""
-    _check_scale(s)
-    return radial_curvature_norm(_eh_derivs(s), z1, z2)
 
 
 class CurvatureScalingReport(Frozen):
@@ -543,15 +471,13 @@ def curvature_injectivity_scaling_probe(s_list) -> CurvatureScalingReport:
     dirs = np.random.default_rng(7).normal(size=(3, 4))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     points = [_to_complex(r * d) for r in radii for d in dirs]
+    z, u = _radial_points(points)
     per_stack = CURVATURE_STACK_POINTS // len(points)
     maxima = []
     for first in range(0, len(s_values), per_stack):
-        z, derivatives = [], []
-        for s in s_values[first:first + per_stack]:
-            rows, d = _radial_points(_eh_derivs(s), points)
-            z.append(rows)
-            derivatives += d
-        norms = _curvature_norms(np.concatenate(z), derivatives)
+        chunk = s_values[first:first + per_stack]
+        d = np.concatenate([_eh_derivatives(s, u) for s in chunk])
+        norms = _curvature_norms(np.tile(z, (len(chunk), 1)), d)
         # each maximum starts from 0.0 and skips NaN norms, as Python's
         # max does
         maxima += [max([0.0] + row)

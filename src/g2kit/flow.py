@@ -604,7 +604,8 @@ def integrate_flow(system, Q, x0, T, samples=201):
     if Q is None:
         fun = system.matvec
     else:
-        tensors = np.stack([q.tensor for q in Q]) if stack else Q.tensor[None]
+        tensors = (np.stack([q.tensor for q in maps]) if len(maps) > 1
+                   else maps[0].tensor[None])
         fun = lambda y: system.matvec(y) + np.einsum(
             "bijk,bj,bk->bi", tensors, y, y)
     times = np.linspace(0.0, float(T), samples)

@@ -363,6 +363,23 @@ def _eh_suite(seed, scales=(0.5, 1.0, 2.0), samples=20, ricci_tol=None):
     return Report("eh-suite", tuple(rows), seed, tolerances=tol)
 
 
+def _decay_rows(system, runs, k_frac, trials):
+    """The rows that judge decay_trials' runs: every trial decays, at a
+    fitted rate of at least mu - 2k - 0.05 mu with k = k_frac * mu, its
+    gap |x+| - |x-| grows, and |x+| <= |x-| on the decaying ones.  With no
+    decaying trial the least rate is NaN, which fails its row."""
+    bound = system.mu - 2 * (k_frac * system.mu) - 0.05 * system.mu
+    rates = [t.fitted_rate for t, _ in runs if t.decaying]
+    return [
+        row("decaying_trials", len(rates), trials),
+        row("min_fitted_rate", min(rates, default=math.nan), bound,
+            provenance="floor"),
+        row("gap_monotone_all", all(c.monotone for _, c in runs), True),
+        row("gap_dominance_all",
+            all(c.dominance for t, c in runs if t.decaying), True),
+    ]
+
+
 def _flow_suite(seed):
     tol = {"integrator_rtol": 1e-9, "spectrum_match": 1e-9,
            "rate_slack_times_mu": 0.05, "ratio_drift": 0.10}
@@ -379,15 +396,7 @@ def _flow_suite(seed):
 
     system, runs = flow.decay_trials(d=2, N=1, k_frac=0.1, trials=20,
                                      seed=seed)
-    bound = system.mu - 2 * (0.1 * system.mu) - 0.05 * system.mu
-    rows.append(row("decaying_trials", sum(t.decaying for t, _ in runs), 20))
-    rows.append(row("min_fitted_rate",
-                    min(t.fitted_rate for t, _ in runs if t.decaying),
-                    bound, provenance="floor"))
-    rows.append(row("gap_monotone_all",
-                    all(c.monotone for _, c in runs), True))
-    rows.append(row("gap_dominance_all",
-                    all(c.dominance for t, c in runs if t.decaying), True))
+    rows += _decay_rows(system, runs, 0.1, 20)
 
     exact, ratios = 0, []
     for i in range(100):

@@ -23,10 +23,9 @@ import g2kit
 from g2kit import cli
 from g2kit._frozen import Frozen
 from g2kit.betti import BettiVector, EulerReport, NonSymplecticInvariants
-from g2kit.cli import MAX_EH_POINTS, MAX_EH_SCALE, main
+from g2kit.cli import MAX_EH_POINTS, MAX_EH_SCALE, MIN_EH_SCALE, main
 from g2kit.eguchi_hanson import (
     CurvatureScalingReport,
-    HermitianMetric2,
     ScalingReport,
     potential_derivatives,
 )
@@ -680,6 +679,26 @@ class TestToolFlags:
         assert all(r >= payload["rate_bound"]
                    for r in payload["fitted_rates"])
 
+    def test_flow_demo_failure_names_its_rows(self, runner, monkeypatch):
+        # one trial that does not decay, and so has no fitted rate
+        zeros = np.zeros(2)
+        stalled = Trajectory(zeros, zeros, zeros, zeros, zeros, False, False,
+                             None, 1.0)
+
+        def decay_trials(d, N, k_frac, trials, seed):
+            return build_mode_system(d, N), [(stalled, GapCheck(True, None))]
+
+        monkeypatch.setattr(g2kit.flow, "decay_trials", decay_trials)
+        res = runner.invoke(main, ["--flow-demo", "--trials", "1"])
+        assert res.exit_code == 1
+        assert "Traceback" not in res.output
+        payload = json.loads(res.stdout)
+        assert payload["pass"] is False and payload["decaying_trials"] == 0
+        assert res.stderr.splitlines() == [
+            "FAIL flow-demo: decaying_trials computed 0 expected 1",
+            "FAIL flow-demo: min_fitted_rate computed NaN expected "
+            f"{payload['rate_bound']!r}"]
+
     def test_flow_demo_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--k-frac", "0.9"])
         assert res.exit_code == 2
@@ -791,6 +810,25 @@ class TestToolFlags:
         assert len(res.stderr.splitlines()) == 1
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "5e-324",
+                                       "1,1e-200"])
+    def test_eh_check_scale_below_bound_exits_2(self, runner, monkeypatch,
+                                                scale):
+        # the samples' |z|^2 would underflow, and the chart would refuse
+        # them as its origin
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated a scale below the bound")
+
+        monkeypatch.setattr(cli, "_eh_suite", unreachable)
+        res = runner.invoke(main, ["--eh-check", "--s", scale])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: --s ")
+        assert "2^-500" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.output
+        assert res.stdout == ""
+
     def test_eh_check_scale_just_inside_bound_runs(self, runner, monkeypatch):
         seen = []
 
@@ -817,10 +855,12 @@ class TestToolFlags:
         # inside the bound the chart numerics run and give their own verdict
         assert ("--s" in out.stderr) == (float(scale) > MAX_EH_SCALE)
 
-    @pytest.mark.parametrize("scale", ["1e-100", "1,1e-50"])
+    @pytest.mark.parametrize("scale", ["1e-100", "1,1e-50",
+                                       repr(MIN_EH_SCALE)])
     def test_eh_check_tiny_scale_warns_nothing(self, scale):
         # s^4 and the curvature peaks underflow: the rows fail with NaN,
-        # and numpy stays quiet about the divisions and the log
+        # and numpy stays quiet about the divisions and the log.  At the
+        # least accepted scale every sample is still a chart point.
         out = subprocess.run(
             [sys.executable, "-m", "g2kit.cli", "--eh-check", "--s", scale,
              "--samples", "1"], env=subprocess_env(), capture_output=True,
@@ -908,7 +948,6 @@ def _value_types():
         (Trajectory(zeros, zeros, zeros, zeros, zeros, False, False, None,
                     1.0), "fitted_rate"),
         (GapCheck(True, None), "dominance"),
-        (HermitianMetric2(np.eye(2)), "matrix"),
         (ScalingReport(1.0, 2.0, 0.5, 0.0), "s"),
         (CurvatureScalingReport((1.0,), (2.0,), None), "slope"),
         (NonSymplecticInvariants(10, 8), "r"),

@@ -26,17 +26,11 @@ from hypothesis import given, seed, settings, strategies as st
 from g2kit.eguchi_hanson import (
     RICCI_STACK_POINTS,
     TOLERANCES,
-    HermitianMetric2,
     curvature_injectivity_scaling_probe,
-    curvature_norm,
     flat_deviation,
     kahler_metric_at,
     potential,
     potential_derivatives,
-    radial_curvature_norm,
-    radial_curvature_tensor,
-    radial_metric,
-    ricci_at,
     ricci_ratio,
     sample_points,
     scaling_identity_probe,
@@ -56,15 +50,29 @@ SCALES = (0.5, 1.0, 2.0)
 
 def is_positive_definite(metric):
     """Are the eigenvalues of the metric's Hermitian part all positive?"""
-    sym = 0.5 * (metric.matrix + metric.matrix.conj().T)
+    sym = 0.5 * (metric + metric.conj().T)
     return bool(np.all(np.linalg.eigvalsh(sym) > 0))
 
 
-def ricci_from_curvature(derivs, z1, z2):
-    """Trace h^{qbar p} R_{p qbar k lbar} of the curvature tensor."""
-    h = radial_metric(derivs, z1, z2)
-    r = radial_curvature_tensor(derivs, z1, z2)
-    return np.einsum("ji,ijkl->kl", np.linalg.inv(h), r)
+def stacked_points(derivs, points):
+    """The rows of the points and derivs(u) at each, one float u at a
+    time, as the curvature kernels take them."""
+    z, u = eguchi_hanson._radial_points(points)
+    return z, np.array([derivs(float(x)) for x in u])
+
+
+def stacked_tensors(derivs, points):
+    """The stacked metrics and curvature tensors at the points."""
+    z, d = stacked_points(derivs, points)
+    h = eguchi_hanson._metrics(d[:, 0], d[:, 1], z)
+    return h, eguchi_hanson._curvature_tensors(z, d, h)
+
+
+def ricci_from_curvature(derivs, points):
+    """Trace h^{qbar p} R_{p qbar k lbar} of the curvature tensor at each
+    point."""
+    h, r = stacked_tensors(derivs, points)
+    return np.einsum("nji,nijkl->nkl", np.linalg.inv(h), r)
 
 
 def hessian_once(fun, x, h):
@@ -107,16 +115,16 @@ def metric_fd_at(s, z1, z2):
         return potential(s, float(np.linalg.norm(x)))
 
     hess = hessian_richardson(fun, x0, h)
-    return HermitianMetric2(eguchi_hanson._complex_hessian(hess),
-                            (complex(z1), complex(z2)))
+    return eguchi_hanson._complex_hessian(hess)
 
 
-def scalar_ricci_at(s, z1, z2, outer=None):
-    """ricci_at with log det h evaluated one stencil point at a time."""
+def scalar_ricci_at(s, z1, z2):
+    """Ricci coefficients at (z1, z2), with log det h evaluated one
+    stencil point at a time."""
     z = eguchi_hanson._base_point(z1, z2)
     x0 = eguchi_hanson._real_coords(z)
     r = float(np.linalg.norm(x0))
-    h_out = np.float64(outer if outer is not None else 0.05 * r)
+    h_out = np.float64(0.05 * r)
 
     def logdet(x):
         u = np.dot(x, x)
@@ -133,7 +141,8 @@ def scalar_ricci_at(s, z1, z2, outer=None):
 def scalar_ricci_ratio(s, z1, z2):
     """|Ricci| / |h| from scalar_ricci_at."""
     ric = scalar_ricci_at(s, z1, z2)
-    return float(np.linalg.norm(ric)) / kahler_metric_at(s, z1, z2).norm()
+    h = kahler_metric_at(s, z1, z2)
+    return float(np.linalg.norm(ric)) / float(np.linalg.norm(h))
 
 
 def ricci_from_potential(potential_fn, z1, z2, inner=None, outer=None):
@@ -261,8 +270,7 @@ def loop_probe_peaks(s_values):
 
 
 def stacked_norms(derivs, points):
-    return eguchi_hanson._curvature_norms(
-        *eguchi_hanson._radial_points(derivs, points))
+    return eguchi_hanson._curvature_norms(*stacked_points(derivs, points))
 
 
 def bits(values):
@@ -360,17 +368,18 @@ class TestMetric:
     def test_unit_determinant(self):
         for s in SCALES:
             for z1, z2 in sample_points(8, s, seed=1):
-                assert abs(kahler_metric_at(s, z1, z2).det() - 1) < 1e-12
+                assert abs(np.linalg.det(kahler_metric_at(s, z1, z2)) - 1) \
+                    < 1e-12
 
     def test_hermitian_and_positive(self):
         for s in SCALES:
             for z1, z2 in sample_points(6, s, seed=2):
                 m = kahler_metric_at(s, z1, z2)
-                assert np.linalg.norm(m.matrix - m.matrix.conj().T) < 1e-14
+                assert np.linalg.norm(m - m.conj().T) < 1e-14
                 assert is_positive_definite(m)
 
     def test_golden_value_on_axis(self):
-        m = kahler_metric_at(1.0, 1.0 + 0j, 0j).matrix
+        m = kahler_metric_at(1.0, 1.0 + 0j, 0j)
         root2 = math.sqrt(2.0)
         assert abs(m[0, 0] - 1 / root2) < 1e-12
         assert abs(m[1, 1] - root2) < 1e-12
@@ -379,8 +388,8 @@ class TestMetric:
     def test_finite_difference_cross_check(self):
         for s in SCALES:
             for z1, z2 in sample_points(4, s, seed=3):
-                a = kahler_metric_at(s, z1, z2).matrix
-                b = metric_fd_at(s, z1, z2).matrix
+                a = kahler_metric_at(s, z1, z2)
+                b = metric_fd_at(s, z1, z2)
                 assert np.linalg.norm(a - b) < 1e-6 * np.linalg.norm(a)
 
     def test_origin_excluded(self):
@@ -397,20 +406,20 @@ class TestMetric:
         assert flat_deviation(0.5, 300.0 + 400.0j, 0j) < TOLERANCES["flat_limit"]
 
     def test_container_rejects_indefinite(self):
-        bad = HermitianMetric2(np.diag([1.0 + 0j, -1.0 + 0j]))
-        assert not is_positive_definite(bad)
+        # the positivity check above is not vacuous
+        assert not is_positive_definite(np.diag([1.0 + 0j, -1.0 + 0j]))
 
 
 class TestRicci:
     def test_closed_form_family_is_flat(self):
         for s in SCALES:
-            for z1, z2 in sample_points(20, s, seed=4):
-                assert ricci_ratio(s, z1, z2) < TOLERANCES["ricci"]
+            assert max(ricci_ratio(s, sample_points(20, s, seed=4))) \
+                < TOLERANCES["ricci"]
 
     def test_nested_differences_from_potential(self):
         z1, z2 = 0.9 + 0.1j, 0.4 - 0.2j
         ric = ricci_from_potential(lambda r: potential(1.0, r), z1, z2)
-        h = kahler_metric_at(1.0, z1, z2).norm()
+        h = np.linalg.norm(kahler_metric_at(1.0, z1, z2))
         assert np.linalg.norm(ric) / h < TOLERANCES["ricci"]
 
     def test_flat_control(self):
@@ -429,24 +438,14 @@ class TestRicci:
         ric = ricci_from_potential(variant, 0.9 + 0.1j, 0.4 - 0.2j)
         assert np.linalg.norm(ric) > 1e-2
 
-    def test_step_underflow(self):
-        with pytest.raises(NumericFailure):
-            ricci_at(1.0, 1.0 + 0j, 0j, outer=1e-300)
-
     @pytest.mark.parametrize("s", SCALES)
     def test_stacked_stencil_matches_scalar_path(self, s):
         # bit for bit: the same Ricci bytes as 66 single-point evaluations
         for seed in (0, 4, 11):
             for z1, z2 in sample_points(8, s, seed=seed, rmin=0.1, rmax=10):
-                got = ricci_at(s, z1, z2).matrix
+                hess = eguchi_hanson._ricci_hessians(s, [(z1, z2)])[0]
+                got = -eguchi_hanson._complex_hessian(hess)
                 want = scalar_ricci_at(s, z1, z2)
-                assert got.tobytes() == want.tobytes()
-
-    def test_stacked_stencil_with_given_step(self):
-        for outer in (0.01, 0.3):
-            for z1, z2 in sample_points(4, 1.0, seed=5):
-                got = ricci_at(1.0, z1, z2, outer=outer).matrix
-                want = scalar_ricci_at(1.0, z1, z2, outer=outer)
                 assert got.tobytes() == want.tobytes()
 
     def test_overflowing_step_gives_nan_like_scalar_path(self):
@@ -454,17 +453,13 @@ class TestRicci:
         # must still hold zeros off its axes, so both paths end in NaN
         z1, z2 = sample_points(1, 1e300, seed=0)[0]
         with np.errstate(all="ignore"):
-            got = ricci_at(1e300, z1, z2).matrix
+            hess = eguchi_hanson._ricci_hessians(1e300, [(z1, z2)])[0]
+            got = -eguchi_hanson._complex_hessian(hess)
             want = scalar_ricci_at(1e300, z1, z2)
         assert np.isnan(got).all() and np.isnan(want).all()
 
-    def test_stencil_through_the_center(self):
-        # the step reaches the excluded origin from (1, 0)
-        with pytest.raises(ChartSingular):
-            ricci_at(1.0, 1.0 + 0j, 0j, outer=1.0)
 
-
-# points that ricci_at refuses: the origin, a radius whose step does not
+# points that ricci_ratio refuses: the origin, a radius whose step does not
 # move the point, and a point whose stencil reaches rows with u = 0 in
 # double precision (|z|^2 rounds up to the least subnormal, a row 5%
 # closer to the origin rounds down to 0)
@@ -530,39 +525,39 @@ class TestRicciStack:
         # 600 samples run as stacks of RICCI_STACK_POINTS and a remainder
         rows = {r.check: r.computed for r in _eh_suite(3, samples=600).rows}
         for s in SCALES:
-            want = max(ricci_ratio(s, z1, z2)
-                       for z1, z2 in sample_points(600, s, seed=3))
+            want = max(ricci_ratio(s, [point])[0]
+                       for point in sample_points(600, s, seed=3))
             got = rows[f"ricci_max_ratio_s={s:g}"]
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCurvature:
     def test_constant_curvature_oracle_norm(self):
-        for z1, z2 in sample_points(6, 1.0, seed=5):
-            nrm = radial_curvature_norm(fs_derivs, z1, z2)
-            assert abs(nrm - math.sqrt(12.0)) < 1e-9
+        norms = stacked_norms(fs_derivs, sample_points(6, 1.0, seed=5))
+        assert np.all(abs(norms - math.sqrt(12.0)) < 1e-9)
 
     def test_constant_curvature_oracle_einstein(self):
-        for z1, z2 in sample_points(5, 1.0, seed=6):
-            h = radial_metric(fs_derivs, z1, z2)
-            ric = ricci_from_curvature(fs_derivs, z1, z2)
-            assert np.linalg.norm(ric - 3 * h) < 1e-9
+        points = sample_points(5, 1.0, seed=6)
+        h, _ = stacked_tensors(fs_derivs, points)
+        ric = ricci_from_curvature(fs_derivs, points)
+        assert np.all(np.linalg.norm(ric - 3 * h, axis=(1, 2)) < 1e-9)
 
     def test_family_curvature_is_ricci_traceless(self):
         for s in (0.5, 2.0):
-            for z1, z2 in sample_points(5, s, seed=7):
-                tr = ricci_from_curvature(eh_derivs(s), z1, z2)
-                assert np.linalg.norm(tr) < 1e-9
+            points = sample_points(5, s, seed=7)
+            tr = ricci_from_curvature(eh_derivs(s), points)
+            assert np.all(np.linalg.norm(tr, axis=(1, 2)) < 1e-9)
 
     def test_norm_decreases_outward(self):
-        vals = [curvature_norm(1.0, r + 0j, 0j) for r in (0.3, 1.0, 3.0)]
+        vals = stacked_norms(eh_derivs(1.0),
+                             [(r + 0j, 0j) for r in (0.3, 1.0, 3.0)])
         assert vals[0] > vals[1] > vals[2] > 0
 
     def test_rescaling_relation(self):
         z1, z2 = 0.8 + 0.3j, -0.2 + 0.5j
         for s in (0.5, 2.0):
-            a = curvature_norm(s, z1, z2)
-            b = curvature_norm(1.0, z1 / s, z2 / s) / (s * s)
+            a = stacked_norms(eh_derivs(s), [(z1, z2)])[0]
+            b = stacked_norms(eh_derivs(1.0), [(z1 / s, z2 / s)])[0] / (s * s)
             assert abs(a - b) < 1e-9 * abs(b)
 
     def test_probe_slope(self):
@@ -604,8 +599,8 @@ class TestCurvatureStack:
         want = [loop_curvature_norm(eh_derivs(s), z1, z2)
                 for z1, z2 in points]
         assert bits(stacked_norms(eh_derivs(s), points)) == bits(want)
-        assert bits([curvature_norm(s, z1, z2)
-                     for z1, z2 in points[::4]]) == bits(want[::4])
+        assert bits([stacked_norms(eh_derivs(s), [point])[0]
+                     for point in points[::4]]) == bits(want[::4])
 
     @pytest.mark.parametrize("s", [1e-100, 1e-50, 1e-20, 10.0, 100.0, 1e3,
                                    1.5e3])
@@ -625,18 +620,18 @@ class TestCurvatureStack:
     @pytest.mark.parametrize("s", [0.5, 2.0, 1e3])
     def test_tensor_matches_loop(self, s):
         for z1, z2 in sample_points(6, s, seed=1) + AXIS_POINTS:
-            got = radial_curvature_tensor(eh_derivs(s), z1, z2)
+            _, (got,) = stacked_tensors(eh_derivs(s), [(z1, z2)])
             want = loop_curvature_tensor(eh_derivs(s), z1, z2)
             assert got.tobytes() == want.tobytes()
 
     def test_fubini_study_matches_loop(self):
         for z1, z2 in sample_points(12, 1.0, seed=5) + AXIS_POINTS:
-            assert (radial_metric(fs_derivs, z1, z2).tobytes()
-                    == loop_metric(fs_derivs, z1, z2).tobytes())
-            assert (radial_curvature_tensor(fs_derivs, z1, z2).tobytes()
+            (h,), (r,) = stacked_tensors(fs_derivs, [(z1, z2)])
+            assert h.tobytes() == loop_metric(fs_derivs, z1, z2).tobytes()
+            assert (r.tobytes()
                     == loop_curvature_tensor(fs_derivs, z1, z2).tobytes())
-            assert (bits(radial_curvature_norm(fs_derivs, z1, z2))
-                    == bits(loop_curvature_norm(fs_derivs, z1, z2)))
+            assert (bits(stacked_norms(fs_derivs, [(z1, z2)]))
+                    == bits([loop_curvature_norm(fs_derivs, z1, z2)]))
 
     @pytest.mark.parametrize("s", [2e3, 1e30, 2.0 ** 100])
     def test_not_positive_definite_raises_like_loop(self, s, monkeypatch):
@@ -648,7 +643,8 @@ class TestCurvatureStack:
         assert want == (NumericFailure,
                         "metric not positive definite at sample point")
         for z1, z2 in PROBE_GRID:
-            assert (first_error(lambda: curvature_norm(s, z1, z2))
+            assert (first_error(lambda: stacked_norms(eh_derivs(s),
+                                                      [(z1, z2)]))
                     == first_error(lambda: loop_curvature_norm(
                         eh_derivs(s), z1, z2)))
 
@@ -663,17 +659,18 @@ class TestCurvatureStack:
     def test_singular_metric_raises_numeric_failure(self, s, index):
         # the scale-s metric at this grid point is singular in floating
         # point, so it has no inverse to contract the tensor with
-        assert first_error(lambda: radial_curvature_tensor(
-            eh_derivs(s), *PROBE_GRID[index])) == (
+        assert first_error(lambda: stacked_tensors(
+            eh_derivs(s), [PROBE_GRID[index]])) == (
             NumericFailure, "metric singular at sample point")
 
     def test_origin_is_refused_like_loop(self):
         want = first_error(lambda: loop_curvature_norm(eh_derivs(1.0),
                                                        *ORIGIN))
         assert want is not None and want[0] is ChartSingular
-        assert first_error(lambda: curvature_norm(1.0, *ORIGIN)) == want
         assert first_error(
-            lambda: radial_curvature_tensor(fs_derivs, *ORIGIN)) == want
+            lambda: stacked_norms(eh_derivs(1.0), [ORIGIN])) == want
+        assert first_error(
+            lambda: stacked_tensors(fs_derivs, [ORIGIN])) == want
 
     def test_probe_across_stacks_matches_loop(self):
         # more scales than one stack holds

@@ -866,6 +866,23 @@ class TestStackedTrials:
             tracemalloc.stop()
         assert peak <= 3.5 * stack_bytes
 
+    def test_one_map_list_is_not_copied(self):
+        # decay_trials passes each trial of dim 48 or more as a list of one
+        # map; the integration reads its 7 MiB dim-96 tensor in place
+        system = build_mode_system(2, 3)
+        n = system.dim
+        Q = QuadraticMap(np.zeros((n, n, n)), lipschitz_bound=0.1 * system.mu,
+                         ball_radius=1.0)
+        x0 = system.random_minus_state(seed=0, norm=0.01)
+        integrate_flow(system, [Q], [x0], T=0.05)   # first-call caches
+        tracemalloc.start()
+        try:
+            integrate_flow(system, [Q], [x0], T=2.0 / system.mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @staticmethod
     def _mixed_stack(system):
         """A large growing start under a strong map, which rejects steps,

@@ -41,7 +41,6 @@ def samples(tmp_path_factory):
     b6 = betti.BettiVector([1, 0, 2, 2, 2, 0, 1])
     return [
         system, x0, Q, traj, flow.monotone_gap_check(traj),
-        eguchi_hanson.kahler_metric_at(1.0, 0.5, 0.25j),
         eguchi_hanson.scaling_identity_probe(
             1.0, 2.0, eguchi_hanson.sample_points(2, 1.0, seed=0)),
         eguchi_hanson.curvature_injectivity_scaling_probe([0.5, 1.0]),
