@@ -2,8 +2,8 @@
 
 Subpackage map:
 
-- forms: exact exterior algebra over Q, the reference G2 structure,
-  metric extraction, stability, coassociative planes;
+- forms: exact exterior algebra over Q, the flat G2 form and the
+  coassociative-plane test;
 - torus: affine torus maps, finite group closure, fixed loci,
   end counting, pulls and cross sections, involution censuses;
 - betti: Betti bookkeeping for quotients, resolutions, moduli

@@ -17,18 +17,6 @@ class SingularMap(G2KitError):
     """A linear map that fails an invertibility requirement."""
 
 
-class DegenerateMetric(G2KitError):
-    """Metric input that is singular or inconsistent with its volume form."""
-
-
-class NotStable(G2KitError):
-    """A 3-form outside the open orbit that induces a positive metric."""
-
-
-class NotHyperKahler(G2KitError):
-    """A 2-form triple violating the quaternionic wedge relations."""
-
-
 class DegeneratePlane(G2KitError):
     """Spanning vectors that fail to span a 4-dimensional subspace."""
 

@@ -11,8 +11,6 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import SingularMap
-
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -26,42 +24,6 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer, exact."""
-    if n < 0 or k <= 0:
-        raise ValueError("iroot needs n >= 0, k > 0")
-    if n in (0, 1):
-        return n
-    x = 1 << (-(-n.bit_length() // k))  # upper bound: 2^ceil(bits/k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x ** k > n:
-        x -= 1
-    return x
-
-
-def nth_root_fraction(q: Fraction, k: int) -> tuple[Fraction, bool]:
-    """k-th root of a positive rational.
-
-    Returns (root, exact). When q is a perfect k-th power the root is exact;
-    otherwise it is the root rounded down to a multiple of 1/(10^50 d), for
-    d the denominator of q, still returned as a Fraction.
-    """
-    if q <= 0:
-        raise ValueError("nth_root_fraction needs q > 0")
-    num, den = q.numerator, q.denominator
-    rn, rd = iroot(num, k), iroot(den, k)
-    if rn ** k == num and rd ** k == den:
-        return Fraction(rn, rd), True
-    scale = 10 ** 50
-    # (num/den)^(1/k) = (num * den^(k-1))^(1/k) / den
-    approx = iroot(num * den ** (k - 1) * scale ** k, k)
-    return Fraction(approx, den * scale), False
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -163,16 +125,6 @@ def rref(rows) -> Matrix:
 
 def rank(rows) -> int:
     return len(rref(rows))
-
-
-def inverse(rows) -> Matrix:
-    """Exact inverse of a square matrix: the right half of rref([A | I])."""
-    n = len(rows)
-    ident = identity_matrix(n)
-    red = rref([tuple(row) + e for row, e in zip(rows, ident)])
-    if any(row[:n] != e for row, e in zip(red, ident)):
-        raise SingularMap("matrix is singular")
-    return tuple(row[n:] for row in red)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -38,6 +38,10 @@ np = lazy_module("numpy")
 
 MAX_SHIFT_DENOMINATOR = 16
 
+# slack on the decay-rate floor mu - 2k, in units of mu: the min_fitted_rate
+# bound and flow-suite's recorded rate_slack_times_mu both read it
+RATE_SLACK_TIMES_MU = 0.05
+
 H = Fraction(1, 2)
 
 
@@ -365,10 +369,12 @@ def _eh_suite(seed, scales=(0.5, 1.0, 2.0), samples=20, ricci_tol=None):
 
 def _decay_rows(system, runs, k_frac, trials):
     """The rows that judge decay_trials' runs: every trial decays, at a
-    fitted rate of at least mu - 2k - 0.05 mu with k = k_frac * mu, its
-    gap |x+| - |x-| grows, and |x+| <= |x-| on the decaying ones.  With no
-    decaying trial the least rate is NaN, which fails its row."""
-    bound = system.mu - 2 * (k_frac * system.mu) - 0.05 * system.mu
+    fitted rate of at least mu - 2k - RATE_SLACK_TIMES_MU * mu with
+    k = k_frac * mu, its gap |x+| - |x-| grows, and |x+| <= |x-| on the
+    decaying ones.  With no decaying trial the least rate is NaN, which
+    fails its row."""
+    bound = (system.mu - 2 * (k_frac * system.mu)
+             - RATE_SLACK_TIMES_MU * system.mu)
     rates = [t.fitted_rate for t, _ in runs if t.decaying]
     return [
         row("decaying_trials", len(rates), trials),
@@ -382,7 +388,7 @@ def _decay_rows(system, runs, k_frac, trials):
 
 def _flow_suite(seed):
     tol = {"integrator_rtol": 1e-9, "spectrum_match": 1e-9,
-           "rate_slack_times_mu": 0.05, "ratio_drift": 0.10}
+           "rate_slack_times_mu": RATE_SLACK_TIMES_MU, "ratio_drift": 0.10}
     rows = []
     sys22 = flow.build_mode_system(2, 2)
     rows.append(row("mu", sys22.mu, 2 * math.pi))

@@ -39,21 +39,7 @@ from g2kit.eguchi_hanson import (
     scaling_identity_probe,
 )
 from g2kit.flow import build_mode_system, decay_trials
-from g2kit.forms import (
-    KAPPA0_1,
-    KAPPA0_2,
-    KAPPA0_3,
-    PHI0,
-    STAR_PHI0,
-    MetricTensor,
-    dx,
-    evaluate,
-    g2_from_hyperkahler,
-    hodge_star,
-    is_coassociative,
-    metric_from_three_form,
-    wedge,
-)
+from g2kit.forms import PHI0, evaluate, is_coassociative, wedge
 from g2kit.poincare import (
     exterior_derivative,
     poincare_primitive,
@@ -73,14 +59,23 @@ from g2kit.torus import (
     quotient_betti,
     singular_locus,
 )
+from test_forms import (
+    E7,
+    EUCLID7,
+    KAPPA0,
+    KAPPA0_1,
+    KAPPA0_2,
+    KAPPA0_3,
+    STAR_PHI0,
+    VOL7,
+    hyperkahler_form,
+    induced_metric,
+    star,
+)
 from test_torus import apply
 
 H = Fraction(1, 2)
 D = AffineTorusMap
-
-E7 = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
-EUCLID7 = MetricTensor([[int(i == j) for j in range(7)] for i in range(7)])
-VOL7 = dx(1, 2, 3, 4, 5, 6, 7, dim=7)
 
 
 def alpha():
@@ -346,36 +341,35 @@ class TestCriterion2FlatFormAlgebra:
 
 
     def test_metric_of_flat_form_is_identity(self):
-        g, vol, stable = metric_from_three_form(PHI0)
         note("g(phi0) is the identity with the standard volume",
-             stable and g == EUCLID7 and vol == VOL7)
+             induced_metric(PHI0) == (EUCLID7, 1))
 
     def test_star_of_flat_form(self):
-        star = hodge_star(EUCLID7, VOL7, PHI0)
         note("*phi0 equals the frozen 7-term dual 4-form",
-             star == STAR_PHI0
+             star(PHI0) == STAR_PHI0
              and len(STAR_PHI0.coeffs) == 7)
 
     def test_seven_volume_pairing(self):
         note("phi0 wedge *phi0 = 7 vol", wedge(PHI0, STAR_PHI0) == 7 * VOL7)
 
     def test_hyperkahler_triple_assembles_flat_structure(self):
-        phi = g2_from_hyperkahler(KAPPA0_1, KAPPA0_2, KAPPA0_3, (1, 4, 5))
-        g, vol, stable = metric_from_three_form(phi)
+        phi = hyperkahler_form(KAPPA0, (1, 4, 5))
         note("standard self-dual triple gives a stable form with identity "
-             "metric", stable and g == EUCLID7 and vol == VOL7)
+             "metric", induced_metric(phi) == (EUCLID7, 1))
 
     def test_swap_transformation_fixes_assembled_form(self):
-        a = g2_from_hyperkahler(KAPPA0_1, KAPPA0_2, KAPPA0_3, (1, 4, 5))
-        b = g2_from_hyperkahler(KAPPA0_2, KAPPA0_1, -KAPPA0_3, (4, 1, -5))
+        a = hyperkahler_form(KAPPA0, (1, 4, 5))
+        b = hyperkahler_form((KAPPA0_2, KAPPA0_1, -KAPPA0_3), (4, 1, -5))
         note("swapping the first two kappas and negating the third fixes "
              "the assembled form", a == b)
 
     def test_named_coassociative_planes(self):
-        note("span(e4..e7) is coassociative",
-             is_coassociative([E7[3], E7[4], E7[5], E7[6]], PHI0))
-        note("span(e2..e5) is coassociative",
-             is_coassociative([E7[1], E7[2], E7[3], E7[4]], PHI0))
+        for label, plane in (("e4..e7", [E7[3], E7[4], E7[5], E7[6]]),
+                             ("e2..e5", [E7[1], E7[2], E7[3], E7[4]])):
+            note(f"span({label}) is coassociative",
+                 is_coassociative(plane, PHI0))
+            note(f"*phi0 is nonzero on span({label})",
+                 evaluate(STAR_PHI0, plane) != 0)
 
     def test_random_planes_cross_checked_by_restriction(self):
         rng = random.Random(20260815)

@@ -36,7 +36,7 @@ from g2kit.flow import (
     Trajectory,
     build_mode_system,
 )
-from g2kit.forms import ExteriorForm, LinearMapR, MetricTensor
+from g2kit.forms import ExteriorForm, LinearMapR
 from g2kit.poincare import (
     ComplexFrac,
     exterior_derivative,
@@ -699,6 +699,22 @@ class TestToolFlags:
             "FAIL flow-demo: min_fitted_rate computed NaN expected "
             f"{payload['rate_bound']!r}"]
 
+    def test_rate_bound_reads_the_recorded_slack(self, runner, monkeypatch):
+        # flow-suite records the slack that its min_fitted_rate bound
+        # subtracts, and --flow-demo subtracts the same one
+        monkeypatch.setattr(g2kit.scenarios, "RATE_SLACK_TIMES_MU", 0.25)
+        report = run_scenario("flow-suite", 0)
+        slack = report.tolerances["rate_slack_times_mu"]
+        rows = {r.check: r for r in report.rows}
+        assert slack == 0.25
+        assert rows["min_fitted_rate"].expected == pytest.approx(
+            rows["mu"].computed * (1 - 2 * 0.1 - slack), rel=1e-15)
+        res = runner.invoke(main, ["--flow-demo", "--trials", "1",
+                                   "--k-frac", "0.2"])
+        payload = json.loads(res.stdout)
+        assert payload["rate_bound"] == pytest.approx(
+            payload["mu"] * (1 - 2 * 0.2 - slack), rel=1e-15)
+
     def test_flow_demo_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--k-frac", "0.9"])
         assert res.exit_code == 2
@@ -961,8 +977,7 @@ def _value_types():
         (FlatStratum(0, 0, 1, ()), "count"),
         (BettiVector([1, 0, 1]), "b"),
         (ExteriorForm(2, 1, {(1,): 1}), "coeffs"),
-        (LinearMapR.identity(2), "det"),
-        (MetricTensor([[1, 0], [0, 1]]), "positive_definite"),
+        (LinearMapR([[1, 0], [0, 1]]), "det"),
         (flip, "den"),
         (generate_group([flip]), "elements"),
     ]

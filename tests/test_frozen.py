@@ -46,7 +46,6 @@ def samples(tmp_path_factory):
         eguchi_hanson.curvature_injectivity_scaling_probe([0.5, 1.0]),
         poincare.ComplexFrac(1, -2), form, poincare.poincare_primitive(form),
         forms.PHI0, forms.LinearMapR([[0, 1], [1, 0]]),
-        forms.MetricTensor([[2, 0], [0, 3]]),
         b7, betti.NonSymplecticInvariants(10, 8),
         betti.mv_euler_check(b7, b7, b7, b6),
         alpha, torus.generate_group([alpha]), torus.fixed_set(alpha)[0],

@@ -24,7 +24,7 @@ from g2kit.errors import (
     NotEquivariant,
     PullObstruction,
 )
-from g2kit.exact import det, identity_matrix, inverse, mat_mul, mat_vec, smith_normal_form
+from g2kit.exact import det, identity_matrix, mat_mul, mat_vec, smith_normal_form
 from g2kit import torus
 from g2kit.forms import PHI0, ExteriorForm, LinearMapR, pullback
 from g2kit.scenarios import load_scenario
@@ -46,6 +46,7 @@ from g2kit.torus import (
     quotient_betti,
     singular_locus,
 )
+from test_exact import inverse
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -1799,7 +1800,7 @@ class TestResidualOracle:
 
 def assert_lattice_inverse(group):
     """_translation_lattice's D B^-1 solves B X = D I and equals D times
-    exact.inverse(B)."""
+    the Gauss-Jordan inverse of B."""
     (basis, den), lattice_inv = _translation_lattice(group)
     c = len(basis)
     assert mat_mul(basis, lattice_inv) == tuple(
