@@ -200,6 +200,21 @@ class _Parser(argparse.ArgumentParser):
         _error_exit(message)
 
 
+class _Given(argparse.Action):
+    """Stores a mode's option (appending to a list default) and notes it in
+    args.given, so that main can refuse it where its mode does not run."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(self.default, list):
+            values = getattr(namespace, self.dest) + [values]
+        setattr(namespace, self.dest, values)
+        namespace.given += (option_string,)
+
+
+_MODE_OPTIONS = {"--eh-check": ("--s", "--tol", "--samples", "--seed"),
+                 "--flow-demo": ("--d", "--N", "--k-frac", "--trials", "--seed")}
+
+
 def _seed(text):
     """The value of a --seed option: an integer >= 0."""
     try:
@@ -221,29 +236,30 @@ def _parser():
                         help="Run the Eguchi-Hanson check suite and exit.")
     parser.add_argument("--flow-demo", action="store_true",
                         help="Run seeded decay-flow trials and exit.")
-    parser.add_argument("--s", action="append", default=[],
+    parser.add_argument("--s", action=_Given, default=[],
                         help="Scale(s) for --eh-check, repeatable or comma "
                              "separated.")
-    parser.add_argument("--tol", type=float,
+    parser.add_argument("--tol", action=_Given, type=float,
                         help="Ricci tolerance override for --eh-check.")
-    parser.add_argument("--samples", type=int, default=20,
+    parser.add_argument("--samples", action=_Given, type=int, default=20,
                         help="Sample points per scale for --eh-check. "
                              "[default: %(default)s]")
-    parser.add_argument("--d", type=int, default=2,
+    parser.add_argument("--d", action=_Given, type=int, default=2,
                         help="Torus dimension for --flow-demo. "
                              "[default: %(default)s]")
-    parser.add_argument("--N", dest="n", type=int, default=1,
+    parser.add_argument("--N", action=_Given, dest="n", type=int, default=1,
                         help="Mode cutoff for --flow-demo. "
                              "[default: %(default)s]")
-    parser.add_argument("--k-frac", type=float, default=0.1,
+    parser.add_argument("--k-frac", action=_Given, type=float, default=0.1,
                         help="Quadratic bound as a fraction of mu for "
                              "--flow-demo. [default: %(default)s]")
-    parser.add_argument("--trials", type=int, default=20,
+    parser.add_argument("--trials", action=_Given, type=int, default=20,
                         help="Number of seeded trials for --flow-demo. "
                              "[default: %(default)s]")
-    parser.add_argument("--seed", type=_seed, default=0,
+    parser.add_argument("--seed", action=_Given, type=_seed, default=0,
                         help="Base seed for --eh-check / --flow-demo. "
                              "[default: %(default)s]")
+    parser.set_defaults(given=())
     commands = parser.add_subparsers(dest="command", metavar="COMMAND",
                                      parser_class=_Parser)
     run = commands.add_parser(
@@ -296,6 +312,15 @@ def main(argv=None):
             "--eh-check/--flow-demo cannot be combined with a subcommand")
     if args.eh_check and args.flow_demo:
         _error_exit("choose one of --eh-check and --flow-demo")
+    mode = args.command or ("--eh-check" if args.eh_check else
+                            "--flow-demo" if args.flow_demo else None)
+    for option in args.given:
+        owners = [m for m, options in _MODE_OPTIONS.items() if option in options]
+        if mode and mode not in owners:
+            where = " or ".join(owners)
+            if option == "--seed" and mode == "run":
+                where += " (a scenario's seed goes after run)"
+            _error_exit(f"{option} belongs to {where}, not to {mode}")
     if args.command == "run":
         _run_cmd(args.scenario, args.run_all, args.format, args.seed)
     elif args.command == "list":

@@ -387,7 +387,7 @@ def _decay_rows(system, runs, k_frac, trials):
 
 
 def _flow_suite(seed):
-    tol = {"integrator_rtol": 1e-9, "spectrum_match": 1e-9,
+    tol = {"integrator_rtol": flow.INTEGRATOR_RTOL, "spectrum_match": 1e-9,
            "rate_slack_times_mu": RATE_SLACK_TIMES_MU, "ratio_drift": 0.10}
     rows = []
     sys22 = flow.build_mode_system(2, 2)

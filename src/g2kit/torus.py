@@ -291,33 +291,6 @@ def invariant_forms(group: FiniteActionGroup, k: int) -> list[tuple[int, ...]]:
 # fixed sets
 
 
-class _Component:
-    """One connected component of a fixed-point set: an affine subtorus
-    (possibly times a line factor) through the point num/den, with integer
-    direction vectors.  Circle entries of num are reduced mod den."""
-
-    __slots__ = ("n", "lines", "num", "den", "directions", "free_lines")
-
-    def __init__(self, n, lines, num, den, directions, free_lines):
-        self.n = n
-        self.lines = lines
-        self.num = tuple(num)
-        self.den = den
-        self.directions = tuple(tuple(d) for d in directions)
-        self.free_lines = frozenset(free_lines)
-
-    @property
-    def torus_dim(self) -> int:
-        return len(self.directions)
-
-    @property
-    def line_dim(self) -> int:
-        return len(self.free_lines)
-
-    def display_offset(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.num)
-
-
 def _translation_lattice(group: FiniteActionGroup):
     """Λ_T = Z^c + shifts(T) on the circle coordinates, for the translation
     subgroup T = {g : signs(g) = +1}, as (B, D) with Λ_T = B Z^c / D, and
@@ -359,23 +332,20 @@ def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
     matrix D B^-1, the union of the fixed sets of f∘t over the translations
     t by Λ = B Z^c / D, modulo Λ.  Both default to Λ = Z^c.
 
-    None when it is empty, else (free lines, directions, den, offsets,
-    smith): one component per offset, the subtorus through offset / den
-    along the directions, times the free lines; smith = (U, A' - 1, d) is
-    the solve below, which _Span reads.
+    None when it is empty, else (den, offsets, smith): one component per
+    offset, offset / den + R^S for the coordinates S that f keeps (its +1
+    circles and lines, see _plus_dims); smith = (U, A' - 1, d) is the solve
+    below, which _Span reads.  A line that f keeps must carry no shift, and
+    a line that f reverses pins x_i = v_i / 2.
 
     x = B y / D turns R^c/Λ into R^c/Z^c and (A - 1) x + v ∈ Λ into
     (A' - 1) y + w ∈ Z^c, with A' = (D B^-1) A B / D (integral, since A
     preserves Λ) and w = D B^-1 v.  With U (A' - 1) V = diag(d) and y = V z
     that reads d_k z_k = -(U w)_k mod 1: one Smith form for the whole coset."""
     n, lines = f.n, f.lines
+    if any(f.signs[i1 - 1] == 1 and f.num[i1 - 1] for i1 in lines):
+        return None
     circ = [i for i in range(n) if (i + 1) not in lines]
-    free_lines = set()
-    for i1 in lines:
-        if f.signs[i1 - 1] == 1:
-            if f.num[i1 - 1]:
-                return None
-            free_lines.add(i1)
     c = len(circ)
     basis, scale = lattice or (identity_matrix(c), 1)
     inv = lattice_inv or identity_matrix(c)
@@ -394,66 +364,27 @@ def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
     den_y = f.den * lcm(*(abs(dk) for dk in diag if dk))
     choice_sets = [[(wk + j * f.den) * (den_y // (f.den * dk)) for j in range(abs(dk))]
                    if dk else [0] for dk, wk in zip(diag, w)]
-    # one denominator for every component: reflected lines pin x_i = v_i / 2
-    pinned = lines - free_lines
+    # one denominator for every component: reversed lines pin x_i = v_i / 2
+    pinned = {i1 - 1 for i1 in lines if f.signs[i1 - 1] == -1}
     den = lcm(den_y * scale, 2 * f.den if pinned else 1)
     up = den // (den_y * scale)
-    base = [0] * n
-    for i1 in pinned:
-        base[i1 - 1] = f.num[i1 - 1] * (den // (2 * f.den))
+    base = [f.num[i] * (den // (2 * f.den)) if i in pinned else 0 for i in range(n)]
     # x = B V z / D, placed through the nonzero entries of B V
     bv = mat_mul(basis, v) if scale != 1 else v
     bv = tuple((circ[i], k, x) for i, k, x in _sparse(bv))
-    dirs = []
-    for k in range(c):
-        if diag[k] == 0:
-            vec = [0] * n
-            for i, col, x in bv:
-                if col == k:
-                    vec[i] = x
-            dirs.append(tuple(vec))
     # base is 0 on circle coordinates and the image is 0 on line coordinates
     offsets = [tuple([b + x * up % den
                       for b, x in zip(base, _linear_image(bv, combo, n))])
                for combo in product(*choice_sets)]
-    return frozenset(free_lines), dirs, den, offsets, (u, m, diag)
+    return den, offsets, (u, m, diag)
 
 
-def _fixed_components(f: AffineTorusMap, lattice=None,
-                      lattice_inv=None) -> list[_Component]:
-    """The components that _solve_coset finds, as _Component objects."""
-    fix = _solve_coset(f, lattice, lattice_inv)
-    if fix is None:
-        return []
-    free_lines, dirs, den, offsets, _ = fix
-    return [_Component(f.n, f.lines, num, den, dirs, free_lines) for num in offsets]
-
-
-def components_intersect(c1: _Component, c2: _Component) -> bool:
-    """Do two fixed-set components share a point?
-
-    They do iff their pinned line values agree and x2 - x1 lies in the span
-    of both direction sets plus Z^c.  With U W V = diag(d) for the matrix W
-    whose rows are the directions, the columns of V with d_k = 0 annihilate
-    the span and map R^c / (span + Z^c) onto a torus, so the test is whether
-    they take integer values on x2 - x1."""
-    if c1.n != c2.n or c1.lines != c2.lines:
-        return False
-    for i1 in c1.lines:
-        free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
-        if not free and c1.num[i1 - 1] * c2.den != c2.num[i1 - 1] * c1.den:
-            return False
-    circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
-    den = lcm(c1.den, c2.den)
-    k1, k2 = den // c1.den, den // c2.den
-    delta = [c2.num[i] * k2 - c1.num[i] * k1 for i in circ]
-    rows = [[d[i] for i in circ] for d in c1.directions + c2.directions]
-    if not (rows and circ):
-        return not any(x % den for x in delta)
-    _, d, v = smith_normal_form(rows)
-    rank = sum(1 for k in range(min(len(rows), len(circ))) if d[k][k])
-    return not any(sum(row[k] * x for row, x in zip(v, delta)) % den
-                   for k in range(rank, len(circ)))
+def _plus_dims(f: AffineTorusMap) -> tuple[int, int, int]:
+    """The bit mask plus of the coordinates f keeps, and the torus_dim and
+    line_dim of its fixed components: how many are circles and lines."""
+    plus = ((1 << f.n) - 1) ^ f.mask
+    line_dim = sum(plus >> (i1 - 1) & 1 for i1 in f.lines)
+    return plus, plus.bit_count() - line_dim, line_dim
 
 
 class FlatStratum(Frozen):
@@ -462,20 +393,22 @@ class FlatStratum(Frozen):
     count components upstairs form one object downstairs; offset is a point
     of one of them, stabilizer_order the order |G| / count of the setwise
     stabilizer of each, and residual records how that stabilizer acts on the
-    component beyond its pointwise part ("trivial", "pm1" or "other").
+    component beyond its pointwise part ("trivial", "pm1" or "other").  The
+    component is offset + R^S for the coordinates S in the bit mask plus
+    (bit i for coordinate i + 1, as in AffineTorusMap.mask; 0 for a point).
 
     In a quotient, the components are counted modulo the translation lattice
-    Λ_T: an orbit of k classes mod span + Λ_T holds k |T| / |T ∩ (span + Z^c)|
-    components, where span is the span of the component's directions.
+    Λ_T: an orbit of k classes mod R^S + Λ_T holds
+    k |T| / |T ∩ (R^S + Z^c)| components.
     """
 
     __slots__ = ("torus_dim", "line_dim", "count", "offset",
-                 "stabilizer_order", "residual")
+                 "stabilizer_order", "residual", "plus")
 
     def __init__(self, torus_dim, line_dim, count, offset, stabilizer_order=1,
-                 residual="trivial"):
+                 residual="trivial", plus=0):
         super().__init__(torus_dim, line_dim, count, offset, stabilizer_order,
-                         residual)
+                         residual, plus)
 
     def __eq__(self, other):
         return isinstance(other, FlatStratum) and all(
@@ -492,6 +425,19 @@ class FlatStratum(Frozen):
         if self.residual == "pm1":
             base += "/pm1"
         return base
+
+
+def components_intersect(a: FlatStratum, b: FlatStratum, lines) -> bool:
+    """Do the components offset + R^S of two strata of a space with the
+    1-based line coordinates lines meet (for a quotient stratum, the one
+    component through its offset)?  They do iff the offsets agree outside
+    a.plus | b.plus: exactly on a line, mod 1 on a circle."""
+    if len(a.offset) != len(b.offset):
+        raise InvalidOperand("strata of spaces of different dimensions")
+    free = a.plus | b.plus
+    return all(x == y if i + 1 in lines else (x - y).denominator == 1
+               for i, (x, y) in enumerate(zip(a.offset, b.offset))
+               if not free >> i & 1)
 
 
 class _Span:
@@ -511,8 +457,8 @@ class _Span:
     __slots__ = ("plus", "torus_dim", "line_dim", "rows", "size", "index",
                  "action")
 
-    def __init__(self, f, fix, circ, lattice, lattice_inv):
-        free_lines, dirs, _, _, (u, m, diag) = fix
+    def __init__(self, f, smith, circ, lattice, lattice_inv):
+        u, m, diag = smith
         # row k of U (A' - 1) is d_k times row k of V^-1, and the rows of
         # V^-1 with d_k != 0 take integer values exactly on S + Z^c in
         # y = D B^-1 x, that is on S + Λ_T in x
@@ -525,8 +471,7 @@ class _Span:
             # Smith moduli of R; Λ_T = Z^c needs no solve
             _, d, _ = smith_normal_form(rows)
             self.index = prod(d[k][k] for k in range(len(rows)))
-        self.plus = ((1 << f.n) - 1) ^ f.mask
-        self.torus_dim, self.line_dim = len(dirs), len(free_lines)
+        self.plus, self.torus_dim, self.line_dim = _plus_dims(f)
         self.rows = tuple((k, circ[j], x) for k, j, x in _sparse(rows))
         self.size = len(rows)
         self.action = None
@@ -560,8 +505,11 @@ def _span_action(span: _Span, cosets: dict):
 def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
     """Connected components of the fixed-point set, one stratum each, ordered
     by offset.  No group acts, so count and stabilizer order are 1."""
-    return sorted((FlatStratum(c.torus_dim, c.line_dim, 1, c.display_offset())
-                   for c in _fixed_components(f)), key=lambda s: s.offset)
+    den, offsets, _ = _solve_coset(f) or (1, [], None)
+    plus, torus_dim, line_dim = _plus_dims(f)
+    return sorted((FlatStratum(torus_dim, line_dim, 1,
+                               tuple(Fraction(x, den) for x in num), plus=plus)
+                   for num in offsets), key=lambda s: s.offset)
 
 
 def _group_into_orbits(group: FiniteActionGroup, registry: dict) -> list:
@@ -659,8 +607,8 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
         fix = _solve_coset(f, lattice, inv)
         if fix is None:
             continue
-        span = _Span(f, fix, circ, lattice, inv)
-        _, _, den, offsets, _ = fix
+        den, offsets, smith = fix
+        span = _Span(f, smith, circ, lattice, inv)
         # only a coset of G maps the classes of its own fixed set to
         # themselves; a census map f∘sigma lies outside G
         fixer = f.mask if f in group else None
@@ -693,10 +641,9 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
         for x in offset:
             if x not in fracs:
                 fracs[x] = Fraction(x, den)
-        dim = span.torus_dim + span.line_dim
-        strata.append(((-dim, offset), FlatStratum(
+        strata.append(((-span.plus.bit_count(), offset), FlatStratum(
             span.torus_dim, span.line_dim, count,
-            tuple([fracs[x] for x in offset]), setwise, residual)))
+            tuple([fracs[x] for x in offset]), setwise, residual, span.plus)))
     strata.sort(key=lambda pair: pair[0])
     return [s for _, s in strata]
 

@@ -605,6 +605,23 @@ class TestUsageErrors:
         assert len(res.stderr.splitlines()) == 1
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("args, owner", [
+        pytest.param(args, owner, id=" ".join(args)) for args, owner in [
+            (["--seed", "3", "run", "eh-suite"], "--eh-check or --flow-demo"),
+            (["--s", "2", "run", "eh-suite"], "--eh-check"),
+            (["--flow-demo", "--s", "2"], "--eh-check"),
+            (["--eh-check", "--trials", "5"], "--flow-demo"),
+            (["--trials", "5", "list"], "--flow-demo")]])
+    def test_misplaced_option_exits_2(self, runner, args, owner):
+        # an option is refused where nothing reads it, not ignored
+        option = next(a for a in args if a.startswith("--")
+                      and a not in ("--eh-check", "--flow-demo"))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert_one_error_line(res.stderr)
+        assert res.stderr.startswith(f"error: {option} belongs to {owner}")
+        assert res.stdout == ""
+
     def test_seed_with_equals_sign(self, runner):
         res = runner.invoke(main, ["run", "pull-x1", "--seed=3"])
         assert res.exit_code == 0, res.output
@@ -714,6 +731,12 @@ class TestToolFlags:
         payload = json.loads(res.stdout)
         assert payload["rate_bound"] == pytest.approx(
             payload["mu"] * (1 - 2 * 0.2 - slack), rel=1e-15)
+
+    def test_flow_suite_records_the_integrator_rtol(self, monkeypatch):
+        # the recorded tolerance is the one the integrator reads
+        monkeypatch.setattr(g2kit.flow, "INTEGRATOR_RTOL", 1e-7)
+        report = run_scenario("flow-suite", 0)
+        assert report.tolerances["integrator_rtol"] == 1e-7
 
     def test_flow_demo_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["--flow-demo", "--k-frac", "0.9"])
@@ -983,11 +1006,21 @@ def _value_types():
     ]
 
 
+def _value_of(name):
+    """The instance of the value type called name, with one of its fields."""
+    return next((v, f) for v, f in _value_types() if type(v).__name__ == name)
+
+
+# the value types by name, so that removing one renames no other test
+FROZEN_NAMES = sorted(t.__name__ for t in _frozen_types())
+
+
 class TestValueTypes:
     def test_every_value_type_is_covered(self):
         types = [type(v) for v, _ in _value_types()]
         assert len(types) == len(set(types))
         assert set(types) == _frozen_types()
+        assert len(FROZEN_NAMES) == len(set(FROZEN_NAMES))
 
     def test_only_the_base_defines_setattr(self):
         src = Path(g2kit.__file__).parent
@@ -1009,9 +1042,9 @@ class TestValueTypes:
         with pytest.raises(TypeError, match="unexpected field 'monotone'"):
             GapCheck(True, None, monotone=False)
 
-    @pytest.mark.parametrize("index", range(len(_frozen_types())))
-    def test_fields_cannot_be_assigned(self, index):
-        value, field = _value_types()[index]
+    @pytest.mark.parametrize("name", FROZEN_NAMES)
+    def test_fields_cannot_be_assigned(self, name):
+        value, field = _value_of(name)
         getattr(value, field)
         message = f"{type(value).__name__} is immutable"
         with pytest.raises(AttributeError, match=message):
@@ -1019,10 +1052,10 @@ class TestValueTypes:
         with pytest.raises(AttributeError, match=message):
             value.extra = None
 
-    @pytest.mark.parametrize("index", range(len(_frozen_types())))
-    def test_value_type_in_a_report_raises(self, index):
+    @pytest.mark.parametrize("name", FROZEN_NAMES)
+    def test_value_type_in_a_report_raises(self, name):
         # a tuple would be written as a JSON array without a word
-        value, _ = _value_types()[index]
+        value, _ = _value_of(name)
         report = Report("r", (row("info", value),), 0)
         with pytest.raises(TypeError, match=type(value).__name__):
             report_to_json(report)

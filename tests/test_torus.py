@@ -31,8 +31,6 @@ from g2kit.scenarios import load_scenario
 from g2kit.torus import (
     AffineTorusMap,
     FlatStratum,
-    _Component,
-    _fixed_components,
     _translation_lattice,
     check_preserves_form,
     components_intersect,
@@ -119,6 +117,11 @@ def map_order(f, cap=512):
             return k
         cur = cur.compose(f)
     return None
+
+
+def kept_mask(signs):
+    """The bit mask of the coordinates whose sign is +1."""
+    return sum(1 << i for i, e in enumerate(signs) if e == 1)
 
 
 def grid_fixed_count(f, grid=8):
@@ -396,12 +399,36 @@ class TestGridOracle:
         expected = sum(8 ** s.torus_dim for s in strata)
         count, pts = grid_fixed_count(f)
         assert count == expected
+        assert all(s.plus == kept_mask(f.signs) for s in strata)
         for s in strata:
             scaled = tuple(int(x * 8) for x in s.offset)
             assert all(Fraction(v, 8) == x for v, x in zip(scaled, s.offset))
             if strata:
                 img = apply(f, s.offset)
                 assert img == s.offset
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=diagonal_maps(), lines=st.sets(st.integers(1, 5)),
+           line_shift=st.sampled_from([Fraction(0), Fraction(3, 2)]))
+    def test_plus_is_the_kept_coordinates(self, f, lines, line_shift):
+        # the grid oracle's maps with some coordinates declared lines, the
+        # first of them shifted: a kept line with a shift fixes nothing
+        shift = list(f.shift)
+        if lines:
+            shift[min(lines) - 1] += line_shift
+        g = D(f.signs, shift, lines)
+        strata = fixed_set(g)
+        kept = kept_mask(f.signs)
+        assert all(s.plus == kept for s in strata)
+        kept_lines = [i for i in lines if f.signs[i - 1] == 1]
+        assert all(s.line_dim == len(kept_lines) for s in strata)
+        assert all(s.torus_dim == kept.bit_count() - len(kept_lines)
+                   for s in strata)
+        # two points on each reversed circle, one on each reversed line
+        blocked = any(g.shift[i] for i in range(g.n) if kept >> i & 1)
+        reversed_circles = [i for i in range(1, g.n + 1)
+                            if f.signs[i - 1] == -1 and i not in lines]
+        assert len(strata) == (0 if blocked else 2 ** len(reversed_circles))
 
     def test_full_dimension_spot_checks(self):
         # 7-dimensional brute force for a few structurally distinct maps
@@ -428,12 +455,11 @@ class TestSingularLocus:
 
     def test_joyce_components_pairwise_disjoint(self):
         G = the_group()
-        comps = [c for g in G if not g.is_identity()
-                 for c in _fixed_components(g)]
+        comps = [c for g in G if not g.is_identity() for c in fixed_set(g)]
         assert len(comps) == 48
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
-                assert not components_intersect(comps[i], comps[j])
+                assert not components_intersect(comps[i], comps[j], G.lines)
 
     def test_cross_section_sixteen_t2(self):
         # restriction of <alpha, beta> to the six coordinates x2..x7
@@ -665,11 +691,12 @@ class TestInvolutionCensus:
     def test_first_example_points_disjoint_from_t4(self):
         G = the_group()
         s = sigma_52()
-        comps = [c for g in G for c in _fixed_components(g.compose(s))]
-        points = [c for c in comps if not c.directions]
-        fours = [c for c in comps if len(c.directions) == 4]
+        comps = [c for g in G for c in fixed_set(g.compose(s))]
+        points = [c for c in comps if not c.plus]
+        fours = [c for c in comps if c.torus_dim == 4]
         assert len(points) == 128 and len(fours) == 8
-        assert not any(components_intersect(p, c) for p in points for c in fours)
+        assert not any(components_intersect(p, c, G.lines)
+                       for p in points for c in fours)
 
     def test_second_example(self):
         cen = involution_fixed_census(sigma_53(), the_group())
@@ -686,12 +713,12 @@ class TestInvolutionCensus:
     def test_second_example_points_lie_on_t4(self):
         G = the_group()
         s = sigma_53()
-        comps = [c for g in G for c in _fixed_components(g.compose(s))]
-        points = [c for c in comps if not c.directions]
-        fours = [c for c in comps if len(c.directions) == 4]
+        comps = [c for g in G for c in fixed_set(g.compose(s))]
+        points = [c for c in comps if not c.plus]
+        fours = [c for c in comps if c.torus_dim == 4]
         assert len(points) == 128 and len(fours) == 8
         for p in points:
-            assert any(components_intersect(p, c) for c in fours)
+            assert any(components_intersect(p, c, G.lines) for c in fours)
 
     def test_half_census_after_pull(self):
         P = pull(the_group(), 4)
@@ -743,6 +770,10 @@ class TestStratumLabels:
         assert FlatStratum(4, 0, 1, (), residual="pm1").type_label == "T4/pm1"
         assert FlatStratum(3, 1, 1, ()).type_label == "T3xR"
         assert FlatStratum(0, 1, 1, ()).type_label == "R"
+
+    def test_plus_defaults_to_a_point(self):
+        assert FlatStratum(0, 0, 1, ()).plus == 0
+        assert FlatStratum(0, 0, 1, ()) != FlatStratum(0, 0, 1, (), plus=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,10 +1139,12 @@ BETTI_CASES = {
 
 
 # ---------------------------------------------------------------------------
-# Reference for components_intersect: the offsets' difference is projected by
-# a rational basis of the annihilator of the joint span, and one integer
-# solve asks whether the projection of Z^c holds it (Fraction arithmetic
-# throughout, no offset lattice).
+# Reference for components_intersect: each stratum's component is read as
+# its offset, a unit direction per circle in its mask and its lines in the
+# mask as free lines; the offsets' difference is projected by a rational
+# basis of the annihilator of the joint span, and one integer solve asks
+# whether the projection of Z^c holds it (Fraction arithmetic throughout,
+# no offset lattice).
 
 
 def _ref_null_space(rows):
@@ -1156,26 +1189,36 @@ def _ref_in_span_mod_lattice(directions, delta):
     return _ref_lattice_contains([[row[j] for row in ann] for j in range(n)], proj)
 
 
-def reference_components_intersect(c1, c2):
-    if c1.n != c2.n or c1.lines != c2.lines:
-        return False
-    for i1 in c1.lines:
-        free = (i1 in c1.free_lines) or (i1 in c2.free_lines)
-        if not free and c1.display_offset()[i1 - 1] != c2.display_offset()[i1 - 1]:
+def _unit_record(stratum, lines):
+    """The stratum's component as (offset, directions, free lines): a unit
+    direction for each circle in its mask, and the lines in its mask."""
+    n = len(stratum.offset)
+    inside = [i for i in range(n) if stratum.plus >> i & 1]
+    dirs = [tuple(int(j == i) for j in range(n)) for i in inside
+            if i + 1 not in lines]
+    return stratum.offset, dirs, {i + 1 for i in inside if i + 1 in lines}
+
+
+def reference_components_intersect(a, b, lines):
+    (off1, dirs1, free1), (off2, dirs2, free2) = (_unit_record(a, lines),
+                                                  _unit_record(b, lines))
+    for i1 in lines:
+        if i1 not in free1 | free2 and off1[i1 - 1] != off2[i1 - 1]:
             return False
-    circ = [i for i in range(c1.n) if (i + 1) not in c1.lines]
+    circ = [i for i in range(len(off1)) if (i + 1) not in lines]
     if not circ:
         return True
-    joint = [[d[i] for i in circ] for d in c1.directions + c2.directions]
-    off1, off2 = c1.display_offset(), c2.display_offset()
-    return _ref_in_span_mod_lattice(joint, [off2[i] - off1[i] for i in circ])
+    joint = [[d[i] for i in circ] for d in dirs1 + dirs2]
+    return _ref_in_span_mod_lattice(
+        joint, [Fraction(off2[i] - off1[i]) for i in circ])
 
 
 def _group_components(group, sigma=None):
-    """Fixed components of the non-identity elements, or of the maps g∘sigma."""
+    """Fixed components of the non-identity elements, or of the maps
+    g∘sigma, one fixed_set stratum each, with the group's lines."""
     maps = ([g.compose(sigma) for g in group] if sigma is not None
             else [g for g in group if not g.is_identity()])
-    return [c for f in maps for c in _fixed_components(f)]
+    return [c for f in maps for c in fixed_set(f)], group.lines
 
 
 COMPONENT_CASES = {
@@ -1193,70 +1236,85 @@ COMPONENT_CASES = {
     "translations-T4": lambda: _group_components(_translations_t4()),
     "line-flip-T2xR": lambda: _group_components(
         ORACLE_CASES["line-flip-T2xR"]()[1]),
-    # the span of (2, 1, 1) has Smith moduli 1 and 2: (0, 0, 1/2) lies off
-    # the line through 0, although both of its offset-lattice rows are
-    # integral
-    "direction-2-1-1": lambda: [
-        _Component(3, frozenset(), num, 2, dirs, ())
-        for num in product(range(2), repeat=3) for dirs in ([], [(2, 1, 1)])],
 }
 
 
-def assert_intersections_match_reference(pairs):
-    for c1, c2 in pairs:
-        assert components_intersect(c1, c2) == reference_components_intersect(c1, c2)
+def assert_intersections_match_reference(pairs, lines):
+    for a, b in pairs:
+        assert components_intersect(a, b, lines) == \
+            reference_components_intersect(a, b, lines)
 
 
 @st.composite
 def component_pairs(draw):
-    """Two components of T^c x R^l with random integer directions, whose
-    offset lattices can have Smith moduli above 1 (the span of (2, 1, 1)
-    has moduli 1 and 2), and offsets over denominators up to 4."""
+    """Two strata of T^c x R^l with random coordinate masks and offsets
+    over denominators up to 4 (0 on a line in the mask), and the lines."""
     c, l = draw(st.integers(1, 4)), draw(st.integers(0, 1))
     n, lines = c + l, frozenset(range(c + 1, c + l + 1))
-    direction = st.lists(st.integers(-2, 2), min_size=c, max_size=c).filter(any)
 
-    def component():
-        dirs = [d + [0] * l for d in draw(st.lists(direction, max_size=c))]
-        den = draw(st.integers(1, 4))
-        free = frozenset(i for i in lines if draw(st.booleans()))
-        num = draw(st.lists(st.integers(0, den - 1), min_size=c, max_size=c))
-        num += [0 if i in free else draw(st.integers(-den, den)) for i in sorted(lines)]
-        return _Component(n, lines, num, den, dirs, free)
+    def stratum():
+        plus, den = draw(st.integers(0, 2 ** n - 1)), draw(st.integers(1, 4))
+        offset = [Fraction(draw(st.integers(0, den - 1)), den) for _ in range(c)]
+        offset += [Fraction(0) if plus >> (i - 1) & 1
+                   else Fraction(draw(st.integers(-den, den)), den)
+                   for i in sorted(lines)]
+        line_dim = sum(plus >> (i - 1) & 1 for i in lines)
+        return FlatStratum(plus.bit_count() - line_dim, line_dim, 1,
+                           tuple(offset), plus=plus)
 
-    return component(), component()
+    return stratum(), stratum(), lines
 
 
 class TestIntersectOracle:
     @pytest.mark.parametrize("case", list(COMPONENT_CASES))
     def test_all_pairs_match_fraction_lattice(self, case):
+        comps, lines = COMPONENT_CASES[case]()
         assert_intersections_match_reference(
-            combinations_with_replacement(COMPONENT_CASES[case](), 2))
+            combinations_with_replacement(comps, 2), lines)
 
     @pytest.mark.parametrize("sigma", [sigma_52, sigma_53])
     def test_census_points_against_t4(self, sigma):
         # two distinct points never meet, so only the pairs with a T4 are
         # taken: in 5.2 no point meets a T4, in 5.3 each point meets one
-        comps = _group_components(the_group(), sigma())
-        points = [c for c in comps if not c.directions]
-        fours = [c for c in comps if c.directions]
+        comps, lines = _group_components(the_group(), sigma())
+        points = [c for c in comps if not c.plus]
+        fours = [c for c in comps if c.plus]
         assert_intersections_match_reference(
             [(p, c) for p in points for c in fours]
-            + list(combinations_with_replacement(fours, 2)))
+            + list(combinations_with_replacement(fours, 2)), lines)
+
+    def test_calls_no_smith_form(self, monkeypatch):
+        comps, lines = _group_components(the_group(), sigma_53())
+        pairs = [(p, c) for p in comps if not p.plus for c in comps if c.plus]
+        expected = [reference_components_intersect(a, b, lines)
+                    for a, b in pairs]
+
+        def refuse(*args):
+            raise AssertionError("components_intersect ran a Smith form")
+
+        monkeypatch.setattr(torus, "smith_normal_form", refuse)
+        assert [components_intersect(a, b, lines) for a, b in pairs] == expected
+        assert any(expected)
+
+    def test_offsets_of_different_lengths_refused(self):
+        with pytest.raises(InvalidOperand):
+            components_intersect(FlatStratum(0, 0, 1, (0, 0)),
+                                 FlatStratum(0, 0, 1, (0, 0, 0)), ())
 
     @settings(max_examples=30, deadline=None)
     @given(group=signed_diagonal_groups())
     def test_random_groups(self, group):
         # at most 48 components, spread over the elements, keep the pair
         # count near that of the builtin cases
-        comps = _group_components(group)
+        comps, lines = _group_components(group)
         assert_intersections_match_reference(combinations_with_replacement(
-            comps[::len(comps) // 48 + 1], 2))
+            comps[::len(comps) // 48 + 1], 2), lines)
 
     @settings(max_examples=200, deadline=None)
     @given(pair=component_pairs())
     def test_random_components(self, pair):
-        assert_intersections_match_reference([pair])
+        a, b, lines = pair
+        assert_intersections_match_reference([(a, b)], lines)
 
 
 class TestPullProperty:
@@ -1407,6 +1465,37 @@ class TestInvariantFormsOracle:
 # library's, so the strata must agree field by field and in order.
 
 
+class Component:
+    """The oracle's record of one fixed component: an affine subtorus
+    (possibly times a line factor) through the point num/den, with integer
+    direction vectors, its free lines, and plus, the bit mask of the
+    coordinates on which the dense linear part of its map is +1.  Circle
+    entries of num are reduced mod den."""
+
+    __slots__ = ("n", "lines", "num", "den", "directions", "free_lines",
+                 "plus")
+
+    def __init__(self, n, lines, num, den, directions, free_lines, plus):
+        self.n = n
+        self.lines = lines
+        self.num = tuple(num)
+        self.den = den
+        self.directions = tuple(tuple(d) for d in directions)
+        self.free_lines = frozenset(free_lines)
+        self.plus = plus
+
+    @property
+    def torus_dim(self) -> int:
+        return len(self.directions)
+
+    @property
+    def line_dim(self) -> int:
+        return len(self.free_lines)
+
+    def display_offset(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+
 def dense_fixed_components(f, lattice=None, lattice_inv=None):
     """The fixed components of f; with lattice = (B, D) and lattice_inv the
     integer matrix D B^-1, those of the maps f∘t over the translations t by
@@ -1444,6 +1533,7 @@ def dense_fixed_components(f, lattice=None, lattice_inv=None):
     den = lcm(den_y * scale, 2 * f.den if pinned else 1)
     up = den // (den_y * scale)
     bv = mat_mul(basis, v) if c else ()
+    plus = sum(1 << i for i in range(n) if linear[i][i] == 1)
     dirs = []
     for k in range(c):
         if diag[k] == 0:
@@ -1457,7 +1547,7 @@ def dense_fixed_components(f, lattice=None, lattice_inv=None):
                for i in range(1, n + 1)]
         for i, x in zip(circ, mat_vec(bv, combo) if c else ()):
             num[i] = x * up % den
-        comps.append(_Component(n, lines, num, den, dirs, free_lines))
+        comps.append(Component(n, lines, num, den, dirs, free_lines, plus))
     return comps
 
 
@@ -1527,7 +1617,8 @@ def _oracle_transport(g, comp):
            else (v + t * (den // g.den)) % den
            for i, (v, t) in enumerate(zip(img, g.num))]
     dirs = [_dense_image(dense(g), d) for d in comp.directions]
-    return _Component(comp.n, comp.lines, num, den, dirs, comp.free_lines)
+    return Component(comp.n, comp.lines, num, den, dirs, comp.free_lines,
+                     comp.plus)
 
 
 def _oracle_orbits(group, registry, key):
@@ -1618,7 +1709,8 @@ def oracle_strata(group, maps):
         setwise = group.order // count
         strata.append(FlatStratum(
             rep.torus_dim, rep.line_dim, count, rep.display_offset(), setwise,
-            _oracle_classify_residual(group, cosets, rep, setwise, key)))
+            _oracle_classify_residual(group, cosets, rep, setwise, key),
+            rep.plus))
     strata.sort(key=lambda s: (-(s.torus_dim + s.line_dim), s.offset))
     return strata
 
