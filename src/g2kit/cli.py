@@ -316,11 +316,12 @@ def main(argv=None):
                             "--flow-demo" if args.flow_demo else None)
     for option in args.given:
         owners = [m for m, options in _MODE_OPTIONS.items() if option in options]
-        if mode and mode not in owners:
+        if mode not in owners:
             where = " or ".join(owners)
-            if option == "--seed" and mode == "run":
+            if option == "--seed" and mode in ("run", None):
                 where += " (a scenario's seed goes after run)"
-            _error_exit(f"{option} belongs to {where}, not to {mode}")
+            _error_exit(f"{option} belongs to {where}, "
+                        f"not to {mode or 'g2kit without a mode'}")
     if args.command == "run":
         _run_cmd(args.scenario, args.run_all, args.format, args.seed)
     elif args.command == "list":

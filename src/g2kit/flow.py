@@ -52,16 +52,19 @@ NORM_BLOCK_FLOATS floats, never a lone row, so a trajectory costs its
 states array plus one block's temporaries.
 
 random_quadratic draws dense Gaussian tensors and calibrates their
-Lipschitz bounds by an alternating power iteration with six restarts.
-The restarts of every tensor in a stack step together, one einsum over
-a (trials, restarts, dim) stack per update.  Up to dim 90 the u-update
-reads one k-major copy of the stack, which keeps its bits and takes
-0.5-0.7 of its time at dims 16-52.  A draw costs order dim^3, so
-decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it builds
-or draws anything.  It stacks its trials up to
-STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
-per-call overhead, which the trials of a stack share, and the 20
-trials of flow-suite form one stack.
+Lipschitz bounds by an alternating power iteration with six restarts.  A
+float screen runs every restart in matmul to rank them, and only the
+best-ranked ones, as many as any tensor of the stack has within
+SCREEN_MARGIN of its best, run again in the einsum arithmetic of record,
+which sets the norm's bits.  The restarts of every tensor in a stack
+step together, one einsum over a (trials, restarts, dim) stack per
+update.  Up to dim 90 the u-update reads one k-major copy of the stack,
+which keeps its bits and takes 0.5-0.7 of its time at dims 16-52.  A
+draw costs order dim^3, so decay_trials bounds dim^3 x trials by
+MAX_TRIAL_WORK before it builds or draws anything.  It stacks its trials
+up to STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
+per-call overhead, which the trials of a stack share, and the 20 trials
+of flow-suite form one stack.
 
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
@@ -85,12 +88,12 @@ np = lazy_module("numpy")
 MAX_DIMENSION = 100_000
 # float64 entries of the dense quadratic tensor (128 MB), so dim <= 256
 MAX_QUADRATIC_COEFFICIENTS = 2 ** 24
-# dim^3 x trials for decay_trials.  A trial costs about 1.0 us per dim^3
-# for the draw (the batched power iteration of _tensor_operator_norms) at
-# dims 48-52, where the u-update reads a k-major copy, and 1.2-1.3 us at
-# dims 96-160, plus 0.4-1.0 us per dim^3 for the integration, on a 2-core
-# x86-64 VM with one BLAS thread, so a run inside this budget ends within
-# about 30 s.
+# dim^3 x trials for decay_trials.  A trial costs about 0.2 us per dim^3
+# for the draw (the screened power iteration of _tensor_operator_norms)
+# at dims 48-160, 0.4 us for a process's first draw, plus 0.3-0.6 us per
+# dim^3 for the integration, on a 2-core x86-64 VM with one BLAS thread,
+# so a run inside this budget ends well within 30 s: the largest,
+# --d 2 --N 3 --trials 9 and --d 2 --N 4 --trials 2, took 6.5-8.3 s.
 MAX_TRIAL_WORK = 2 ** 23
 # floats of quadratic tensor per stack of decay trials (1 MiB): the
 # trials of a stack are drawn, calibrated and integrated together.  At
@@ -115,6 +118,10 @@ NORM_BLOCK_FLOATS = 2 ** 16
 # while an (i, j) slice fits, the copy sums in the order of the strided
 # read.  Dims 16, 48 and 52 of build_mode_system fall under it.
 U_UPDATE_KMAJOR_MAX = 8192
+# relative margin below a tensor's best screened restart within which
+# _tensor_operator_norms runs a restart in einsum; a restart's screened
+# and einsum values were seen to differ by at most 1.6e-13 relative
+SCREEN_MARGIN = 1e-6
 
 
 def _wedge_pattern(d, p):
@@ -323,6 +330,24 @@ def _unit_rows(x):
     return x / np.maximum(_row_norms(x), 1e-300)[..., None]
 
 
+def _screen_restarts(tensors, u, v, iters):
+    """Float values of the alternating power iteration from the unit
+    starts u, v, rows of (trials, restarts, n) stacks, run in matmul.
+
+    Each update takes the arithmetic of BLAS, not that of the einsum of
+    _tensor_operator_norms, so the values serve for ranking only.
+    """
+    b, r, n = u.shape
+    flat = tensors.reshape(b, n, n * n)
+    for _ in range(iters):
+        vu = (v[..., :, None] * u[..., None, :]).reshape(b, r, n * n)
+        w = _unit_rows(np.matmul(vu, flat.transpose(0, 2, 1)))
+        m = np.matmul(w, flat).reshape(b, r, n, n)
+        v = _unit_rows(np.matmul(m, u[..., None])[..., 0])
+        u = _unit_rows(np.matmul(v[..., None, :], m)[..., 0, :])
+    return np.matmul(v[..., None, :], np.matmul(m, u[..., None]))[..., 0, 0]
+
+
 def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     """For each tensor of a (trials, n, n, n) stack, the max over unit u
     of the spectral norm of tensor[:, :, u].
@@ -334,6 +359,17 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     takes the arithmetic of a lone restart on a lone tensor, so the
     norms do not depend on the batching.
 
+    Most restarts end below the best one, so a float screen ranks them
+    first: the same iteration from the same starts, in matmul, with
+    tensor[i] contracted by w into M = sum_i w_i tensor[i], then v = M u
+    and u = M^T v, 2 n^3 of BLAS per restart and iteration against the
+    einsum's 3 n^3.  Only each tensor's R best-ranked restarts run in
+    einsum, R the most restarts of any tensor that rank within
+    SCREEN_MARGIN of its top.  A restart's ranked and einsum values
+    differ by rounding alone (below 1e-12 relative), far inside the
+    margin, so the best einsum restart is always among those run, and
+    the norms keep the bits of the all-restart einsum.
+
     The u-update sums over (i, j) with k innermost, which reads the
     tensor with a stride.  Up to n^2 = U_UPDATE_KMAJOR_MAX it runs on
     one k-major copy of the stack instead: there each (i, j) slice fits
@@ -342,7 +378,13 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     """
     n = tensors.shape[1]
     start = np.stack([rng.standard_normal((restarts, 3, n)) for rng in rngs])
-    u, w, v = (_unit_rows(start[:, :, i]) for i in range(3))
+    # w's start is drawn but not read: the first update overwrites it
+    u, v = (_unit_rows(start[:, :, i]) for i in (0, 2))
+    ranked = _screen_restarts(tensors, u, v, iters)
+    top = ranked.max(axis=1, keepdims=True)
+    keep = int((ranked >= top - SCREEN_MARGIN * np.abs(top)).sum(1).max())
+    picked = np.argsort(-ranked, axis=1, kind="stable")[:, :keep, None]
+    u, v = (np.take_along_axis(x, picked, axis=1) for x in (u, v))
     u_spec, u_tensors = "bijk,bri,brj->brk", tensors
     if n * n <= U_UPDATE_KMAJOR_MAX:
         u_spec = "bkij,bri,brj->brk"

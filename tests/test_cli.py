@@ -611,7 +611,13 @@ class TestUsageErrors:
             (["--s", "2", "run", "eh-suite"], "--eh-check"),
             (["--flow-demo", "--s", "2"], "--eh-check"),
             (["--eh-check", "--trials", "5"], "--flow-demo"),
-            (["--trials", "5", "list"], "--flow-demo")]])
+            (["--trials", "5", "list"], "--flow-demo"),
+            # with neither mode nor a command
+            (["--s", "2"], "--eh-check"), (["--tol", "0.1"], "--eh-check"),
+            (["--samples", "3"], "--eh-check"), (["--d", "3"], "--flow-demo"),
+            (["--N", "2"], "--flow-demo"), (["--k-frac", "0.2"], "--flow-demo"),
+            (["--trials", "5"], "--flow-demo"),
+            (["--seed", "3"], "--eh-check or --flow-demo")]])
     def test_misplaced_option_exits_2(self, runner, args, owner):
         # an option is refused where nothing reads it, not ignored
         option = next(a for a in args if a.startswith("--")

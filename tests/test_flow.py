@@ -1,5 +1,6 @@
 """Mode-system spectrum, hyperbolic splitting, and decay-rate trials."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -29,10 +30,10 @@ from g2kit.flow import (
 TWO_PI = 2 * math.pi
 
 
-def per_restart_operator_norm(tensor, rng, restarts=6, iters=40):
-    """The power-iteration calibration with one restart at a time."""
+def per_restart_values(tensor, rng, restarts=6, iters=40):
+    """The power iteration's value of each restart, one at a time."""
     n = tensor.shape[0]
-    best = 0.0
+    values = []
     for _ in range(restarts):
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
@@ -47,8 +48,13 @@ def per_restart_operator_norm(tensor, rng, restarts=6, iters=40):
             v /= max(np.linalg.norm(v), 1e-300)
             u = np.einsum("ijk,i,j->k", tensor, w, v)
             u /= max(np.linalg.norm(u), 1e-300)
-        best = max(best, float(np.einsum("ijk,i,j,k", tensor, w, v, u)))
-    return best
+        values.append(float(np.einsum("ijk,i,j,k", tensor, w, v, u)))
+    return values
+
+
+def per_restart_operator_norm(tensor, rng, restarts=6, iters=40):
+    """The power-iteration calibration with one restart at a time."""
+    return max(0.0, *per_restart_values(tensor, rng, restarts, iters))
 
 
 def per_restart_quadratic_tensor(system, k, seed, ball_radius=1.0):
@@ -735,6 +741,81 @@ class TestCalibrationOracle:
         t = np.zeros((1, 4, 4, 4))
         assert flow._tensor_operator_norms(
             t, [np.random.default_rng(0)]) == [0.0]
+
+
+def quadratic_draws(n, seeds):
+    """random_quadratic's uncalibrated stack for seeds, with each seed's
+    rng after its tensor draw."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stack = np.stack([rng.standard_normal((n, n, n)) for rng in rngs])
+    return 0.5 * (stack + stack.transpose(0, 1, 3, 2)), rngs
+
+
+class TestRestartScreen:
+    """The matmul screen ranks the restarts; only the top ones run in
+    einsum, and the norms keep the all-restart einsum's bits."""
+
+    @pytest.mark.parametrize("n,seeds", [
+        pytest.param(16, range(200), id="dim16"),
+        pytest.param(52, range(1000, 1006), id="dim52")])
+    def test_screen_premise(self, n, seeds):
+        # every restart's screened value lies within 1e-9 of its top of its
+        # einsum value, so the best einsum restart ranks within 2e-9 of the
+        # top, inside SCREEN_MARGIN; and the norms match the all-restart
+        # einsum oracle bit for bit
+        assert flow.SCREEN_MARGIN >= 2e-9
+        seeds = list(seeds)
+        for first in range(0, len(seeds), 20):
+            batch = seeds[first:first + 20]
+            stack, rngs = quadratic_draws(n, batch)
+            exact = [per_restart_values(t, rng)
+                     for t, rng in zip(stack, copy.deepcopy(rngs))]
+            starts = np.stack([rng.standard_normal((6, 3, n))
+                               for rng in copy.deepcopy(rngs)])
+            ranked = flow._screen_restarts(
+                stack, flow._unit_rows(starts[:, :, 0]),
+                flow._unit_rows(starts[:, :, 2]), 40)
+            for row, values in zip(ranked, exact):
+                top = max(values)
+                assert np.all(np.abs(row - values) <= 1e-9 * abs(top))
+            got = flow._tensor_operator_norms(stack, rngs)
+            want = [max(0.0, *values) for values in exact]
+            assert np.array_equal(np.array(got).view(np.int64),
+                                  np.array(want).view(np.int64))
+
+    def test_exact_rows_counted(self, monkeypatch):
+        # the restarts of each einsum v-update
+        rows, einsum = [], np.einsum
+
+        def spy(spec, *operands):
+            if spec == "bijk,brj,brk->bri":
+                rows.append(operands[1].shape[1])
+            return einsum(spec, *operands)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        system = build_mode_system(3, 1)
+        for seed in (0, 1, 2):
+            random_quadratic(system, 0.1 * system.mu, seed=seed)
+        assert rows == [1] * 3 * 40
+        rows.clear()
+        system = build_mode_system(2, 1)
+        random_quadratic(system, 0.1 * system.mu, seed=list(range(20)))
+        assert rows == [rows[0]] * 40 and rows[0] <= 4
+        rows.clear()
+        assert flow._tensor_operator_norms(
+            np.zeros((1, 4, 4, 4)), [np.random.default_rng(0)]) == [0.0]
+        assert rows == [6] * 40
+
+    def test_reversed_ranking_is_caught(self, monkeypatch):
+        # negative control: run the worst-ranked restarts instead, and the
+        # comparison with the oracle fails
+        screen = flow._screen_restarts
+        monkeypatch.setattr(flow, "_screen_restarts",
+                            lambda *args: -screen(*args))
+        stack, rngs = quadratic_draws(16, range(20))
+        want = [per_restart_operator_norm(t, rng)
+                for t, rng in zip(stack, copy.deepcopy(rngs))]
+        assert flow._tensor_operator_norms(stack, rngs) != want
 
 
 class TestDecayTrials:
