@@ -65,14 +65,6 @@ class BettiVector(Frozen):
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * v for k, v in enumerate(self.b))
 
-    @staticmethod
-    def torus(d: int) -> "BettiVector":
-        return BettiVector([comb(d, k) for k in range(d + 1)])
-
-    @staticmethod
-    def point() -> "BettiVector":
-        return BettiVector([1])
-
 
 def dual_completion(prefix: Sequence[int], n: int) -> BettiVector:
     """Complete a truncated Betti table of a closed oriented n-manifold.

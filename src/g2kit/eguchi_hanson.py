@@ -315,21 +315,22 @@ def scaling_identity_probe(s: float, lam: float, points) -> ScalingReport:
     The pullback of the scale-s metric under z -> lam*z is evaluated at
     each sample and held against lam^2 times the metric at scale lam*s
     and at scale s/lam.  Both scores are reported; no candidate is
-    privileged.
+    privileged.  The pulled metrics and each candidate's are one stack
+    over the samples, with the bits of one sample alone.
     """
     _check_scale(s)
     _check_scale(lam)
-    dev_ls, dev_sl = 0.0, 0.0
-    for z1, z2 in points:
-        pulled = lam ** 2 * kahler_metric_at(s, lam * z1, lam * z2)
-        for dev, cand in ((0, lam * s), (1, s / lam)):
-            ref = lam ** 2 * kahler_metric_at(cand, z1, z2)
-            score = float(np.linalg.norm(pulled - ref) / np.linalg.norm(ref))
-            if dev == 0:
-                dev_ls = max(dev_ls, score)
-            else:
-                dev_sl = max(dev_sl, score)
-    return ScalingReport(float(s), float(lam), dev_ls, dev_sl)
+    if not points:
+        return ScalingReport(float(s), float(lam), 0.0, 0.0)
+    pulled = lam ** 2 * _kahler_metrics(
+        s, [(lam * z1, lam * z2) for z1, z2 in points])
+    devs = []
+    for cand in (lam * s, s / lam):
+        ref = lam ** 2 * _kahler_metrics(cand, points)
+        scores = _frobenius_norms(pulled - ref) / _frobenius_norms(ref)
+        # the running max from 0.0, which passes over a NaN score
+        devs.append(max([0.0, *scores.tolist()]))
+    return ScalingReport(float(s), float(lam), *devs)
 
 
 def _eh_derivatives(s, u):

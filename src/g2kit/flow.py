@@ -58,11 +58,10 @@ best-ranked ones, as many as any tensor of the stack has within
 SCREEN_MARGIN of its best, run again in the einsum arithmetic of record,
 which sets the norm's bits.  The restarts of every tensor in a stack
 step together, one einsum over a (trials, restarts, dim) stack per
-update.  Up to dim 90 the u-update reads one k-major copy of the stack,
-which keeps its bits and takes 0.5-0.7 of its time at dims 16-52.  A
-draw costs order dim^3, so decay_trials bounds dim^3 x trials by
-MAX_TRIAL_WORK before it builds or draws anything.  It stacks its trials
-up to STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
+update, each reading the stack as it was drawn.  A draw costs order
+dim^3, so decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it
+builds or draws anything.  It stacks its trials up to
+STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
 per-call overhead, which the trials of a stack share, and the 20 trials
 of flow-suite form one stack.
 
@@ -113,11 +112,6 @@ INTEGRATOR_ATOL = 1e-12
 # array up to dim 326 at 201 samples, the decay trials included, is one
 # block.
 NORM_BLOCK_FLOATS = 2 ** 16
-# the largest n^2 for which _tensor_operator_norms runs its u-update on a
-# k-major copy of the tensors: numpy's einsum buffers 8192 elements, and
-# while an (i, j) slice fits, the copy sums in the order of the strided
-# read.  Dims 16, 48 and 52 of build_mode_system fall under it.
-U_UPDATE_KMAJOR_MAX = 8192
 # relative margin below a tensor's best screened restart within which
 # _tensor_operator_norms runs a restart in einsum; a restart's screened
 # and einsum values were seen to differ by at most 1.6e-13 relative
@@ -227,14 +221,6 @@ class FlowState(Frozen):
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
             raise InvalidOperand("state must be a finite vector")
         super().__init__(arr, t)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.x))
-
-    def split(self, system):
-        plus = system.project_plus(self.x)
-        return FlowState(plus, self.t), FlowState(self.x - plus, self.t)
 
 
 def _whole_number(value, name, least):
@@ -369,12 +355,6 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     differ by rounding alone (below 1e-12 relative), far inside the
     margin, so the best einsum restart is always among those run, and
     the norms keep the bits of the all-restart einsum.
-
-    The u-update sums over (i, j) with k innermost, which reads the
-    tensor with a stride.  Up to n^2 = U_UPDATE_KMAJOR_MAX it runs on
-    one k-major copy of the stack instead: there each (i, j) slice fits
-    einsum's buffer, so the copy gives the same bits, in 0.5-0.9 of the
-    time at dims 16-76.  Above, the copy would change the bits.
     """
     n = tensors.shape[1]
     start = np.stack([rng.standard_normal((restarts, 3, n)) for rng in rngs])
@@ -385,14 +365,10 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     keep = int((ranked >= top - SCREEN_MARGIN * np.abs(top)).sum(1).max())
     picked = np.argsort(-ranked, axis=1, kind="stable")[:, :keep, None]
     u, v = (np.take_along_axis(x, picked, axis=1) for x in (u, v))
-    u_spec, u_tensors = "bijk,bri,brj->brk", tensors
-    if n * n <= U_UPDATE_KMAJOR_MAX:
-        u_spec = "bkij,bri,brj->brk"
-        u_tensors = np.ascontiguousarray(tensors.transpose(0, 3, 1, 2))
     for _ in range(iters):
         w = _unit_rows(np.einsum("bijk,brj,brk->bri", tensors, v, u))
         v = _unit_rows(np.einsum("bijk,bri,brk->brj", tensors, w, u))
-        u = _unit_rows(np.einsum(u_spec, u_tensors, w, v))
+        u = _unit_rows(np.einsum("bijk,bri,brj->brk", tensors, w, v))
     values = np.einsum("bijk,bri,brj,brk->br", tensors, w, v, u)
     return [max(0.0, *map(float, row)) for row in values]
 

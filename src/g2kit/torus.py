@@ -20,12 +20,12 @@ solve per point-group element.  Its components run along the coset's +1
 coordinates S (circle directions and free lines), and every map keeps that
 coordinate set, so the orbit search moves only offsets.  Each coset keeps
 integer rows that read an offset's class modulo S + Λ_T, taken from its
-Smith solve, and the index [S + Λ_T : S + Z^c] (one more Smith form, only
-when Λ_T ≠ Z^c).  An orbit of k classes holds k [S + Λ_T : S + Z^c]
-components upstairs.  The cosets +1 on S form a subgroup F of the point
-group, and the pointwise stabilizer of a component through x0 has order
-|F| / |F x0 mod Λ_T|, from one orbit walk under a basis of F.  Nothing is
-cached across calls.
+Smith solve, and the index [S + Λ_T : S + Z^c] = [T : T ∩ (S + Z^c)],
+counted over the translations whose shift is 0 off S.  An orbit of k
+classes holds k [S + Λ_T : S + Z^c] components upstairs.  The cosets +1
+on S form a subgroup F of the point group, and the pointwise stabilizer
+of a component through x0 has order |F| / |F x0 mod Λ_T|, from one orbit
+walk under a basis of F.  Nothing is cached across calls.
 
 The quotient's Betti numbers count invariant monomials.  A sign vector
 takes each monomial dx^I to ±dx^I, so the constant forms that G fixes are
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
@@ -457,21 +457,20 @@ class _Span:
     __slots__ = ("plus", "torus_dim", "line_dim", "rows", "size", "index",
                  "action")
 
-    def __init__(self, f, smith, circ, lattice, lattice_inv):
+    def __init__(self, f, smith, circ, lattice, lattice_inv, supports):
         u, m, diag = smith
         # row k of U (A' - 1) is d_k times row k of V^-1, and the rows of
         # V^-1 with d_k != 0 take integer values exactly on S + Z^c in
         # y = D B^-1 x, that is on S + Λ_T in x
         rows = [[x // dk for x in row] for row, dk in zip(mat_mul(u, m), diag) if dk]
-        self.index = 1
         if rows and lattice[1] != 1:
             rows = mat_mul(rows, lattice_inv)
-            # R x ∈ Z^(c-t) cuts out S + Λ_T, and R maps S + Z^c onto
-            # R Z^c, so the index is [Z^(c-t) : R Z^c], the product of the
-            # Smith moduli of R; Λ_T = Z^c needs no solve
-            _, d, _ = smith_normal_form(rows)
-            self.index = prod(d[k][k] for k in range(len(rows)))
         self.plus, self.torus_dim, self.line_dim = _plus_dims(f)
+        # Λ_T / Z^c is T, so the index is [T : T ∩ (S + Z^c)]; a shift,
+        # canonical mod 1, lies in S + Z^c iff it is 0 off S.  supports
+        # are the masks of the coordinates each translation shifts.
+        self.index = len(supports) // sum(
+            1 for t in supports if t | self.plus == self.plus)
         self.rows = tuple((k, circ[j], x) for k, j, x in _sparse(rows))
         self.size = len(rows)
         self.action = None
@@ -602,13 +601,15 @@ def _strata(group: FiniteActionGroup, cosets: dict, maps) -> list[FlatStratum]:
     solve."""
     lattice, inv = _translation_lattice(group)
     circ = [i for i in range(group.n) if (i + 1) not in group.lines]
+    supports = [sum(1 << i for i, x in enumerate(t.num) if x)
+                for t in group.elements if not t.mask]
     registry: dict = {}
     for f in maps:
         fix = _solve_coset(f, lattice, inv)
         if fix is None:
             continue
         den, offsets, smith = fix
-        span = _Span(f, smith, circ, lattice, inv)
+        span = _Span(f, smith, circ, lattice, inv, supports)
         # only a coset of G maps the classes of its own fixed set to
         # themselves; a census map f∘sigma lies outside G
         fixer = f.mask if f in group else None

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from g2kit.betti import (
     BettiVector,
@@ -46,7 +47,14 @@ from g2kit.poincare import (
     primitive_ratio_study,
     random_exact_form,
 )
-from g2kit.scenarios import Scenario, load_scenario, run_scenario_object
+from g2kit.errors import G2KitError
+from g2kit.scenarios import (
+    Report,
+    Scenario,
+    load_scenario,
+    report_to_json,
+    run_scenario_object,
+)
 from g2kit.torus import (
     AffineTorusMap,
     check_preserves_form,
@@ -121,6 +129,7 @@ BUDGETS = {
     "TestSignFlipUserGroup": (3.5, "all sign flips of T^7, 2186 strata"),
     "TestSignFlipT8UserGroup": (2.5, "all sign flips of T^8, 6560 strata"),
     "TestPulledUserGroup": (2.0, "pulled T^7 group of order 1024"),
+    "TestScenarioFileFuzz": (10.0, "300 fuzzed scenario files"),
 }
 
 
@@ -555,6 +564,98 @@ class TestPulledUserGroup:
                                          "quotient_betti"]
              and all(rows[check].passed for check in scenario.expected)
              and isinstance(rows["moduli_dimension"].computed, int))
+
+
+# the checks that read a scenario file's maps; eh and flow run the fixed
+# builtin suites whatever the file holds, and have budgets of their own
+FILE_CHECKS = ("betti", "moduli", "coassoc", "form-invariance")
+# a map's shift entries: none, halves, which every zero-shift involution
+# normalizes, or n/d with d up to the loader's bound of 16.  Two thirds of
+# the maps keep their translations of order 1 or 2, so that most groups
+# stay far below GROUP_SIZE_BOUND.
+SHIFTS = (None, st.sampled_from(["0", "1/2"]), st.builds(
+    "{}/{}".format, st.integers(-16, 32), st.integers(1, 16)))
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1/0", "1e9", "1/17", "0.25", "-1/2", "x"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def scenario_files(draw):
+    """The bytes of a scenario file: a well-formed document over 1..8
+    circles, the same with one value replaced by junk, an unknown key, any
+    subset of the checks or its text cut short, or arbitrary bytes.  Half
+    the documents have 7 circles, which the coassoc and form-invariance
+    checks need."""
+    circles = draw(st.just(7) | st.integers(1, 8))
+
+    def map_spec(name):
+        spec = {"name": name, "signs": draw(st.lists(
+            st.sampled_from([1, -1]), min_size=circles, max_size=circles))}
+        entries = draw(st.sampled_from(SHIFTS))
+        if entries is not None:
+            spec["shift"] = draw(st.lists(entries, min_size=circles,
+                                          max_size=circles))
+        return spec
+
+    doc = {"name": draw(st.text(min_size=1, max_size=6)), "circles": circles,
+           "generators": [map_spec(f"g{i}")
+                          for i in range(draw(st.integers(1, 3)))]}
+    if draw(st.booleans()):
+        doc["involution"] = map_spec("sigma")
+    if draw(st.booleans()):
+        doc["pull"] = draw(st.integers(1, circles))
+    # the checks the document can pass validation with
+    allowed = ["betti"]
+    if "pull" in doc and circles >= 5:
+        allowed.append("moduli")
+    if circles == 7:
+        allowed += ["coassoc"] * ("involution" in doc) + ["form-invariance"]
+    doc["checks"] = draw(st.lists(st.sampled_from(allowed), min_size=1,
+                                  max_size=3, unique=True))
+    if draw(st.booleans()):
+        doc["expected"] = {"group_order": draw(st.integers(1, 64))}
+    defect = draw(st.sampled_from(
+        [None, None, None, "junk", "unknown", "checks", "cut", "bytes"]))
+    if defect == "junk":
+        target = draw(st.sampled_from(
+            [doc, *doc["generators"], doc.get("involution", doc)]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(JUNK)
+    elif defect == "unknown":
+        doc[draw(st.text(max_size=6))] = draw(JUNK)
+    elif defect == "checks":
+        doc["checks"] = draw(st.lists(st.sampled_from(FILE_CHECKS),
+                                      max_size=4))
+    text = json.dumps(doc).encode()
+    if defect == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif defect == "bytes":
+        text = draw(st.binary(max_size=40))
+    return text
+
+
+class TestScenarioFileFuzz:
+    """Any scenario file, valid or not, loaded and run in-process as
+    g2kit run does: it ends in a report that serializes, or in a
+    G2KitError (exit 2), and never in another exception."""
+
+    @seed(32)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=scenario_files())
+    def test_file_ends_in_report_or_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-scenario.json"
+        path.write_bytes(data)
+        try:
+            report = run_scenario_object(load_scenario(path))
+        except G2KitError:
+            return
+        assert isinstance(report, Report)
+        json.loads(report_to_json(report))
 
 
 class TestHolonomyVerdicts:

@@ -1,5 +1,7 @@
 """Exact Betti-number bookkeeping: vectors, resolutions, product formulas."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,20 +55,15 @@ class TestBettiVector:
         with pytest.raises(AttributeError):
             b.n = 5
 
-    def test_constructors(self):
-        assert BettiVector.torus(3) == (1, 3, 3, 1)
-        assert BettiVector.torus(0) == (1,)
-        assert BettiVector.point() == (1,)
-
     def test_euler_characteristic(self):
-        assert BettiVector.torus(4).euler_characteristic == 0
+        assert BettiVector([1, 4, 6, 4, 1]).euler_characteristic == 0
         assert CP1.euler_characteristic == 2
         assert BettiVector([1, 0, 19, 40, 19, 0, 1]).euler_characteristic == 0
 
     @given(st.integers(min_value=0, max_value=8))
     def test_torus_euler_vanishes(self, d):
         if d > 0:
-            assert BettiVector.torus(d).euler_characteristic == 0
+            assert torus_betti(d).euler_characteristic == 0
 
 
 class TestDualCompletion:
@@ -94,6 +91,11 @@ class TestDualCompletion:
 CP1 = BettiVector([1, 0, 1])
 
 
+def torus_betti(d):
+    """The Betti vector of T^d: b^k = C(d, k)."""
+    return BettiVector([math.comb(d, k) for k in range(d + 1)])
+
+
 class _Flat:
     """Minimal stand-in for a stratum: just the torus dimension."""
 
@@ -107,7 +109,7 @@ def reference_resolve_betti(base, strata):
     out = list(base.b)
     for stratum in strata:
         d = stratum.torus_dim
-        t = BettiVector.torus(d)
+        t = torus_betti(d)
         for k in range(base.n + 1):
             out[k] += sum(t.get(j) * CP1.get(k - j)
                           for j in range(min(k, d) + 1)) - t.get(k)
@@ -219,10 +221,10 @@ class TestBorceaVoisinChain:
 
 class TestKunnethCircle:
     def test_circle_times_point(self):
-        assert kunneth_s1(BettiVector.point()) == (1, 1)
+        assert kunneth_s1(BettiVector([1])) == (1, 1)
 
     def test_circle_times_torus(self):
-        assert kunneth_s1(BettiVector.torus(2)) == BettiVector.torus(3)
+        assert kunneth_s1(BettiVector([1, 2, 1])) == (1, 3, 3, 1)
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=7))
     def test_euler_vanishes(self, vals):

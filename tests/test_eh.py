@@ -23,9 +23,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from g2kit.cli import MAX_EH_SCALE, MIN_EH_SCALE
 from g2kit.eguchi_hanson import (
     RICCI_STACK_POINTS,
     TOLERANCES,
+    ScalingReport,
     curvature_injectivity_scaling_probe,
     flat_deviation,
     kahler_metric_at,
@@ -691,7 +693,76 @@ class TestCurvatureStack:
             loop_probe_peaks([1.0]))
 
 
+def loop_scaling_probe(s, lam, points):
+    """scaling_identity_probe one sample and one metric at a time: the
+    reference the stacked probe must match bit for bit."""
+    eguchi_hanson._check_scale(s)
+    eguchi_hanson._check_scale(lam)
+    dev_ls, dev_sl = 0.0, 0.0
+    for z1, z2 in points:
+        pulled = lam ** 2 * kahler_metric_at(s, lam * z1, lam * z2)
+        for dev, cand in ((0, lam * s), (1, s / lam)):
+            ref = lam ** 2 * kahler_metric_at(cand, z1, z2)
+            score = float(np.linalg.norm(pulled - ref) / np.linalg.norm(ref))
+            if dev == 0:
+                dev_ls = max(dev_ls, score)
+            else:
+                dev_sl = max(dev_sl, score)
+    return ScalingReport(float(s), float(lam), dev_ls, dev_sl)
+
+
+def probe_outcome(probe, s, lam, points):
+    """The probe's report as bytes, or its error's type and message.  At
+    tiny scales s^4 underflows, as --eh-check lets it."""
+    try:
+        with np.errstate(all="ignore"):
+            rep = probe(s, lam, points)
+    except G2KitError as e:
+        return type(e), str(e)
+    return bits([rep.s, rep.lam, rep.matches_lambda_s,
+                 rep.matches_s_over_lambda])
+
+
 class TestScalingProbe:
+    @seed(32)
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(math.log2(MIN_EH_SCALE), math.log2(MAX_EH_SCALE))
+           .map(lambda e: 2.0 ** e),
+           lam=st.floats(0.1, 10.0),
+           point_seed=st.integers(0, 2 ** 32 - 1),
+           samples=st.integers(1, 20))
+    def test_stacked_probe_matches_loop(self, s, lam, point_seed, samples):
+        # scales within --eh-check's bounds, any dilation in [0.1, 10]
+        points = sample_points(samples, s, seed=point_seed)
+        want = probe_outcome(loop_scaling_probe, s, lam, points)
+        assert probe_outcome(scaling_identity_probe, s, lam, points) == want
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_origin_matches_loop(self, where):
+        points = sample_points(4, 1.0, seed=3)
+        points.insert(where, (0j, 0j))
+        got = probe_outcome(scaling_identity_probe, 1.0, 2.0, points)
+        assert got == probe_outcome(loop_scaling_probe, 1.0, 2.0, points)
+        assert got[0] is ChartSingular
+
+    def test_empty_matches_loop(self):
+        got = probe_outcome(scaling_identity_probe, 1.0, 2.0, [])
+        assert got == probe_outcome(loop_scaling_probe, 1.0, 2.0, []) \
+            == bits([1.0, 2.0, 0.0, 0.0])
+
+    def test_three_metric_stacks(self, monkeypatch):
+        calls, metrics = [], eguchi_hanson._kahler_metrics
+
+        def spy(s, points):
+            calls.append(len(points))
+            return metrics(s, points)
+
+        monkeypatch.setattr(eguchi_hanson, "_kahler_metrics", spy)
+        for n in (1, 10):
+            calls.clear()
+            scaling_identity_probe(1.0, 2.0, sample_points(n, 1.0, seed=0))
+            assert calls == [n, n, n]
+
     def test_identifies_reciprocal_scale(self):
         rep = scaling_identity_probe(1.0, 2.0, sample_points(10, 1.0, seed=8))
         assert rep.verdict == "s/lambda"

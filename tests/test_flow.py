@@ -429,13 +429,13 @@ class TestSplitting:
 
     def test_state_split(self):
         x = np.random.default_rng(2).standard_normal(self.sys.dim)
-        sp, sm = FlowState(x).split(self.sys)
-        assert np.allclose(sp.x + sm.x, x)
-        assert np.allclose(self.sys.project_minus(sp.x), 0, atol=1e-12)
+        plus, minus = self.sys.project_plus(x), self.sys.project_minus(x)
+        assert np.allclose(plus + minus, x)
+        assert np.allclose(self.sys.project_minus(plus), 0, atol=1e-12)
 
     def test_random_minus_state(self):
         st = self.sys.random_minus_state(seed=5, norm=0.25)
-        assert abs(st.norm - 0.25) < 1e-12
+        assert abs(np.linalg.norm(st.x) - 0.25) < 1e-12
         assert np.linalg.norm(self.sys.project_plus(st.x)) < 1e-12
 
     def test_state_validation(self):
@@ -757,6 +757,7 @@ class TestRestartScreen:
 
     @pytest.mark.parametrize("n,seeds", [
         pytest.param(16, range(200), id="dim16"),
+        pytest.param(48, range(2000, 2006), id="dim48"),
         pytest.param(52, range(1000, 1006), id="dim52")])
     def test_screen_premise(self, n, seeds):
         # every restart's screened value lies within 1e-9 of its top of its

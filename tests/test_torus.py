@@ -1875,6 +1875,27 @@ class TestResidualOracle:
         assert len(singular_locus(joyce)) == 12
         assert moves
 
+    @pytest.mark.parametrize("gens", [NEGID_QUARTER, JOYCE_GAMMA_QUARTER],
+                             ids=["negid-quarter", "joyce-gamma-quarter"])
+    def test_one_smith_form_per_coset(self, gens, monkeypatch):
+        # the index [S + Λ_T : S + Z^c] is a count over T, so each coset's
+        # own solve of the square A' - 1 is the only Smith form, also for
+        # the cosets with fixed points; the dense oracle's lattice index
+        # keeps checking the count
+        group, = _permuted_file_group(gens, IDENTITY7)
+        lattice, inv = _translation_lattice(group)
+        assert lattice[1] != 1
+        cosets = [f for mask, f in torus._cosets(group).items() if mask]
+        fixing = [f for f in cosets
+                  if torus._solve_coset(f, lattice, inv) is not None]
+        calls, snf = [], torus.smith_normal_form
+        monkeypatch.setattr(torus, "smith_normal_form",
+                            lambda m: calls.append(m) or snf(m))
+        locus = singular_locus(group)
+        assert fixing and len(calls) == len(cosets)
+        assert all(len(m) == len(m[0]) == 7 for m in calls)
+        assert locus == oracle_singular_locus(group)
+
     def test_torus_binds_no_lru_cache(self):
         # caches keyed by input data grow with the inputs a process sees
         names = [(name, value) for name, value in vars(torus).items()]
