@@ -136,17 +136,12 @@ def _radial_points(points):
 
 
 def _kahler_metrics(s, points):
-    """The scale-s metric at each point (z1, z2), as an (n, 2, 2) stack,
-    each with the bits of its point alone.  The first two derivatives of
-    the potential take no powers of u, so they may take the array."""
+    """The scale-s metric h_{i jbar} = f' Id + f'' zbar_i z_j at each point
+    (z1, z2), as an (n, 2, 2) stack, each with the bits of its point alone.
+    The first two derivatives of the potential take no powers of u, so they
+    may take the array."""
     z, u = _radial_points(points)
     return _metrics(*potential_derivatives(s, u), z)
-
-
-def kahler_metric_at(s: float, z1, z2) -> np.ndarray:
-    """Closed-form metric h_{i jbar} = f' Id + f'' zbar_i z_j at (z1, z2),
-    as a 2x2 complex array."""
-    return _kahler_metrics(s, [(z1, z2)])[0]
 
 
 def _real_coords(z: np.ndarray) -> np.ndarray:
@@ -278,7 +273,7 @@ def ricci_ratio(s: float, points):
 
 def flat_deviation(s: float, z1, z2) -> float:
     """Relative distance of h from the flat identity metric at (z1, z2)."""
-    m = kahler_metric_at(s, z1, z2)
+    m = _kahler_metrics(s, [(z1, z2)])[0]
     return float(np.linalg.norm(m - np.eye(2)) / np.sqrt(2.0))
 
 

@@ -13,6 +13,12 @@ compared:
 
 Reports serialize deterministically: the same scenario and seed give
 byte-identical JSON.
+
+Rows that builtins and scenario files share come from one builder each:
+_phi_row (joyce-T7-Gamma and the form-invariance check), _coassoc_rows
+(coassoc-5.2, coassoc-5.3 and the coassoc check), _moduli_rows (pull-x1,
+pull-x3, gamma1-pull-x7 and the moduli check) and _end_rows (those three
+pulls and pull-x5-borcea).
 """
 
 import functools
@@ -210,6 +216,34 @@ def _fixed(f):
     return _summary(torus.fixed_set(f))
 
 
+def _phi_row(maps):
+    # pullback is functorial, so a group's generators decide for all of it
+    return row("phi_invariance", all(
+        torus.check_preserves_form(x, forms.PHI0, 1) for x in maps), True)
+
+
+def _coassoc_rows(sigma, group, census):
+    return [row("reverses_reference_form",
+                torus.check_preserves_form(sigma, forms.PHI0, -1), True),
+            row("census", _summary(torus.involution_fixed_census(sigma, group)),
+                census)]
+
+
+def _moduli_rows(pulled, direction, res, cross_b2b3, moduli):
+    """res: the resolved Betti numbers of the half pulled along direction."""
+    _, _, cres = _topology(torus.cross_section_group(pulled, direction))
+    return [row("cross_section_b2_b3", [cres[2], cres[3]], cross_b2b3),
+            row("moduli_dimension",
+                betti.moduli_dimension(res[4], cres[3], res[1]), moduli)]
+
+
+def _end_rows(pulled, direction, b1, verdict):
+    ends = torus.count_ends(pulled, direction)
+    return [row("ends", ends, 1),
+            row("holonomy",
+                betti.holonomy_classification(b1 == 0, ends, b1 > 0), verdict)]
+
+
 def _joyce(seed):
     G = _the_group()
     a, b, g = _alpha(), _beta(), _gamma()
@@ -232,35 +266,21 @@ def _joyce(seed):
                     [1, 0, 0, 7, 7, 0, 0, 1]))
     rows.append(row("resolved_b2", res[2], 12))
     rows.append(row("resolved_b3", res[3], 43))
-    # pullback is functorial, so the generators decide for all of G
-    rows.append(row("phi_invariance",
-                    all(torus.check_preserves_form(x, forms.PHI0, 1)
-                        for x in G.generators), True))
+    rows.append(_phi_row(G.generators))
     return Report("joyce-T7-Gamma", tuple(rows), seed)
 
 
 def _pull_scenario(name, gens, direction, strata_summary, resolved_2_5,
                    cross_b2b3, moduli, seed):
-    G = torus.generate_group(gens)
-    P = torus.pull(G, direction)
-    rows = [row("group_order", P.order, 8)]
+    P = torus.pull(torus.generate_group(gens), direction)
     strata, base, res = _topology(P)
-    rows.append(row("singular_locus", _summary(strata), strata_summary))
-    rows.append(row("base_betti_2_5", [base.get(k) for k in range(2, 6)],
-                    None))
-    rows.append(row("resolved_betti_2_5", [res[k] for k in range(2, 6)],
-                    list(resolved_2_5)))
-    _, _, cres = _topology(torus.cross_section_group(P, direction))
-    rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
-                    list(cross_b2b3)))
-    rows.append(row("moduli_dimension",
-                    betti.moduli_dimension(res[4], cres[3], res[1]), moduli))
-    ends = torus.count_ends(P, direction)
-    rows.append(row("ends", ends, 1))
-    rows.append(row("holonomy",
-                    betti.holonomy_classification(res[1] == 0, ends,
-                                                  res[1] > 0),
-                    "full_G2"))
+    rows = [row("group_order", P.order, 8),
+            row("singular_locus", _summary(strata), strata_summary),
+            row("base_betti_2_5", [base.get(k) for k in range(2, 6)]),
+            row("resolved_betti_2_5", [res[k] for k in range(2, 6)],
+                list(resolved_2_5)),
+            *_moduli_rows(P, direction, res, list(cross_b2b3), moduli),
+            *_end_rows(P, direction, res[1], "full_G2")]
     return Report(name, tuple(rows), seed)
 
 
@@ -283,15 +303,8 @@ def _pull_x5_borcea(seed):
     G = torus.generate_group([_alpha(), _beta()])
     P = torus.pull(G, 5)
     q = torus.quotient_betti(P)
-    ends = torus.count_ends(P, 5)
-    rows = [
-        row("group_order", P.order, 4),
-        row("b1", q[1], 1),
-        row("ends", ends, 1),
-        row("holonomy",
-            betti.holonomy_classification(q[1] == 0, ends, q[1] > 0),
-            "reducible"),
-    ]
+    rows = [row("group_order", P.order, 4), row("b1", q[1], 1),
+            *_end_rows(P, 5, q[1], "reducible")]
     bv = betti.borcea_voisin_betti(betti.NonSymplecticInvariants(10, 8))
     rows.append(row("blownup_quotient_b2_b3", list(bv), [15, 8]))
     w = betti.open_cy_betti(bv[0], bv[1], 10)
@@ -306,12 +319,7 @@ def _coassoc(name, sigma_fn, census_expected, half_direction, half_expected,
              seed):
     G = _the_group()
     sigma = sigma_fn()
-    rows = [
-        row("reverses_reference_form",
-            torus.check_preserves_form(sigma, forms.PHI0, -1), True),
-        row("census", _summary(torus.involution_fixed_census(sigma, G)),
-            census_expected),
-    ]
+    rows = _coassoc_rows(sigma, G, census_expected)
     if half_direction is not None:
         P = torus.pull(G, half_direction)
         lifted = torus.AffineTorusMap(sigma.signs, sigma.shift, P.lines,
@@ -571,9 +579,9 @@ def load_scenario(path):
                     checks=tuple(checks), expected=dict(expected))
 
 
-def _build_map(spec, lines=()):
+def _build_map(spec):
     name, signs, shifts = spec
-    return torus.AffineTorusMap(signs, shifts, lines, name)
+    return torus.AffineTorusMap(signs, shifts, name=name)
 
 
 def run_scenario_object(sc, seed=0):
@@ -601,27 +609,16 @@ def run_scenario_object(sc, seed=0):
             rows.append(row("resolved_betti", list(res),
                             exp.get("resolved_betti")))
         elif check == "form-invariance":
-            ok = all(torus.check_preserves_form(_build_map(g), forms.PHI0, 1)
-                     for g in sc.generators)
-            rows.append(row("phi_invariance", ok, True))
+            rows.append(_phi_row(group.generators))
         elif check == "coassoc":
             # the census always concerns the compact quotient; a pull
             # direction changes the betti and moduli rows only
-            sigma = _build_map(sc.involution)
-            rows.append(row("reverses_reference_form",
-                            torus.check_preserves_form(sigma, forms.PHI0, -1),
-                            True))
-            census = torus.involution_fixed_census(sigma, group)
-            rows.append(row("census", _summary(census), exp.get("census")))
+            rows += _coassoc_rows(_build_map(sc.involution), group,
+                                  exp.get("census"))
         elif check == "moduli":
-            res = topology()[2]
-            _, _, cres = _topology(
-                torus.cross_section_group(active, sc.pull_direction))
-            rows.append(row("cross_section_b2_b3", [cres[2], cres[3]],
-                            exp.get("cross_section_b2_b3")))
-            rows.append(row("moduli_dimension",
-                            betti.moduli_dimension(res[4], cres[3], res[1]),
-                            exp.get("moduli_dimension")))
+            rows += _moduli_rows(active, sc.pull_direction, topology()[2],
+                                 exp.get("cross_section_b2_b3"),
+                                 exp.get("moduli_dimension"))
         elif check == "eh":
             rows.extend(_eh_suite(seed).rows)
         elif check == "flow":

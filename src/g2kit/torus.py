@@ -49,13 +49,7 @@ from .errors import (
     NotEquivariant,
     PullObstruction,
 )
-from .exact import (
-    frac,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    smith_normal_form,
-)
+from .exact import frac, mat_mul, mat_vec, smith_normal_form
 
 GROUP_SIZE_BOUND = 1024
 
@@ -327,10 +321,10 @@ def _translation_lattice(group: FiniteActionGroup):
     return (basis, den), tuple(tuple(row) for row in inv)
 
 
-def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
-    """The fixed set of f; with lattice = (B, D) and lattice_inv the integer
-    matrix D B^-1, the union of the fixed sets of f∘t over the translations
-    t by Λ = B Z^c / D, modulo Λ.  Both default to Λ = Z^c.
+def _solve_coset(f: AffineTorusMap, lattice, inv):
+    """The union of the fixed sets of f∘t over the translations t by
+    Λ = B Z^c / D, modulo Λ, for lattice = (B, D) and inv the integer
+    matrix D B^-1 (see _translation_lattice).
 
     None when it is empty, else (den, offsets, smith): one component per
     offset, offset / den + R^S for the coordinates S that f keeps (its +1
@@ -347,8 +341,7 @@ def _solve_coset(f: AffineTorusMap, lattice=None, lattice_inv=None):
         return None
     circ = [i for i in range(n) if (i + 1) not in lines]
     c = len(circ)
-    basis, scale = lattice or (identity_matrix(c), 1)
-    inv = lattice_inv or identity_matrix(c)
+    basis, scale = lattice
     a = tuple(tuple(f.signs[i] if i == j else 0 for j in circ) for i in circ)
     if scale != 1:
         # D = 1 only for Λ = Z^c, where the Hermite basis B is the identity
@@ -503,12 +496,10 @@ def _span_action(span: _Span, cosets: dict):
 
 def fixed_set(f: AffineTorusMap) -> list[FlatStratum]:
     """Connected components of the fixed-point set, one stratum each, ordered
-    by offset.  No group acts, so count and stabilizer order are 1."""
-    den, offsets, _ = _solve_coset(f) or (1, [], None)
-    plus, torus_dim, line_dim = _plus_dims(f)
-    return sorted((FlatStratum(torus_dim, line_dim, 1,
-                               tuple(Fraction(x, den) for x in num), plus=plus)
-                   for num in offsets), key=lambda s: s.offset)
+    by offset: the strata of f under the trivial group, where Λ_T = Z^c and
+    count, stabilizer order and residual are 1, 1 and "trivial"."""
+    trivial = FiniteActionGroup((), (AffineTorusMap.identity(f.n, f.lines),))
+    return _strata(trivial, _cosets(trivial), [f])
 
 
 def _group_into_orbits(group: FiniteActionGroup, registry: dict) -> list:

@@ -14,11 +14,20 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    assume,
+    given,
+    seed,
+    settings,
+    strategies as st,
+)
 
+from g2kit import cli, flow
 from g2kit.betti import (
     BettiVector,
     NonSymplecticInvariants,
@@ -130,6 +139,7 @@ BUDGETS = {
     "TestSignFlipT8UserGroup": (2.5, "all sign flips of T^8, 6560 strata"),
     "TestPulledUserGroup": (2.0, "pulled T^7 group of order 1024"),
     "TestScenarioFileFuzz": (10.0, "300 fuzzed scenario files"),
+    "TestFlowDemoFuzz": (20.0, "200 fuzzed --flow-demo requests"),
 }
 
 
@@ -656,6 +666,85 @@ class TestScenarioFileFuzz:
             return
         assert isinstance(report, Report)
         json.loads(report_to_json(report))
+
+
+# a --flow-demo request this test runs to the end has dim^3 x trials at
+# most this; only d = 2, N = 1 (dim 16) with up to 16 trials is that small
+RUN_WORK = 2 ** 16
+
+
+@st.composite
+def flow_demo_requests(draw):
+    """The values of --d, --N, --k-frac, --trials and --seed: either drawn
+    wide, mostly refused, or a valid request small enough to run."""
+    if draw(st.booleans()):
+        return {"d": 2, "N": 1, "trials": draw(st.integers(1, 16)),
+                "k-frac": draw(st.floats(0, 0.5, exclude_min=True,
+                                         exclude_max=True)),
+                "seed": draw(st.integers(0, 2 ** 64))}
+    # each value is often valid, so that many requests pass every check
+    # but the work budget
+    return {
+        "d": draw(st.integers(2, 6) | st.integers(0, 8)),
+        "N": draw(st.integers(1, 3) | st.integers(-1, 400)),
+        "trials": draw(st.integers(1, 40) | st.integers(-3, 10 ** 12)),
+        "k-frac": draw(st.floats(0.01, 0.49)
+                       | st.sampled_from([0.0, 0.5, math.nan, math.inf,
+                                          -math.inf, -0.1, -5e-324])
+                       | st.floats()),
+        "seed": draw(st.integers(0, 2 ** 64) | st.integers(-3, 3)),
+    }
+
+
+def flow_demo_size(d, n):
+    """The dimension of the mode system a request builds, from the sizes
+    the flow layer documents, or None when it refuses (d, N)."""
+    if not 2 <= d <= 6 or n < 1:
+        return None
+    dim = ((2 * n + 1) ** d - 1) * 2 * math.comb(d - 1, min(3, d) - 1)
+    return dim if dim <= flow.MAX_DIMENSION else None
+
+
+class TestFlowDemoFuzz:
+    """Any --flow-demo request, run in-process through cli.main: it ends in
+    exit 0 or 1 with a JSON payload, or in exit 2 with one error: line, and
+    nothing else escapes.  A request over the work budget, or refused for
+    any other reason, exits 2 before a mode system is built."""
+
+    @seed(33)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(request=flow_demo_requests())
+    def test_request_ends_in_exit_0_1_or_2(self, capsys, request):
+        d, n, trials, k_frac = (request[k] for k in ("d", "N", "trials",
+                                                     "k-frac"))
+        dim = flow_demo_size(d, n)
+        runs = (dim is not None and trials >= 1 and 0 < k_frac < 0.5
+                and request["seed"] >= 0
+                and dim ** 3 * trials <= flow.MAX_TRIAL_WORK)
+        # a valid request above RUN_WORK would run for seconds or minutes
+        assume(not runs or dim ** 3 * trials <= RUN_WORK)
+        built, build = [], flow.build_mode_system
+
+        def spy(d, N):
+            built.append(build(d, N))
+            return built[-1]
+
+        capsys.readouterr()
+        argv = ["--flow-demo"] + [f"--{k}={v!r}" for k, v in request.items()]
+        with mock.patch.object(flow, "build_mode_system", spy):
+            with pytest.raises(SystemExit) as stop:
+                cli.main(argv)
+        out, err = capsys.readouterr()
+        if runs:
+            assert stop.value.code in (0, 1), err
+            assert len(json.loads(out)["fitted_rates"]) == trials
+            assert [(s.d, s.N, s.dim) for s in built] == [(d, n, dim)]
+        else:
+            assert stop.value.code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert built == []
 
 
 class TestHolonomyVerdicts:

@@ -552,6 +552,63 @@ class TestUserScenarios:
         assert res.exit_code == 2
 
 
+def map_spec(f):
+    """The scenario-file entry of the torus map f."""
+    return {"name": f.name, "signs": list(f.signs),
+            "shift": [str(x) for x in f.shift]}
+
+
+_GAMMA = ("_alpha", "_beta", "_gamma")
+_GAMMA1 = ("_alpha", "_beta", "_gamma1")
+_TOPOLOGY_ROWS = ("group_order", "singular_locus", "cross_section_b2_b3",
+                  "moduli_dimension")
+
+
+class TestBuiltinFileParity:
+    """A scenario file with a builtin's group gives the builtin's computed
+    value on every row id the two share."""
+
+    ROWS = _TOPOLOGY_ROWS + ("phi_invariance", "reverses_reference_form",
+                             "census")
+
+    CASES = [
+        # builtin, generators, pull, involution, checks, shared row ids
+        ("joyce-T7-Gamma", _GAMMA, None, None, ["betti", "form-invariance"],
+         ("group_order", "singular_locus", "phi_invariance")),
+        ("pull-x1", _GAMMA, 1, None, ["betti", "moduli", "form-invariance"],
+         _TOPOLOGY_ROWS),
+        ("pull-x3", _GAMMA, 3, None, ["betti", "moduli", "form-invariance"],
+         _TOPOLOGY_ROWS),
+        ("gamma1-pull-x7", _GAMMA1, 7, None,
+         ["betti", "moduli", "form-invariance"], _TOPOLOGY_ROWS),
+        ("coassoc-5.2", _GAMMA, None, "_sigma_52", ["coassoc"],
+         ("reverses_reference_form", "census")),
+        ("coassoc-5.3", _GAMMA, None, "_sigma_53", ["coassoc"],
+         ("reverses_reference_form", "census")),
+    ]
+
+    @pytest.mark.parametrize(
+        "builtin, gens, pull, involution, checks, shared",
+        [pytest.param(*case, id=case[0]) for case in CASES])
+    def test_file_rows_match_builtin(self, tmp_path, builtin, gens, pull,
+                                     involution, checks, shared):
+        maps = g2kit.scenarios
+        spec = {"name": f"file-{builtin}", "checks": checks,
+                "generators": [map_spec(getattr(maps, g)()) for g in gens]}
+        if pull is not None:
+            spec["pull"] = pull
+        if involution is not None:
+            spec["involution"] = map_spec(getattr(maps, involution)())
+        path = write_scenario(tmp_path, spec)
+        from_file = {r.check: r.computed for r in run_scenario(path).rows}
+        from_builtin = {r.check: r.computed
+                        for r in run_scenario(builtin).rows}
+        common = set(from_file) & set(from_builtin) & set(self.ROWS)
+        assert common == set(shared)
+        assert {k: from_file[k] for k in common} == \
+            {k: from_builtin[k] for k in common}
+
+
 class TestUsageErrors:
     def test_unknown_scenario_name(self, runner):
         res = runner.invoke(main, ["run", "no-such-scenario"])

@@ -30,7 +30,6 @@ from g2kit.eguchi_hanson import (
     ScalingReport,
     curvature_injectivity_scaling_probe,
     flat_deviation,
-    kahler_metric_at,
     potential,
     potential_derivatives,
     ricci_ratio,
@@ -48,6 +47,11 @@ from g2kit.errors import (
 from g2kit.scenarios import _eh_suite
 
 SCALES = (0.5, 1.0, 2.0)
+
+
+def kahler_metric_at(s, z1, z2):
+    """The scale-s metric at one point, the library's stack of one."""
+    return eguchi_hanson._kahler_metrics(s, [(z1, z2)])[0]
 
 
 def is_positive_definite(metric):

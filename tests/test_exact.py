@@ -1,14 +1,27 @@
-"""Exact linear algebra: Bareiss det, row-combination mat_mul, and one
-Gauss–Jordan routine behind rref and rank.  The exact inverse that
-test_torus compares the translation lattice against is read off rref here."""
+"""Exact linear algebra: Bareiss det, row-combination mat_mul, one
+Gauss–Jordan routine behind rref and rank, and the Smith normal form.  The
+exact inverse that test_torus compares the translation lattice against is
+read off rref here.  The Smith form is checked against its contract with
+test-local arithmetic only, since every strata oracle in test_torus calls
+the library's Smith form itself."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2kit.exact import det, identity_matrix, mat_mul, mat_vec, rank, rref
+from g2kit.exact import (
+    det,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    rank,
+    rref,
+    smith_normal_form,
+)
 
 
 def square_matrices(n, lo=-3, hi=3):
@@ -197,3 +210,72 @@ class TestRank:
     def test_rref_is_canonical(self):
         assert rref([[2, 4], [1, 2], [0, 3]]) == ((1, 0), (0, 1))
         assert rref([[2, 4], [1, 2]]) == ((1, 2),)
+
+
+@st.composite
+def smith_inputs(draw):
+    """Integer matrices of 1-5 x 1-5, entries mostly in -3..3, some in
+    -10..10."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) | st.integers(-10, 10)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+def triple_product(u, a, v):
+    """U A V by one sum over (s, t) per entry."""
+    return tuple(tuple(sum(u[i][s] * a[s][t] * v[t][j]
+                           for s in range(len(a)) for t in range(len(v)))
+                       for j in range(len(v[0])))
+                 for i in range(len(u)))
+
+
+def smith_violations(a, u, d, v):
+    """The parts of the Smith contract that (U, D, V) breaks for A, by name:
+    U A V = D with U, V unimodular, D diagonal and nonnegative with its
+    nonzero entries first, and d_1 ... d_k the gcd of A's k x k minors for
+    every k (which gives d_1 | d_2 | ...)."""
+    nr, nc = len(a), len(a[0])
+    broken = []
+    if triple_product(u, a, v) != tuple(map(tuple, d)):
+        broken.append("product")
+    if abs(reference_det(u)) != 1 or abs(reference_det(v)) != 1:
+        broken.append("unimodular")
+    diag = [d[k][k] for k in range(min(nr, nc))]
+    if any(d[i][j] for i in range(nr) for j in range(nc) if i != j):
+        broken.append("diagonal")
+    if any(x < 0 for x in diag):
+        broken.append("nonnegative")
+    if any(x and not y for x, y in zip(diag[1:], diag)):
+        broken.append("zeros last")
+    for k in range(1, len(diag) + 1):
+        minors = [int(reference_det([[a[i][j] for j in cols] for i in rows]))
+                  for rows in combinations(range(nr), k)
+                  for cols in combinations(range(nc), k)]
+        if prod(diag[:k]) != gcd(*minors):
+            broken.append("minors")
+            break
+    return broken
+
+
+class TestSmithNormalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(a=smith_inputs())
+    def test_meets_its_contract(self, a):
+        assert smith_violations(a, *smith_normal_form(a)) == []
+
+    @pytest.mark.parametrize("a, broken", [
+        ([[2, 0], [0, 3]], ["minors"]),
+        ([[4, 0, 0], [0, 6, 0]], ["minors"]),
+        ([[0, 0], [0, 5]], ["zeros last", "minors"]),
+    ])
+    def test_permuted_diagonal_fails(self, a, broken):
+        # swapping the first two diagonal entries (rows of U, columns of V)
+        # keeps U A V = D and unimodularity, and breaks the divisor chain
+        u, d, v = smith_normal_form(a)
+        assert smith_violations(a, u, d, v) == []
+        u = (u[1], u[0]) + u[2:]
+        v = tuple((row[1], row[0]) + row[2:] for row in v)
+        d = [list(row) for row in d]
+        d[0][0], d[1][1] = d[1][1], d[0][0]
+        assert smith_violations(a, u, d, v) == broken

@@ -34,9 +34,12 @@ def exported_names(tree):
 
 
 def unused_imports(source):
+    """(name, line) for each name an import binds that the module never
+    reads: an assignment or del of the name is no use of the import."""
     tree = ast.parse(source)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    kept = used | exported_names(tree)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    kept = read | exported_names(tree)
     return [(name, line) for name, line in imported_names(tree) if name not in kept]
 
 
@@ -54,6 +57,17 @@ def test_scan_catches_an_unused_import():
               "def f(x):\n"
               "    return numpy.linalg.norm(x)\n")
     assert unused_imports(source) == [("Counter", 2)]
+
+
+def test_scan_counts_only_reads():
+    # a name that is imported and then only rebound or deleted is unused
+    source = ("import json\n"
+              "from math import pi, tau\n"
+              "pi = 3\n"
+              "del tau\n"
+              "def f(x):\n"
+              "    return json.dumps(x)\n")
+    assert unused_imports(source) == [("pi", 2), ("tau", 2)]
 
 
 def unraised_error_classes(errors_source, module_sources):
