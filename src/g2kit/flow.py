@@ -53,17 +53,19 @@ states array plus one block's temporaries.
 
 random_quadratic draws dense Gaussian tensors and calibrates their
 Lipschitz bounds by an alternating power iteration with six restarts.  A
-float screen runs every restart in matmul to rank them, and only the
-best-ranked ones, as many as any tensor of the stack has within
-SCREEN_MARGIN of its best, run again in the einsum arithmetic of record,
-which sets the norm's bits.  The restarts of every tensor in a stack
-step together, one einsum over a (trials, restarts, dim) stack per
-update, each reading the stack as it was drawn.  A draw costs order
-dim^3, so decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it
-builds or draws anything.  It stacks its trials up to
-STACK_TENSOR_FLOATS floats of tensor: at dim 16 a trial's cost is
-per-call overhead, which the trials of a stack share, and the 20 trials
-of flow-suite form one stack.
+float screen runs every restart in matmul to rank them, and only each
+tensor's own restarts within SCREEN_MARGIN of its best run again in the
+einsum arithmetic of record, which sets the norm's bits: one to four of
+six for the 20 trials of flow-suite, 36 einsum rows where the stack's
+largest count would run 80.  The tensors that keep the same number of
+restarts step together, one einsum over a (tensors, restarts, dim) stack
+per update.  Where that group is the whole stack, as a lone tensor
+always is, each einsum reads the stack as it was drawn; otherwise it
+reads a copy of the group's tensors.  A draw costs order dim^3, so
+decay_trials bounds dim^3 x trials by MAX_TRIAL_WORK before it builds or
+draws anything.  It stacks its trials up to STACK_TENSOR_FLOATS floats
+of tensor: at dim 16 a trial's cost is per-call overhead, which the
+trials of a stack share, and the 20 trials of flow-suite form one stack.
 
 Degree convention: p = min(3, d).  In the ambient seven-dimensional
 picture the pairing couples 3-forms to 2-forms; on a 2-torus that
@@ -98,9 +100,10 @@ MAX_TRIAL_WORK = 2 ** 23
 # trials of a stack are drawn, calibrated and integrated together.  At
 # dim 16 a stack holds 32 trials, so the default 20 run as one stack, and
 # a trial of dim 48 or more runs alone.  One stack of 20 ran a run --all
-# pass about 10% faster than stacks of 8, 8 and 4 and raised its peak
-# RSS by 1.3 MB; under tracemalloc the 20 trials peak at 1.9 MiB, 3.1
-# times their 640 KiB of tensors.
+# pass 12-13% faster than stacks of 8, 8 and 4 and raised its peak RSS by
+# 0.5 MB (in-process, 20 passes); under tracemalloc the 20 trials peak at
+# 1.9 MiB, 3.1 times their 640 KiB of tensors.  The calibration's copies
+# of its groups of equal restart count add up to at most one stack.
 STACK_TENSOR_FLOATS = 2 ** 17
 # norm of each decay trial's random start in B-
 START_NORM = 0.01
@@ -340,21 +343,23 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
 
     Alternating power iteration with random restarts, drawn from the
     trial's own rng; the maximizer is a critical point of the trilinear
-    form w^T T(u) v.  Every trial's restarts step together as rows of
-    (trials, restarts, n) stacks, one einsum per update, and each row
-    takes the arithmetic of a lone restart on a lone tensor, so the
-    norms do not depend on the batching.
+    form w^T T(u) v.  The restarts step together as rows of (tensors,
+    restarts, n) stacks, one einsum per update, and each row takes the
+    arithmetic of a lone restart on a lone tensor, so the norms do not
+    depend on the batching.
 
     Most restarts end below the best one, so a float screen ranks them
     first: the same iteration from the same starts, in matmul, with
     tensor[i] contracted by w into M = sum_i w_i tensor[i], then v = M u
     and u = M^T v, 2 n^3 of BLAS per restart and iteration against the
-    einsum's 3 n^3.  Only each tensor's R best-ranked restarts run in
-    einsum, R the most restarts of any tensor that rank within
-    SCREEN_MARGIN of its top.  A restart's ranked and einsum values
-    differ by rounding alone (below 1e-12 relative), far inside the
-    margin, so the best einsum restart is always among those run, and
-    the norms keep the bits of the all-restart einsum.
+    einsum's 3 n^3.  Only each tensor's own restarts that rank within
+    SCREEN_MARGIN of its top run in einsum.  The tensors that keep the
+    same count R run as one (tensors, R, n) stack: the stack passed in
+    when every tensor keeps R, else a copy of that group's tensors, so
+    the copies together hold at most one stack.  A restart's ranked and
+    einsum values differ by rounding alone (below 1e-12 relative), far
+    inside the margin, so the best einsum restart is always among those
+    run, and the norms keep the bits of the all-restart einsum.
     """
     n = tensors.shape[1]
     start = np.stack([rng.standard_normal((restarts, 3, n)) for rng in rngs])
@@ -362,15 +367,23 @@ def _tensor_operator_norms(tensors, rngs, restarts=6, iters=40):
     u, v = (_unit_rows(start[:, :, i]) for i in (0, 2))
     ranked = _screen_restarts(tensors, u, v, iters)
     top = ranked.max(axis=1, keepdims=True)
-    keep = int((ranked >= top - SCREEN_MARGIN * np.abs(top)).sum(1).max())
-    picked = np.argsort(-ranked, axis=1, kind="stable")[:, :keep, None]
-    u, v = (np.take_along_axis(x, picked, axis=1) for x in (u, v))
-    for _ in range(iters):
-        w = _unit_rows(np.einsum("bijk,brj,brk->bri", tensors, v, u))
-        v = _unit_rows(np.einsum("bijk,bri,brk->brj", tensors, w, u))
-        u = _unit_rows(np.einsum("bijk,bri,brj->brk", tensors, w, v))
-    values = np.einsum("bijk,bri,brj,brk->br", tensors, w, v, u)
-    return [max(0.0, *map(float, row)) for row in values]
+    counts = (ranked >= top - SCREEN_MARGIN * np.abs(top)).sum(1)
+    order = np.argsort(-ranked, axis=1, kind="stable")
+    norms = [0.0] * len(tensors)
+    # not np.unique, which imports numpy.ma (0.8 MB of peak RSS)
+    for keep in sorted(set(counts.tolist())):
+        idx = np.flatnonzero(counts == keep)
+        group = tensors if len(idx) == len(tensors) else tensors[idx]
+        picked = order[idx, :keep, None]
+        gu, gv = (np.take_along_axis(x[idx], picked, axis=1) for x in (u, v))
+        for _ in range(iters):
+            w = _unit_rows(np.einsum("bijk,brj,brk->bri", group, gv, gu))
+            gv = _unit_rows(np.einsum("bijk,bri,brk->brj", group, w, gu))
+            gu = _unit_rows(np.einsum("bijk,bri,brj->brk", group, w, gv))
+        values = np.einsum("bijk,bri,brj,brk->br", group, w, gv, gu)
+        for i, row in zip(idx, values):
+            norms[i] = max(0.0, *map(float, row))
+    return norms
 
 
 def random_quadratic(system, k, ball_radius=1.0, seed=0):

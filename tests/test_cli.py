@@ -292,16 +292,27 @@ class TestFormats:
         assert all(r["pass"] for r in reports)
 
 
-def test_flow_suite_does_not_load_scipy():
+def flow_suite_loads(module):
+    """'<exit code> <module loaded>' after a passing `g2kit run
+    flow-suite` in a fresh interpreter."""
     code = ("import sys, g2kit.cli\n"
             "try:\n"
             "    g2kit.cli.main(['run', 'flow-suite'])\n"
             "except SystemExit as e:\n"
-            "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)")
+            f"    print(e.code, {module!r} in sys.modules, file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          check=True, capture_output=True, text=True)
     assert json.loads(out.stdout)["pass"] is True
-    assert out.stderr.strip() == "0 False"
+    return out.stderr.strip()
+
+
+def test_flow_suite_does_not_load_scipy():
+    assert flow_suite_loads("scipy") == "0 False"
+
+
+def test_flow_suite_does_not_load_numpy_ma():
+    # numpy.ma, which np.unique imports, costs 0.8 MB of peak RSS
+    assert flow_suite_loads("numpy.ma") == "0 False"
 
 
 def test_exact_scenario_does_not_load_numpy(tmp_path):
