@@ -1,9 +1,12 @@
 """Exact exterior algebra on R^n (n <= 7), the flat G2 form and the
 coassociative test.
 
-Forms carry rational coefficients throughout.  The scenarios read
-:data:`PHI0` for the Gamma-invariance and sigma-reversal rows, and
-:func:`is_coassociative` decides whether PHI0 vanishes on a 4-plane.
+Forms carry rational coefficients throughout.  The scenarios hand
+:data:`PHI0` to torus.check_preserves_form, which reads its monomials for
+the Gamma-invariance and sigma-reversal rows; wedge and evaluate serve
+pullback and :func:`is_coassociative`, which decides whether PHI0 vanishes
+on a 4-plane.  Neither of those two has a g2kit caller yet: pullback stays
+for the benchmark's span, is_coassociative for ROADMAP item 15.
 """
 
 from __future__ import annotations
@@ -109,12 +112,6 @@ class ExteriorForm(Frozen):
             raise InvalidOperand(
                 f"shape mismatch: ({self.dim},{self.degree}) vs ({other.dim},{other.degree})")
 
-    def coefficient(self, *indices: int) -> Fraction:
-        idx, sign = _sort_index(indices)
-        if sign == 0:
-            return Fraction(0)
-        return sign * self.coeffs.get(idx, Fraction(0))
-
     def terms(self) -> list[tuple[Index, Fraction]]:
         return sorted(self.coeffs.items())
 
@@ -126,11 +123,6 @@ class ExteriorForm(Frozen):
             label = "dx" + "".join(str(i) for i in idx) if idx else "1"
             bits.append(f"{c}*{label}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def dx(*indices: int, dim: int) -> ExteriorForm:
-    """Basis monomial dx^{i1...ik} with unit coefficient."""
-    return ExteriorForm(dim, len(indices), {tuple(indices): 1})
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:

@@ -21,8 +21,6 @@ den and all the integers have gcd 1, no polynomial is zero or ends in a
 zero pair, and the terms are sorted by key; so equal forms are equal
 tuples.  Every operation is integer work over one denominator (one lcm
 for the t-integral and one for 1/|m|^2) and ends in one gcd per form.
-ComplexFrac is the coefficient type at the boundary only:
-CylinderForm.build takes it and CylinderForm.mapping returns it.
 """
 
 import math
@@ -32,19 +30,6 @@ from itertools import chain, zip_longest
 
 from ._frozen import Frozen
 from .errors import InvalidOperand, NotExact, NumericFailure
-
-
-class ComplexFrac(Frozen):
-    """Complex number with Fraction real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        super().__init__(Fraction(re), Fraction(im))
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexFrac) and \
-            (self.re, self.im) == (other.re, other.im)
 
 
 def _put(polys, key, pairs):
@@ -65,9 +50,9 @@ class CylinderForm(Frozen):
 
     terms is a sorted tuple of ((mode, spatial, has_dt), pairs) entries,
     each pairs a nonzero polynomial over the form's one denominator den,
-    canonical as in the module docstring.  Use build() to construct one
-    from a mapping to ComplexFrac coefficient tuples, and mapping() to
-    read it back.
+    canonical as in the module docstring.  Every form is made by _of,
+    from the integer pairs that random_exact_form draws or that
+    exterior_derivative and poincare_primitive compute.
     """
 
     __slots__ = ("d", "degree", "den", "terms")
@@ -76,32 +61,6 @@ class CylinderForm(Frozen):
         return isinstance(other, CylinderForm) and \
             (self.d, self.degree, self.den, self.terms) == \
             (other.d, other.degree, other.den, other.terms)
-
-    @classmethod
-    def build(cls, d, degree, mapping):
-        if d < 1 or not 0 <= degree <= d + 1:
-            raise InvalidOperand(f"bad dimensions d={d}, degree={degree}")
-        items = []
-        for (mode, spatial, has_dt), poly in mapping.items():
-            mode = tuple(int(c) for c in mode)
-            spatial = tuple(spatial)
-            if len(mode) != d:
-                raise InvalidOperand(f"mode {mode} is not length {d}")
-            if list(spatial) != sorted(set(spatial)) or \
-                    any(not 0 <= j < d for j in spatial):
-                raise InvalidOperand(f"bad index tuple {spatial}")
-            if len(spatial) + bool(has_dt) != degree:
-                raise InvalidOperand(
-                    f"term {spatial} dt={bool(has_dt)} has wrong degree")
-            items.append(((mode, spatial, bool(has_dt)), poly))
-        den = math.lcm(*(q for _, poly in items for c in poly
-                         for q in (c.re.denominator, c.im.denominator)))
-        polys = {}
-        for key, poly in items:
-            _put(polys, key, [(c.re.numerator * (den // c.re.denominator),
-                               c.im.numerator * (den // c.im.denominator))
-                              for c in poly])
-        return cls._of(d, degree, den, polys)
 
     @classmethod
     def _of(cls, d, degree, den, polys):
@@ -121,11 +80,6 @@ class CylinderForm(Frozen):
             terms = [(key, tuple((x // g, y // g) for x, y in pairs))
                      for key, pairs in terms]
         return cls(d, degree, den, tuple(terms))
-
-    def mapping(self):
-        return {k: tuple(ComplexFrac(Fraction(x, self.den),
-                                     Fraction(y, self.den)) for x, y in p)
-                for k, p in self.terms}
 
     @property
     def is_zero(self):
@@ -258,20 +212,16 @@ def _geometric_component(rng, cutoff):
     return k if rng.random() < 0.5 else -k
 
 
-def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
-    """Random form with small rational coefficients and |m|_inf <= cutoff.
+def _random_polys(d, degree, cutoff, seed, n_terms, max_poly_degree):
+    """The terms of a random form as a key -> pairs dict over den 6.
 
+    n_terms draws (draws on one key add up), each a term with
+    |m|_inf <= cutoff and a polynomial of degree at most max_poly_degree.
     Each coefficient is (a + i b) with a = r/q, b = s/p, r, s drawn from
     -3..3 and q, p from 1..3.  Mode components decay geometrically toward
     high wavenumbers, the regime where refining the cutoff adds detail
     without moving the bulk of the norm.
     """
-    return CylinderForm._of(d, degree, 6, _random_polys(
-        d, degree, cutoff, seed, n_terms, max_poly_degree))
-
-
-def _random_polys(d, degree, cutoff, seed, n_terms, max_poly_degree):
-    """The terms of random_form as a key -> pairs dict over den 6."""
     if d < 1 or not 0 <= degree <= d + 1:
         raise InvalidOperand(f"bad dimensions d={d}, degree={degree}")
     if cutoff < 0:

@@ -454,14 +454,17 @@ class Scenario(Frozen):
                  "pull_direction", "checks", "expected")
 
 
-_KNOWN_CHECKS = ("betti", "moduli", "coassoc", "form-invariance", "eh",
-                 "flow")
+# each check a file may name, with the row ids it prints that
+# run_scenario_object compares with an expected value
+FILE_CHECKS = {
+    "betti": ("group_order", "singular_locus", "quotient_betti",
+              "resolved_betti"),
+    "moduli": ("cross_section_b2_b3", "moduli_dimension"),
+    "coassoc": ("census",),
+    "form-invariance": (),
+}
 _KNOWN_KEYS = ("name", "circles", "generators", "involution", "pull",
                "checks", "expected")
-# the row ids run_scenario_object compares with an expected value
-_EXPECTED_KEYS = ("group_order", "singular_locus", "quotient_betti",
-                  "resolved_betti", "census", "cross_section_b2_b3",
-                  "moduli_dimension")
 _MAP_KEYS = ("name", "signs", "shift")
 
 
@@ -554,10 +557,19 @@ def load_scenario(path):
              or not 1 <= pull_direction <= circles):
         raise InvalidScenario(f"pull must be a coordinate in 1..{circles}")
     checks = data.get("checks", ["betti"])
-    if not isinstance(checks, list) or not checks or \
-            any(c not in _KNOWN_CHECKS for c in checks):
-        raise InvalidScenario(
-            f"checks must be a nonempty subset of {_KNOWN_CHECKS}")
+    if not isinstance(checks, list) or not checks:
+        raise InvalidScenario("checks must be a nonempty list")
+    for i, check in enumerate(checks):
+        if check in ("eh", "flow"):
+            # the builtin suites read nothing of a file
+            mode = "--eh-check" if check == "eh" else "--flow-demo"
+            raise InvalidScenario(f"a file has no {check} check; run "
+                                  f"g2kit run {check}-suite or g2kit {mode}")
+        if not isinstance(check, str) or check not in FILE_CHECKS:
+            raise InvalidScenario(f"unknown check {check!r}; known: "
+                                  f"{', '.join(FILE_CHECKS)}")
+        if check in checks[:i]:
+            raise InvalidScenario(f"check {check!r} is named twice")
     if "coassoc" in checks and involution is None:
         raise InvalidScenario("coassoc check needs an involution")
     for check in ("coassoc", "form-invariance"):
@@ -573,7 +585,14 @@ def load_scenario(path):
     expected = data.get("expected", {})
     if not isinstance(expected, dict):
         raise InvalidScenario("expected must be an object")
-    _reject_unknown(expected, _EXPECTED_KEYS, "expected")
+    printer = {key: check for check, keys in FILE_CHECKS.items()
+               for key in keys}
+    _reject_unknown(expected, tuple(printer), "expected")
+    for key in expected:
+        if printer[key] not in checks:
+            raise InvalidScenario(f"expected key {key!r} is printed only by "
+                                  f"the {printer[key]} check, which the "
+                                  "file does not name")
     return Scenario(name=name, circles=circles, generators=gens,
                     involution=involution, pull_direction=pull_direction,
                     checks=tuple(checks), expected=dict(expected))
@@ -619,10 +638,6 @@ def run_scenario_object(sc, seed=0):
             rows += _moduli_rows(active, sc.pull_direction, topology()[2],
                                  exp.get("cross_section_b2_b3"),
                                  exp.get("moduli_dimension"))
-        elif check == "eh":
-            rows.extend(_eh_suite(seed).rows)
-        elif check == "flow":
-            rows.extend(_flow_suite(seed).rows)
     return Report(sc.name, tuple(rows), seed)
 
 

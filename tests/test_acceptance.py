@@ -58,6 +58,7 @@ from g2kit.poincare import (
 )
 from g2kit.errors import G2KitError
 from g2kit.scenarios import (
+    FILE_CHECKS,
     Report,
     Scenario,
     load_scenario,
@@ -576,9 +577,6 @@ class TestPulledUserGroup:
              and isinstance(rows["moduli_dimension"].computed, int))
 
 
-# the checks that read a scenario file's maps; eh and flow run the fixed
-# builtin suites whatever the file holds, and have budgets of their own
-FILE_CHECKS = ("betti", "moduli", "coassoc", "form-invariance")
 # a map's shift entries: none, halves, which every zero-shift involution
 # normalizes, or n/d with d up to the loader's bound of 16.  Two thirds of
 # the maps keep their translations of order 1 or 2, so that most groups
@@ -598,7 +596,7 @@ JUNK = st.recursive(
 def scenario_files(draw):
     """The bytes of a scenario file: a well-formed document over 1..8
     circles, the same with one value replaced by junk, an unknown key, any
-    subset of the checks or its text cut short, or arbitrary bytes.  Half
+    list of the checks or its text cut short, or arbitrary bytes.  Half
     the documents have 7 circles, which the coassoc and form-invariance
     checks need."""
     circles = draw(st.just(7) | st.integers(1, 8))
@@ -627,8 +625,11 @@ def scenario_files(draw):
         allowed += ["coassoc"] * ("involution" in doc) + ["form-invariance"]
     doc["checks"] = draw(st.lists(st.sampled_from(allowed), min_size=1,
                                   max_size=3, unique=True))
-    if draw(st.booleans()):
-        doc["expected"] = {"group_order": draw(st.integers(1, 64))}
+    # only a row that a drawn check prints may carry an expected value
+    printed = [key for check in doc["checks"] for key in FILE_CHECKS[check]]
+    if printed and draw(st.booleans()):
+        doc["expected"] = {draw(st.sampled_from(printed)):
+                           draw(st.integers(1, 64))}
     defect = draw(st.sampled_from(
         [None, None, None, "junk", "unknown", "checks", "cut", "bytes"]))
     if defect == "junk":
@@ -638,7 +639,7 @@ def scenario_files(draw):
     elif defect == "unknown":
         doc[draw(st.text(max_size=6))] = draw(JUNK)
     elif defect == "checks":
-        doc["checks"] = draw(st.lists(st.sampled_from(FILE_CHECKS),
+        doc["checks"] = draw(st.lists(st.sampled_from(list(FILE_CHECKS)),
                                       max_size=4))
     text = json.dumps(doc).encode()
     if defect == "cut":

@@ -37,14 +37,10 @@ from g2kit.flow import (
     build_mode_system,
 )
 from g2kit.forms import ExteriorForm, LinearMapR
-from g2kit.poincare import (
-    ComplexFrac,
-    exterior_derivative,
-    poincare_primitive,
-    random_form,
-)
+from g2kit.poincare import poincare_primitive, random_exact_form
 from g2kit.scenarios import (
     BUILTINS,
+    FILE_CHECKS,
     Report,
     Scenario,
     report_to_json,
@@ -333,13 +329,14 @@ def test_exact_scenario_does_not_load_numpy(tmp_path):
 
 
 LAYERS = ("torus", "exact", "forms", "betti", "eguchi_hanson", "poincare",
-          "flow")
+          "flow", "numpy")
 
 
 def layers_run(argv):
     """(exit code, layers run) of `g2kit argv` in a fresh interpreter; with
     argv None the interpreter only imports g2kit.cli.  A layer has run when
-    its module is a plain module, not one still bound lazily."""
+    its module, g2kit's own or numpy, is a plain module, not one still
+    bound lazily."""
     call = "pass" if argv is None else f"g2kit.cli.main({argv!r})"
     code = ("import json, sys, types, g2kit.cli\n"
             "code = None\n"
@@ -348,7 +345,8 @@ def layers_run(argv):
             "except SystemExit as e:\n"
             "    code = e.code\n"
             f"ran = [n for n in {LAYERS!r}\n"
-            "       if type(sys.modules.get('g2kit.' + n)) is types.ModuleType]\n"
+            "       if type(sys.modules.get('g2kit.' + n, sys.modules.get(n)))\n"
+            "       is types.ModuleType]\n"
             "print(json.dumps([code, ran]), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                          check=True, capture_output=True, text=True)
@@ -363,12 +361,22 @@ class TestLayersLoadOnFirstUse:
     def test_betti_file_runs_only_the_exact_topology(self, tmp_path):
         spec = good_scenario()
         spec["checks"] = ["betti"]
+        spec["expected"] = {k: v for k, v in spec["expected"].items()
+                            if k in FILE_CHECKS["betti"]}
         code, ran = layers_run(["run", write_scenario(tmp_path, spec)])
         assert code == 0
         assert ran == ["torus", "exact", "betti"]
 
     def test_flow_demo_runs_only_flow(self):
-        assert layers_run(["--flow-demo", "--trials", "1"]) == [0, ["flow"]]
+        assert layers_run(["--flow-demo", "--trials", "1"]) == \
+            [0, ["flow", "numpy"]]
+
+    def test_file_with_every_check_runs_no_float_layer(self, tmp_path):
+        spec = good_scenario()
+        assert sorted(spec["checks"]) == sorted(FILE_CHECKS)
+        code, ran = layers_run(["run", write_scenario(tmp_path, spec)])
+        assert code == 0
+        assert ran == ["torus", "exact", "forms", "betti"]
 
     def test_lazy_layer_is_bound_on_its_package(self):
         code = ("import g2kit.scenarios, g2kit.torus\n"
@@ -513,6 +521,63 @@ class TestUserScenarios:
         spec["checks"] = ["sorcery"]
         res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("check, command", [
+        ("eh", "g2kit run eh-suite or g2kit --eh-check"),
+        ("flow", "g2kit run flow-suite or g2kit --flow-demo")])
+    def test_suite_check_names_its_command(self, runner, tmp_path, check,
+                                           command):
+        # the builtin suites read nothing of a file, so a file may not
+        # name them
+        spec = good_scenario()
+        spec["checks"].append(check)
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"error: a file has no {check} check; "
+                              f"run {command}\n")
+
+    def test_repeated_check_exits_2(self, runner, tmp_path):
+        spec = good_scenario()
+        spec["checks"] = ["betti", "coassoc", "betti"]
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: check 'betti' is named twice\n"
+
+    @pytest.mark.parametrize("checks, key, printer", [
+        (["betti"], "census", "coassoc"),
+        (["betti", "coassoc"], "moduli_dimension", "moduli"),
+        (["moduli", "form-invariance"], "group_order", "betti")])
+    def test_expected_row_no_check_prints_exits_2(self, runner, tmp_path,
+                                                  checks, key, printer):
+        # an expectation that no row would judge is refused, not skipped
+        spec = good_scenario()
+        spec["checks"] = checks
+        spec["expected"] = {key: spec["expected"][key]}
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"error: expected key {key!r} is printed only "
+                              f"by the {printer} check, which the file does "
+                              "not name\n")
+
+    def test_file_checks_cover_the_expected_keys(self):
+        # every row id a file may expect is printed by exactly one check
+        keys = [k for rows in FILE_CHECKS.values() for k in rows]
+        assert len(keys) == len(set(keys))
+        assert sorted(good_scenario()["expected"]) == sorted(keys)
+
+    @pytest.mark.parametrize("check", list(FILE_CHECKS))
+    def test_check_judges_the_keys_it_prints(self, runner, tmp_path, check):
+        spec = good_scenario()
+        spec["checks"] = [check]
+        spec["expected"] = {k: spec["expected"][k] for k in FILE_CHECKS[check]}
+        res = runner.invoke(main, ["run", write_scenario(tmp_path, spec)])
+        assert res.exit_code == 0, res.stderr
+        rows = {r["check"]: r for r in json.loads(res.stdout)["rows"]}
+        assert all(rows[k]["expected"] == v and rows[k]["pass"] is True
+                   for k, v in spec["expected"].items())
 
     def test_large_denominator_exits_2(self, runner, tmp_path):
         spec = good_scenario()
@@ -1051,7 +1116,7 @@ def _frozen_types():
 def _value_types():
     """One instance of each immutable value type, with one of its fields."""
     system = build_mode_system(2, 1)
-    form = exterior_derivative(random_form(2, 1, 2, 0))
+    form = random_exact_form(2, 2, cutoff=2, seed=0)
     zeros = np.zeros(2)
     flip = AffineTorusMap([-1, 1])
     return [
@@ -1065,7 +1130,6 @@ def _value_types():
         (CurvatureScalingReport((1.0,), (2.0,), None), "slope"),
         (NonSymplecticInvariants(10, 8), "r"),
         (EulerReport(0, 0, 0, 0, True, True), "chi_m"),
-        (ComplexFrac(1, 2), "re"),
         (form, "den"),
         (poincare_primitive(form), "ratio"),
         (row("a", 1, 1), "passed"),

@@ -44,7 +44,7 @@ def samples(tmp_path_factory):
         eguchi_hanson.scaling_identity_probe(
             1.0, 2.0, eguchi_hanson.sample_points(2, 1.0, seed=0)),
         eguchi_hanson.curvature_injectivity_scaling_probe([0.5, 1.0]),
-        poincare.ComplexFrac(1, -2), form, poincare.poincare_primitive(form),
+        form, poincare.poincare_primitive(form),
         forms.PHI0, forms.LinearMapR([[0, 1], [1, 0]]),
         b7, betti.NonSymplecticInvariants(10, 8),
         betti.mv_euler_check(b7, b7, b7, b6),

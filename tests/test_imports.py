@@ -1,7 +1,8 @@
 """Names that g2kit binds, read off syntax trees and module namespaces:
 every imported name is used or listed in its module's __all__, every error
-class is raised somewhere in the package, and every function or method
-that perfbench/spans.py wraps stays bound where it looks."""
+class is raised somewhere in the package, every function or method
+that perfbench/spans.py wraps stays bound where it looks, and every public
+function, class or method has a caller outside the tests."""
 
 import ast
 import importlib.util
@@ -156,3 +157,93 @@ def test_span_scan_catches_an_unbound_name():
          ("flow", "NoSuchClass", ("matvec",), "flow.matvec")]) == [
         "g2kit.torus.hodge_star", "g2kit.exact.inverse",
         "g2kit.flow.ModeSystem.solve", "g2kit.flow.NoSuchClass.matvec"]
+
+
+# public names with no caller outside the tests yet, each with the ROADMAP
+# item that gives it one
+UNCALLED = {
+    "betti.dual_completion": "item 16",
+    "betti.mv_euler_check": "item 16",
+    "betti.EulerReport.consistent": "item 16",
+    "forms.is_coassociative": "item 15",
+    "torus.components_intersect": "items 1 and 16",
+}
+
+
+def public_definitions(module, source):
+    """(qualified name, name) of each public top-level function or class
+    of a module and each public method or property of its classes."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_"))
+
+
+def read_names(source, strings):
+    """The names a source reads: as a Name, an Attribute or an import, and
+    with strings as a string constant too."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            yield node.value
+
+
+def uncalled_names(package_sources, bench_sources):
+    """The public names of package_sources (module -> source) that no
+    package source reads and no bench source reads or names in a string:
+    the benchmark's spans name the functions they wrap as strings."""
+    called = {name for source in package_sources.values()
+              for name in read_names(source, strings=False)}
+    called.update(name for source in bench_sources
+                  for name in read_names(source, strings=True))
+    return sorted(qualified for module, source in package_sources.items()
+                  for qualified, name in public_definitions(module, source)
+                  if name not in called)
+
+
+def test_every_public_name_has_a_caller():
+    package = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    bench = [path.read_text() for path in (ROOT / "perfbench").glob("*.py")
+             if not path.name.startswith("test_")]
+    assert uncalled_names(package, bench) == sorted(UNCALLED)
+
+
+def test_caller_scan_catches_an_uncalled_name():
+    package = {
+        "shapes": ("class Square:\n"
+                   "    def area(self):\n"
+                   "        return self.side ** 2\n"
+                   "    @property\n"
+                   "    def corners(self):\n"
+                   "        return 4\n"
+                   "    def _cache(self):\n"
+                   "        return None\n"
+                   "def make(side):\n"
+                   "    return Square(side)\n"
+                   "def spare():\n"
+                   "    return 'timed'\n"
+                   "def timed():\n"
+                   "    return None\n"
+                   "def _helper():\n"
+                   "    return None\n"),
+        "draw": ("from .shapes import make\n"
+                 "def draw(s):\n"
+                 "    return make(s).area()\n"),
+    }
+    # a string names a function only in the benchmark's sources
+    bench = ["SPANS = (('draw', ('draw',)),)\n"]
+    assert uncalled_names(package, bench) == [
+        "shapes.Square.corners", "shapes.spare", "shapes.timed"]
+    assert uncalled_names(package, bench + ["SPANS = ('timed',)\n"]) == [
+        "shapes.Square.corners", "shapes.spare"]

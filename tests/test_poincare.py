@@ -11,24 +11,21 @@ from hypothesis import strategies as st
 from g2kit import poincare
 from g2kit.errors import InvalidOperand, NotExact
 from g2kit.poincare import (
-    ComplexFrac,
     CylinderForm,
     exterior_derivative,
     poincare_primitive,
     primitive_ratio_study,
     random_exact_form,
-    random_form,
 )
 
 F = Fraction
-ZERO = ComplexFrac()
 
 
 def sine_dx2():
     """sin(x1) dx2 on T^2 x I in complex modes."""
-    return CylinderForm.build(2, 1, {
-        ((1, 0), (1,), False): (ComplexFrac(0, F(-1, 2)),),
-        ((-1, 0), (1,), False): (ComplexFrac(0, F(1, 2)),),
+    return build_ref(2, 1, {
+        ((1, 0), (1,), False): ((0, F(-1, 2)),),
+        ((-1, 0), (1,), False): ((0, F(1, 2)),),
     })
 
 
@@ -56,53 +53,37 @@ class TestReferenceArithmetic:
 
 
 class TestBuild:
-    def test_mode_length_checked(self):
-        with pytest.raises(InvalidOperand):
-            CylinderForm.build(2, 1, {((1,), (0,), False): (ComplexFrac(1),)})
-
-    def test_degree_consistency(self):
-        with pytest.raises(InvalidOperand):
-            CylinderForm.build(2, 2, {((1, 0), (1,), False): (ComplexFrac(1),)})
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(InvalidOperand):
-            CylinderForm.build(2, 2, {((1, 0), (1, 1), False): (ComplexFrac(1),)})
-
     def test_degree_range(self):
+        # a random form's degree lies in 0..d+1
         with pytest.raises(InvalidOperand):
-            CylinderForm.build(2, 4, {})
+            random_form(2, 4, 2, 0)
 
     def test_zero_terms_dropped(self):
-        w = CylinderForm.build(2, 1, {((1, 0), (0,), False): (ComplexFrac(0),)})
+        w = build_ref(2, 1, {((1, 0), (0,), False): (ZERO_PAIR, ZERO_PAIR)})
         assert w.is_zero
 
     def test_addition_cancels(self):
-        terms = pairs_of(sine_dx2().mapping())
+        terms = pairs_of(sine_dx2())
         total = ref_sum(terms, ref_neg(terms))
         assert total == {}
         assert build_ref(2, 1, total).is_zero
         assert build_ref(2, 1, ref_sum(terms, terms)) == build_ref(
             2, 1, {key: ref_scale((2, 0), poly) for key, poly in terms.items()})
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidOperand):
-            CylinderForm.build(2, 1, exterior_derivative(sine_dx2()).mapping())
-
 
 class TestDerivative:
     def test_hand_example(self):
         dw = exterior_derivative(sine_dx2())   # cos(x1) dx1 ^ dx2
-        assert dw.mapping() == {
-            ((1, 0), (0, 1), False): (ComplexFrac(F(1, 2)),),
-            ((-1, 0), (0, 1), False): (ComplexFrac(F(1, 2)),),
+        assert pairs_of(dw) == {
+            ((1, 0), (0, 1), False): ((F(1, 2), 0),),
+            ((-1, 0), (0, 1), False): ((F(1, 2), 0),),
         }
 
     def test_time_component_sign(self):
         # d(t dx1) = -dx1 ^ dt, i.e. +dt ^ dx1
-        w = CylinderForm.build(2, 1, {
-            ((0, 0), (0,), False): (ComplexFrac(0), ComplexFrac(1))})
+        w = build_ref(2, 1, {((0, 0), (0,), False): (ZERO_PAIR, (1, 0))})
         dw = exterior_derivative(w)
-        assert dw.mapping() == {((0, 0), (0,), True): (ComplexFrac(-1),)}
+        assert pairs_of(dw) == {((0, 0), (0,), True): ((-1, 0),)}
 
     @pytest.mark.parametrize("d,degree", [(2, 0), (2, 1), (2, 2), (3, 1),
                                           (3, 2), (3, 3)])
@@ -118,8 +99,7 @@ class TestDerivative:
         assert exterior_derivative(exterior_derivative(w)).is_zero
 
     def test_top_degree_derivative_is_zero(self):
-        w = CylinderForm.build(2, 3, {
-            ((1, 0), (0, 1), True): (ComplexFrac(1),)})
+        w = build_ref(2, 3, {((1, 0), (0, 1), True): ((1, 0),)})
         assert exterior_derivative(w).is_zero
 
 
@@ -151,21 +131,18 @@ class TestPrimitive:
         assert res.primitive_norm_sq == res.ratio_sq * res.input_norm_sq
 
     def test_harmonic_component_rejected(self):
-        w = CylinderForm.build(2, 1, {
-            ((0, 0), (0,), False): (ComplexFrac(1),)})
+        w = build_ref(2, 1, {((0, 0), (0,), False): ((1, 0),)})
         assert exterior_derivative(w).is_zero
         with pytest.raises(NotExact):
             poincare_primitive(w)
 
     def test_not_closed_rejected(self):
-        w = CylinderForm.build(2, 1, {
-            ((1, 0), (1,), False): (ComplexFrac(1),)})
+        w = build_ref(2, 1, {((1, 0), (1,), False): ((1, 0),)})
         with pytest.raises(NotExact):
             poincare_primitive(w)
 
     def test_zero_form_rejected(self):
-        w = CylinderForm.build(2, 0, {
-            ((1, 0), (), False): (ComplexFrac(1),)})
+        w = build_ref(2, 0, {((1, 0), (), False): ((1, 0),)})
         with pytest.raises(InvalidOperand):
             poincare_primitive(w)
 
@@ -179,11 +156,11 @@ class TestPrimitive:
     def test_pure_time_integration(self):
         # omega = dt on T^2 x I is d(t), exact among 1-forms with
         # polynomial coefficients
-        w = CylinderForm.build(2, 1, {((0, 0), (), True): (ComplexFrac(1),)})
+        w = build_ref(2, 1, {((0, 0), (), True): ((1, 0),)})
         res = poincare_primitive(w)
         assert exterior_derivative(res.primitive) == w
-        assert res.primitive.mapping() == {
-            ((0, 0), (), False): (ComplexFrac(0), ComplexFrac(1))}
+        assert pairs_of(res.primitive) == {
+            ((0, 0), (), False): (ZERO_PAIR, (1, 0))}
 
 
 class TestRefinementStability:
@@ -259,8 +236,7 @@ def drawn_forms(draw):
 
 
 small_coeffs = st.lists(
-    st.builds(ComplexFrac,
-              st.fractions(-4, 4, max_denominator=12),
+    st.tuples(st.fractions(-4, 4, max_denominator=12),
               st.fractions(-4, 4, max_denominator=12)),
     max_size=4)
 
@@ -271,25 +247,25 @@ class TestCanonical:
     def test_every_form_is_canonical(self, drawn, data):
         d, degree, f = drawn
         assert_canonical(f)
-        assert CylinderForm.build(d, degree, f.mapping()) == f
+        assert build_ref(d, degree, pairs_of(f)) == f
         df = exterior_derivative(f)
         assert_canonical(df)
-        assert CylinderForm.build(d, df.degree, df.mapping()) == df
-        terms = pairs_of(f.mapping())
+        assert build_ref(d, df.degree, pairs_of(df)) == df
+        terms = pairs_of(f)
         for g in (ref_sum(terms, terms), ref_sum(terms, ref_neg(terms)),
                   ref_neg(terms)):
             assert_canonical(build_ref(d, degree, g))
         # the same keys with other coefficients, zeros and trailing zeros
         # included, over mixed denominators
-        rebuilt = CylinderForm.build(d, degree, {
-            key: tuple(data.draw(small_coeffs)) + (ZERO,) * data.draw(
+        rebuilt = build_ref(d, degree, {
+            key: tuple(data.draw(small_coeffs)) + (ZERO_PAIR,) * data.draw(
                 st.integers(0, 2)) for key, _ in f.terms})
         assert_canonical(rebuilt)
-        expected = ref_sum(pairs_of(rebuilt.mapping()), terms)
+        expected = ref_sum(pairs_of(rebuilt), terms)
         total = build_ref(d, degree, expected)
         assert_canonical(total)
-        assert pairs_of(total.mapping()) == expected
-        assert CylinderForm.build(d, degree, rebuilt.mapping()) == rebuilt
+        assert pairs_of(total) == expected
+        assert build_ref(d, degree, pairs_of(rebuilt)) == rebuilt
         if degree >= 1:
             w = random_exact_form(d, degree, cutoff=3,
                                   seed=data.draw(st.integers(0, 10 ** 6)))
@@ -320,8 +296,10 @@ class TestCanonical:
 # A complex rational is a pair of Fractions, and a form is a plain dict
 # {(mode, spatial, has_dt): tuple of pairs} without zero polynomials or
 # trailing zero pairs.  Nothing here uses the library's arithmetic, so it
-# is an independent oracle for the integer-pair fast path; pairs_of and
-# build_ref cross the boundary through mapping() and build().
+# is an independent oracle for the integer-pair fast path.  pairs_of and
+# build_ref cross the boundary: one reads a form's integer pairs over its
+# denominator, the other hands CylinderForm._of the reference terms over
+# the lcm of their denominators.
 
 ZERO_PAIR = (F(0), F(0))
 MINUS_ONE = (F(-1), F(0))
@@ -339,17 +317,26 @@ def c_norm_sq(a):
     return a[0] * a[0] + a[1] * a[1]
 
 
-def pairs_of(mapping):
-    """A mapping() of ComplexFrac tuples as reference terms."""
-    return {key: tuple((c.re, c.im) for c in poly)
-            for key, poly in mapping.items()}
+def pairs_of(form):
+    """A library form as reference terms."""
+    return {key: tuple((F(x, form.den), F(y, form.den)) for x, y in pairs)
+            for key, pairs in form.terms}
 
 
 def build_ref(d, degree, terms):
-    """The library form with the reference terms' coefficients."""
-    return CylinderForm.build(d, degree, {
-        key: tuple(ComplexFrac(*c) for c in poly)
+    """The library form with the reference terms' coefficients; zero and
+    trailing zero pairs may appear."""
+    den = math.lcm(*(F(v).denominator for poly in terms.values()
+                     for c in poly for v in c))
+    return CylinderForm._of(d, degree, den, {
+        key: [(int(F(x) * den), int(F(y) * den)) for x, y in poly]
         for key, poly in terms.items()})
+
+
+def random_form(d, degree, cutoff, seed, n_terms=4, max_poly_degree=2):
+    """A random form drawn as random_exact_form draws its primitives."""
+    return CylinderForm._of(d, degree, 6, poincare._random_polys(
+        d, degree, cutoff, seed, n_terms, max_poly_degree))
 
 
 def ref_trim(p):
@@ -446,8 +433,8 @@ def ref_primitive(d, terms):
 
 def assert_matches_reference(w):
     res = poincare_primitive(w)
-    chi, wsq, csq = ref_primitive(w.d, pairs_of(w.mapping()))
-    assert pairs_of(res.primitive.mapping()) == chi
+    chi, wsq, csq = ref_primitive(w.d, pairs_of(w))
+    assert pairs_of(res.primitive) == chi
     # the library form is canonical: rebuilding it from the reference
     # coefficients gives the same terms
     assert res.primitive == build_ref(w.d, w.degree - 1, chi)
@@ -472,9 +459,9 @@ class TestReferenceOracle:
     def test_fixed_forms(self):
         assert_matches_reference(exterior_derivative(sine_dx2()))
         assert_matches_reference(mixed_denominator_form())
-        assert_matches_reference(CylinderForm.build(2, 1, {
-            ((0, 0), (), True): (ComplexFrac(F(2, 3)), ZERO,
-                                 ComplexFrac(F(-1, 4), F(5, 6)))}))
+        assert_matches_reference(build_ref(2, 1, {
+            ((0, 0), (), True): ((F(2, 3), 0), ZERO_PAIR,
+                                 (F(-1, 4), F(5, 6)))}))
 
     @pytest.mark.parametrize("d,degree", [(2, 1), (2, 2), (2, 3), (3, 1),
                                           (3, 2), (3, 3), (3, 4)])
@@ -493,8 +480,8 @@ class TestReferenceOracle:
     def test_derivative_matches_reference(self):
         for seed in range(20):
             w = random_form(3, seed % 5, cutoff=3, seed=seed)
-            assert pairs_of(exterior_derivative(w).mapping()) == \
-                ref_d(3, pairs_of(w.mapping()))
+            assert pairs_of(exterior_derivative(w)) == \
+                ref_d(3, pairs_of(w))
 
     @given(st.integers(2, 3), st.data())
     @settings(max_examples=60, deadline=None)
